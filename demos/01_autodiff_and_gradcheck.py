@@ -18,8 +18,7 @@ ad.backward(loss)
 print(f"d(0.5*||p||^2)/dp = {p.grad}  (equals p itself)")
 
 print("\n== stable softmax ==")
-x = ad.constant([1000.0, 1000.0, 999.0])
-print(f"softmax([1000, 1000, 999]) = {ad.softmax(x).value}")
+print(f"softmax([1000, 1000, 999]) = {ad.softmax_values([1000.0, 1000.0, 999.0])}")
 
 print("\n== soft cross entropy ==")
 logits = ad.constant([1.0, 1.0, 1.0])

@@ -7,8 +7,9 @@ graph below a scalar loss, accumulates gradients into every reachable
 ``Parameter``, and then drops the recorded closures so the graph can be
 collected. A graph is single-use; rebuild it for the next step.
 
-Everything runs in float64. The sampler network is small enough that
-clarity and checkable gradients win over throughput.
+Everything runs in float64. A batch of B videos of T frames travels as
+(B*T, D) rows, so one node covers the whole batch; the per-video steps are
+fused ops with hand-written backwards.
 """
 
 from __future__ import annotations
@@ -74,16 +75,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    def rows(self, start: int, stop: int) -> "Tensor":
-        return slice_rows(self, start, stop)
-
-    def cols(self, start: int, stop: int) -> "Tensor":
-        return slice_cols(self, start, stop)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
@@ -190,49 +181,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.value.T.copy(), (a,))
+def add_position(x: Tensor, table: Tensor, frames: int) -> Tensor:
+    """x (B*T, D), video-major, plus rows [0, T) of a positional table added
+    to every video's block of T rows."""
+    rows, d = x.shape
+    if frames < 1 or rows % frames or table.shape[1:] != (d,) or frames > table.shape[0]:
+        raise ValueError(f"add_position: {x.shape} in blocks of {frames} vs {table.shape}")
+    out = Tensor((x.value.reshape(-1, frames, d) + table.value[:frames]).reshape(rows, d),
+                 (x, table))
 
     def backprop(g):
-        a._accumulate(g.T)
-
-    out._backprop = backprop
-    return out
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.value[start:stop].copy(), (a,))
-
-    def backprop(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[start:stop] += g
-
-    out._backprop = backprop
-    return out
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.value[:, start:stop].copy(), (a,))
-
-    def backprop(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[:, start:stop] += g
-
-    out._backprop = backprop
-    return out
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    widths = [p.shape[1] for p in parts]
-    out = Tensor(np.concatenate([p.value for p in parts], axis=1), tuple(parts))
-
-    def backprop(g):
-        offset = 0
-        for p, w in zip(parts, widths):
-            p._accumulate(g[:, offset:offset + w])
-            offset += w
+        x._accumulate(g)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.value)
+        table.grad[:frames] += g.reshape(-1, frames, d).sum(axis=0)
 
     out._backprop = backprop
     return out
@@ -269,17 +231,15 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator | None,
-            train: bool) -> Tensor:
-    """Inverted dropout: surviving entries scaled by 1/(1-rate) at train time."""
-    if not train or rate == 0.0:
+def dropout(a: Tensor, rate: float, noise: np.ndarray | None) -> Tensor:
+    """Inverted dropout from pre-drawn uniforms in [0, 1): entries whose draw
+    is below ``rate`` are zeroed, survivors scaled by 1/(1-rate). Without
+    draws (eval mode) or at rate 0 the input passes through."""
+    if noise is None or rate == 0.0:
         return a
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    return mul_const(a, mask)
+    return mul_const(a, (noise >= rate) / (1.0 - rate))
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +259,6 @@ def log_softmax_values(x: np.ndarray, axis: int = -1) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     shifted = x - x.max(axis=axis, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    s = softmax_values(a.value, axis=axis)
-    out = Tensor(s, (a,))
-
-    def backprop(g):
-        a._accumulate(s * (g - (g * s).sum(axis=axis, keepdims=True)))
-
-    out._backprop = backprop
-    return out
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -355,18 +304,73 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     return out
 
 
-def l1_normalize(a: Tensor, floor: float = NORM_FLOOR) -> Tensor:
-    """a / sum(a), denominator floored; used for attention weights."""
-    s = float(a.value.sum())
-    denom = max(s, floor)
-    out = Tensor(a.value / denom, (a,))
+def l1_normalize(a: Tensor, batch: int = 1, floor: float = NORM_FLOOR) -> Tensor:
+    """Each video's block of a (B*T, 1) column divided by its own sum, the
+    denominator floored; used for attention weights."""
+    cols = a.value.reshape(batch, -1)
+    sums = cols.sum(axis=1, keepdims=True)
+    denom = np.maximum(sums, floor)
+    out = Tensor((cols / denom).reshape(a.shape), (a,))
 
     def backprop(g):
-        if s < floor:
-            # denominator pinned to the floor constant
-            a._accumulate(g / floor)
-        else:
-            a._accumulate(g / denom - float((g * a.value).sum()) / (denom * denom))
+        g = g.reshape(batch, -1)
+        # a denominator pinned to the floor constant passes no sum term
+        through = np.where(sums < floor, 0.0,
+                           (g * cols).sum(axis=1, keepdims=True) / (denom * denom))
+        a._accumulate((g / denom - through).reshape(a.shape))
+
+    out._backprop = backprop
+    return out
+
+
+def attention_pool(x: Tensor, weights: Tensor, batch: int) -> Tensor:
+    """(B, D) pooled rows: each video's rows of x (B*T, D) summed with its
+    own weights from the (B*T, 1) column."""
+    if weights.shape != (x.shape[0], 1) or x.shape[0] % batch:
+        raise ValueError(f"attention_pool: weights {weights.shape} vs rows {x.shape} "
+                         f"for {batch} videos")
+    xs = x.value.reshape(batch, -1, x.shape[1])
+    ws = weights.value.reshape(batch, 1, -1)
+    out = Tensor((ws @ xs).reshape(batch, -1), (x, weights))
+
+    def backprop(g):
+        g = g.reshape(batch, 1, -1)
+        x._accumulate((ws.transpose(0, 2, 1) @ g).reshape(x.shape))
+        weights._accumulate((xs @ g.transpose(0, 2, 1)).reshape(weights.shape))
+
+    out._backprop = backprop
+    return out
+
+
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, batch: int,
+                         heads: int) -> Tensor:
+    """Scaled dot-product self-attention over (B, heads, T, T) for (B*T, D)
+    rows, video-major; head h owns columns [h*D/heads, (h+1)*D/heads) and
+    each video attends to its own frames. Returns the contexts side by side."""
+    rows, d = q.shape
+    if k.shape != q.shape or v.shape != q.shape or rows % batch or d % heads:
+        raise ValueError(f"multi_head_attention: q/k/v {q.shape}/{k.shape}/{v.shape} "
+                         f"for {batch} videos and {heads} heads")
+    t, width = rows // batch, d // heads
+    scale = 1.0 / np.sqrt(width)
+
+    def split(m):   # (B*T, D) -> (B, heads, T, width)
+        return m.reshape(batch, t, heads, width).transpose(0, 2, 1, 3)
+
+    def merge(m):   # (B, heads, T, width) -> (B*T, D)
+        return m.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    qh, kh, vh = split(q.value), split(k.value), split(v.value)
+    probs = softmax_values((qh @ kh.transpose(0, 1, 3, 2)) * scale, axis=-1)
+    out = Tensor(merge(probs @ vh), (q, k, v))
+
+    def backprop(g):
+        gh = split(g)
+        gp = gh @ vh.transpose(0, 1, 3, 2)
+        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
+        q._accumulate(merge(gs @ kh))
+        k._accumulate(merge(gs.transpose(0, 1, 3, 2) @ qh))
+        v._accumulate(merge(probs.transpose(0, 1, 3, 2) @ gh))
 
     out._backprop = backprop
     return out

@@ -1,6 +1,7 @@
 """The frame sampler network and its losses.
 
-Three parts share one encoding pass per video:
+Three parts share one encoding pass over a (T, D) video or a stacked
+(B, T, D) batch, carried as (B*T, D) rows with fused multi-head attention:
 
 * feature embedding: learnable positional embedding plus a pre-norm
   transformer encoder over the per-frame lightweight features;
@@ -17,15 +18,16 @@ Three parts share one encoding pass per video:
 Checkpoints use the NSC1 container: magic ``NSC1`` | u32 parameter count |
 per parameter u16 name length, name bytes, u32 rank, u32 dims..., IEEE-754
 32-bit values row-major; the model configuration rides in a ``.cfg`` text
-sidecar.
+sidecar of ``key=literal`` lines, parsed as data.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import struct
-from dataclasses import dataclass, fields
-from typing import Iterator
+from dataclasses import MISSING, dataclass, fields
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,8 +61,8 @@ class ModelConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {rate}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if min(self.input_dim, self.num_classes, self.max_frames,
                self.encoder_layers, self.heads, self.ffn_dim) < 1:
             raise ValueError("all size fields must be positive")
@@ -69,26 +71,48 @@ class ModelConfig:
         return "\n".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "ModelConfig":
+    def from_text(cls, text: str, source: str = "<config>") -> "ModelConfig":
+        """Parse ``to_text`` output as data: one ``key=literal`` per line,
+        each key a field at most once; errors name ``source:line``."""
+        known = {f.name: f for f in fields(cls)}
         kwargs = {}
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            kwargs[key] = eval(value, {"__builtins__": {}})  # literals only
+            key, sep, literal = (part.strip() for part in line.partition("="))
+            where = f"{source}:{lineno}"
+            if not sep or key not in known:
+                raise ValueError(f"{where}: unknown model configuration key {key!r}")
+            if key in kwargs:
+                raise ValueError(f"{where}: duplicate key {key!r}")
+            try:
+                value = ast.literal_eval(literal)
+            except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+                raise ValueError(f"{where}: {key} is not a literal: {literal!r}") from None
+            kind = known[key].type   # "int", "int | None" or "float"
+            allowed = (int, float) if kind == "float" else int
+            if not ((isinstance(value, allowed) and not isinstance(value, bool))
+                    or (value is None and kind.endswith("None"))):
+                raise ValueError(f"{where}: {key} must be {kind}, got {literal!r}")
+            kwargs[key] = value
+        missing = [name for name, f in known.items()
+                   if name not in kwargs and f.default is MISSING]
+        if missing:
+            raise ValueError(f"{source}: missing model configuration keys {missing}")
         return cls(**kwargs)
 
 
 @dataclass
 class ForwardOutput:
-    """Per-video network outputs, still attached to the gradient graph."""
+    """Outputs for B videos (B=1 for a (T, D) input), still attached to the
+    gradient graph; frame rows are video-major."""
 
-    encoded: Tensor            # (T, D)
-    fsm_logits: Tensor         # (T, C+1)
-    attn: Tensor               # (T, 1), nonnegative, sums to 1
-    salient_logits: Tensor     # (1, C+1)
-    nonsalient_logits: Tensor  # (1, C+1)
+    encoded: Tensor            # (B*T, D)
+    fsm_logits: Tensor         # (B*T, C+1)
+    attn: Tensor               # (B*T, 1), nonnegative, sums to 1 per video
+    salient_logits: Tensor     # (B, C+1)
+    nonsalient_logits: Tensor  # (B, C+1)
 
 
 def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -147,37 +171,52 @@ class SamplerModel:
     def named_parameters(self) -> Iterator[tuple[str, Parameter]]:
         return iter(self._params.items())
 
+    def _as_batch(self, features: np.ndarray) -> np.ndarray:
+        """(T, D) or (B, T, D) features as a checked (B, T, D) array."""
+        x = np.asarray(features, dtype=np.float64)
+        x = x[None] if x.ndim == 2 else x
+        if x.ndim != 3 or x.shape[2] != self.config.input_dim or 0 in x.shape:
+            raise ValueError(f"expected (T, {self.config.input_dim}) or (B, T, "
+                             f"{self.config.input_dim}) features, got {np.shape(features)}")
+        if x.shape[1] > self.config.max_frames:
+            raise ValueError(f"video has {x.shape[1]} frames but positional capacity "
+                             f"is {self.config.max_frames}")
+        return x
+
+    def _dropout_noise(self, b: int, t: int, train: bool,
+                       rng: np.random.Generator | None) -> dict[str, np.ndarray]:
+        """Uniform draws per active dropout site, drawn per video in the site
+        order below, so the random stream does not depend on the batching."""
+        cfg = self.config
+        sites = [(name, rows) for name, rows, rate in (
+            ("pos", t, cfg.dropout_pos_enc), ("fsm", t, cfg.dropout_cls),
+            ("attn", t, cfg.dropout_attn), ("salient", 1, cfg.dropout_cls),
+            ("nonsalient", 1, cfg.dropout_cls)) if train and rate > 0.0]
+        if not sites:
+            return {}
+        if rng is None:
+            raise ValueError("train-mode dropout needs an rng")
+        draws = rng.random((b, sum(rows for _, rows in sites), cfg.input_dim))
+        ends = np.cumsum([rows for _, rows in sites])
+        return {name: draws[:, end - rows:end].reshape(b * rows, -1)
+                for (name, rows), end in zip(sites, ends)}
+
     # -- feature embedding ---------------------------------------------------
 
-    def encode(self, features: np.ndarray, train: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
-        """Positional embedding + dropout + pre-norm encoder blocks; the
-        output keeps the (T, D) input shape."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.config.input_dim:
-            raise ValueError(
-                f"expected (T, {self.config.input_dim}) features, got {features.shape}")
-        t = features.shape[0]
-        if t > self.config.max_frames:
-            raise ValueError(
-                f"video has {t} frames but positional capacity is {self.config.max_frames}")
-        x = ad.constant(features) + self.pos_embedding.rows(0, t)
-        x = ad.dropout(x, self.config.dropout_pos_enc, rng, train)
-        head_dim = self.config.input_dim // self.config.heads
-        scale = 1.0 / math.sqrt(head_dim)
+    def encode(self, features: np.ndarray, noise: np.ndarray | None = None) -> Tensor:
+        """Positional embedding + dropout + pre-norm encoder blocks over
+        (T, D) or (B, T, D) features; returns (B*T, D) rows, video-major."""
+        features = self._as_batch(features)
+        b, t, d = features.shape
+        x = ad.add_position(ad.constant(features.reshape(b * t, d)), self.pos_embedding, t)
+        x = ad.dropout(x, self.config.dropout_pos_enc, noise)
         for layer in self.layers:
             h = ad.layer_norm(x, layer["ln1_gain"], layer["ln1_bias"])
-            q = h @ layer["wq"] + layer["bq"]
-            k = h @ layer["wk"] + layer["bk"]
-            v = h @ layer["wv"] + layer["bv"]
-            contexts = []
-            for head in range(self.config.heads):
-                lo, hi = head * head_dim, (head + 1) * head_dim
-                scores = (q.cols(lo, hi) @ k.cols(lo, hi).T) * scale
-                weights = ad.softmax(scores, axis=-1)
-                contexts.append(weights @ v.cols(lo, hi))
-            attn_out = ad.concat_cols(contexts) @ layer["wo"] + layer["bo"]
-            x = x + attn_out
+            context = ad.multi_head_attention(h @ layer["wq"] + layer["bq"],
+                                              h @ layer["wk"] + layer["bk"],
+                                              h @ layer["wv"] + layer["bv"],
+                                              b, self.config.heads)
+            x = x + (context @ layer["wo"] + layer["bo"])
             h2 = ad.layer_norm(x, layer["ln2_gain"], layer["ln2_bias"])
             ffn = ad.relu(h2 @ layer["w1"] + layer["b1"]) @ layer["w2"] + layer["b2"]
             x = x + ffn
@@ -185,48 +224,51 @@ class SamplerModel:
 
     # -- frame scrutinize ------------------------------------------------
 
-    def fsm_forward(self, encoded: Tensor, train: bool = False,
-                    rng: np.random.Generator | None = None) -> Tensor:
-        h = ad.dropout(encoded, self.config.dropout_cls, rng, train)
+    def fsm_forward(self, encoded: Tensor, noise: np.ndarray | None = None) -> Tensor:
+        h = ad.dropout(encoded, self.config.dropout_cls, noise)
         return h @ self.fsm_w + self.fsm_b
 
     # -- video glimpse -----------------------------------------------------
 
-    def vgm_attention(self, encoded: Tensor, train: bool = False,
-                      rng: np.random.Generator | None = None) -> Tensor:
-        """(T, 1) attention: sigmoid activations L1-normalized over time."""
-        h = ad.dropout(encoded, self.config.dropout_attn, rng, train)
+    def vgm_attention(self, encoded: Tensor, batch: int = 1,
+                      noise: np.ndarray | None = None) -> Tensor:
+        """(B*T, 1) attention: sigmoid activations L1-normalized over each
+        video's frames."""
+        h = ad.dropout(encoded, self.config.dropout_attn, noise)
         raw = ad.sigmoid(h @ self.attn_w + self.attn_b)
-        return ad.l1_normalize(raw)
+        return ad.l1_normalize(raw, batch)
 
-    def vgm_representations(self, encoded: Tensor, attn: Tensor) -> tuple[Tensor, Tensor]:
-        """Salient pooling sum(a_i x_i) and its complement with weights
+    def vgm_representations(self, encoded: Tensor, attn: Tensor,
+                            batch: int = 1) -> tuple[Tensor, Tensor]:
+        """(B, D) salient pooling sum(a_i x_i) and its complement with weights
         (1 - a_i)/T; the complementary weights sum to (T-1)/T."""
-        t = encoded.shape[0]
-        salient = attn.T @ encoded
-        complement = (1.0 - attn) * (1.0 / t)
-        nonsalient = complement.T @ encoded
+        t = encoded.shape[0] // batch
+        salient = ad.attention_pool(encoded, attn, batch)
+        nonsalient = ad.attention_pool(encoded, (1.0 - attn) * (1.0 / t), batch)
         return salient, nonsalient
 
-    def classify_video(self, representation: Tensor, train: bool = False,
-                       rng: np.random.Generator | None = None) -> Tensor:
-        h = ad.dropout(representation, self.config.dropout_cls, rng, train)
+    def classify_video(self, representation: Tensor,
+                       noise: np.ndarray | None = None) -> Tensor:
+        h = ad.dropout(representation, self.config.dropout_cls, noise)
         return h @ self.cls_w + self.cls_b
 
     # -- whole network -------------------------------------------------------
 
     def forward(self, features: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardOutput:
-        encoded = self.encode(features, train, rng)
-        fsm_logits = self.fsm_forward(encoded, train, rng)
-        attn = self.vgm_attention(encoded, train, rng)
-        salient, nonsalient = self.vgm_representations(encoded, attn)
+        """One graph over (T, D) or a stacked (B, T, D) batch of videos."""
+        features = self._as_batch(features)
+        b, t, _ = features.shape
+        noise = self._dropout_noise(b, t, train, rng)
+        encoded = self.encode(features, noise.get("pos"))
+        attn = self.vgm_attention(encoded, b, noise.get("attn"))
+        salient, nonsalient = self.vgm_representations(encoded, attn, b)
         return ForwardOutput(
             encoded=encoded,
-            fsm_logits=fsm_logits,
+            fsm_logits=self.fsm_forward(encoded, noise.get("fsm")),
             attn=attn,
-            salient_logits=self.classify_video(salient, train, rng),
-            nonsalient_logits=self.classify_video(nonsalient, train, rng),
+            salient_logits=self.classify_video(salient, noise.get("salient")),
+            nonsalient_logits=self.classify_video(nonsalient, noise.get("nonsalient")),
         )
 
 
@@ -235,36 +277,13 @@ class SamplerModel:
 # ---------------------------------------------------------------------------
 
 
-def video_salient_target(label: int, num_classes: int) -> np.ndarray:
-    target = np.zeros(num_classes + 1)
-    target[label] = 1.0
-    return target
-
-
-def video_nonsalient_target(num_classes: int) -> np.ndarray:
-    target = np.zeros(num_classes + 1)
-    target[num_classes] = 1.0
-    return target
-
-
 def fsm_loss(fsm_logits: Tensor, frame_targets: np.ndarray) -> Tensor:
-    """Soft cross entropy summed over the video's frames."""
+    """Soft cross entropy summed over the frames."""
     frame_targets = np.asarray(frame_targets, dtype=np.float64)
     if frame_targets.shape != fsm_logits.shape:
         raise ValueError(
             f"frame targets {frame_targets.shape} vs logits {fsm_logits.shape}")
     return ad.soft_cross_entropy_rows(fsm_logits, frame_targets)
-
-
-def vgm_loss(salient_logits: Tensor, nonsalient_logits: Tensor, label: int,
-             num_classes: int, gamma: float) -> Tensor:
-    """Classification loss on the salient representation plus gamma times the
-    suppression loss pulling the complement onto the non-salient category."""
-    if not 0 <= label < num_classes:
-        raise ValueError(f"label {label} out of range for C={num_classes}")
-    l_cls = ad.soft_cross_entropy(salient_logits, video_salient_target(label, num_classes))
-    l_ns = ad.soft_cross_entropy(nonsalient_logits, video_nonsalient_target(num_classes))
-    return l_cls + gamma * l_ns
 
 
 @dataclass
@@ -275,13 +294,21 @@ class LossBreakdown:
     video_ns: Tensor
 
 
-def total_loss(output: ForwardOutput, frame_targets: np.ndarray, label: int,
-               config: ModelConfig) -> LossBreakdown:
-    """Video-level loss plus the frame-level loss (single shared encoding)."""
+def total_loss(output: ForwardOutput, frame_targets: np.ndarray,
+               labels: Sequence[int], config: ModelConfig) -> LossBreakdown:
+    """Batch means of the per-video video-level and frame-level losses;
+    frame_targets are (B*T, C+1) rows."""
     c = config.num_classes
-    l_cls = ad.soft_cross_entropy(output.salient_logits, video_salient_target(label, c))
-    l_ns = ad.soft_cross_entropy(output.nonsalient_logits, video_nonsalient_target(c))
-    l_f = fsm_loss(output.fsm_logits, frame_targets)
+    b = output.salient_logits.shape[0]
+    labels = np.asarray(labels)
+    if labels.shape != (b,) or np.any((labels < 0) | (labels >= c)):
+        raise ValueError(f"expected {b} labels in [0, {c}), got {labels.tolist()}")
+    one_hot = np.eye(c + 1)
+    scale = 1.0 / b
+    l_cls = scale * ad.soft_cross_entropy_rows(output.salient_logits, one_hot[labels])
+    l_ns = scale * ad.soft_cross_entropy_rows(output.nonsalient_logits,
+                                              one_hot[np.full(b, c)])
+    l_f = scale * fsm_loss(output.fsm_logits, frame_targets)
     total = l_cls + config.gamma * l_ns + l_f
     return LossBreakdown(total=total, frame=l_f, video_cls=l_cls, video_ns=l_ns)
 
@@ -325,30 +352,46 @@ def save_checkpoint(model: SamplerModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> SamplerModel:
-    config = ModelConfig.from_text(open(path + ".cfg", "r", encoding="utf-8").read())
+    """Read an NSC1 checkpoint and its ``.cfg`` sidecar. Any truncated,
+    malformed or mismatched content raises ValueError naming the file."""
+    with open(path + ".cfg", "r", encoding="utf-8") as fh:
+        config = ModelConfig.from_text(fh.read(), source=path + ".cfg")
     model = SamplerModel(config, np.random.default_rng(0))
-    blob = open(path, "rb").read()
-    if blob[:4] != CHECKPOINT_MAGIC:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    offset = 0
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal offset
+        if offset + size > len(blob):
+            raise ValueError(f"{path}: truncated checkpoint: {what} needs {size} bytes "
+                             f"at offset {offset}, file has {len(blob)}")
+        offset += size
+        return blob[offset - size:offset]
+
+    if take(4, "magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad magic, not an NSC1 checkpoint")
-    (count,) = struct.unpack("<I", blob[4:8])
-    offset = 8
+    (count,) = struct.unpack("<I", take(4, "parameter count"))
+    expected = dict(model.named_parameters())
     loaded: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", blob[offset:offset + 2])
-        offset += 2
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack("<I", blob[offset:offset + 4])
-        offset += 4
-        dims = struct.unpack(f"<{rank}I", blob[offset:offset + 4 * rank])
-        offset += 4 * rank
-        size = int(np.prod(dims)) if rank else 1
-        values = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
-        offset += 4 * size
+    for index in range(count):
+        (name_len,) = struct.unpack("<H", take(2, f"parameter {index} name length"))
+        try:
+            name = take(name_len, f"parameter {index} name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: parameter {index} name is not UTF-8") from None
+        if name not in expected:
+            raise ValueError(f"{path}: unexpected parameter {name!r}")
+        if name in loaded:
+            raise ValueError(f"{path}: duplicate parameter {name!r}")
+        (rank,) = struct.unpack("<I", take(4, f"{name!r} rank"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"{name!r} dims"))
+        size = math.prod(dims)
+        values = np.frombuffer(take(4 * size, f"{name!r} values"), dtype="<f4")
         loaded[name] = values.astype(np.float64).reshape(dims)
     if offset != len(blob):
         raise ValueError(f"{path}: trailing bytes after {count} parameters")
-    for name, p in model.named_parameters():
+    for name, p in expected.items():
         if name not in loaded:
             raise ValueError(f"{path}: checkpoint is missing parameter {name!r}")
         if loaded[name].shape != p.value.shape:

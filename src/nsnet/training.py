@@ -80,28 +80,14 @@ class TrainExample:
 def batch_loss(model: SamplerModel, batch: list[TrainExample], train: bool = False,
                rng: np.random.Generator | None = None) -> LossBreakdown:
     """Mean over the batch of the per-video total loss (frame loss summed
-    over frames, video losses per head)."""
+    over frames, video losses per head), from one forward over the stacked
+    batch; every example must have the same frame count."""
     if not batch:
         raise ValueError("empty batch")
-    parts = []
-    for example in batch:
-        out = model.forward(example.features, train=train, rng=rng)
-        parts.append(total_loss(out, example.frame_targets, example.label,
-                                model.config))
-    scale = 1.0 / len(batch)
-
-    def mean(tensors):
-        acc = tensors[0]
-        for t in tensors[1:]:
-            acc = acc + t
-        return scale * acc
-
-    return LossBreakdown(
-        total=mean([p.total for p in parts]),
-        frame=mean([p.frame for p in parts]),
-        video_cls=mean([p.video_cls for p in parts]),
-        video_ns=mean([p.video_ns for p in parts]),
-    )
+    out = model.forward(np.stack([example.features for example in batch]),
+                        train=train, rng=rng)
+    return total_loss(out, np.concatenate([example.frame_targets for example in batch]),
+                      [example.label for example in batch], model.config)
 
 
 def gradient_check(model: SamplerModel, batch: list[TrainExample],

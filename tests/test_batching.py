@@ -1,0 +1,219 @@
+"""The batched training step against the per-video loop it replaced.
+
+``per_video_forward`` and ``per_video_batch_loss`` are that loop, kept here
+as the reference: one forward per video, whose dropout sites draw from the
+generator one after another as they are reached (pos, fsm, attn, salient,
+nonsalient), one ``total_loss`` per video, then the mean of each term. The
+batched path sums in another order, so values and gradients are compared
+with an absolute tolerance set from float64 roundoff (1e-12). Absolute, not
+relative: the key-bias gradients are exactly zero in exact arithmetic
+(softmax is invariant to a per-query shift), so only their roundoff is
+left and a relative comparison would divide noise by noise.
+"""
+
+import numpy as np
+import pytest
+
+from nsnet import autodiff as ad
+from nsnet.autodiff import Parameter, backward, finite_difference_check
+from nsnet.model import ForwardOutput, LossBreakdown, ModelConfig, SamplerModel, \
+    total_loss
+from nsnet.supervision import ns_pseudo_label_matrix
+from nsnet.training import TrainExample, batch_loss
+
+ATOL = 1e-12
+B, T, D, C = 5, 6, 16, 4
+
+
+def make_model(seed=0, dropout=True):
+    rates = dict(dropout_pos_enc=0.2, dropout_cls=0.5, dropout_attn=0.2) if dropout \
+        else dict(dropout_pos_enc=0.0, dropout_cls=0.0, dropout_attn=0.0)
+    cfg = ModelConfig(input_dim=D, num_classes=C, max_frames=8, encoder_layers=2,
+                      heads=4, **rates)
+    return SamplerModel(cfg, np.random.default_rng(seed))
+
+
+def make_batch(seed=1, size=B, frames=T):
+    rng = np.random.default_rng(seed)
+    batch = []
+    for i in range(size):
+        label = int(rng.integers(C))
+        batch.append(TrainExample(rng.standard_normal((frames, D)),
+                                  ns_pseudo_label_matrix(rng.random(frames), label, C),
+                                  label, f"v{i}"))
+    return batch
+
+
+def per_video_forward(model, features, train=False, rng=None) -> ForwardOutput:
+    """One video through the network, each dropout site drawing its own
+    mask from ``rng`` when it is reached."""
+    cfg = model.config
+
+    def draw(rate, rows):
+        return rng.random((rows, D)) if train and rate > 0.0 else None
+
+    encoded = model.encode(features, draw(cfg.dropout_pos_enc, len(features)))
+    fsm_logits = model.fsm_forward(encoded, draw(cfg.dropout_cls, len(features)))
+    attn = model.vgm_attention(encoded, 1, draw(cfg.dropout_attn, len(features)))
+    salient, nonsalient = model.vgm_representations(encoded, attn)
+    return ForwardOutput(
+        encoded=encoded, fsm_logits=fsm_logits, attn=attn,
+        salient_logits=model.classify_video(salient, draw(cfg.dropout_cls, 1)),
+        nonsalient_logits=model.classify_video(nonsalient, draw(cfg.dropout_cls, 1)))
+
+
+def per_video_batch_loss(model, batch, train=False, rng=None) -> LossBreakdown:
+    """Mean over the batch of the per-video total loss, one graph per video."""
+    parts = [total_loss(per_video_forward(model, e.features, train, rng),
+                        e.frame_targets, [e.label], model.config) for e in batch]
+    scale = 1.0 / len(batch)
+
+    def mean(tensors):
+        acc = tensors[0]
+        for t in tensors[1:]:
+            acc = acc + t
+        return scale * acc
+
+    return LossBreakdown(total=mean([p.total for p in parts]),
+                         frame=mean([p.frame for p in parts]),
+                         video_cls=mean([p.video_cls for p in parts]),
+                         video_ns=mean([p.video_ns for p in parts]))
+
+
+def rng_pair(train, seed=5):
+    if not train:
+        return None, None
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_stacked_forward_equals_per_video_forwards(train):
+    model = make_model()
+    batch = make_batch()
+    rng_batched, rng_loop = rng_pair(train)
+    out = model.forward(np.stack([e.features for e in batch]), train=train,
+                        rng=rng_batched)
+    assert out.encoded.shape == (B * T, D)
+    assert out.fsm_logits.shape == (B * T, C + 1)
+    assert out.attn.shape == (B * T, 1)
+    assert out.salient_logits.shape == (B, C + 1)
+    for i, example in enumerate(batch):
+        ref = per_video_forward(model, example.features, train, rng_loop)
+        rows = slice(i * T, (i + 1) * T)
+        for name in ("encoded", "fsm_logits", "attn"):
+            np.testing.assert_allclose(getattr(out, name).value[rows],
+                                       getattr(ref, name).value, rtol=0, atol=ATOL,
+                                       err_msg=f"video {i} {name}")
+        for name in ("salient_logits", "nonsalient_logits"):
+            np.testing.assert_allclose(getattr(out, name).value[i:i + 1],
+                                       getattr(ref, name).value, rtol=0, atol=ATOL,
+                                       err_msg=f"video {i} {name}")
+    if train:
+        # both sides consumed the generator identically
+        assert rng_batched.random() == rng_loop.random()
+
+
+def test_train_mode_draws_differ_from_eval():
+    model = make_model()
+    features = np.stack([e.features for e in make_batch()])
+    train = model.forward(features, train=True, rng=np.random.default_rng(0))
+    eval_ = model.forward(features)
+    assert not np.allclose(train.fsm_logits.value, eval_.fsm_logits.value)
+
+
+@pytest.mark.parametrize("rates", [(0.2, 0.0, 0.2), (0.0, 0.5, 0.0), (0.3, 0.5, 0.0)])
+def test_inactive_dropout_sites_draw_nothing(rates):
+    model = make_model()
+    model.config.dropout_pos_enc, model.config.dropout_cls, model.config.dropout_attn = rates
+    features = np.stack([e.features for e in make_batch(size=2)])
+    rng_batched, rng_loop = rng_pair(True)
+    out = model.forward(features, train=True, rng=rng_batched)
+    for i in range(2):
+        ref = per_video_forward(model, features[i], True, rng_loop)
+        np.testing.assert_allclose(out.fsm_logits.value[i * T:(i + 1) * T],
+                                   ref.fsm_logits.value, rtol=0, atol=ATOL)
+    assert rng_batched.random() == rng_loop.random()
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_batch_loss_terms_and_gradients_equal_per_video_mean(train):
+    model = make_model(seed=3)
+    batch = make_batch(seed=4)
+    rng_batched, rng_loop = rng_pair(train, seed=6)
+
+    def run(loss_fn, rng):
+        parts = loss_fn(model, batch, train=train, rng=rng)
+        values = {k: float(getattr(parts, k).value)
+                  for k in ("total", "frame", "video_cls", "video_ns")}
+        backward(parts.total)
+        return values, {p.name: p.grad.copy() for p in model.parameters()}
+
+    values, grads = run(batch_loss, rng_batched)
+    ref_values, ref_grads = run(per_video_batch_loss, rng_loop)
+    for key in values:
+        np.testing.assert_allclose(values[key], ref_values[key], rtol=0, atol=ATOL,
+                                   err_msg=key)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=ATOL,
+                                   err_msg=name)
+
+
+def test_batch_loss_rejects_unequal_frame_counts():
+    model = make_model(dropout=False)
+    batch = make_batch(size=2) + make_batch(size=1, frames=T - 1)
+    with pytest.raises(ValueError):
+        batch_loss(model, batch)
+
+
+@pytest.mark.parametrize("frames", [1, 5])
+def test_fused_attention_matches_finite_differences(frames):
+    batch, heads, width = 3, 4, 8
+    rng = np.random.default_rng(frames)
+    q, k, v = (Parameter(name, rng.standard_normal((batch * frames, width)))
+               for name in ("q", "k", "v"))
+    probe = rng.standard_normal((batch * frames, width))
+
+    def loss_fn():
+        out = ad.multi_head_attention(q, k, v, batch, heads)
+        return ad.sum_all(ad.mul_const(out, probe))
+
+    report = finite_difference_check([q, k, v], loss_fn, step=1e-5, tolerance=1e-4)
+    assert report.passed, str(report)
+
+
+def test_fused_attention_keeps_videos_apart():
+    """A video's context depends on its own frames only."""
+    batch, frames, width = 3, 4, 8
+    rng = np.random.default_rng(7)
+    q, k, v = (rng.standard_normal((batch * frames, width)) for _ in range(3))
+    base = ad.multi_head_attention(ad.constant(q), ad.constant(k), ad.constant(v),
+                                   batch, 2).value
+    v2 = v.copy()
+    v2[frames:2 * frames] += 1.0   # perturb video 1 only
+    moved = ad.multi_head_attention(ad.constant(q), ad.constant(k), ad.constant(v2),
+                                    batch, 2).value
+    np.testing.assert_array_equal(base[:frames], moved[:frames])
+    np.testing.assert_array_equal(base[2 * frames:], moved[2 * frames:])
+    assert not np.allclose(base[frames:2 * frames], moved[frames:2 * frames])
+
+
+def test_per_video_ops_match_finite_differences():
+    batch, frames, width = 3, 4, 5
+    rng = np.random.default_rng(8)
+    x = Parameter("x", rng.standard_normal((batch * frames, width)))
+    table = Parameter("table", rng.standard_normal((frames + 2, width)))
+    raw = Parameter("raw", rng.uniform(0.1, 1.0, size=(batch * frames, 1)))
+    probe = rng.standard_normal((batch, width))
+
+    def loss_fn():
+        h = ad.add_position(x, table, frames)
+        weights = ad.l1_normalize(raw, batch)
+        return ad.sum_all(ad.mul_const(ad.attention_pool(h, weights, batch), probe))
+
+    report = finite_difference_check([x, table, raw], loss_fn, step=1e-5,
+                                     tolerance=1e-5)
+    assert report.passed, str(report)
+    backward(loss_fn())
+    # rows past T never reach the loss
+    np.testing.assert_array_equal(table.grad[frames:], 0.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nsnet.cli import load_run_config, main
+from nsnet.model import ModelConfig, SamplerModel, save_checkpoint
 
 
 def run(argv, capsys):
@@ -136,6 +137,112 @@ class TestTrainPipeline:
                             "--prototypes", str(tmp_path / "nope.nsf")], capsys)
         assert code != 0
         assert "does not exist" in err or "missing" in err
+
+
+class TestCheckpointBoundary:
+    """A malformed checkpoint or sidecar ends `nsnet eval` with exit 1 and a
+    single `error:` line, never a traceback or a silently loaded model."""
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path, capsys):
+        """The smallest useful checkpoint (under 1 KB) and a manifest it fits."""
+        data = tmp_path / "data"
+        code, _, err = run([
+            "synth", "--out-dir", str(data), "--classes", "2",
+            "--videos-per-class", "1", "--val-videos-per-class", "1",
+            "--frames", "2", "--light-dim", "3", "--guiding-dim", "3",
+            "--seed", "5"], capsys)
+        assert code == 0, err
+        cfg = ModelConfig(input_dim=3, num_classes=2, max_frames=2, encoder_layers=1,
+                          heads=1)
+        path = tmp_path / "model.nsc1"
+        save_checkpoint(SamplerModel(cfg, np.random.default_rng(0)), str(path))
+        return path, data / "val.nsm"
+
+    def eval_args(self, path, manifest, tmp_path):
+        return ["eval", "--checkpoint", str(path), "--manifest", str(manifest),
+                "--k-list", "2", "--out", str(tmp_path / "frontier.csv")]
+
+    def assert_one_error_line(self, code, err):
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        return lines[0]
+
+    def test_valid_checkpoint_evaluates(self, checkpoint, tmp_path, capsys):
+        path, manifest = checkpoint
+        code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
+        assert code == 0, err
+
+    def test_every_truncation_is_one_error_line(self, checkpoint, tmp_path, capsys):
+        path, manifest = checkpoint
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.nsc1"
+        (tmp_path / "cut.nsc1.cfg").write_text((tmp_path / "model.nsc1.cfg").read_text())
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            code, _, err = run(self.eval_args(cut, manifest, tmp_path), capsys)
+            line = self.assert_one_error_line(code, err)
+            assert str(cut) in line, (size, line)
+
+    @staticmethod
+    def with_first_entry_repeated(blob):
+        """The checkpoint with its first parameter entry appended again and
+        the header count raised to match."""
+        name_len = int.from_bytes(blob[8:10], "little")
+        at = 10 + name_len
+        rank = int.from_bytes(blob[at:at + 4], "little")
+        dims = np.frombuffer(blob, dtype="<u4", count=rank, offset=at + 4)
+        end = at + 4 + 4 * rank + 4 * int(np.prod(dims))
+        count = int.from_bytes(blob[4:8], "little") + 1
+        return blob[:4] + count.to_bytes(4, "little") + blob[8:] + blob[8:end]
+
+    @pytest.mark.parametrize("mutate, message", [
+        (with_first_entry_repeated, "duplicate parameter 'pos_embedding'"),
+        (lambda blob: blob.replace(b"fsm.b", b"fsm.x"), "unexpected parameter 'fsm.x'"),
+        (lambda blob: blob + b"\x00", "trailing bytes"),
+    ])
+    def test_bad_parameter_table(self, checkpoint, tmp_path, capsys, mutate, message):
+        path, manifest = checkpoint
+        path.write_bytes(mutate(path.read_bytes()))
+        code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
+        assert message in self.assert_one_error_line(code, err)
+
+    @pytest.mark.parametrize("key, replacement, message", [
+        ("gamma", "gamma=().__class__.__base__.__subclasses__().__len__() * 0.0",
+         "not a literal"),
+        ("heads", "heads=int('2')", "not a literal"),
+        ("heads", "heads='2'", "heads must be int"),
+        (None, "foo=1", "unknown model configuration key 'foo'"),
+        (None, "gamma=0.2", "duplicate key 'gamma'"),
+    ])
+    def test_bad_sidecar_line(self, checkpoint, tmp_path, capsys, key, replacement,
+                              message):
+        path, manifest = checkpoint
+        sidecar = tmp_path / "model.nsc1.cfg"
+        lines = sidecar.read_text().splitlines()
+        if key is None:
+            lines.append(replacement)
+            lineno = len(lines)
+        else:
+            lineno = next(i for i, line in enumerate(lines, start=1)
+                          if line.startswith(key + "="))
+            lines[lineno - 1] = replacement
+        sidecar.write_text("\n".join(lines) + "\n")
+        code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
+        line = self.assert_one_error_line(code, err)
+        assert f"{sidecar}:{lineno}: " in line, line
+        assert message in line, line
+
+    def test_sidecar_missing_key(self, checkpoint, tmp_path, capsys):
+        path, manifest = checkpoint
+        sidecar = tmp_path / "model.nsc1.cfg"
+        lines = [line for line in sidecar.read_text().splitlines()
+                 if not line.startswith("input_dim=")]
+        sidecar.write_text("\n".join(lines) + "\n")
+        code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
+        line = self.assert_one_error_line(code, err)
+        assert "missing model configuration keys ['input_dim']" in line, line
 
 
 class TestHelp:

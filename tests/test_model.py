@@ -16,7 +16,6 @@ from nsnet.model import (
     load_checkpoint,
     save_checkpoint,
     total_loss,
-    vgm_loss,
     vgm_saliency,
 )
 
@@ -64,7 +63,7 @@ class TestEncode:
     def test_train_mode_requires_rng_when_dropout_active(self):
         model = make_model(dropout_pos_enc=0.2)
         with pytest.raises(ValueError, match="rng"):
-            model.encode(np.zeros((2, 8)), train=True)
+            model.forward(np.zeros((2, 8)), train=True)
 
 
 class TestFsm:
@@ -84,8 +83,8 @@ class TestFsm:
     def test_zero_rate_train_equals_eval(self):
         model = make_model(dropout_cls=0.0)
         encoded = constant(np.random.default_rng(4).standard_normal((3, 8)))
-        train = model.fsm_forward(encoded, train=True, rng=np.random.default_rng(0))
-        eval_ = model.fsm_forward(encoded, train=False)
+        train = model.fsm_forward(encoded, noise=np.random.default_rng(0).random((3, 8)))
+        eval_ = model.fsm_forward(encoded)
         np.testing.assert_array_equal(train.value, eval_.value)
 
     def test_loss_saturated_goes_to_zero(self):
@@ -204,27 +203,37 @@ class TestVgm:
             np.testing.assert_allclose(float(complement.value.sum()), (t - 1) / t,
                                        atol=1e-12)
 
+    @staticmethod
+    def video_loss(salient, nonsalient, label, gamma):
+        """The video half of total_loss, L_cls + gamma * L_ns, for one video
+        with the given head logits."""
+        out = ForwardOutput(encoded=constant(np.zeros((1, 8))),
+                            fsm_logits=constant(np.zeros((1, 4))),
+                            attn=constant(np.ones((1, 1))),
+                            salient_logits=constant(salient),
+                            nonsalient_logits=constant(nonsalient))
+        parts = total_loss(out, np.full((1, 4), 0.25), [label], small_config(gamma=gamma))
+        return float(parts.video_cls.value) + gamma * float(parts.video_ns.value)
+
     def test_vgm_loss_gamma_zero_is_plain_classification(self):
         rng = np.random.default_rng(11)
-        sal = constant(rng.standard_normal((1, 4)))
-        ns = constant(rng.standard_normal((1, 4)))
-        from nsnet.model import video_salient_target
-        plain = ad.soft_cross_entropy(sal, video_salient_target(2, 3))
-        loss = vgm_loss(sal, ns, 2, 3, gamma=0.0)
-        np.testing.assert_allclose(float(loss.value), float(plain.value), atol=1e-15)
+        sal = rng.standard_normal((1, 4))
+        ns = rng.standard_normal((1, 4))
+        plain = ad.soft_cross_entropy(constant(sal), np.eye(4)[2])
+        loss = self.video_loss(sal, ns, 2, gamma=0.0)
+        np.testing.assert_allclose(loss, float(plain.value), atol=1e-15)
 
     def test_vgm_loss_saturated(self):
         sal = np.full((1, 4), -50.0)
         sal[0, 1] = 50.0
         ns = np.full((1, 4), -50.0)
         ns[0, 3] = 50.0
-        loss = vgm_loss(constant(sal), constant(ns), 1, 3, gamma=0.2)
-        assert float(loss.value) < 1e-12
+        loss = self.video_loss(sal, ns, 1, gamma=0.2)
+        assert loss < 1e-12
 
     def test_vgm_loss_uniform_logits(self):
-        loss = vgm_loss(constant(np.zeros((1, 4))), constant(np.zeros((1, 4))),
-                        0, 3, gamma=0.2)
-        np.testing.assert_allclose(float(loss.value), 1.2 * math.log(4), atol=1e-12)
+        loss = self.video_loss(np.zeros((1, 4)), np.zeros((1, 4)), 0, gamma=0.2)
+        np.testing.assert_allclose(loss, 1.2 * math.log(4), atol=1e-12)
 
     def test_vgm_saliency_is_identity(self):
         attn = np.array([[0.5], [0.5]])
@@ -246,7 +255,7 @@ class TestTotalLoss:
     def test_equals_sum_of_parts(self):
         model, features, targets = self._forward_targets()
         out = model.forward(features)
-        parts = total_loss(out, targets, 1, model.config)
+        parts = total_loss(out, targets, [1], model.config)
         expected = float(parts.video_cls.value) \
             + model.config.gamma * float(parts.video_ns.value) \
             + float(parts.frame.value)
@@ -257,13 +266,13 @@ class TestTotalLoss:
 
         def grads_of(component):
             out = model.forward(features)
-            parts = total_loss(out, targets, 1, model.config)
+            parts = total_loss(out, targets, [1], model.config)
             backward(getattr(parts, component))
             return {p.name: p.grad.copy() for p in model.parameters()}
 
         g_total = grads_of("total")
         out = model.forward(features)
-        parts = total_loss(out, targets, 1, model.config)
+        parts = total_loss(out, targets, [1], model.config)
         combined = parts.video_cls + model.config.gamma * parts.video_ns + parts.frame
         backward(combined)
         for p in model.parameters():
@@ -274,7 +283,7 @@ class TestTotalLoss:
 
         def loss_fn():
             out = model.forward(features)
-            return total_loss(out, targets, 1, model.config).total
+            return total_loss(out, targets, [1], model.config).total
 
         report = finite_difference_check(model.parameters(), loss_fn,
                                          step=1e-5, tolerance=1e-5)
@@ -315,6 +324,11 @@ class TestCheckpoint:
         save_checkpoint(model, a)
         save_checkpoint(model, b)
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -0.1])
+    def test_config_that_cannot_round_trip_is_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            small_config(gamma=gamma)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.nsc1"
