@@ -1,11 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-The graph is rebuilt on every forward pass (define-by-run): each operation
-returns a node holding its value plus a closure that routes the incoming
-gradient to the operation's inputs. ``backward`` topologically sorts the
-graph below a scalar loss, accumulates gradients into every reachable
-``Parameter``, and then drops the recorded closures so the graph can be
-collected. A graph is single-use; rebuild it for the next step.
+The graph is recorded while a forward pass runs (define-by-run): each
+operation returns a node holding its value plus a closure that routes the
+incoming gradient to the operation's inputs. ``backward`` topologically
+sorts the graph below a scalar loss, accumulates gradients into every
+reachable ``Parameter``, and then drops the recorded closures so the graph
+can be collected. A graph is single-use; rebuild it for the next step.
+Inside ``no_grad()`` nothing is recorded: every node is a bare value, so an
+inference pass frees each intermediate as soon as the next op has used it.
 
 Everything runs in float64. A batch of B videos of T frames travels as
 (B*T, D) rows, so one node covers the whole batch; the per-video steps are
@@ -14,14 +16,18 @@ fused ops with hand-written backwards.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 LAYER_NORM_EPS = 1e-5
 # Any division by a norm/sum uses this floor to avoid 1/0.
 NORM_FLOOR = 1e-12
+
+_recording = contextvars.ContextVar("nsnet_autodiff_recording", default=True)
 
 
 class Tensor:
@@ -98,6 +104,26 @@ def constant(value) -> Tensor:
     return Tensor(value)
 
 
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph inside the block: ops return values without parents
+    or backward closures. Nests, and restores recording on any exit."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
+def _node(value, parents: tuple[Tensor, ...],
+          backprop: Callable[[np.ndarray], None]) -> Tensor:
+    """An op's result: its value plus, while recording, its inputs and the
+    closure that routes its gradient to them."""
+    if _recording.get():
+        return Tensor(value, parents, backprop)
+    return Tensor(value)
+
+
 # ---------------------------------------------------------------------------
 # Elementwise and structural ops
 # ---------------------------------------------------------------------------
@@ -106,28 +132,22 @@ def constant(value) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """a + b for equal shapes, or matrix (M,N) + row bias (N,)."""
     if a.shape == b.shape:
-        out = Tensor(a.value + b.value, (a, b))
-
         def backprop(g):
             a._accumulate(g)
             b._accumulate(g)
 
     elif a.value.ndim == 2 and b.value.ndim == 1 and a.shape[1] == b.shape[0]:
-        out = Tensor(a.value + b.value, (a, b))
-
         def backprop(g):
             a._accumulate(g)
             b._accumulate(g.sum(axis=0))
 
     else:
         raise ValueError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    out._backprop = backprop
-    return out
+    return _node(a.value + b.value, (a, b), backprop)
 
 
 def add_const(a: Tensor, c) -> Tensor:
     c = np.asarray(c, dtype=np.float64)
-    out = Tensor(a.value + c, (a,))
 
     def backprop(g):
         if c.shape == () or c.shape == a.shape:
@@ -137,48 +157,41 @@ def add_const(a: Tensor, c) -> Tensor:
             a._accumulate(np.broadcast_to(g, np.broadcast(a.value, c).shape).sum(
                 axis=tuple(range(g.ndim - a.value.ndim))).reshape(a.shape))
 
-    out._backprop = backprop
-    return out
+    return _node(a.value + c, (a,), backprop)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-    out = Tensor(a.value * b.value, (a, b))
 
     def backprop(g):
         a._accumulate(g * b.value)
         b._accumulate(g * a.value)
 
-    out._backprop = backprop
-    return out
+    return _node(a.value * b.value, (a, b), backprop)
 
 
 def mul_const(a: Tensor, c) -> Tensor:
     c = np.asarray(c, dtype=np.float64)
     if not (c.shape == () or c.shape == a.shape):
         raise ValueError(f"mul_const: constant shape {c.shape} vs tensor {a.shape}")
-    out = Tensor(a.value * c, (a,))
 
     def backprop(g):
         a._accumulate(g * c)
 
-    out._backprop = backprop
-    return out
+    return _node(a.value * c, (a,), backprop)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D matrix product with the standard transpose backward rules."""
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    out = Tensor(a.value @ b.value, (a, b))
 
     def backprop(g):
         a._accumulate(g @ b.value.T)
         b._accumulate(a.value.T @ g)
 
-    out._backprop = backprop
-    return out
+    return _node(a.value @ b.value, (a, b), backprop)
 
 
 def add_position(x: Tensor, table: Tensor, frames: int) -> Tensor:
@@ -187,8 +200,6 @@ def add_position(x: Tensor, table: Tensor, frames: int) -> Tensor:
     rows, d = x.shape
     if frames < 1 or rows % frames or table.shape[1:] != (d,) or frames > table.shape[0]:
         raise ValueError(f"add_position: {x.shape} in blocks of {frames} vs {table.shape}")
-    out = Tensor((x.value.reshape(-1, frames, d) + table.value[:frames]).reshape(rows, d),
-                 (x, table))
 
     def backprop(g):
         x._accumulate(g)
@@ -196,39 +207,31 @@ def add_position(x: Tensor, table: Tensor, frames: int) -> Tensor:
             table.grad = np.zeros_like(table.value)
         table.grad[:frames] += g.reshape(-1, frames, d).sum(axis=0)
 
-    out._backprop = backprop
-    return out
+    return _node((x.value.reshape(-1, frames, d) + table.value[:frames]).reshape(rows, d),
+                 (x, table), backprop)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.value.sum(), (a,))
-
     def backprop(g):
         a._accumulate(np.full_like(a.value, float(g)))
 
-    out._backprop = backprop
-    return out
+    return _node(a.value.sum(), (a,), backprop)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-a.value))
-    out = Tensor(s, (a,))
 
     def backprop(g):
         a._accumulate(g * s * (1.0 - s))
 
-    out._backprop = backprop
-    return out
+    return _node(s, (a,), backprop)
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.value, 0.0), (a,))
-
     def backprop(g):
         a._accumulate(g * (a.value > 0.0))
 
-    out._backprop = backprop
-    return out
+    return _node(np.maximum(a.value, 0.0), (a,), backprop)
 
 
 def dropout(a: Tensor, rate: float, noise: np.ndarray | None) -> Tensor:
@@ -264,13 +267,11 @@ def log_softmax_values(x: np.ndarray, axis: int = -1) -> np.ndarray:
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     y = log_softmax_values(a.value, axis=axis)
     s = np.exp(y)
-    out = Tensor(y, (a,))
 
     def backprop(g):
         a._accumulate(g - s * g.sum(axis=axis, keepdims=True))
 
-    out._backprop = backprop
-    return out
+    return _node(y, (a,), backprop)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
@@ -289,7 +290,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     var = (centered * centered).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    out = Tensor(xhat * gain.value + bias.value, (x, gain, bias))
 
     def backprop(g):
         gain._accumulate((g * xhat).sum(axis=0))
@@ -300,8 +300,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
             - xhat * (gxhat * xhat).mean(axis=1, keepdims=True)
         x._accumulate(term * inv)
 
-    out._backprop = backprop
-    return out
+    return _node(xhat * gain.value + bias.value, (x, gain, bias), backprop)
 
 
 def l1_normalize(a: Tensor, batch: int = 1, floor: float = NORM_FLOOR) -> Tensor:
@@ -310,7 +309,6 @@ def l1_normalize(a: Tensor, batch: int = 1, floor: float = NORM_FLOOR) -> Tensor
     cols = a.value.reshape(batch, -1)
     sums = cols.sum(axis=1, keepdims=True)
     denom = np.maximum(sums, floor)
-    out = Tensor((cols / denom).reshape(a.shape), (a,))
 
     def backprop(g):
         g = g.reshape(batch, -1)
@@ -319,8 +317,7 @@ def l1_normalize(a: Tensor, batch: int = 1, floor: float = NORM_FLOOR) -> Tensor
                            (g * cols).sum(axis=1, keepdims=True) / (denom * denom))
         a._accumulate((g / denom - through).reshape(a.shape))
 
-    out._backprop = backprop
-    return out
+    return _node((cols / denom).reshape(a.shape), (a,), backprop)
 
 
 def attention_pool(x: Tensor, weights: Tensor, batch: int) -> Tensor:
@@ -331,15 +328,13 @@ def attention_pool(x: Tensor, weights: Tensor, batch: int) -> Tensor:
                          f"for {batch} videos")
     xs = x.value.reshape(batch, -1, x.shape[1])
     ws = weights.value.reshape(batch, 1, -1)
-    out = Tensor((ws @ xs).reshape(batch, -1), (x, weights))
 
     def backprop(g):
         g = g.reshape(batch, 1, -1)
         x._accumulate((ws.transpose(0, 2, 1) @ g).reshape(x.shape))
         weights._accumulate((xs @ g.transpose(0, 2, 1)).reshape(weights.shape))
 
-    out._backprop = backprop
-    return out
+    return _node((ws @ xs).reshape(batch, -1), (x, weights), backprop)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, batch: int,
@@ -362,7 +357,6 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, batch: int,
 
     qh, kh, vh = split(q.value), split(k.value), split(v.value)
     probs = softmax_values((qh @ kh.transpose(0, 1, 3, 2)) * scale, axis=-1)
-    out = Tensor(merge(probs @ vh), (q, k, v))
 
     def backprop(g):
         gh = split(g)
@@ -372,8 +366,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, batch: int,
         k._accumulate(merge(gs.transpose(0, 1, 3, 2) @ qh))
         v._accumulate(merge(probs.transpose(0, 1, 3, 2) @ gh))
 
-    out._backprop = backprop
-    return out
+    return _node(merge(probs @ vh), (q, k, v), backprop)
 
 
 def _check_distribution(target: np.ndarray, what: str) -> np.ndarray:

@@ -10,6 +10,7 @@ never leaves a truncated file behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -19,8 +20,7 @@ from .data import PresampleConfig, atomic_write_text, generate_synthetic_dataset
 from .evaluation import DEFAULT_COST_TABLE, budget_from_cost_table, flops_total, \
     load_cost_table, run_comparison, write_comparison_csv
 from .fusion import FUSION_MODES, FusionConfig, saliency_profile
-from .model import ModelConfig, SamplerModel, fsm_saliency, load_checkpoint, \
-    vgm_saliency
+from .model import SALIENCY_BLOCK, ModelConfig, load_checkpoint
 from .supervision import build_prototypes, load_prototypes, save_prototypes
 from .training import TrainConfig, train
 
@@ -212,17 +212,18 @@ def cmd_sample(args) -> int:
     fusion_cfg = FusionConfig(args.fusion, args.ratio, args.k)
     pre = PresampleConfig(frames=frames)
     lines = ["video_id,frame,s_f,s_v,fused,selected"]
-    for entry in manifest.entries:
-        record = manifest.load_record(entry)
-        observed = record if record.num_frames == frames else presample(record, pre)
-        out = model.forward(observed.light_features, train=False)
-        profile = saliency_profile(fsm_saliency(out.fsm_logits.value),
-                                   vgm_saliency(out.attn.value), fusion_cfg)
-        chosen = set(profile.selected)
-        for i in range(frames):
-            fused = "" if profile.fused_scores is None else repr(float(profile.fused_scores[i]))
-            lines.append(f"{entry.video_id},{i},{float(profile.s_f[i])!r},"
-                         f"{float(profile.s_v[i])!r},{fused},{int(i in chosen)}")
+    for start in range(0, len(manifest.entries), SALIENCY_BLOCK):
+        entries = manifest.entries[start:start + SALIENCY_BLOCK]
+        s_f, s_v = model.saliency([presample(manifest.load_record(entry), pre).light_features
+                                   for entry in entries])
+        for entry, f, v in zip(entries, s_f, s_v):
+            profile = saliency_profile(f, v, fusion_cfg)
+            chosen = set(profile.selected)
+            for i in range(frames):
+                fused = "" if profile.fused_scores is None \
+                    else repr(float(profile.fused_scores[i]))
+                lines.append(f"{entry.video_id},{i},{float(profile.s_f[i])!r},"
+                             f"{float(profile.s_v[i])!r},{fused},{int(i in chosen)}")
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote saliency for {len(manifest.entries)} videos to {args.out}")
     return 0
@@ -255,7 +256,9 @@ def cmd_flops(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="nsnet",
         description="Saliency-supervised frame sampling over precomputed features.")

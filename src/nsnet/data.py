@@ -125,11 +125,13 @@ class VideoRecord:
 
     def __post_init__(self):
         n = self.light_features.shape[0]
-        for name in ("guiding_features", "recognizer_logits"):
+        for name in ("light_features", "guiding_features", "recognizer_logits"):
             arr = getattr(self, name)
             if arr.shape[0] != n:
                 raise ValueError(
                     f"{self.video_id}: {name} has {arr.shape[0]} frames, expected {n}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{self.video_id}: {name} has non-finite values")
         if self.saliency_mask is not None:
             mask = np.asarray(self.saliency_mask, dtype=np.float64).reshape(-1)
             if mask.shape[0] != n:
@@ -224,7 +226,11 @@ def load_manifest(path: str) -> DatasetManifest:
         if video_id in seen:
             raise FeatureFormatError(f"{path}:{lineno}: duplicate video_id {video_id!r}")
         seen.add(video_id)
-        label = int(label_s)
+        try:
+            label = int(label_s)
+        except ValueError:
+            raise FeatureFormatError(
+                f"{path}:{lineno}: label {label_s!r} is not an integer") from None
         if not 0 <= label < num_classes:
             raise FeatureFormatError(
                 f"{path}:{lineno}: label {label} out of range for C={num_classes}")
@@ -301,6 +307,10 @@ def gather_record(record: VideoRecord, indices: np.ndarray) -> VideoRecord:
 
 def presample(record: VideoRecord, cfg: PresampleConfig,
               rng: np.random.Generator | None = None) -> VideoRecord:
+    """The record at the observation length; one that already has exactly
+    ``cfg.frames`` frames and no shift to draw is returned as it is."""
+    if record.num_frames == cfg.frames and not cfg.shift_augment:
+        return record
     return gather_record(record, presample_indices(record.num_frames, cfg, rng))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .autodiff import softmax_values
 from .data import PresampleConfig, VideoRecord, atomic_write_text, presample
 from .fusion import FusionConfig, recognize_video, select_frames
-from .model import SamplerModel, fsm_saliency, vgm_saliency
+from .model import SamplerModel
 
 BASELINE_METHODS = ("uniform", "random", "dense", "topk_confidence")
 
@@ -180,14 +180,6 @@ class ComparisonRow:
     gflops: float
 
 
-def _nsnet_selection(model: SamplerModel, record: VideoRecord,
-                     fusion_cfg: FusionConfig) -> list[int]:
-    out = model.forward(record.light_features, train=False)
-    s_f = fsm_saliency(out.fsm_logits.value)
-    s_v = vgm_saliency(out.attn.value)
-    return select_frames(s_f, s_v, fusion_cfg)
-
-
 def run_comparison(records: list[VideoRecord], model: SamplerModel,
                    fusion_cfg: FusionConfig, k_list: list[int],
                    costs: dict[str, float] | None = None,
@@ -202,21 +194,21 @@ def run_comparison(records: list[VideoRecord], model: SamplerModel,
     """
     costs = dict(DEFAULT_COST_TABLE) if costs is None else costs
     t = frames if frames is not None else model.config.max_frames
-    cfg = PresampleConfig(frames=t)
-    observed = [r if r.num_frames == t else presample(r, cfg) for r in records]
-    labels = np.array([r.label for r in observed])
-
-    rows = []
     for k in k_list:
         if not 1 <= k <= t:
             raise ValueError(f"k={k} out of range for {t} observation frames")
-        selectors = {
-            "nsnet": lambda r: _nsnet_selection(
-                model, r, FusionConfig(fusion_cfg.mode, fusion_cfg.ratio, k)),
-            "uniform": lambda r: baseline_sample(r, "uniform", k, seed),
-            "random": lambda r: baseline_sample(r, "random", k, seed),
-            "dense": lambda r: baseline_sample(r, "dense", k, seed),
-            "topk_confidence": lambda r: baseline_sample(r, "topk_confidence", k, seed),
+    cfg = PresampleConfig(frames=t)
+    observed = [presample(r, cfg) for r in records]
+    labels = np.array([r.label for r in observed])
+    s_f, s_v = model.saliency([r.light_features for r in observed])
+
+    rows = []
+    for k in k_list:
+        nsnet_cfg = FusionConfig(fusion_cfg.mode, fusion_cfg.ratio, k)
+        selections = {
+            "nsnet": [select_frames(f, v, nsnet_cfg) for f, v in zip(s_f, s_v)],
+            **{method: [baseline_sample(r, method, k, seed) for r in observed]
+               for method in BASELINE_METHODS},
         }
         gflops = {
             "nsnet": flops_total(budget_from_cost_table(costs, k, t)),
@@ -225,11 +217,10 @@ def run_comparison(records: list[VideoRecord], model: SamplerModel,
             "dense": costs["recognizer_per_frame"] * t,
             "topk_confidence": costs["recognizer_per_frame"] * t,
         }
-        for method, selector in selectors.items():
+        for method, selected_per_video in selections.items():
             scores = np.zeros((len(observed), observed[0].recognizer_logits.shape[1]))
             recalls = []
-            for i, record in enumerate(observed):
-                selected = selector(record)
+            for i, (record, selected) in enumerate(zip(observed, selected_per_video)):
                 scores[i] = recognize_video(record, selected)
                 recall = salient_recall(selected, record.saliency_mask)
                 if recall is not None:

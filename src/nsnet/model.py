@@ -36,6 +36,10 @@ from .autodiff import Parameter, Tensor, softmax_values
 from .data import atomic_write_bytes, atomic_write_text
 
 CHECKPOINT_MAGIC = b"NSC1"
+# Videos per graph-free forward in ``SamplerModel.saliency``: enough to
+# amortize the per-op dispatch, few enough to keep inference's peak memory
+# near that of a single video.
+SALIENCY_BLOCK = 8
 
 
 @dataclass
@@ -105,8 +109,9 @@ class ModelConfig:
 
 @dataclass
 class ForwardOutput:
-    """Outputs for B videos (B=1 for a (T, D) input), still attached to the
-    gradient graph; frame rows are video-major."""
+    """Outputs for B videos (B=1 for a (T, D) input), attached to the
+    gradient graph unless built under ``no_grad``; frame rows are
+    video-major."""
 
     encoded: Tensor            # (B*T, D)
     fsm_logits: Tensor         # (B*T, C+1)
@@ -271,6 +276,23 @@ class SamplerModel:
             nonsalient_logits=self.classify_video(nonsalient, noise.get("nonsalient")),
         )
 
+    def saliency(self, videos: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Inference scores (s_f, s_v), each (B, T), for a sequence of B
+        videos' (T, D) features: eval-mode forwards under ``no_grad`` over
+        blocks of at most SALIENCY_BLOCK videos, stacked one at a time."""
+        t = np.shape(videos[0])[0]
+        s_f, s_v = np.empty((len(videos), t)), np.empty((len(videos), t))
+        with ad.no_grad():
+            for start in range(0, len(videos), SALIENCY_BLOCK):
+                block = np.stack(videos[start:start + SALIENCY_BLOCK])
+                if block.ndim != 3:
+                    raise ValueError(f"expected videos of (T, D) features, got {block.shape}")
+                n = block.shape[0]
+                out = self.forward(block)
+                s_f[start:start + n] = fsm_saliency(out.fsm_logits.value.reshape(n, t, -1))
+                s_v[start:start + n] = vgm_saliency(out.attn.value.reshape(n, t, 1))
+        return s_f, s_v
+
 
 # ---------------------------------------------------------------------------
 # Losses
@@ -319,18 +341,22 @@ def total_loss(output: ForwardOutput, frame_targets: np.ndarray,
 
 
 def fsm_saliency(fsm_logits: np.ndarray) -> np.ndarray:
-    """Max softmax confidence over the real categories, then a softmax along
-    the time axis."""
+    """(..., T, C+1) frame logits to (..., T) scores: max softmax confidence
+    over the real categories, then a softmax along the time axis."""
     logits = np.asarray(fsm_logits, dtype=np.float64)
-    probs = softmax_values(logits, axis=1)
-    confidence = probs[:, :-1].max(axis=1)
-    return softmax_values(confidence)
+    probs = softmax_values(logits, axis=-1)
+    confidence = probs[..., :-1].max(axis=-1)
+    return softmax_values(confidence, axis=-1)
 
 
 def vgm_saliency(attn: np.ndarray) -> np.ndarray:
-    """The attention weights are the scores; kept as a named step so both
-    granularities feed fusion the same way."""
-    return np.asarray(attn, dtype=np.float64).reshape(-1).copy()
+    """(..., T, 1) attention columns, or one (T,) vector, to (..., T)
+    scores: the attention weights are the scores; kept as a named step so
+    both granularities feed fusion the same way."""
+    attn = np.asarray(attn, dtype=np.float64)
+    if attn.ndim > 1 and attn.shape[-1] != 1:
+        raise ValueError(f"expected (..., T, 1) attention, got shape {attn.shape}")
+    return (attn[..., 0] if attn.ndim > 1 else attn).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +414,8 @@ def load_checkpoint(path: str) -> SamplerModel:
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"{name!r} dims"))
         size = math.prod(dims)
         values = np.frombuffer(take(4 * size, f"{name!r} values"), dtype="<f4")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: parameter {name!r} has non-finite values")
         loaded[name] = values.astype(np.float64).reshape(dims)
     if offset != len(blob):
         raise ValueError(f"{path}: trailing bytes after {count} parameters")

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import PresampleConfig, VideoRecord, atomic_write_text, gather_record, \
-    presample, presample_indices
+from .data import PresampleConfig, VideoRecord, atomic_write_text, presample, \
+    presample_indices
 from .evaluation import salient_recall, top1_accuracy
 from .fusion import FusionConfig, recognize_video, select_frames
-from .model import LossBreakdown, ModelConfig, SamplerModel, fsm_saliency, \
-    save_checkpoint, total_loss, vgm_saliency
+from .model import LossBreakdown, ModelConfig, SamplerModel, save_checkpoint, total_loss
 from .supervision import PrototypeBank, guiding_saliency_scores, hard_label_matrix, \
     ns_pseudo_label_matrix
 
@@ -143,15 +142,14 @@ def evaluate_epoch(model: SamplerModel, records: list[VideoRecord], k: int,
         fusion_cfg = FusionConfig(fusion_cfg.mode, fusion_cfg.ratio, k)
     t = frames if frames is not None else model.config.max_frames
     cfg = PresampleConfig(frames=t)
+    observed = [presample(record, cfg) for record in records]
+    s_f, s_v = model.saliency([record.light_features for record in observed])
     scores, labels, recalls = [], [], []
-    for record in records:
-        observed = record if record.num_frames == t else presample(record, cfg)
-        out = model.forward(observed.light_features, train=False)
-        selected = select_frames(fsm_saliency(out.fsm_logits.value),
-                                 vgm_saliency(out.attn.value), fusion_cfg)
-        scores.append(recognize_video(observed, selected))
-        labels.append(observed.label)
-        recall = salient_recall(selected, observed.saliency_mask)
+    for record, f, v in zip(observed, s_f, s_v):
+        selected = select_frames(f, v, fusion_cfg)
+        scores.append(recognize_video(record, selected))
+        labels.append(record.label)
+        recall = salient_recall(selected, record.saliency_mask)
         if recall is not None:
             recalls.append(recall)
     top1 = top1_accuracy(np.stack(scores), np.array(labels))
@@ -160,19 +158,17 @@ def evaluate_epoch(model: SamplerModel, records: list[VideoRecord], k: int,
 
 def _probe_invariants(model: SamplerModel, record: VideoRecord, frames: int,
                       epoch: int) -> None:
-    """Attention must stay a valid distribution as parameters move; probed
-    once per epoch on a validation video."""
-    observed = record if record.num_frames == frames \
-        else presample(record, PresampleConfig(frames=frames))
-    out = model.forward(observed.light_features, train=False)
-    attn = out.attn.value
+    """Attention must stay a valid distribution and the frame scores finite
+    as parameters move; probed once per epoch on a validation video."""
+    observed = presample(record, PresampleConfig(frames=frames))
+    s_f, attn = model.saliency([observed.light_features])
     if attn.min() < 0.0 or attn.max() > 1.0 or abs(float(attn.sum()) - 1.0) > 1e-9:
         raise RuntimeError(
             f"attention invariant violated at epoch {epoch} on {record.video_id}: "
             f"min {attn.min()}, max {attn.max()}, sum {attn.sum()}")
-    if not np.all(np.isfinite(out.fsm_logits.value)):
+    if not np.all(np.isfinite(s_f)):
         raise RuntimeError(
-            f"non-finite frame logits at epoch {epoch} on {record.video_id}")
+            f"non-finite frame saliency at epoch {epoch} on {record.video_id}")
 
 
 def train(train_records: list[VideoRecord],
@@ -226,14 +222,12 @@ def train(train_records: list[VideoRecord],
                 record = records[int(idx)]
                 indices = presample_indices(record.num_frames, train_cfg.presample,
                                             augment_rng)
-                observed = gather_record(record, indices)
                 if train_cfg.ns_labels:
                     g = guiding[record.video_id][indices]
                     targets = ns_pseudo_label_matrix(g, record.label, num_classes)
                 else:
-                    targets = hard_label_matrix(record.label, num_classes,
-                                                observed.num_frames)
-                batch.append(TrainExample(observed.light_features, targets,
+                    targets = hard_label_matrix(record.label, num_classes, len(indices))
+                batch.append(TrainExample(record.light_features[indices], targets,
                                           record.label, record.video_id))
             parts = batch_loss(model, batch, train=True, rng=dropout_rng)
             values = np.array([float(parts.total.value), float(parts.frame.value),

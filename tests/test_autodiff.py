@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nsnet import autodiff as ad
 from nsnet.autodiff import (
     GradientCheckReport,
     Parameter,
@@ -15,6 +16,7 @@ from nsnet.autodiff import (
     finite_difference_check,
     layer_norm,
     matmul,
+    no_grad,
     sgd_step,
     soft_cross_entropy,
     soft_cross_entropy_rows,
@@ -241,3 +243,58 @@ def test_repeated_runs_are_bit_identical():
         return p.value.tobytes()
 
     assert run() == run()
+
+
+# Every op of the core, on small inputs: name -> (p, q) -> output node.
+_OPS = {
+    "add": lambda p, q: ad.add(p, q),
+    "add_const": lambda p, q: ad.add_const(p, 1.5),
+    "mul": lambda p, q: ad.mul(p, q),
+    "mul_const": lambda p, q: ad.mul_const(p, -2.0),
+    "matmul": lambda p, q: ad.matmul(p, Parameter("w", np.eye(4))),
+    "add_position": lambda p, q: ad.add_position(p, q, 3),
+    "sum_all": lambda p, q: ad.sum_all(p),
+    "sigmoid": lambda p, q: ad.sigmoid(p),
+    "relu": lambda p, q: ad.relu(p),
+    "log_softmax": lambda p, q: ad.log_softmax(p),
+    "layer_norm": lambda p, q: ad.layer_norm(p, Parameter("g", np.ones(4)),
+                                             Parameter("b", np.zeros(4))),
+    "l1_normalize": lambda p, q: ad.l1_normalize(Parameter("a", np.abs(p.value[:, :1])), 2),
+    "attention_pool": lambda p, q: ad.attention_pool(
+        p, Parameter("w", np.full((6, 1), 1 / 3)), 2),
+    "multi_head_attention": lambda p, q: ad.multi_head_attention(p, q, p, 2, 2),
+}
+
+
+class TestNoGrad:
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(3)
+        return (Parameter("p", rng.standard_normal((6, 4))),
+                Parameter("q", rng.standard_normal((6, 4))))
+
+    @pytest.mark.parametrize("op", sorted(_OPS))
+    def test_records_no_parents_or_closure(self, op):
+        recorded = _OPS[op](*self.inputs())
+        assert recorded._parents and recorded._backprop is not None
+        with no_grad():
+            bare = _OPS[op](*self.inputs())
+        assert bare._parents == () and bare._backprop is None
+        np.testing.assert_array_equal(bare.value, recorded.value)
+
+    def test_nests(self):
+        p, q = self.inputs()
+        with no_grad():
+            with no_grad():
+                assert ad.add(p, q)._backprop is None
+            assert ad.add(p, q)._backprop is None
+        assert ad.add(p, q)._backprop is not None
+
+    def test_restores_recording_after_exception(self):
+        p, q = self.inputs()
+        with pytest.raises(RuntimeError, match="inside"):
+            with no_grad():
+                raise RuntimeError("inside")
+        loss = ad.sum_all(ad.mul(p, q))
+        backward(loss)
+        np.testing.assert_array_equal(p.grad, q.value)

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from nsnet.cli import load_run_config, main
+from nsnet.cli import build_parser, load_run_config, main
+from nsnet.data import read_feature_file, write_feature_file
 from nsnet.model import ModelConfig, SamplerModel, save_checkpoint
 
 
@@ -139,35 +140,37 @@ class TestTrainPipeline:
         assert "does not exist" in err or "missing" in err
 
 
+@pytest.fixture
+def checkpoint(tmp_path, capsys):
+    """The smallest useful checkpoint (under 1 KB) and a manifest it fits."""
+    data = tmp_path / "data"
+    code, _, err = run([
+        "synth", "--out-dir", str(data), "--classes", "2",
+        "--videos-per-class", "1", "--val-videos-per-class", "1",
+        "--frames", "2", "--light-dim", "3", "--guiding-dim", "3",
+        "--seed", "5"], capsys)
+    assert code == 0, err
+    cfg = ModelConfig(input_dim=3, num_classes=2, max_frames=2, encoder_layers=1,
+                      heads=1)
+    path = tmp_path / "model.nsc1"
+    save_checkpoint(SamplerModel(cfg, np.random.default_rng(0)), str(path))
+    return path, data / "val.nsm"
+
+
+def assert_one_error_line(code, err):
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return lines[0]
+
+
 class TestCheckpointBoundary:
     """A malformed checkpoint or sidecar ends `nsnet eval` with exit 1 and a
     single `error:` line, never a traceback or a silently loaded model."""
 
-    @pytest.fixture
-    def checkpoint(self, tmp_path, capsys):
-        """The smallest useful checkpoint (under 1 KB) and a manifest it fits."""
-        data = tmp_path / "data"
-        code, _, err = run([
-            "synth", "--out-dir", str(data), "--classes", "2",
-            "--videos-per-class", "1", "--val-videos-per-class", "1",
-            "--frames", "2", "--light-dim", "3", "--guiding-dim", "3",
-            "--seed", "5"], capsys)
-        assert code == 0, err
-        cfg = ModelConfig(input_dim=3, num_classes=2, max_frames=2, encoder_layers=1,
-                          heads=1)
-        path = tmp_path / "model.nsc1"
-        save_checkpoint(SamplerModel(cfg, np.random.default_rng(0)), str(path))
-        return path, data / "val.nsm"
-
     def eval_args(self, path, manifest, tmp_path):
         return ["eval", "--checkpoint", str(path), "--manifest", str(manifest),
                 "--k-list", "2", "--out", str(tmp_path / "frontier.csv")]
-
-    def assert_one_error_line(self, code, err):
-        assert code == 1
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), err
-        return lines[0]
 
     def test_valid_checkpoint_evaluates(self, checkpoint, tmp_path, capsys):
         path, manifest = checkpoint
@@ -182,7 +185,7 @@ class TestCheckpointBoundary:
         for size in range(len(blob)):
             cut.write_bytes(blob[:size])
             code, _, err = run(self.eval_args(cut, manifest, tmp_path), capsys)
-            line = self.assert_one_error_line(code, err)
+            line = assert_one_error_line(code, err)
             assert str(cut) in line, (size, line)
 
     @staticmethod
@@ -206,7 +209,7 @@ class TestCheckpointBoundary:
         path, manifest = checkpoint
         path.write_bytes(mutate(path.read_bytes()))
         code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
-        assert message in self.assert_one_error_line(code, err)
+        assert message in assert_one_error_line(code, err)
 
     @pytest.mark.parametrize("key, replacement, message", [
         ("gamma", "gamma=().__class__.__base__.__subclasses__().__len__() * 0.0",
@@ -230,9 +233,20 @@ class TestCheckpointBoundary:
             lines[lineno - 1] = replacement
         sidecar.write_text("\n".join(lines) + "\n")
         code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
-        line = self.assert_one_error_line(code, err)
+        line = assert_one_error_line(code, err)
         assert f"{sidecar}:{lineno}: " in line, line
         assert message in line, line
+
+    def test_non_finite_parameter(self, checkpoint, tmp_path, capsys):
+        path, manifest = checkpoint
+        cfg = ModelConfig(input_dim=3, num_classes=2, max_frames=2, encoder_layers=1,
+                          heads=1)
+        model = SamplerModel(cfg, np.random.default_rng(0))
+        model.fsm_w.value[:] = np.nan
+        save_checkpoint(model, str(path))
+        code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
+        line = assert_one_error_line(code, err)
+        assert f"{path}: parameter 'fsm.w' has non-finite values" in line, line
 
     def test_sidecar_missing_key(self, checkpoint, tmp_path, capsys):
         path, manifest = checkpoint
@@ -241,8 +255,51 @@ class TestCheckpointBoundary:
                  if not line.startswith("input_dim=")]
         sidecar.write_text("\n".join(lines) + "\n")
         code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
-        line = self.assert_one_error_line(code, err)
+        line = assert_one_error_line(code, err)
         assert "missing model configuration keys ['input_dim']" in line, line
+
+
+class TestNonFiniteFeatures:
+    """A feature file holding NaN or inf ends `nsnet eval` and `nsnet sample`
+    with exit 1 and one `error:` line naming the video."""
+
+    @pytest.mark.parametrize("kind, name", [("light", "light_features"),
+                                            ("guide", "guiding_features"),
+                                            ("logits", "recognizer_logits")])
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    def test_one_error_line(self, checkpoint, tmp_path, capsys, kind, name, command):
+        _, manifest = checkpoint
+        video = "val_c001_v0000"
+        feature = manifest.parent / "feats" / f"{video}.{kind}.nsf"
+        values = read_feature_file(str(feature))
+        values[-1, -1] = np.inf if kind == "logits" else np.nan
+        write_feature_file(str(feature), values)
+        argv = [command, "--checkpoint", str(tmp_path / "model.nsc1"),
+                "--manifest", str(manifest), "--out", str(tmp_path / "out.csv")]
+        argv += ["--k-list", "2"] if command == "eval" else ["--k", "2"]
+        code, _, err = run(argv, capsys)
+        line = assert_one_error_line(code, err)
+        assert f"{video}: {name} has non-finite values" in line, line
+        assert not (tmp_path / "out.csv").exists()
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_consecutive_calls_parse_independently(self, tmp_path, capsys):
+        table = tmp_path / "costs.txt"
+        table.write_text("recognizer_per_frame=1.0\n")
+        assert run(["flops", "--cost-table", str(table), "--k", "2", "--frames", "1"],
+                   capsys)[:2] == (0, "2.64\n")
+        code, _, err = run(["synth", "--out-dir", str(tmp_path / "data"), "--classes", "2",
+                            "--videos-per-class", "1", "--val-videos-per-class", "0",
+                            "--frames", "2", "--light-dim", "3", "--guiding-dim", "3",
+                            "--seed", "5"],
+                           capsys)
+        assert code == 0, err
+        # the cost table of the first call must not leak into this one
+        assert run(["flops", "--k", "5", "--frames", "16"], capsys)[:2] == (0, "25.99\n")
 
 
 class TestHelp:

@@ -86,6 +86,8 @@ class TestPresample:
         for n in (1, 4, 9):
             idx = presample_indices(n, PresampleConfig(frames=n))
             np.testing.assert_array_equal(idx, np.arange(n))
+            record = _record_with_tagged_frames(n)
+            assert presample(record, PresampleConfig(frames=n)) is record
 
     def test_indices_nondecreasing_and_in_range(self):
         rng = np.random.default_rng(9)
@@ -223,3 +225,26 @@ class TestManifest:
         path.write_text("not a manifest\n")
         with pytest.raises(FeatureFormatError, match="header"):
             load_manifest(str(path))
+
+    def test_non_integer_label_names_the_line(self, tmp_path):
+        feat = str(tmp_path / "x.nsf")
+        write_feature_file(feat, np.zeros((2, 2)))
+        path = tmp_path / "m.nsm"
+        write_manifest(str(path), 2, [ManifestEntry("v0", 0, feat, feat, feat),
+                                      ManifestEntry("v1", 1, feat, feat, feat)])
+        path.write_text(path.read_text().replace("v1\t1\t", "v1\tone\t"))
+        with pytest.raises(FeatureFormatError,
+                           match=f"{path}:3: label 'one' is not an integer"):
+            load_manifest(str(path))
+
+
+class TestVideoRecord:
+    @pytest.mark.parametrize("name", ["light_features", "guiding_features",
+                                      "recognizer_logits"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, name, bad):
+        arrays = {"light_features": np.zeros((3, 2)), "guiding_features": np.zeros((3, 2)),
+                  "recognizer_logits": np.zeros((3, 4))}
+        arrays[name][1, 0] = bad
+        with pytest.raises(ValueError, match=f"vid7: {name} has non-finite values"):
+            VideoRecord("vid7", 0, **arrays)

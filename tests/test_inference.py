@@ -1,0 +1,113 @@
+"""The graph-free saliency pass against the per-video forward it replaced.
+
+``per_video_saliency`` is that path, kept as the reference: one
+graph-building eval forward per video, then ``fsm_saliency`` and
+``vgm_saliency`` on its outputs. Every inference consumer must run one
+forward per block of ``SALIENCY_BLOCK`` videos, not one per video (or per
+video and K).
+
+The blocked pass does the same arithmetic per row as the reference, yet a
+video's rows sit at offset b*T in the block, and OpenBLAS's matrix-vector
+kernel (the (B*T, D) @ (D, 1) attention logits) accumulates a row in an
+order that depends on its offset modulo the kernel's row unroll. At T=16,
+the observation length of the acceptance config and the benchmark, every
+video starts on a multiple of 16 and the pass equals the reference bit for
+bit; at T=6 it is compared to float64 roundoff (rtol 1e-14).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from nsnet.cli import main
+from nsnet.data import VideoRecord, generate_synthetic_dataset, load_manifest
+from nsnet.evaluation import run_comparison
+from nsnet.fusion import FusionConfig
+from nsnet.model import SALIENCY_BLOCK, ModelConfig, SamplerModel, fsm_saliency, \
+    save_checkpoint, vgm_saliency
+from nsnet.training import evaluate_epoch
+
+T, D, C = 16, 8, 3
+
+
+def make_model(seed=0):
+    cfg = ModelConfig(input_dim=D, num_classes=C, max_frames=T, encoder_layers=2, heads=2)
+    return SamplerModel(cfg, np.random.default_rng(seed))
+
+
+def per_video_saliency(model, features):
+    rows = []
+    for x in features:
+        out = model.forward(x, train=False)
+        rows.append((fsm_saliency(out.fsm_logits.value), vgm_saliency(out.attn.value)))
+    return np.stack([f for f, _ in rows]), np.stack([v for _, v in rows])
+
+
+def make_records(count, seed=1):
+    rng = np.random.default_rng(seed)
+    return [VideoRecord(f"v{i:03d}", i % C, rng.standard_normal((T, D)),
+                        rng.standard_normal((T, D)), rng.standard_normal((T, C)),
+                        (rng.random(T) < 0.5).astype(float))
+            for i in range(count)]
+
+
+@pytest.fixture
+def count_forwards(monkeypatch):
+    """Counts SamplerModel.forward calls from here on."""
+    calls = []
+    original = SamplerModel.forward
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SamplerModel, "forward", counted)
+    return calls
+
+
+@pytest.mark.parametrize("frames, rtol", [(T, 0.0), (6, 1e-14)])
+@pytest.mark.parametrize("videos", [1, 8, 9, 17])
+def test_saliency_equals_per_video_forwards(videos, frames, rtol):
+    model = make_model()
+    features = np.random.default_rng(videos).standard_normal((videos, frames, D))
+    s_f, s_v = model.saliency(list(features))
+    ref_f, ref_v = per_video_saliency(model, features)
+    assert s_f.shape == s_v.shape == (videos, frames)
+    np.testing.assert_allclose(s_f, ref_f, rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(s_v, ref_v, rtol=rtol, atol=0.0)
+
+
+def test_saliency_rejects_one_unstacked_video():
+    with pytest.raises(ValueError, match="expected videos of"):
+        make_model().saliency(np.zeros((T, D)))
+
+
+VIDEOS = 2 * SALIENCY_BLOCK + 1
+MAX_FORWARDS = math.ceil(VIDEOS / SALIENCY_BLOCK)
+
+
+def test_run_comparison_forwards_once_per_block(count_forwards):
+    run_comparison(make_records(VIDEOS), make_model(),
+                   FusionConfig("index_union", 0.6, 2), [1, 2, 4, T])
+    assert 0 < len(count_forwards) <= MAX_FORWARDS
+
+
+def test_evaluate_epoch_forwards_once_per_block(count_forwards):
+    evaluate_epoch(make_model(), make_records(VIDEOS), 2)
+    assert 0 < len(count_forwards) <= MAX_FORWARDS
+
+
+def test_sample_command_forwards_once_per_block(tmp_path, capsys, count_forwards):
+    manifest, _ = generate_synthetic_dataset(
+        str(tmp_path), num_classes=C, videos_per_class=math.ceil(VIDEOS / C),
+        num_frames=T, light_dim=D, guiding_dim=D, salient_fraction=0.5,
+        noise_sigma=0.2, seed=3)
+    videos = len(load_manifest(manifest).entries)
+    checkpoint = str(tmp_path / "model.nsc1")
+    save_checkpoint(make_model(), checkpoint)
+    out = tmp_path / "saliency.csv"
+    assert main(["sample", "--checkpoint", checkpoint, "--manifest", manifest,
+                 "--k", "2", "--out", str(out)]) == 0, capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 1 + videos * T
+    assert 0 < len(count_forwards) <= math.ceil(videos / SALIENCY_BLOCK)
