@@ -13,7 +13,7 @@ import numpy as np
 
 from nsnet.data import generate_synthetic_dataset, load_manifest
 from nsnet.supervision import build_prototypes, guiding_saliency_scores, \
-    guiding_scores_response_variant, ns_pseudo_labels
+    ns_pseudo_label_matrix
 
 workdir = tempfile.mkdtemp(prefix="nsnet_demo_")
 train_m, _ = generate_synthetic_dataset(
@@ -35,14 +35,9 @@ print(f"  planted salient frames: mean {np.mean(salient_g):.3f}")
 print(f"  background frames:      mean {np.mean(background_g):.3f}")
 
 record = records[0]
-g_resp = guiding_scores_response_variant(record)
-g_proto = guiding_saliency_scores(record, bank)
-print(f"\nresponse-based vs prototype-based g on {record.video_id} (first 5 frames):")
-for i in range(5):
+g = guiding_saliency_scores(record, bank)
+targets = ns_pseudo_label_matrix(g[:3], record.label, 4)
+print(f"\npseudo labels for the first 3 frames of {record.video_id} (label={record.label}):")
+for i, target in enumerate(targets):
     tag = "salient" if record.saliency_mask[i] else "background"
-    print(f"  frame {i} ({tag:10s}): response {g_resp[i]:.3f}  prototype {g_proto[i]:.3f}")
-
-labels = ns_pseudo_labels(g_proto[:3], record.label, 4)
-print(f"\npseudo labels for the first 3 frames (label={record.label}):")
-for i, pl in enumerate(labels):
-    print(f"  frame {i}: target {np.round(pl.target, 3)}  (g = {pl.guiding_score:.3f})")
+    print(f"  frame {i} ({tag:10s}): target {np.round(target, 3)}  (g = {g[i]:.3f})")

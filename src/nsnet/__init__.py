@@ -40,7 +40,7 @@ from .supervision import (
     PrototypeBank,
     build_prototypes,
     guiding_saliency_scores,
-    ns_pseudo_labels,
+    ns_pseudo_label_matrix,
 )
 from .training import TrainConfig, evaluate_epoch, gradient_check, lr_at_epoch, train
 
@@ -58,6 +58,6 @@ __all__ = [
     "ForwardOutput", "ModelConfig", "SamplerModel", "fsm_saliency",
     "load_checkpoint", "save_checkpoint", "vgm_saliency",
     "PrototypeBank", "build_prototypes", "guiding_saliency_scores",
-    "ns_pseudo_labels",
+    "ns_pseudo_label_matrix",
     "TrainConfig", "evaluate_epoch", "gradient_check", "lr_at_epoch", "train",
 ]

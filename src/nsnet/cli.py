@@ -1,7 +1,11 @@
 """Command-line surface: synth, prototypes, train, sample, eval, flops.
 
-``train`` reads a plain-text key=value run configuration; every key has a
-same-named command-line flag and flags win. Unknown keys are rejected and
+``train`` reads an optional ``key=value`` run configuration (the syntax of
+``data.read_key_values``); every key has a same-named command-line flag and
+flags win. The run-level keys (paths, observation length, validation
+fusion) are declared here; every other key is a field of ``ModelConfig`` or
+``TrainConfig``, parsed by its annotation and defaulting to the dataclass's
+default. Unknown or repeated keys and unparsable values are rejected, and
 all referenced paths are validated before any work starts. Every artifact
 is written to a temporary file and renamed into place, so a failed command
 never leaves a truncated file behind.
@@ -13,10 +17,10 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
-from .data import PresampleConfig, atomic_write_text, generate_synthetic_dataset, \
-    load_manifest, presample
+from .data import PresampleConfig, atomic_write_text, finite_float, \
+    generate_synthetic_dataset, load_manifest, presample, read_key_values
 from .evaluation import DEFAULT_COST_TABLE, budget_from_cost_table, flops_total, \
     load_cost_table, run_comparison, write_comparison_csv
 from .fusion import FUSION_MODES, FusionConfig, saliency_profile
@@ -30,88 +34,55 @@ from .training import TrainConfig, train
 # ---------------------------------------------------------------------------
 
 
-def _parse_bool(text: str) -> bool:
+def integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text!r}") from None
+
+
+def boolean(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "1", "yes"):
         return True
     if lowered in ("false", "0", "no"):
         return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"must be a boolean, got {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def integer_list(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(part) for part in text.split(","))
+    return tuple(integer(part) for part in text.split(",")) if text else ()
 
 
-@dataclass
-class RunConfig:
-    # paths
-    train_manifest: str | None = None
-    val_manifest: str | None = None
-    prototypes: str | None = None
-    out_dir: str | None = None
-    # model
-    encoder_layers: int = 2
-    heads: int = 8
-    ffn_dim: int | None = None
-    dropout_pos_enc: float = 0.2
-    dropout_cls: float = 0.9
-    dropout_attn: float = 0.2
-    gamma: float = 0.2
-    max_frames: int | None = None
-    # training
-    epochs: int = 120
-    batch_size: int = 64
-    base_lr: float = 0.01
-    lr_decay_epochs: tuple[int, ...] = (50, 75)
-    decay_factor: float = 0.1
-    momentum: float = 0.9
-    seed: int = 0
-    frames: int = 16
-    shift_augment: bool = True
-    ns_labels: bool = True
-    # evaluation during training
-    fusion: str = "index_union"
-    ratio: float = 0.6
-    k: int | None = None
-
-
-_PARSERS = {
-    "train_manifest": str, "val_manifest": str, "prototypes": str, "out_dir": str,
-    "encoder_layers": int, "heads": int, "ffn_dim": int,
-    "dropout_pos_enc": float, "dropout_cls": float, "dropout_attn": float,
-    "gamma": float, "max_frames": int,
-    "epochs": int, "batch_size": int, "base_lr": float,
-    "lr_decay_epochs": _parse_int_list, "decay_factor": float, "momentum": float,
-    "seed": int, "frames": int, "shift_augment": _parse_bool,
-    "ns_labels": _parse_bool,
-    "fusion": str, "ratio": float, "k": int,
+_PARSE_ANNOTATION = {"int": integer, "int | None": integer, "float": finite_float,
+                     "bool": boolean, "tuple[int, ...]": integer_list}
+# Training's presample default: PresampleConfig's own leaves shift_augment off.
+_TRAINING_PRESAMPLE = TrainConfig().presample
+# The run-level keys of `train`, as key: (parser, default).
+RUN_KEYS = {
+    "train_manifest": (str, None),
+    "val_manifest": (str, None),
+    "prototypes": (str, None),
+    "out_dir": (str, None),
+    "max_frames": (integer, None),   # positional capacity; None: frames
+    "frames": (integer, _TRAINING_PRESAMPLE.frames),
+    "shift_augment": (boolean, _TRAINING_PRESAMPLE.shift_augment),
+    "fusion": (str, FusionConfig.mode),
+    "ratio": (finite_float, FusionConfig.ratio),
+    "k": (integer, None),            # None: frames // 4
 }
+# Fields filled from the data or from the run-level keys above.
+_NOT_KEYS = {"input_dim", "num_classes", "max_frames", "presample"}
+TRAIN_KEYS = {**RUN_KEYS, **{f.name: (_PARSE_ANNOTATION[f.type], f.default)
+                             for f in fields(ModelConfig) + fields(TrainConfig)
+                             if f.name not in _NOT_KEYS}}
 
 
-def load_run_config(path: str) -> RunConfig:
-    cfg = RunConfig()
-    for lineno, line in enumerate(open(path, "r", encoding="utf-8"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or key not in _PARSERS:
-            raise ValueError(f"{path}:{lineno}: unknown configuration key {line!r}")
-        setattr(cfg, key, _PARSERS[key](value.strip()))
-    return cfg
-
-
-def apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    return cfg
+def load_run_config(path: str) -> dict:
+    """The `train` settings a run configuration file sets, parsed."""
+    return read_key_values(path, {key: parse for key, (parse, _) in TRAIN_KEYS.items()},
+                           "configuration key")
 
 
 # ---------------------------------------------------------------------------
@@ -148,60 +119,47 @@ def cmd_prototypes(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config) if args.config else RunConfig()
-    cfg = apply_overrides(cfg, args)
-    if cfg.train_manifest is None or cfg.out_dir is None:
+    settings = load_run_config(args.config) if args.config else {}
+    settings.update((key, getattr(args, key)) for key in TRAIN_KEYS
+                    if getattr(args, key) is not None)
+    run = {key: settings.get(key, default) for key, (_, default) in RUN_KEYS.items()}
+
+    def owned(cls):
+        return {f.name: settings[f.name] for f in fields(cls)
+                if f.name in settings and f.name not in _NOT_KEYS}
+
+    if run["train_manifest"] is None or run["out_dir"] is None:
         raise ValueError("train needs at least train_manifest and out_dir "
                          "(config keys or flags)")
-    for label, path in (("train_manifest", cfg.train_manifest),
-                        ("val_manifest", cfg.val_manifest),
-                        ("prototypes", cfg.prototypes)):
-        if path is not None and not os.path.exists(path):
-            raise FileNotFoundError(f"{label} does not exist: {path}")
-    manifest = load_manifest(cfg.train_manifest)
+    for key in ("train_manifest", "val_manifest", "prototypes"):
+        if run[key] is not None and not os.path.exists(run[key]):
+            raise FileNotFoundError(f"{key} does not exist: {run[key]}")
+    manifest = load_manifest(run["train_manifest"])
     train_records = manifest.load_all()
-    val_records = None
-    if cfg.val_manifest:
-        val_records = load_manifest(cfg.val_manifest).load_all()
-    bank = None
-    if cfg.ns_labels:
-        if cfg.prototypes is None:
-            raise ValueError("ns_labels=true requires a prototypes path")
-        bank = load_prototypes(cfg.prototypes)
-    input_dim = train_records[0].light_features.shape[1]
-    model_cfg = ModelConfig(
-        input_dim=input_dim,
-        num_classes=manifest.num_classes,
-        max_frames=cfg.max_frames or cfg.frames,
-        encoder_layers=cfg.encoder_layers,
-        heads=cfg.heads,
-        ffn_dim=cfg.ffn_dim,
-        dropout_pos_enc=cfg.dropout_pos_enc,
-        dropout_cls=cfg.dropout_cls,
-        dropout_attn=cfg.dropout_attn,
-        gamma=cfg.gamma,
-    )
+    val_records = load_manifest(run["val_manifest"]).load_all() if run["val_manifest"] else None
     train_cfg = TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        base_lr=cfg.base_lr,
-        lr_decay_epochs=cfg.lr_decay_epochs,
-        decay_factor=cfg.decay_factor,
-        momentum=cfg.momentum,
-        seed=cfg.seed,
-        presample=PresampleConfig(frames=cfg.frames, shift_augment=cfg.shift_augment),
-        ns_labels=cfg.ns_labels,
-    )
-    eval_k = cfg.k or max(1, cfg.frames // 4)
+        presample=PresampleConfig(frames=run["frames"], shift_augment=run["shift_augment"]),
+        **owned(TrainConfig))
+    bank = None
+    if train_cfg.ns_labels:
+        if run["prototypes"] is None:
+            raise ValueError("ns_labels=true requires a prototypes path")
+        bank = load_prototypes(run["prototypes"])
+    model_cfg = ModelConfig(
+        input_dim=train_records[0].light_features.shape[1],
+        num_classes=manifest.num_classes,
+        max_frames=run["max_frames"] or run["frames"],
+        **owned(ModelConfig))
+    eval_k = run["k"] or max(1, run["frames"] // 4)
     result = train(train_records, manifest.num_classes, bank, model_cfg, train_cfg,
                    val_records=val_records, eval_k=eval_k,
-                   fusion_cfg=FusionConfig(cfg.fusion, cfg.ratio, eval_k),
-                   out_dir=cfg.out_dir)
+                   fusion_cfg=FusionConfig(run["fusion"], run["ratio"], eval_k),
+                   out_dir=run["out_dir"])
     last = result.metrics[-1]
-    summary = f"trained {cfg.epochs} epochs, final loss {last.loss:.4f}"
+    summary = f"trained {train_cfg.epochs} epochs, final loss {last.loss:.4f}"
     if last.val_top1 is not None:
         summary += f", val top-1 {last.val_top1:.3f} (best epoch {result.best_epoch})"
-    print(summary + f"; artifacts in {cfg.out_dir}")
+    print(summary + f"; artifacts in {run['out_dir']}")
     return 0
 
 
@@ -295,17 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the sampler from a run configuration")
     p.add_argument("--config", help="key=value run configuration file")
-    for f in fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if _PARSERS[f.name] is _parse_bool:
-            p.add_argument(flag, type=_parse_bool, default=None, metavar="BOOL",
-                           help=f"override {f.name} (default {f.default})")
-        elif _PARSERS[f.name] is _parse_int_list:
-            p.add_argument(flag, type=_parse_int_list, default=None, metavar="N,N",
-                           help=f"override {f.name} (default {f.default})")
-        else:
-            p.add_argument(flag, type=_PARSERS[f.name], default=None,
-                           help=f"override {f.name} (default {f.default})")
+    metavars = {boolean: "BOOL", integer_list: "N,N"}
+    for key, (parse, default) in TRAIN_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=parse, default=None,
+                       metavar=metavars.get(parse), help=f"override {key} (default {default})")
     p.set_defaults(func=cmd_train)
 
     p = add_parser("sample", "dump per-frame saliency and selections to CSV")

@@ -7,9 +7,11 @@ Two bit-exact formats:
 * NSM1 manifest: UTF-8 text, header line ``NSM1 C=<int>``, then one record
   per line, tab-separated: video_id, label, light_path, guiding_path,
   logits_path[, mask_path]. Paths are resolved relative to the manifest's
-  directory unless absolute.
+  directory unless absolute. A manifest lists at least one video.
 
-Plus temporal pre-sampling to a fixed observation length and a synthetic
+Plus the one reader of ``key=value`` text files (run configurations,
+checkpoint ``.cfg`` sidecars, cost tables and prototype ``.meta`` files),
+temporal pre-sampling to a fixed observation length and a synthetic
 generator that plants per-frame saliency ground truth, with an analytic
 nearest-centroid recognizer providing per-frame logits.
 """
@@ -21,7 +23,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -57,6 +59,48 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# key=value text files
+# ---------------------------------------------------------------------------
+
+
+def finite_float(text: str) -> float:
+    """The parser of every float setting: nan and infinities are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def read_key_values(path: str, parsers: dict[str, Callable[[str], Any]],
+                    what: str) -> dict[str, Any]:
+    """The keys a file of ``key=value`` lines sets, each value parsed by its
+    key's parser (whose message follows the key); blank and ``#`` lines are
+    skipped. An unknown (``what``) or repeated key or a rejected value
+    raises a ValueError naming ``path:line``."""
+    values: dict[str, Any] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, text = (part.strip() for part in line.partition("="))
+            where = f"{path}:{lineno}"
+            if not sep or key not in parsers:
+                raise ValueError(f"{where}: unknown {what} {key!r}; "
+                                 f"expected one of {', '.join(parsers)}")
+            if key in values:
+                raise ValueError(f"{where}: duplicate key {key!r}")
+            try:
+                values[key] = parsers[key](text)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {key} {exc}") from None
+    return values
+
+
+# ---------------------------------------------------------------------------
 # NSF1 feature files
 # ---------------------------------------------------------------------------
 
@@ -75,36 +119,24 @@ def write_feature_file(path: str, matrix: np.ndarray) -> None:
         raise OSError(f"failed writing feature file {path}: {exc}") from exc
 
 
+def _feature_shape(path: str, header: bytes, size: int) -> tuple[int, int]:
+    """(N, D) from the first 12 bytes of an NSF1 file of ``size`` bytes:
+    magic, dims and exact byte length are checked."""
+    if len(header) < 12 or header[:4] != FEATURE_MAGIC:
+        raise FeatureFormatError(f"{path}: bad magic, not an NSF1 feature file")
+    n, d = struct.unpack("<II", header[4:12])
+    if size != 12 + 4 * n * d:
+        raise FeatureFormatError(f"{path}: truncated or oversized payload, expected "
+                                 f"{12 + 4 * n * d} bytes, got {size}")
+    return n, d
+
+
 def read_feature_file(path: str) -> np.ndarray:
     """Read an NSF1 file back as float64 (exact embedding of the f32 payload)."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 12 or blob[:4] != FEATURE_MAGIC:
-        raise FeatureFormatError(f"{path}: bad magic, not an NSF1 feature file")
-    n, d = struct.unpack("<II", blob[4:12])
-    expected = 12 + 4 * n * d
-    if len(blob) != expected:
-        raise FeatureFormatError(
-            f"{path}: truncated or oversized payload, expected {expected} bytes, "
-            f"got {len(blob)}")
-    values = np.frombuffer(blob, dtype="<f4", offset=12).astype(np.float64)
-    return values.reshape(n, d)
-
-
-def _validate_feature_header(path: str) -> tuple[int, int]:
-    """Cheap integrity check: magic, dims, and exact byte length."""
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-    if len(header) < 12 or header[:4] != FEATURE_MAGIC:
-        raise FeatureFormatError(f"{path}: bad magic, not an NSF1 feature file")
-    n, d = struct.unpack("<II", header[4:12])
-    expected = 12 + 4 * n * d
-    actual = os.path.getsize(path)
-    if actual != expected:
-        raise FeatureFormatError(
-            f"{path}: truncated or oversized payload, expected {expected} bytes, "
-            f"got {actual}")
-    return n, d
+    shape = _feature_shape(path, blob[:12], len(blob))
+    return np.frombuffer(blob, dtype="<f4", offset=12).astype(np.float64).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +268,10 @@ def load_manifest(path: str) -> DatasetManifest:
                 f"{path}:{lineno}: label {label} out of range for C={num_classes}")
         paths = [resolve(p) for p in fields[2:]]
         for kind, p in zip(("light", "guiding", "logits", "mask"), paths):
-            if not os.path.exists(p):
+            if not os.path.isfile(p):
                 raise FeatureFormatError(f"{path}:{lineno}: missing {kind} file {p}")
-            _, d = _validate_feature_header(p)
+            with open(p, "rb") as fh:   # the header only
+                _, d = _feature_shape(p, fh.read(12), os.path.getsize(p))
             key = {"light": "D_l", "guiding": "D_g", "logits": "C"}.get(kind)
             if key is not None:
                 if key in dims and dims[key] != d:
@@ -250,6 +283,8 @@ def load_manifest(path: str) -> DatasetManifest:
                 f"{path}:{lineno}: logits width {dims['C']} != header C={num_classes}")
         entries.append(ManifestEntry(video_id, label, paths[0], paths[1], paths[2],
                                      paths[3] if len(paths) == 4 else None))
+    if not entries:
+        raise FeatureFormatError(f"{path}: lists no videos")
     return DatasetManifest(path=os.path.abspath(path), num_classes=num_classes,
                            entries=entries)
 

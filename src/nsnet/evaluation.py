@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import softmax_values
-from .data import PresampleConfig, VideoRecord, atomic_write_text, presample
+from .data import PresampleConfig, VideoRecord, atomic_write_text, finite_float, presample, \
+    read_key_values
 from .fusion import FusionConfig, recognize_video, select_frames
 from .model import SamplerModel
 
@@ -59,18 +60,10 @@ def flops_total(budget: FlopsBudget) -> float:
 
 
 def load_cost_table(path: str) -> dict[str, float]:
-    costs = dict(DEFAULT_COST_TABLE)
-    for lineno, line in enumerate(open(path, "r", encoding="utf-8"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or key not in DEFAULT_COST_TABLE:
-            raise ValueError(f"{path}:{lineno}: unknown cost entry {line!r}; "
-                             f"expected one of {', '.join(DEFAULT_COST_TABLE)}")
-        costs[key] = float(value)
-    return costs
+    """The published table with the entries a ``name=gflops`` file sets."""
+    return {**DEFAULT_COST_TABLE,
+            **read_key_values(path, dict.fromkeys(DEFAULT_COST_TABLE, finite_float),
+                              "cost entry")}
 
 
 def budget_from_cost_table(costs: dict[str, float], k: int, t: int) -> FlopsBudget:

@@ -24,6 +24,7 @@ sidecar of ``key=literal`` lines, parsed as data.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import struct
 from dataclasses import MISSING, dataclass, fields
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, softmax_values
-from .data import atomic_write_bytes, atomic_write_text
+from .data import atomic_write_bytes, atomic_write_text, read_key_values
 
 CHECKPOINT_MAGIC = b"NSC1"
 # Videos per graph-free forward in ``SamplerModel.saliency``: enough to
@@ -75,36 +76,33 @@ class ModelConfig:
         return "\n".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)) + "\n"
 
     @classmethod
-    def from_text(cls, text: str, source: str = "<config>") -> "ModelConfig":
-        """Parse ``to_text`` output as data: one ``key=literal`` per line,
-        each key a field at most once; errors name ``source:line``."""
-        known = {f.name: f for f in fields(cls)}
-        kwargs = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, literal = (part.strip() for part in line.partition("="))
-            where = f"{source}:{lineno}"
-            if not sep or key not in known:
-                raise ValueError(f"{where}: unknown model configuration key {key!r}")
-            if key in kwargs:
-                raise ValueError(f"{where}: duplicate key {key!r}")
-            try:
-                value = ast.literal_eval(literal)
-            except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
-                raise ValueError(f"{where}: {key} is not a literal: {literal!r}") from None
-            kind = known[key].type   # "int", "int | None" or "float"
-            allowed = (int, float) if kind == "float" else int
-            if not ((isinstance(value, allowed) and not isinstance(value, bool))
-                    or (value is None and kind.endswith("None"))):
-                raise ValueError(f"{where}: {key} must be {kind}, got {literal!r}")
-            kwargs[key] = value
-        missing = [name for name, f in known.items()
-                   if name not in kwargs and f.default is MISSING]
+    def from_file(cls, path: str) -> "ModelConfig":
+        """Parse a ``to_text`` sidecar as data: each key a field at most
+        once, each value a literal of the field's type."""
+        values = read_key_values(
+            path, {f.name: functools.partial(_typed_literal, f.type) for f in fields(cls)},
+            "model configuration key")
+        missing = [f.name for f in fields(cls) if f.name not in values and f.default is MISSING]
         if missing:
-            raise ValueError(f"{source}: missing model configuration keys {missing}")
-        return cls(**kwargs)
+            raise ValueError(f"{path}: missing model configuration keys {missing}")
+        return cls(**values)
+
+
+def _typed_literal(kind: str, text: str):
+    """``text`` as a literal of annotation ``kind``: "int", "int | None" or
+    "float" (finite; an int literal passes)."""
+    try:
+        value = ast.literal_eval(text)
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        raise ValueError(f"is not a literal: {text!r}") from None
+    if value is None and kind.endswith("None"):
+        return value
+    allowed = (int, float) if kind == "float" else int
+    if not isinstance(value, allowed) or isinstance(value, bool):
+        raise ValueError(f"must be {kind}, got {text!r}")
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
 
 
 @dataclass
@@ -380,9 +378,7 @@ def save_checkpoint(model: SamplerModel, path: str) -> None:
 def load_checkpoint(path: str) -> SamplerModel:
     """Read an NSC1 checkpoint and its ``.cfg`` sidecar. Any truncated,
     malformed or mismatched content raises ValueError naming the file."""
-    with open(path + ".cfg", "r", encoding="utf-8") as fh:
-        config = ModelConfig.from_text(fh.read(), source=path + ".cfg")
-    model = SamplerModel(config, np.random.default_rng(0))
+    model = SamplerModel(ModelConfig.from_file(path + ".cfg"), np.random.default_rng(0))
     with open(path, "rb") as fh:
         blob = fh.read()
     offset = 0

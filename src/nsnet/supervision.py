@@ -19,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import softmax_values
-from .data import VideoRecord, atomic_write_text, read_feature_file, write_feature_file
+from .data import VideoRecord, atomic_write_text, finite_float, read_feature_file, \
+    read_key_values, write_feature_file
 
 DEFAULT_EPSILON_PERCENT = 30.0
 
@@ -111,26 +112,6 @@ def guiding_saliency_scores(record: VideoRecord, bank: PrototypeBank) -> np.ndar
     return scores_from_distances(distances, record.label)
 
 
-def guiding_scores_response_variant(record: VideoRecord) -> np.ndarray:
-    """Alternate guiding score: the recognizer's softmax response at the
-    true category (kept for comparison against the prototype route)."""
-    return softmax_values(record.recognizer_logits, axis=1)[:, record.label]
-
-
-@dataclass
-class PseudoLabel:
-    """Soft per-frame target over C+1 categories."""
-
-    target: np.ndarray  # (C+1,)
-    guiding_score: float
-
-    def validate(self) -> None:
-        if self.target.min() < 0:
-            raise ValueError(f"pseudo label has negative entry {self.target.min()}")
-        if abs(float(self.target.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"pseudo label sums to {self.target.sum()}, expected 1")
-
-
 def ns_pseudo_label_matrix(g: np.ndarray, label: int, num_classes: int) -> np.ndarray:
     """(T, C+1) targets: g at the video category, 1 - g at the non-salient slot."""
     g = np.asarray(g, dtype=np.float64).reshape(-1)
@@ -143,13 +124,6 @@ def ns_pseudo_label_matrix(g: np.ndarray, label: int, num_classes: int) -> np.nd
     targets[:, label] = g
     targets[:, num_classes] = 1.0 - g
     return targets
-
-
-def ns_pseudo_labels(g: np.ndarray, label: int, num_classes: int) -> list[PseudoLabel]:
-    matrix = ns_pseudo_label_matrix(g, label, num_classes)
-    g = np.asarray(g, dtype=np.float64).reshape(-1)
-    return [PseudoLabel(matrix[i], float(np.clip(g[i], 0.0, 1.0)))
-            for i in range(matrix.shape[0])]
 
 
 def hard_label_matrix(label: int, num_classes: int, num_frames: int) -> np.ndarray:
@@ -179,11 +153,7 @@ def save_prototypes(bank: PrototypeBank, path: str,
 
 def load_prototypes(path: str) -> PrototypeBank:
     prototypes = read_feature_file(path)
-    epsilon = DEFAULT_EPSILON_PERCENT
     meta = path + ".meta"
-    if os.path.exists(meta):
-        for line in open(meta, "r", encoding="utf-8"):
-            key, _, value = line.strip().partition("=")
-            if key == "epsilon_percent":
-                epsilon = float(value)
-    return PrototypeBank(prototypes, epsilon)
+    values = read_key_values(meta, {"epsilon_percent": finite_float, "manifest_sha256": str},
+                             "prototype metadata key") if os.path.exists(meta) else {}
+    return PrototypeBank(prototypes, values.get("epsilon_percent", DEFAULT_EPSILON_PERCENT))

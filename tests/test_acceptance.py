@@ -9,14 +9,14 @@ import numpy as np
 from conftest import BENCH, bench_model_config, bench_train_config
 from test_fusion import assert_modes_match_oracle
 from test_evaluation import average_precision_oracle
+from test_supervision import assert_pseudo_label_rows_valid
 
 from nsnet.cli import main as cli_main
 from nsnet.data import generate_synthetic_dataset, load_manifest
 from nsnet.evaluation import mean_average_precision, run_comparison
 from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig, SamplerModel, load_checkpoint
-from nsnet.supervision import build_prototypes, guiding_saliency_scores, \
-    ns_pseudo_labels
+from nsnet.supervision import build_prototypes, guiding_saliency_scores
 from nsnet.training import TrainExample, evaluate_epoch, gradient_check, train
 from nsnet.supervision import ns_pseudo_label_matrix
 
@@ -92,18 +92,7 @@ def test_criterion_3_fusion_oracle_equivalence(capsys):
 
 def test_criterion_4_supervision_invariants(tmp_path, capsys):
     started = time.perf_counter()
-    rng = np.random.default_rng(400)
-    for _ in range(1000):
-        c = int(rng.integers(2, 15))
-        label = int(rng.integers(c))
-        g = rng.random(int(rng.integers(1, 8)))
-        for pl in ns_pseudo_labels(g, label, c):
-            assert pl.target.min() >= 0.0
-            assert abs(float(pl.target.sum()) - 1.0) <= 1e-9
-            assert pl.target[label] == pl.guiding_score
-            assert pl.target[c] == 1.0 - pl.guiding_score
-            others = np.delete(pl.target[:c], label)
-            assert np.all(others == 0.0)
+    assert_pseudo_label_rows_valid(seed=400, draws=1000)
     train_m, _ = generate_synthetic_dataset(
         str(tmp_path), num_classes=6, videos_per_class=4, num_frames=16,
         light_dim=16, guiding_dim=16, salient_fraction=0.25, noise_sigma=0.0,

@@ -1,13 +1,16 @@
 """End-to-end command tests (tiny configurations, in-process)."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from nsnet.cli import build_parser, load_run_config, main
+from nsnet.cli import RUN_KEYS, TRAIN_KEYS, build_parser, main
 from nsnet.data import read_feature_file, write_feature_file
+from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig, SamplerModel, save_checkpoint
+from nsnet.training import TrainConfig
 
 
 def run(argv, capsys):
@@ -259,6 +262,66 @@ class TestCheckpointBoundary:
         assert "missing model configuration keys ['input_dim']" in line, line
 
 
+class TestEmptyManifest:
+    @pytest.mark.parametrize("command", ["eval", "train", "sample", "prototypes"])
+    def test_one_error_line(self, checkpoint, tmp_path, capsys, command):
+        path, _ = checkpoint
+        empty = tmp_path / "empty.nsm"
+        empty.write_text("NSM1 C=2\n")
+        out = str(tmp_path / "out")
+        argv = {"eval": ["eval", "--checkpoint", str(path), "--manifest", str(empty),
+                         "--k-list", "2", "--out", out],
+                "sample": ["sample", "--checkpoint", str(path), "--manifest", str(empty),
+                           "--k", "2", "--out", out],
+                "train": ["train", "--train-manifest", str(empty), "--out-dir", out,
+                          "--ns-labels", "false"],
+                "prototypes": ["prototypes", "--manifest", str(empty), "--out", out]}
+        error = assert_one_error_line(*run(argv[command], capsys)[::2])
+        assert f"{empty}: lists no videos" in error, error
+        assert not os.path.exists(out)
+
+
+class TestInputTruncation:
+    """Every byte-prefix of a manifest, or of a feature file it lists, ends
+    `nsnet eval` with exit 1 and one `error:` line, unless the prefix is
+    itself a well-formed manifest: it then evaluates."""
+
+    def eval_error(self, checkpoint, manifest, tmp_path, capsys):
+        """None when `nsnet eval` succeeds, else its one error line."""
+        code, _, err = run(["eval", "--checkpoint", str(checkpoint), "--manifest",
+                            str(manifest), "--k-list", "2", "--out", str(tmp_path / "f.csv")],
+                           capsys)
+        return None if code == 0 else assert_one_error_line(code, err)
+
+    def test_manifest_prefixes(self, checkpoint, tmp_path, capsys):
+        path, manifest = checkpoint
+        blob = manifest.read_bytes()
+        records = [line.split("\t") for line in blob.decode().splitlines()[1:]]
+        cut = manifest.parent / "cut.nsm"   # beside it, so relative paths resolve
+        evaluated = 0
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            lines = blob[:size].decode().splitlines()[1:]
+            # a record may stop after its logits path: the mask is optional
+            well_formed = bool(lines) and lines[-1].split("\t") in (
+                records[len(lines) - 1][:5], records[len(lines) - 1])
+            error = self.eval_error(path, cut, tmp_path, capsys)
+            assert (error is None) == well_formed, (size, blob[:size], error)
+            evaluated += well_formed
+        # each of the two records with and without its mask, and the first
+        # one also with its newline
+        assert evaluated == 5
+
+    def test_feature_file_prefixes(self, checkpoint, tmp_path, capsys):
+        path, manifest = checkpoint
+        light = manifest.parent / "feats" / "val_c000_v0000.light.nsf"
+        blob = light.read_bytes()
+        for size in range(len(blob)):
+            light.write_bytes(blob[:size])
+            error = self.eval_error(path, manifest, tmp_path, capsys)
+            assert error is not None and str(light) in error, (size, error)
+
+
 class TestNonFiniteFeatures:
     """A feature file holding NaN or inf ends `nsnet eval` and `nsnet sample`
     with exit 1 and one `error:` line naming the video."""
@@ -312,13 +375,91 @@ class TestHelp:
         assert "--" in capsys.readouterr().out
 
 
-def test_run_config_parsing(tmp_path):
+def test_run_config_parsing(tiny_tree, tmp_path, capsys, monkeypatch):
+    data, protos = tiny_tree
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("epochs=30\nlr_decay_epochs=10,20\nshift_augment=false\n"
+    cfg_file.write_text(f"train_manifest={data / 'train.nsm'}\nprototypes={protos}\n"
+                        f"out_dir={tmp_path / 'run'}\n"
+                        "epochs=30\nlr_decay_epochs=10,20\nshift_augment=false\n"
                         "# comment line\nratio=0.4\n")
-    cfg = load_run_config(str(cfg_file))
-    assert cfg.epochs == 30
-    assert cfg.lr_decay_epochs == (10, 20)
-    assert cfg.shift_augment is False
-    assert cfg.ratio == 0.4
-    assert cfg.gamma == 0.2  # untouched default
+    seen = {}
+
+    def capture(records, num_classes, bank, model_cfg, train_cfg, **kwargs):
+        seen.update(model=model_cfg, train=train_cfg, fusion=kwargs["fusion_cfg"])
+        raise RuntimeError("configuration captured")
+
+    monkeypatch.setattr("nsnet.cli.train", capture)
+    assert run(["train", "--config", str(cfg_file)], capsys)[0] == 1
+    assert seen["train"].epochs == 30
+    assert seen["train"].lr_decay_epochs == (10, 20)
+    assert seen["train"].presample.shift_augment is False
+    assert seen["fusion"].ratio == 0.4
+    assert seen["model"].gamma == 0.2  # untouched default
+
+
+class TestTrainKeys:
+    """The `train` keys are the run-level keys plus the configuration
+    fields not filled from the data, and `--help` shows each owner's default."""
+
+    def test_keys(self):
+        assert set(RUN_KEYS) == {"train_manifest", "val_manifest", "prototypes", "out_dir",
+                                 "max_frames", "frames", "shift_augment", "fusion",
+                                 "ratio", "k"}
+        model = {f.name for f in fields(ModelConfig)} - {"input_dim", "num_classes"}
+        training = {f.name for f in fields(TrainConfig)} - {"presample"}
+        assert set(TRAIN_KEYS) == set(RUN_KEYS) | model | training
+
+    def test_help_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        presample, fusion = TrainConfig().presample, FusionConfig()
+        defaults = {f.name: f.default for f in fields(ModelConfig) + fields(TrainConfig)}
+        defaults.update(train_manifest=None, val_manifest=None, prototypes=None,
+                        out_dir=None, max_frames=None, k=None, frames=presample.frames,
+                        shift_augment=presample.shift_augment, fusion=fusion.mode,
+                        ratio=fusion.ratio)
+        assert (presample.frames, presample.shift_augment) == (16, True)
+        for key in TRAIN_KEYS:
+            assert f"--{key.replace('_', '-')} " in text, key
+            assert f"override {key} (default {defaults[key]})" in text, key
+
+
+class TestKeyValueFiles:
+    """A bad line in a cost table, a run configuration or a prototype `.meta`
+    file ends the command with exit 1 and one `error:` line naming path:line."""
+
+    BAD_LINES = [("nonsense=1", "unknown"), ("{key}=abc", "{key} must be"),
+                 ("{key}=nan", "{key} must be"), ("{key}=-inf", "{key} must be")]
+
+    @pytest.mark.parametrize("line, message", BAD_LINES + [("encoder=1", "duplicate")])
+    def test_cost_table(self, tmp_path, capsys, line, message):
+        table = tmp_path / "costs.txt"
+        table.write_text("encoder=0.5\n" + line.format(key="vgm") + "\n")
+        code, _, err = run(["flops", "--cost-table", str(table), "--k", "2",
+                            "--frames", "4"], capsys)
+        error = assert_one_error_line(code, err)
+        assert f"{table}:2: " in error and message.format(key="vgm") in error, error
+
+    @pytest.mark.parametrize("key", ["epochs", "gamma", "ratio"])
+    @pytest.mark.parametrize("line, message",
+                             BAD_LINES + [("seed=2", "duplicate")])
+    def test_run_config(self, tmp_path, capsys, key, line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=1\n" + line.format(key=key) + "\n")
+        error = assert_one_error_line(*run(["train", "--config", str(config)], capsys)[::2])
+        assert f"{config}:2: " in error and message.format(key=key) in error, error
+
+    @pytest.mark.parametrize("line, message",
+                             BAD_LINES + [("manifest_sha256=1", "duplicate")])
+    def test_prototype_meta(self, tiny_tree, tmp_path, capsys, line, message):
+        data, protos = tiny_tree
+        meta = tmp_path / "protos.nsf.meta"
+        meta.write_text("manifest_sha256=0\n" + line.format(key="epsilon_percent") + "\n")
+        code, _, err = run(["train", "--train-manifest", str(data / "train.nsm"),
+                            "--prototypes", str(protos), "--out-dir", str(tmp_path / "run"),
+                            "--epochs", "1", "--lr-decay-epochs", ""], capsys)
+        error = assert_one_error_line(code, err)
+        assert f"{meta}:2: " in error, error
+        assert message.format(key="epsilon_percent") in error, error
+        assert not (tmp_path / "run").exists()

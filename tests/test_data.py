@@ -19,6 +19,10 @@ from nsnet.data import (
     write_feature_file,
     write_manifest,
 )
+from nsnet.cli import load_run_config
+from nsnet.evaluation import load_cost_table
+from nsnet.model import ModelConfig
+from nsnet.supervision import load_prototypes
 
 
 class TestFeatureFileLayout:
@@ -248,3 +252,48 @@ class TestVideoRecord:
         arrays[name][1, 0] = bad
         with pytest.raises(ValueError, match=f"vid7: {name} has non-finite values"):
             VideoRecord("vid7", 0, **arrays)
+
+
+def _load_prototype_meta(meta_path):
+    features = meta_path[:-len(".meta")]
+    write_feature_file(features, np.ones((2, 3)))
+    return load_prototypes(features)
+
+
+# reader, file name, valid lines, a key whose value "abc" fails, float keys
+KEY_VALUE_READERS = {
+    "run configuration": (load_run_config, "run.cfg", ["seed=1", "epochs=3"], "epochs",
+                          ["gamma", "base_lr", "ratio"]),
+    "checkpoint sidecar": (ModelConfig.from_file, "model.nsc1.cfg",
+                           ModelConfig(input_dim=8, num_classes=2, max_frames=3,
+                                       heads=2).to_text().splitlines(),
+                           "heads", ["gamma", "dropout_cls"]),
+    "cost table": (load_cost_table, "costs.txt", ["encoder=0.5"], "vgm", ["vgm", "fsm"]),
+    "prototype metadata": (_load_prototype_meta, "protos.nsf.meta",
+                           ["manifest_sha256=0", "epsilon_percent=30.0"], "epsilon_percent",
+                           ["epsilon_percent"]),
+}
+
+
+def _bad_key_value_files():
+    for reader, (_, _, lines, parsed, floats) in KEY_VALUE_READERS.items():
+        yield reader, lines + ["nonsense=1"], "unknown"
+        yield reader, lines + [lines[0]], "duplicate key"
+        for key, text in [(parsed, "abc")] + [(k, v) for k in floats
+                                              for v in ("nan", "inf", "-inf", "1e999")]:
+            kept = [line for line in lines if not line.startswith(key + "=")]
+            yield reader, kept + [f"{key}={text}"], f"{key} "
+
+
+@pytest.mark.parametrize("reader, lines, message", list(_bad_key_value_files()))
+def test_key_value_readers_name_the_line(tmp_path, reader, lines, message):
+    """Every key=value file rejects an unknown or repeated key, an
+    unparsable value and a non-finite float, naming path:line."""
+    read, file_name, *_ = KEY_VALUE_READERS[reader]
+    path = tmp_path / file_name
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    read(str(path))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as excinfo:
+        read(str(path))
+    assert f"{path}:{len(lines)}: {message}" in str(excinfo.value)
