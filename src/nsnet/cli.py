@@ -55,6 +55,13 @@ def integer_list(text: str) -> tuple[int, ...]:
     return tuple(integer(part) for part in text.split(",")) if text else ()
 
 
+def at_least(name: str, value: int, minimum: int) -> int:
+    """``value``, or a ValueError naming the flag or key it came from."""
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 _PARSE_ANNOTATION = {"int": integer, "int | None": integer, "float": finite_float,
                      "bool": boolean, "tuple[int, ...]": integer_list}
 # Training's presample default: PresampleConfig's own leaves shift_augment off.
@@ -128,6 +135,11 @@ def cmd_train(args) -> int:
         return {f.name: settings[f.name] for f in fields(cls)
                 if f.name in settings and f.name not in _NOT_KEYS}
 
+    for key in ("max_frames", "frames", "k"):
+        if run[key] is not None:
+            at_least("--" + key.replace("_", "-") if getattr(args, key) is not None
+                     else f"{key} in {args.config}", run[key], 1)
+
     if run["train_manifest"] is None or run["out_dir"] is None:
         raise ValueError("train needs at least train_manifest and out_dir "
                          "(config keys or flags)")
@@ -148,9 +160,9 @@ def cmd_train(args) -> int:
     model_cfg = ModelConfig(
         input_dim=train_records[0].light_features.shape[1],
         num_classes=manifest.num_classes,
-        max_frames=run["max_frames"] or run["frames"],
+        max_frames=run["frames"] if run["max_frames"] is None else run["max_frames"],
         **owned(ModelConfig))
-    eval_k = run["k"] or max(1, run["frames"] // 4)
+    eval_k = max(1, run["frames"] // 4) if run["k"] is None else run["k"]
     result = train(train_records, manifest.num_classes, bank, model_cfg, train_cfg,
                    val_records=val_records, eval_k=eval_k,
                    fusion_cfg=FusionConfig(run["fusion"], run["ratio"], eval_k),
@@ -166,8 +178,9 @@ def cmd_train(args) -> int:
 def cmd_sample(args) -> int:
     model = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
-    frames = args.frames or model.config.max_frames
-    fusion_cfg = FusionConfig(args.fusion, args.ratio, args.k)
+    frames = model.config.max_frames if args.frames is None \
+        else at_least("--frames", args.frames, 1)
+    fusion_cfg = FusionConfig(args.fusion, args.ratio, at_least("--k", args.k, 1))
     pre = PresampleConfig(frames=frames)
     lines = ["video_id,frame,s_f,s_v,fused,selected"]
     for start in range(0, len(manifest.entries), SALIENCY_BLOCK):
@@ -188,11 +201,15 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    try:
+        k_list = [at_least("K", integer(k), 1) for k in args.k_list.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--k-list: {exc}") from None
     model = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
     records = manifest.load_all()
-    frames = args.frames or model.config.max_frames
-    k_list = [int(k) for k in args.k_list.split(",")]
+    frames = model.config.max_frames if args.frames is None \
+        else at_least("--frames", args.frames, 1)
     costs = load_cost_table(args.cost_table) if args.cost_table else dict(DEFAULT_COST_TABLE)
     rows = run_comparison(records, model,
                           FusionConfig(args.fusion, args.ratio, max(k_list)),
@@ -204,7 +221,8 @@ def cmd_eval(args) -> int:
 
 def cmd_flops(args) -> int:
     costs = load_cost_table(args.cost_table) if args.cost_table else dict(DEFAULT_COST_TABLE)
-    budget = budget_from_cost_table(costs, args.k, args.frames)
+    budget = budget_from_cost_table(costs, at_least("--k", args.k, 0),
+                                    at_least("--frames", args.frames, 0))
     print(f"{flops_total(budget):.2f}")
     return 0
 

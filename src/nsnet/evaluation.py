@@ -23,7 +23,7 @@ import numpy as np
 from .autodiff import softmax_values
 from .data import PresampleConfig, VideoRecord, atomic_write_text, finite_float, presample, \
     read_key_values
-from .fusion import FusionConfig, recognize_video, select_frames
+from .fusion import FusionConfig, recognize, select_frames
 from .model import SamplerModel
 
 BASELINE_METHODS = ("uniform", "random", "dense", "topk_confidence")
@@ -122,14 +122,38 @@ def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float((predictions.argmax(axis=1) == labels).mean())
 
 
-def salient_recall(selected: list[int], mask: np.ndarray | None) -> float | None:
-    """Fraction of the planted salient frames captured by the selection."""
-    if mask is None:
-        return None
-    planted = np.flatnonzero(np.asarray(mask) > 0.5)
-    if planted.size == 0:
-        return None
-    return len(set(selected) & set(planted.tolist())) / planted.size
+@dataclass
+class ScoredVideos:
+    """V videos of one frame count T, as the arrays every selection is
+    scored against. A selection is a (V, K) frame-index array, or one
+    (1, K) row shared by every video."""
+
+    probs: np.ndarray      # (V, T, C) recognizer softmax
+    planted: np.ndarray    # (V, T) planted salient frames; none without a mask
+    ranking: np.ndarray    # (V, T) frames by descending max probability, stable
+    labels: np.ndarray     # (V,)
+    video_ids: list[str]
+
+    @classmethod
+    def from_records(cls, records: list[VideoRecord]) -> ScoredVideos:
+        probs = softmax_values(np.stack([r.recognizer_logits for r in records]))
+        return cls(
+            probs=probs,
+            planted=np.stack([np.zeros(r.num_frames, dtype=bool) if r.saliency_mask is None
+                              else r.saliency_mask > 0.5 for r in records]),
+            ranking=np.argsort(-probs.max(axis=2), axis=1, kind="stable"),
+            labels=np.array([r.label for r in records]),
+            video_ids=[r.video_id for r in records])
+
+    def score(self, selected: np.ndarray) -> tuple[np.ndarray, float | None]:
+        """The (V, C) video scores of a selection, and the mean over videos
+        of the fraction of planted salient frames it captures. Videos with
+        no planted frame are left out; None means none is left."""
+        hits = self.planted[np.arange(len(self.planted))[:, None], selected].sum(axis=1)
+        planted = self.planted.sum(axis=1)
+        counted = planted > 0
+        recall = float(np.mean(hits[counted] / planted[counted])) if counted.any() else None
+        return recognize(self.probs, selected), recall
 
 
 # ---------------------------------------------------------------------------
@@ -137,25 +161,33 @@ def salient_recall(selected: list[int], mask: np.ndarray | None) -> float | None
 # ---------------------------------------------------------------------------
 
 
-def baseline_sample(record: VideoRecord, method: str, k: int,
-                    seed: int = 0) -> list[int]:
+def baseline_selection(videos: ScoredVideos, method: str, k: int,
+                       seed: int = 0) -> np.ndarray:
     """uniform: segment centers; random: seeded K-subset (sorted); dense:
-    every frame; topk_confidence: K highest max-softmax recognizer rows."""
-    t = record.num_frames
+    every frame; topk_confidence: K highest max-softmax recognizer rows.
+    uniform and dense return one row shared by every video."""
+    t = videos.planted.shape[1]
     if method == "dense":
-        return list(range(t))
+        return np.arange(t)[None]
     if not 1 <= k <= t:
         raise ValueError(f"k={k} out of range for {t} frames")
     if method == "uniform":
-        return [int(math.floor((i + 0.5) * t / k)) for i in range(k)]
+        return np.array([[math.floor((i + 0.5) * t / k) for i in range(k)]])
     if method == "random":
-        rng = np.random.default_rng([seed, zlib.crc32(record.video_id.encode()), k])
-        return sorted(int(i) for i in rng.choice(t, size=k, replace=False))
+        return np.array([
+            np.sort(np.random.default_rng([seed, zlib.crc32(video_id.encode()), k])
+                    .choice(t, size=k, replace=False))
+            for video_id in videos.video_ids])
     if method == "topk_confidence":
-        confidence = softmax_values(record.recognizer_logits, axis=1).max(axis=1)
-        return np.argsort(-confidence, kind="stable")[:k].tolist()
+        return videos.ranking[:, :k]
     raise ValueError(f"unknown baseline {method!r}; "
                      f"choose one of {', '.join(BASELINE_METHODS)}")
+
+
+def baseline_sample(record: VideoRecord, method: str, k: int,
+                    seed: int = 0) -> list[int]:
+    """``baseline_selection`` for one video."""
+    return baseline_selection(ScoredVideos.from_records([record]), method, k, seed)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -192,38 +224,28 @@ def run_comparison(records: list[VideoRecord], model: SamplerModel,
             raise ValueError(f"k={k} out of range for {t} observation frames")
     cfg = PresampleConfig(frames=t)
     observed = [presample(r, cfg) for r in records]
-    labels = np.array([r.label for r in observed])
+    videos = ScoredVideos.from_records(observed)
     s_f, s_v = model.saliency([r.light_features for r in observed])
 
     rows = []
     for k in k_list:
         nsnet_cfg = FusionConfig(fusion_cfg.mode, fusion_cfg.ratio, k)
         selections = {
-            "nsnet": [select_frames(f, v, nsnet_cfg) for f, v in zip(s_f, s_v)],
-            **{method: [baseline_sample(r, method, k, seed) for r in observed]
+            "nsnet": np.array([select_frames(f, v, nsnet_cfg) for f, v in zip(s_f, s_v)]),
+            **{method: baseline_selection(videos, method, k, seed)
                for method in BASELINE_METHODS},
         }
-        gflops = {
-            "nsnet": flops_total(budget_from_cost_table(costs, k, t)),
-            "uniform": costs["recognizer_per_frame"] * k,
-            "random": costs["recognizer_per_frame"] * k,
-            "dense": costs["recognizer_per_frame"] * t,
-            "topk_confidence": costs["recognizer_per_frame"] * t,
-        }
-        for method, selected_per_video in selections.items():
-            scores = np.zeros((len(observed), observed[0].recognizer_logits.shape[1]))
-            recalls = []
-            for i, (record, selected) in enumerate(zip(observed, selected_per_video)):
-                scores[i] = recognize_video(record, selected)
-                recall = salient_recall(selected, record.saliency_mask)
-                if recall is not None:
-                    recalls.append(recall)
+        recognized = {"uniform": k, "random": k, "dense": t, "topk_confidence": t}
+        gflops = {"nsnet": flops_total(budget_from_cost_table(costs, k, t)),
+                  **{m: costs["recognizer_per_frame"] * n for m, n in recognized.items()}}
+        for method, selected in selections.items():
+            scores, recall = videos.score(selected)
             rows.append(ComparisonRow(
                 method=method,
                 k=k,
-                top1=top1_accuracy(scores, labels),
-                map_score=mean_average_precision(scores, labels).mean,
-                recall=float(np.mean(recalls)) if recalls else None,
+                top1=top1_accuracy(scores, videos.labels),
+                map_score=mean_average_precision(scores, videos.labels).mean,
+                recall=recall,
                 gflops=gflops[method],
             ))
     return rows

@@ -20,8 +20,9 @@ checkpoint-independent comparisons are stable.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,10 +68,8 @@ def rank_descending(scores: np.ndarray) -> np.ndarray:
 
 def select_topk(scores: np.ndarray, k: int) -> list[int]:
     scores = np.asarray(scores, dtype=np.float64)
-    if k > scores.shape[0]:
-        raise ValueError(f"cannot select {k} frames out of {scores.shape[0]}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not 1 <= k <= scores.shape[0]:
+        raise ValueError(f"k={k} out of range for {scores.shape[0]} frames")
     return rank_descending(scores)[:k].tolist()
 
 
@@ -105,29 +104,16 @@ def fuse_index_intersect(s_f: np.ndarray, s_v: np.ndarray, k: int) -> list[int]:
     list tails (positions K+1 onward), frame head first, skipping frames
     already chosen. Result order: intersection members by frame-head rank,
     then expansion insertions."""
-    s_f, s_v, t = _check_index_args(s_f, s_v, k)
-    pi_f = rank_descending(s_f)
-    pi_v = rank_descending(s_v)
-    top_v = set(pi_v[:k].tolist())
-    chosen = [int(i) for i in pi_f[:k] if int(i) in top_v]
-    have = set(chosen)
-    pointers = {"f": k, "v": k}
-    lists = {"f": pi_f, "v": pi_v}
-    turn = "f"
-    while len(chosen) < k:
-        lst = lists[turn]
-        pos = pointers[turn]
-        while pos < t and int(lst[pos]) in have:
-            pos += 1
-        if pos < t:
-            frame = int(lst[pos])
+    s_f, s_v, _ = _check_index_args(s_f, s_v, k)
+    pi_f, pi_v = rank_descending(s_f).tolist(), rank_descending(s_v).tolist()
+    chosen = [i for i in pi_f[:k] if i in pi_v[:k]]
+    tails = [iter(pi_f[k:]), iter(pi_v[k:])]   # every frame not chosen is in one
+    for tail in itertools.cycle(tails):
+        if len(chosen) == k:
+            return chosen
+        frame = next((i for i in tail if i not in chosen), None)
+        if frame is not None:
             chosen.append(frame)
-            have.add(frame)
-            pointers[turn] = pos + 1
-        else:
-            pointers[turn] = pos
-        turn = "v" if turn == "f" else "f"
-    return chosen
 
 
 def fuse_index_union(s_f: np.ndarray, s_v: np.ndarray, k: int,
@@ -137,27 +123,14 @@ def fuse_index_union(s_f: np.ndarray, s_v: np.ndarray, k: int,
     drops glimpse-side-only contributions from the bottom of their ranking.
     Result order: frame-head picks by rank, surviving glimpse-only picks by
     rank, then extensions."""
-    s_f, s_v, t = _check_index_args(s_f, s_v, k)
+    s_f, s_v, _ = _check_index_args(s_f, s_v, k)
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must be in [0, 1], got {ratio}")
-    pi_f = rank_descending(s_f)
-    pi_v = rank_descending(s_v)
-    take_f = min(math.ceil(k * ratio), t)
-    take_v = min(math.ceil(k * (1.0 - ratio)), t)
-    from_f = [int(i) for i in pi_f[:take_f]]
-    from_v_only = [int(i) for i in pi_v[:take_v] if int(i) not in set(from_f)]
-    while len(from_f) + len(from_v_only) > k and from_v_only:
-        from_v_only.pop()
-    chosen = from_f + from_v_only
-    have = set(chosen)
-    pos = take_f
-    while len(chosen) < k and pos < t:
-        frame = int(pi_f[pos])
-        pos += 1
-        if frame not in have:
-            chosen.append(frame)
-            have.add(frame)
-    return chosen
+    pi_f, pi_v = rank_descending(s_f).tolist(), rank_descending(s_v).tolist()
+    top_f = pi_f[:math.ceil(k * ratio)]
+    chosen = top_f + [i for i in pi_v[:math.ceil(k * (1.0 - ratio))]
+                      if i not in top_f][:k - len(top_f)]
+    return chosen + [i for i in pi_f[len(top_f):] if i not in chosen][:k - len(chosen)]
 
 
 def fuse_index_join(s_f: np.ndarray, s_v: np.ndarray, k: int) -> list[int]:
@@ -165,18 +138,8 @@ def fuse_index_join(s_f: np.ndarray, s_v: np.ndarray, k: int) -> list[int]:
     descending score (frame-head copy first on ties, then lower index),
     collecting frames not yet taken. Result order: scan order."""
     s_f, s_v, t = _check_index_args(s_f, s_v, k)
-    entries = [(float(s_f[i]), 0, i) for i in range(t)]
-    entries += [(float(s_v[i]), 1, i) for i in range(t)]
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    chosen: list[int] = []
-    have: set[int] = set()
-    for _, _, frame in entries:
-        if frame not in have:
-            chosen.append(frame)
-            have.add(frame)
-            if len(chosen) == k:
-                break
-    return chosen
+    scan = rank_descending(np.concatenate([s_f, s_v])) % t
+    return list(dict.fromkeys(scan.tolist()))[:k]
 
 
 def select_frames(s_f: np.ndarray, s_v: np.ndarray, cfg: FusionConfig) -> list[int]:
@@ -204,14 +167,19 @@ def saliency_profile(s_f: np.ndarray, s_v: np.ndarray,
     )
 
 
+def recognize(probs: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    """(V, C) video scores: each video's softmax rows ``probs`` (V, T, C)
+    averaged over its selected frames, a (V, K) index array or one (1, K)
+    row shared by every video. The argmax is the video prediction."""
+    return probs[np.arange(len(probs))[:, None], selected].mean(axis=1)
+
+
 def recognize_video(record: VideoRecord, selected: list[int]) -> np.ndarray:
-    """Average the recognizer's softmax rows over the selected frames; the
-    argmax is the video prediction."""
+    """``recognize`` for one video and its selection."""
     if len(selected) == 0:
         raise ValueError("cannot recognize a video from an empty frame selection")
     indices = np.asarray(selected, dtype=np.int64)
     if indices.min() < 0 or indices.max() >= record.num_frames:
         raise ValueError(
             f"{record.video_id}: selected indices out of range [0, {record.num_frames})")
-    probs = softmax_values(record.recognizer_logits[indices], axis=1)
-    return probs.mean(axis=0)
+    return recognize(softmax_values(record.recognizer_logits)[None], indices[None])[0]

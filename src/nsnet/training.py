@@ -19,8 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .data import PresampleConfig, VideoRecord, atomic_write_text, presample, \
     presample_indices
-from .evaluation import salient_recall, top1_accuracy
-from .fusion import FusionConfig, recognize_video, select_frames
+from .evaluation import ScoredVideos, top1_accuracy
+from .fusion import FusionConfig, select_frames
 from .model import LossBreakdown, ModelConfig, SamplerModel, save_checkpoint, total_loss
 from .supervision import PrototypeBank, guiding_saliency_scores, hard_label_matrix, \
     ns_pseudo_label_matrix
@@ -136,24 +136,16 @@ def evaluate_epoch(model: SamplerModel, records: list[VideoRecord], k: int,
                    frames: int | None = None) -> tuple[float, float | None]:
     """Top-1 through the full selection path, plus mean recall of planted
     salient frames when masks exist."""
-    if fusion_cfg is None:
-        fusion_cfg = FusionConfig(mode="index_union", ratio=0.6, k=k)
-    else:
-        fusion_cfg = FusionConfig(fusion_cfg.mode, fusion_cfg.ratio, k)
+    fusion_cfg = FusionConfig(k=k) if fusion_cfg is None \
+        else FusionConfig(fusion_cfg.mode, fusion_cfg.ratio, k)
     t = frames if frames is not None else model.config.max_frames
     cfg = PresampleConfig(frames=t)
     observed = [presample(record, cfg) for record in records]
+    videos = ScoredVideos.from_records(observed)
     s_f, s_v = model.saliency([record.light_features for record in observed])
-    scores, labels, recalls = [], [], []
-    for record, f, v in zip(observed, s_f, s_v):
-        selected = select_frames(f, v, fusion_cfg)
-        scores.append(recognize_video(record, selected))
-        labels.append(record.label)
-        recall = salient_recall(selected, record.saliency_mask)
-        if recall is not None:
-            recalls.append(recall)
-    top1 = top1_accuracy(np.stack(scores), np.array(labels))
-    return top1, (float(np.mean(recalls)) if recalls else None)
+    scores, recall = videos.score(
+        np.array([select_frames(f, v, fusion_cfg) for f, v in zip(s_f, s_v)]))
+    return top1_accuracy(scores, videos.labels), recall
 
 
 def _probe_invariants(model: SamplerModel, record: VideoRecord, frames: int,

@@ -346,6 +346,45 @@ class TestNonFiniteFeatures:
         assert not (tmp_path / "out.csv").exists()
 
 
+class TestArgumentErrors:
+    """A zero or negative size, or a malformed K list, ends the command with
+    exit 1 and one `error:` line naming the flag (or run-file key) that set
+    it; 0 is never read as "unset"."""
+
+    @pytest.mark.parametrize("command, extra, flag", [
+        ("eval", ["--frames", "0"], "--frames must be >= 1, got 0"),
+        ("eval", ["--k-list", "2,x"], "--k-list: must be an integer, got 'x'"),
+        ("eval", ["--k-list", ""], "--k-list: must be an integer, got ''"),
+        ("eval", ["--k-list", "2,0"], "--k-list: K must be >= 1, got 0"),
+        ("sample", ["--frames", "0"], "--frames must be >= 1, got 0"),
+        ("sample", ["--k", "0"], "--k must be >= 1, got 0"),
+        ("train", ["--k", "0"], "--k must be >= 1, got 0"),
+        ("train", ["--max-frames", "0"], "--max-frames must be >= 1, got 0"),
+        ("train", ["--frames", "0"], "--frames must be >= 1, got 0"),
+        ("train", ["--config", "{config}"], "k in {config} must be >= 1, got 0"),
+        ("flops", ["--frames", "-2"], "--frames must be >= 0, got -2"),
+        ("flops", ["--k", "-1"], "--k must be >= 0, got -1"),
+    ], ids=["eval-frames", "eval-k-list-word", "eval-k-list-empty", "eval-k-list-zero",
+            "sample-frames", "sample-k", "train-k", "train-max-frames", "train-frames",
+            "train-config-k", "flops-frames", "flops-k"])
+    def test_one_error_line(self, checkpoint, tmp_path, capsys, command, extra, flag):
+        path, manifest = checkpoint
+        config = tmp_path / "run.cfg"
+        config.write_text("k=0\n")
+        out = tmp_path / "out"
+        argv = {"eval": ["--checkpoint", str(path), "--manifest", str(manifest),
+                         "--k-list", "2", "--out", str(out)],
+                "sample": ["--checkpoint", str(path), "--manifest", str(manifest),
+                           "--k", "2", "--out", str(out)],
+                "train": ["--train-manifest", str(manifest), "--out-dir", str(out),
+                          "--ns-labels", "false", "--epochs", "1", "--lr-decay-epochs", ""],
+                "flops": ["--k", "2", "--frames", "4"]}[command]
+        extra = [arg.format(config=config) for arg in extra]
+        error = assert_one_error_line(*run([command] + argv + extra, capsys)[::2])
+        assert error == "error: " + flag.format(config=config)
+        assert not out.exists()
+
+
 class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()

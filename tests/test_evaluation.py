@@ -1,22 +1,31 @@
-"""Metric oracles, budget arithmetic and baseline sampler tests."""
+"""Metric oracles, budget arithmetic and baseline sampler tests, and the
+batched method x K scoring against the per-video loop it replaced."""
 
 import math
+import zlib
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from nsnet.data import VideoRecord
+from nsnet.autodiff import softmax_values
+from nsnet.data import PresampleConfig, VideoRecord, presample
 from nsnet.evaluation import (
+    BASELINE_METHODS,
     DEFAULT_COST_TABLE,
     FlopsBudget,
+    ScoredVideos,
     baseline_sample,
     budget_from_cost_table,
     flops_total,
     load_cost_table,
     mean_average_precision,
-    salient_recall,
+    run_comparison,
     top1_accuracy,
 )
+from nsnet.fusion import FUSION_MODES, FusionConfig, select_frames
+from nsnet.model import ModelConfig, SamplerModel
+from nsnet.training import evaluate_epoch
 
 
 def average_precision_oracle(class_scores, positives):
@@ -172,17 +181,146 @@ class TestBaselines:
 
 
 class TestSalientRecall:
+    @staticmethod
+    def recall(selected, *masks, t=4):
+        """``ScoredVideos.score``'s recall over videos carrying ``masks``."""
+        videos = ScoredVideos.from_records([
+            VideoRecord(f"v{i}", 0, np.zeros((t, 2)), np.zeros((t, 2)), np.zeros((t, 3)), mask)
+            for i, mask in enumerate(masks)])
+        return videos.score(np.array(selected))[1]
+
     def test_perfect_ranking_recall(self):
         mask = np.array([0, 1, 1, 0, 1, 0], dtype=float)
         # selecting exactly the planted frames
-        assert salient_recall([1, 2, 4], mask) == 1.0
+        assert self.recall([[1, 2, 4]], mask, t=6) == 1.0
         # oracle scores equal to the mask, K below planted count
-        assert salient_recall([1, 2], mask) == pytest.approx(2 / 3)
+        assert self.recall([[1, 2]], mask, t=6) == pytest.approx(2 / 3)
 
     def test_k_equals_t_gives_one(self):
-        mask = np.array([1, 0, 1, 0], dtype=float)
-        assert salient_recall([0, 1, 2, 3], mask) == 1.0
+        assert self.recall([[0, 1, 2, 3]], np.array([1, 0, 1, 0], dtype=float)) == 1.0
 
     def test_no_mask_or_no_planted(self):
-        assert salient_recall([0], None) is None
-        assert salient_recall([0], np.zeros(4)) is None
+        assert self.recall([[0]], None) is None
+        assert self.recall([[0]], np.zeros(4)) is None
+        # such videos are left out of the mean over the others
+        masks = None, np.zeros(4), np.array([1, 0, 0, 1], dtype=float)
+        assert self.recall([[0]], *masks) == 0.5
+        assert self.recall([[3], [3], [1]], *masks) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Batched scoring against the per-video loop
+# ---------------------------------------------------------------------------
+#
+# The reference below scores one video at a time: its baseline rows, the
+# softmax of its selected logit rows averaged, and its recall as a set
+# intersection. The (V, K) gathers of ``run_comparison`` and
+# ``evaluate_epoch`` must give the same numbers, compared with ==.
+
+RATIO = 0.6
+V, D, C = 14, 8, 3
+
+
+def reference_baseline(record, method, k, seed):
+    t = record.num_frames
+    if method == "dense":
+        return list(range(t))
+    if method == "uniform":
+        return [int(math.floor((i + 0.5) * t / k)) for i in range(k)]
+    if method == "random":
+        rng = np.random.default_rng([seed, zlib.crc32(record.video_id.encode()), k])
+        return sorted(int(i) for i in rng.choice(t, size=k, replace=False))
+    confidence = softmax_values(record.recognizer_logits, axis=1).max(axis=1)
+    return np.argsort(-confidence, kind="stable")[:k].tolist()
+
+
+def reference_recall(selected, mask):
+    if mask is None:
+        return None
+    planted = np.flatnonzero(np.asarray(mask) > 0.5)
+    if planted.size == 0:
+        return None
+    return len(set(selected) & set(planted.tolist())) / planted.size
+
+
+def reference_scores(observed, selections):
+    """The (V, C) scores and the mean recall, one video at a time."""
+    scores = np.zeros((len(observed), observed[0].recognizer_logits.shape[1]))
+    recalls = []
+    for i, (record, selected) in enumerate(zip(observed, selections)):
+        indices = np.asarray(selected, dtype=np.int64)
+        scores[i] = softmax_values(record.recognizer_logits[indices], axis=1).mean(axis=0)
+        recall = reference_recall(selected, record.saliency_mask)
+        if recall is not None:
+            recalls.append(recall)
+    return scores, (float(np.mean(recalls)) if recalls else None)
+
+
+def reference_selections(model, observed, mode, k, seed):
+    s_f, s_v = model.saliency([r.light_features for r in observed])
+    cfg = FusionConfig(mode, RATIO, k)
+    return {"nsnet": [select_frames(f, v, cfg) for f, v in zip(s_f, s_v)],
+            **{method: [reference_baseline(r, method, k, seed) for r in observed]
+               for method in BASELINE_METHODS}}
+
+
+def mixed_records(t, seed=0):
+    """Videos of t and t + 5 original frames whose masks are absent, all
+    zero or planted, in turn. Integer logits make ties in confidence."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(V):
+        n = t + 5 * (i % 2)
+        mask = [None, np.zeros(n), (rng.random(n) < 0.4).astype(float)][i % 3]
+        records.append(VideoRecord(f"v{i:02d}", i % C, rng.standard_normal((n, D)),
+                                   rng.standard_normal((n, D)),
+                                   rng.integers(-2, 3, (n, C)).astype(float), mask))
+    return records
+
+
+def model_for(t):
+    cfg = ModelConfig(input_dim=D, num_classes=C, max_frames=t, encoder_layers=1, heads=2)
+    return SamplerModel(cfg, np.random.default_rng(t))
+
+
+@pytest.mark.parametrize("t", [6, 16])
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_run_comparison_equals_per_video_loop(t, mode):
+    records, model = mixed_records(t), model_for(t)
+    k_list = [1, 3, t]
+    observed = [presample(r, PresampleConfig(frames=t)) for r in records]
+    videos = ScoredVideos.from_records(observed)
+    labels = np.array([r.label for r in observed])
+    expected = []
+    for k in k_list:
+        for method, selections in reference_selections(model, observed, mode, k, 5).items():
+            scores, recall = reference_scores(observed, selections)
+            assert np.array_equal(videos.score(np.array(selections))[0], scores)
+            expected.append((method, k, top1_accuracy(scores, labels),
+                             mean_average_precision(scores, labels).mean, recall))
+    rows = run_comparison(records, model, FusionConfig(mode, RATIO, 1), k_list, seed=5)
+    # gflops is budget arithmetic, independent of the scoring
+    assert [astuple(row)[:5] for row in rows] == expected
+    assert any(row[4] is not None for row in expected)
+
+
+@pytest.mark.parametrize("t", [6, 16])
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_evaluate_epoch_equals_per_video_loop(t, mode):
+    records, model = mixed_records(t, seed=1), model_for(t)
+    observed = [presample(r, PresampleConfig(frames=t)) for r in records]
+    labels = np.array([r.label for r in observed])
+    for k in (1, 3, t):
+        selections = reference_selections(model, observed, mode, k, 0)["nsnet"]
+        scores, recall = reference_scores(observed, selections)
+        assert evaluate_epoch(model, records, k, FusionConfig(mode, RATIO, k), frames=t) \
+            == (top1_accuracy(scores, labels), recall)
+
+
+def test_baseline_sample_is_the_one_video_row():
+    records = [presample(r, PresampleConfig(frames=6)) for r in mixed_records(6)]
+    for method in BASELINE_METHODS:
+        for k in (1, 3, 6):
+            for record in records:
+                assert baseline_sample(record, method, k, seed=2) == \
+                    reference_baseline(record, method, k, 2)
