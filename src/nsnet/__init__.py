@@ -26,7 +26,7 @@ from .evaluation import (
     run_comparison,
     top1_accuracy,
 )
-from .fusion import FusionConfig, SaliencyProfile, recognize_video, select_frames
+from .fusion import FusionConfig, recognize_video, select_frames
 from .model import (
     ForwardOutput,
     ModelConfig,
@@ -54,7 +54,7 @@ __all__ = [
     "read_feature_file", "write_feature_file",
     "FlopsBudget", "baseline_sample", "flops_total", "mean_average_precision",
     "run_comparison", "top1_accuracy",
-    "FusionConfig", "SaliencyProfile", "recognize_video", "select_frames",
+    "FusionConfig", "recognize_video", "select_frames",
     "ForwardOutput", "ModelConfig", "SamplerModel", "fsm_saliency",
     "load_checkpoint", "save_checkpoint", "vgm_saliency",
     "PrototypeBank", "build_prototypes", "guiding_saliency_scores",

@@ -19,12 +19,14 @@ import os
 import sys
 from dataclasses import fields
 
-from .data import PresampleConfig, atomic_write_text, finite_float, \
-    generate_synthetic_dataset, load_manifest, presample, read_key_values
+import numpy as np
+
+from .data import DatasetManifest, PresampleConfig, atomic_write_text, finite_float, \
+    generate_synthetic_dataset, load_manifest, presample_indices, read_key_values
 from .evaluation import DEFAULT_COST_TABLE, budget_from_cost_table, flops_total, \
     load_cost_table, run_comparison, write_comparison_csv
-from .fusion import FUSION_MODES, FusionConfig, saliency_profile
-from .model import SALIENCY_BLOCK, ModelConfig, load_checkpoint
+from .fusion import FUSION_MODES, SCORE_MODES, FusionConfig, fuse_scores, select_frames
+from .model import SALIENCY_BLOCK, ModelConfig, SamplerModel, load_checkpoint
 from .supervision import build_prototypes, load_prototypes, save_prototypes
 from .training import TrainConfig, train
 
@@ -98,6 +100,7 @@ def load_run_config(path: str) -> dict:
 
 
 def cmd_synth(args) -> int:
+    at_least("--seed", args.seed, 0)
     train_path, val_path = generate_synthetic_dataset(
         out_dir=args.out_dir,
         num_classes=args.classes,
@@ -175,26 +178,43 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
+def load_fitting(args) -> tuple[SamplerModel, DatasetManifest, int]:
+    """The checkpoint and manifest of `eval` and `sample`, which must agree
+    on the class count and the light feature width, and the observation
+    length (default: the checkpoint's capacity)."""
     model = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
-    frames = model.config.max_frames if args.frames is None \
+    cfg = model.config
+    for key, want, have, what in (("num_classes", cfg.num_classes, manifest.num_classes, "C="),
+                                  ("input_dim", cfg.input_dim, manifest.dims["D_l"],
+                                   "light width ")):
+        if want != have:
+            raise ValueError(f"checkpoint {args.checkpoint} has {key}={want} but manifest "
+                             f"{manifest.path} has {what}{have}")
+    return model, manifest, cfg.max_frames if args.frames is None \
         else at_least("--frames", args.frames, 1)
+
+
+def cmd_sample(args) -> int:
+    model, manifest, frames = load_fitting(args)
     fusion_cfg = FusionConfig(args.fusion, args.ratio, at_least("--k", args.k, 1))
     pre = PresampleConfig(frames=frames)
-    lines = ["video_id,frame,s_f,s_v,fused,selected"]
+    tracks = []   # (s_f, s_v) per block of videos, loaded one block at a time
     for start in range(0, len(manifest.entries), SALIENCY_BLOCK):
-        entries = manifest.entries[start:start + SALIENCY_BLOCK]
-        s_f, s_v = model.saliency([presample(manifest.load_record(entry), pre).light_features
-                                   for entry in entries])
-        for entry, f, v in zip(entries, s_f, s_v):
-            profile = saliency_profile(f, v, fusion_cfg)
-            chosen = set(profile.selected)
-            for i in range(frames):
-                fused = "" if profile.fused_scores is None \
-                    else repr(float(profile.fused_scores[i]))
-                lines.append(f"{entry.video_id},{i},{float(profile.s_f[i])!r},"
-                             f"{float(profile.s_v[i])!r},{fused},{int(i in chosen)}")
+        records = [manifest.load_record(entry)
+                   for entry in manifest.entries[start:start + SALIENCY_BLOCK]]
+        tracks.append(model.saliency([r.light_features[presample_indices(r.num_frames, pre)]
+                                      for r in records]))
+    s_f, s_v = (np.concatenate(track) for track in zip(*tracks))
+    chosen = np.zeros(s_f.shape, dtype=bool)
+    np.put_along_axis(chosen, select_frames(s_f, s_v, fusion_cfg), True, axis=1)
+    fused = fuse_scores(s_f, s_v, args.fusion, args.ratio).tolist() \
+        if args.fusion in SCORE_MODES else [[None] * frames] * len(s_f)
+    lines = ["video_id,frame,s_f,s_v,fused,selected"]
+    for entry, *row in zip(manifest.entries, s_f.tolist(), s_v.tolist(), fused,
+                           chosen.tolist()):
+        lines += [f"{entry.video_id},{i},{f!r},{v!r},{'' if u is None else repr(u)},{int(pick)}"
+                  for i, (f, v, u, pick) in enumerate(zip(*row))]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote saliency for {len(manifest.entries)} videos to {args.out}")
     return 0
@@ -205,11 +225,9 @@ def cmd_eval(args) -> int:
         k_list = [at_least("K", integer(k), 1) for k in args.k_list.split(",")]
     except ValueError as exc:
         raise ValueError(f"--k-list: {exc}") from None
-    model = load_checkpoint(args.checkpoint)
-    manifest = load_manifest(args.manifest)
+    at_least("--seed", args.seed, 0)
+    model, manifest, frames = load_fitting(args)
     records = manifest.load_all()
-    frames = model.config.max_frames if args.frames is None \
-        else at_least("--frames", args.frames, 1)
     costs = load_cost_table(args.cost_table) if args.cost_table else dict(DEFAULT_COST_TABLE)
     rows = run_comparison(records, model,
                           FusionConfig(args.fusion, args.ratio, max(k_list)),
@@ -255,16 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--light-dim", type=int, default=32, help="sampler feature width")
     p.add_argument("--guiding-dim", type=int, default=32,
                    help="recognizer feature width")
-    p.add_argument("--salient-fraction", type=float, default=0.25,
+    p.add_argument("--salient-fraction", type=finite_float, default=0.25,
                    help="fraction of planted salient frames")
-    p.add_argument("--noise-sigma", type=float, default=0.3,
+    p.add_argument("--noise-sigma", type=finite_float, default=0.3,
                    help="per-coordinate feature noise")
     p.add_argument("--seed", type=int, default=0, help="generation seed")
     p.set_defaults(func=cmd_synth)
 
     p = add_parser("prototypes", "build per-category prototypes from a manifest")
     p.add_argument("--manifest", required=True, help="training manifest (NSM1)")
-    p.add_argument("--epsilon", type=float, default=30.0,
+    p.add_argument("--epsilon", type=finite_float, default=30.0,
                    help="percent of confident frames pooled per video")
     p.add_argument("--out", required=True, help="prototype output path (NSF1)")
     p.set_defaults(func=cmd_prototypes)
@@ -282,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="manifest to score (NSM1)")
     p.add_argument("--fusion", choices=FUSION_MODES, default="index_union",
                    help="fusion strategy")
-    p.add_argument("--ratio", type=float, default=0.6, help="fusion ratio")
+    p.add_argument("--ratio", type=finite_float, default=0.6, help="fusion ratio")
     p.add_argument("--k", type=int, required=True, help="frames to select")
     p.add_argument("--frames", type=int, default=None,
                    help="observation frames (default: checkpoint capacity)")
@@ -295,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", required=True, help="comma-separated frame budgets")
     p.add_argument("--fusion", choices=FUSION_MODES, default="index_union",
                    help="fusion strategy")
-    p.add_argument("--ratio", type=float, default=0.6, help="fusion ratio")
+    p.add_argument("--ratio", type=finite_float, default=0.6, help="fusion ratio")
     p.add_argument("--frames", type=int, default=None,
                    help="observation frames (default: checkpoint capacity)")
     p.add_argument("--cost-table", default=None,

@@ -197,6 +197,7 @@ class DatasetManifest:
     path: str
     num_classes: int
     entries: list[ManifestEntry] = field(default_factory=list)
+    dims: dict[str, int] = field(default_factory=dict)   # D_l, D_g and C of every file
 
     def load_record(self, entry: ManifestEntry) -> VideoRecord:
         mask = None
@@ -286,7 +287,7 @@ def load_manifest(path: str) -> DatasetManifest:
     if not entries:
         raise FeatureFormatError(f"{path}: lists no videos")
     return DatasetManifest(path=os.path.abspath(path), num_classes=num_classes,
-                           entries=entries)
+                           entries=entries, dims=dims)
 
 
 # ---------------------------------------------------------------------------
@@ -327,26 +328,16 @@ def presample_indices(num_frames: int, cfg: PresampleConfig,
     return np.arange(t, dtype=np.int64) % num_frames
 
 
-def gather_record(record: VideoRecord, indices: np.ndarray) -> VideoRecord:
-    """Gather all per-frame arrays with the same index vector."""
-    return VideoRecord(
-        video_id=record.video_id,
-        label=record.label,
-        light_features=record.light_features[indices],
-        guiding_features=record.guiding_features[indices],
-        recognizer_logits=record.recognizer_logits[indices],
-        saliency_mask=None if record.saliency_mask is None
-        else record.saliency_mask[indices],
-    )
-
-
 def presample(record: VideoRecord, cfg: PresampleConfig,
               rng: np.random.Generator | None = None) -> VideoRecord:
     """The record at the observation length; one that already has exactly
     ``cfg.frames`` frames and no shift to draw is returned as it is."""
     if record.num_frames == cfg.frames and not cfg.shift_augment:
         return record
-    return gather_record(record, presample_indices(record.num_frames, cfg, rng))
+    i = presample_indices(record.num_frames, cfg, rng)
+    return VideoRecord(record.video_id, record.label, record.light_features[i],
+                       record.guiding_features[i], record.recognizer_logits[i],
+                       None if record.saliency_mask is None else record.saliency_mask[i])
 
 
 # ---------------------------------------------------------------------------

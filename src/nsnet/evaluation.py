@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import softmax_values
-from .data import PresampleConfig, VideoRecord, atomic_write_text, finite_float, presample, \
-    read_key_values
+from .data import PresampleConfig, VideoRecord, atomic_write_text, finite_float, \
+    presample_indices, read_key_values
 from .fusion import FusionConfig, recognize, select_frames
 from .model import SamplerModel
 
@@ -95,22 +95,23 @@ def mean_average_precision(scores: np.ndarray, labels: np.ndarray) -> MapResult:
     if scores.ndim != 2 or scores.shape[0] != labels.shape[0]:
         raise ValueError(f"scores {scores.shape} vs labels {labels.shape}")
     v, c = scores.shape
+    # (C, V): row c marks class c's positives in its descending score order
+    hits = (labels[np.argsort(-scores, axis=0, kind="stable")] == np.arange(c)).T
+    # the precision at each positive's rank, class by class, in rank order
+    precision = (np.cumsum(hits, axis=1) / np.arange(1, v + 1))[hits]
+    counts = hits.sum(axis=1)
+    starts = np.cumsum(counts) - counts
     per_class = np.full(c, np.nan)
-    skipped = []
-    for cls in range(c):
-        positives = labels == cls
-        if not positives.any():
-            skipped.append(cls)
-            continue
-        order = np.argsort(-scores[:, cls], kind="stable")
-        hits = positives[order]
-        ranks = np.flatnonzero(hits) + 1
-        precision_at_hits = np.cumsum(hits)[ranks - 1] / ranks
-        per_class[cls] = float(precision_at_hits.mean())
-    valid = ~np.isnan(per_class)
+    # each class's precisions are averaged as one contiguous run, as a
+    # per-class mean would, so the summation order is the same
+    for n in set(counts[counts > 0].tolist()):
+        classes = np.flatnonzero(counts == n)
+        per_class[classes] = precision[starts[classes, None] + np.arange(n)].mean(axis=1)
+    valid = counts > 0
     if not valid.any():
         raise ValueError("no class has a positive video; mAP undefined")
-    return MapResult(per_class, float(per_class[valid].mean()), skipped)
+    return MapResult(per_class, float(per_class[valid].mean()),
+                     np.flatnonzero(~valid).tolist())
 
 
 def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -124,10 +125,11 @@ def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
 
 @dataclass
 class ScoredVideos:
-    """V videos of one frame count T, as the arrays every selection is
-    scored against. A selection is a (V, K) frame-index array, or one
+    """V videos observed at one frame count T, as the arrays every selection
+    is scored against. A selection is a (V, K) frame-index array, or one
     (1, K) row shared by every video."""
 
+    light: np.ndarray      # (V, T, D_l) sampler input features
     probs: np.ndarray      # (V, T, C) recognizer softmax
     planted: np.ndarray    # (V, T) planted salient frames; none without a mask
     ranking: np.ndarray    # (V, T) frames by descending max probability, stable
@@ -135,12 +137,18 @@ class ScoredVideos:
     video_ids: list[str]
 
     @classmethod
-    def from_records(cls, records: list[VideoRecord]) -> ScoredVideos:
-        probs = softmax_values(np.stack([r.recognizer_logits for r in records]))
+    def from_records(cls, records: list[VideoRecord], frames: int) -> ScoredVideos:
+        """The records pre-sampled (without shift) to ``frames`` frames each,
+        gathered straight into stacked arrays."""
+        cfg = PresampleConfig(frames=frames)
+        index = [presample_indices(r.num_frames, cfg) for r in records]
+        probs = softmax_values(np.stack([r.recognizer_logits[i]
+                                         for r, i in zip(records, index)]))
         return cls(
+            light=np.stack([r.light_features[i] for r, i in zip(records, index)]),
             probs=probs,
-            planted=np.stack([np.zeros(r.num_frames, dtype=bool) if r.saliency_mask is None
-                              else r.saliency_mask > 0.5 for r in records]),
+            planted=np.stack([np.zeros(frames, dtype=bool) if r.saliency_mask is None
+                              else r.saliency_mask[i] > 0.5 for r, i in zip(records, index)]),
             ranking=np.argsort(-probs.max(axis=2), axis=1, kind="stable"),
             labels=np.array([r.label for r in records]),
             video_ids=[r.video_id for r in records])
@@ -187,7 +195,8 @@ def baseline_selection(videos: ScoredVideos, method: str, k: int,
 def baseline_sample(record: VideoRecord, method: str, k: int,
                     seed: int = 0) -> list[int]:
     """``baseline_selection`` for one video."""
-    return baseline_selection(ScoredVideos.from_records([record]), method, k, seed)[0].tolist()
+    return baseline_selection(ScoredVideos.from_records([record], record.num_frames),
+                              method, k, seed)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +231,13 @@ def run_comparison(records: list[VideoRecord], model: SamplerModel,
     for k in k_list:
         if not 1 <= k <= t:
             raise ValueError(f"k={k} out of range for {t} observation frames")
-    cfg = PresampleConfig(frames=t)
-    observed = [presample(r, cfg) for r in records]
-    videos = ScoredVideos.from_records(observed)
-    s_f, s_v = model.saliency([r.light_features for r in observed])
+    videos = ScoredVideos.from_records(records, t)
+    s_f, s_v = model.saliency(videos.light)
 
     rows = []
     for k in k_list:
-        nsnet_cfg = FusionConfig(fusion_cfg.mode, fusion_cfg.ratio, k)
         selections = {
-            "nsnet": np.array([select_frames(f, v, nsnet_cfg) for f, v in zip(s_f, s_v)]),
+            "nsnet": select_frames(s_f, s_v, FusionConfig(fusion_cfg.mode, fusion_cfg.ratio, k)),
             **{method: baseline_selection(videos, method, k, seed)
                for method in BASELINE_METHODS},
         }

@@ -1,4 +1,5 @@
-"""Combining the two saliency granularities and picking the K frames.
+"""Combining the two saliency granularities and picking the K frames: (V, T)
+score tracks, one row per video, give a (V, K) frame-index array.
 
 Score fusion operates on values (convex addition with ratio alpha,
 elementwise product, elementwise max); index fusion operates on the two
@@ -14,13 +15,12 @@ descending rank lists pi_f (frame head) and pi_v (glimpse head):
 
 Tie rules, everywhere: higher score first, then lower frame index; in the
 join scan the frame-head copy precedes the glimpse copy. Selections are
-returned in a deterministic order (documented per function) so dumps and
+returned in a deterministic order (documented per mode) so dumps and
 checkpoint-independent comparisons are stable.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,27 +50,10 @@ class FusionConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
 
-@dataclass
-class SaliencyProfile:
-    """Both score tracks plus the final selection for one video."""
-
-    s_f: np.ndarray
-    s_v: np.ndarray
-    selected: list[int]
-    fused_scores: np.ndarray | None = None
-
-
 def rank_descending(scores: np.ndarray) -> np.ndarray:
-    """Frame indices by descending score; ties broken by lower index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return np.argsort(-scores, kind="stable")
-
-
-def select_topk(scores: np.ndarray, k: int) -> list[int]:
-    scores = np.asarray(scores, dtype=np.float64)
-    if not 1 <= k <= scores.shape[0]:
-        raise ValueError(f"k={k} out of range for {scores.shape[0]} frames")
-    return rank_descending(scores)[:k].tolist()
+    """Frames by descending score along the last axis; ties broken by lower
+    index."""
+    return (-scores).argsort(axis=-1, kind="stable")
 
 
 def fuse_scores(s_f: np.ndarray, s_v: np.ndarray, mode: str,
@@ -88,83 +71,85 @@ def fuse_scores(s_f: np.ndarray, s_v: np.ndarray, mode: str,
     raise ValueError(f"unknown score fusion mode {mode!r}")
 
 
-def _check_index_args(s_f, s_v, k):
-    s_f = np.asarray(s_f, dtype=np.float64)
-    s_v = np.asarray(s_v, dtype=np.float64)
-    if s_f.shape != s_v.shape:
-        raise ValueError(f"score lengths differ: {s_f.shape} vs {s_v.shape}")
-    t = s_f.shape[0]
-    if not 1 <= k <= t:
-        raise ValueError(f"k={k} out of range for {t} frames")
-    return s_f, s_v, t
-
-
-def fuse_index_intersect(s_f: np.ndarray, s_v: np.ndarray, k: int) -> list[int]:
+def _intersect(s_f: np.ndarray, s_v: np.ndarray, k: int) -> np.ndarray:
     """Intersection of the two top-K sets; expansion alternates between the
     list tails (positions K+1 onward), frame head first, skipping frames
-    already chosen. Result order: intersection members by frame-head rank,
+    already chosen. Row order: intersection members by frame-head rank,
     then expansion insertions."""
-    s_f, s_v, _ = _check_index_args(s_f, s_v, k)
-    pi_f, pi_v = rank_descending(s_f).tolist(), rank_descending(s_v).tolist()
-    chosen = [i for i in pi_f[:k] if i in pi_v[:k]]
-    tails = [iter(pi_f[k:]), iter(pi_v[k:])]   # every frame not chosen is in one
-    for tail in itertools.cycle(tails):
-        if len(chosen) == k:
-            return chosen
-        frame = next((i for i in tail if i not in chosen), None)
-        if frame is not None:
-            chosen.append(frame)
+    pi_f, pi_v = rank_descending(s_f), rank_descending(s_v)
+    rows = np.arange(len(pi_f))
+    # the frame-head top-K frames that are also in the glimpse top K, first
+    member = pi_v.argsort(axis=1)[rows[:, None], pi_f[:, :k]] < k
+    chosen = pi_f[rows[:, None], (~member).argsort(axis=1, kind="stable")]
+    count = member.sum(axis=1)
+    taken = np.zeros(pi_f.shape, dtype=bool)
+    taken[rows[:, None], pi_f[:, :k]] = member
+    # a short row needs k - count more frames. Turns alternate between the
+    # tails, each taking its first free frame (the ones before it are all
+    # taken), and none comes back empty: the frame-head tail holds the
+    # glimpse top K outside the frame-head top K, which only it can take,
+    # and the glimpse tail likewise
+    need = k - count
+    tails = pi_f[:, k:], pi_v[:, k:]
+    for turn in range(need.max(initial=0)):
+        tail = tails[turn % 2]
+        nxt = (~taken[rows[:, None], tail]).argmax(axis=1)
+        short = np.flatnonzero(turn < need)
+        frame = tail[short, nxt[short]]
+        chosen[short, count[short] + turn] = frame
+        taken[short, frame] = True
+    return chosen
 
 
-def fuse_index_union(s_f: np.ndarray, s_v: np.ndarray, k: int,
-                     ratio: float = 0.6) -> list[int]:
+def _union(s_f: np.ndarray, s_v: np.ndarray, k: int, ratio: float) -> np.ndarray:
     """Union of the top-ceil(K*ratio) frame-head and top-ceil(K*(1-ratio))
     glimpse picks. Short unions extend from the frame-head list; overshoot
     drops glimpse-side-only contributions from the bottom of their ranking.
-    Result order: frame-head picks by rank, surviving glimpse-only picks by
+    Row order: frame-head picks by rank, surviving glimpse-only picks by
     rank, then extensions."""
-    s_f, s_v, _ = _check_index_args(s_f, s_v, k)
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"ratio must be in [0, 1], got {ratio}")
-    pi_f, pi_v = rank_descending(s_f).tolist(), rank_descending(s_v).tolist()
-    top_f = pi_f[:math.ceil(k * ratio)]
-    chosen = top_f + [i for i in pi_v[:math.ceil(k * (1.0 - ratio))]
-                      if i not in top_f][:k - len(top_f)]
-    return chosen + [i for i in pi_f[len(top_f):] if i not in chosen][:k - len(chosen)]
+    t = s_f.shape[1]
+    rank_f = rank_descending(s_f).argsort(axis=1)   # the rank of every frame
+    rank_v = rank_descending(s_v).argsort(axis=1)
+    outside = rank_f >= math.ceil(k * ratio)
+    # frame-head top by rank, then the glimpse picks outside it by glimpse
+    # rank, then the other frames by frame-head rank; cutting at K drops the
+    # lowest glimpse picks on overshoot and extends from pi_f when short
+    key = np.where(outside & (rank_v < math.ceil(k * (1.0 - ratio))), t + rank_v,
+                   rank_f + 2 * t * outside)
+    return key.argsort(axis=1)[:, :k]
 
 
-def fuse_index_join(s_f: np.ndarray, s_v: np.ndarray, k: int) -> list[int]:
+def _join(s_f: np.ndarray, s_v: np.ndarray, k: int) -> np.ndarray:
     """Both lists concatenated to 2T (score, frame) entries, scanned by
     descending score (frame-head copy first on ties, then lower index),
-    collecting frames not yet taken. Result order: scan order."""
-    s_f, s_v, t = _check_index_args(s_f, s_v, k)
-    scan = rank_descending(np.concatenate([s_f, s_v])) % t
-    return list(dict.fromkeys(scan.tolist()))[:k]
+    collecting frames not yet taken. Row order: scan order."""
+    t = s_f.shape[1]
+    position = rank_descending(np.concatenate([s_f, s_v], axis=1)).argsort(axis=1)
+    # a frame's place in the scan is that of its first copy
+    return np.minimum(position[:, :t], position[:, t:]).argsort(axis=1)[:, :k]
 
 
-def select_frames(s_f: np.ndarray, s_v: np.ndarray, cfg: FusionConfig) -> list[int]:
-    """Dispatch on the fusion mode; always returns exactly cfg.k distinct
-    frame indices."""
+def select_frames(s_f: np.ndarray, s_v: np.ndarray, cfg: FusionConfig):
+    """The cfg.k distinct frames each video keeps: (V, T) score tracks give
+    a (V, K) index array, a (T,) pair a list of K ints."""
+    s_f = np.asarray(s_f, dtype=np.float64)
+    s_v = np.asarray(s_v, dtype=np.float64)
+    if s_f.shape != s_v.shape or s_f.ndim not in (1, 2):
+        raise ValueError(f"score tracks must share a (T,) or (V, T) shape: "
+                         f"{s_f.shape} vs {s_v.shape}")
+    t = s_f.shape[-1]
+    if not 1 <= cfg.k <= t:
+        raise ValueError(f"k={cfg.k} out of range for {t} frames")
+    f, v = s_f.reshape(-1, t), s_v.reshape(-1, t)
     if cfg.mode in SCORE_MODES:
-        return select_topk(fuse_scores(s_f, s_v, cfg.mode, cfg.ratio), cfg.k)
-    if cfg.mode == "index_intersect":
-        return fuse_index_intersect(s_f, s_v, cfg.k)
-    if cfg.mode == "index_union":
-        return fuse_index_union(s_f, s_v, cfg.k, cfg.ratio)
-    return fuse_index_join(s_f, s_v, cfg.k)
-
-
-def saliency_profile(s_f: np.ndarray, s_v: np.ndarray,
-                     cfg: FusionConfig) -> SaliencyProfile:
-    fused = None
-    if cfg.mode in SCORE_MODES:
-        fused = fuse_scores(s_f, s_v, cfg.mode, cfg.ratio)
-    return SaliencyProfile(
-        s_f=np.asarray(s_f, dtype=np.float64),
-        s_v=np.asarray(s_v, dtype=np.float64),
-        selected=select_frames(s_f, s_v, cfg),
-        fused_scores=fused,
-    )
+        selected = rank_descending(fuse_scores(f, v, cfg.mode, cfg.ratio))[:, :cfg.k]
+    elif cfg.mode == "index_intersect":
+        selected = _intersect(f, v, cfg.k)
+    elif cfg.mode == "index_union":
+        selected = _union(f, v, cfg.k, cfg.ratio)
+    else:
+        selected = _join(f, v, cfg.k)
+    return selected[0].tolist() if s_f.ndim == 1 else selected
 
 
 def recognize(probs: np.ndarray, selected: np.ndarray) -> np.ndarray:

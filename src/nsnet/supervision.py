@@ -146,8 +146,8 @@ def save_prototypes(bank: PrototypeBank, path: str,
     write_feature_file(path, bank.prototypes)
     lines = [f"epsilon_percent={bank.epsilon_percent!r}"]
     if source_manifest is not None:
-        digest = hashlib.sha256(open(source_manifest, "rb").read()).hexdigest()
-        lines.append(f"manifest_sha256={digest}")
+        with open(source_manifest, "rb") as fh:
+            lines.append(f"manifest_sha256={hashlib.sha256(fh.read()).hexdigest()}")
     atomic_write_text(path + ".meta", "\n".join(lines) + "\n")
 
 

@@ -138,13 +138,9 @@ def evaluate_epoch(model: SamplerModel, records: list[VideoRecord], k: int,
     salient frames when masks exist."""
     fusion_cfg = FusionConfig(k=k) if fusion_cfg is None \
         else FusionConfig(fusion_cfg.mode, fusion_cfg.ratio, k)
-    t = frames if frames is not None else model.config.max_frames
-    cfg = PresampleConfig(frames=t)
-    observed = [presample(record, cfg) for record in records]
-    videos = ScoredVideos.from_records(observed)
-    s_f, s_v = model.saliency([record.light_features for record in observed])
-    scores, recall = videos.score(
-        np.array([select_frames(f, v, fusion_cfg) for f, v in zip(s_f, s_v)]))
+    videos = ScoredVideos.from_records(
+        records, frames if frames is not None else model.config.max_frames)
+    scores, recall = videos.score(select_frames(*model.saliency(videos.light), fusion_cfg))
     return top1_accuracy(scores, videos.labels), recall
 
 

@@ -3,6 +3,7 @@ PASS/FAIL line (run with -s to see them on success)."""
 
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -181,8 +182,8 @@ def test_criterion_7_determinism(bench_ns_run, bench_data, tmp_path_factory, cap
           out_dir=str(rerun_dir))
     identical = True
     for name in ("last.nsc1", "best.nsc1", "metrics.csv"):
-        first = open(f"{bench_ns_run['out_dir']}/{name}", "rb").read()
-        second = open(f"{rerun_dir}/{name}", "rb").read()
+        first = Path(bench_ns_run["out_dir"], name).read_bytes()
+        second = Path(rerun_dir, name).read_bytes()
         identical &= first == second
     with capsys.disabled():
         report(7, "determinism", identical,

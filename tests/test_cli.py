@@ -364,9 +364,11 @@ class TestArgumentErrors:
         ("train", ["--config", "{config}"], "k in {config} must be >= 1, got 0"),
         ("flops", ["--frames", "-2"], "--frames must be >= 0, got -2"),
         ("flops", ["--k", "-1"], "--k must be >= 0, got -1"),
+        ("eval", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+        ("synth", ["--seed", "-1"], "--seed must be >= 0, got -1"),
     ], ids=["eval-frames", "eval-k-list-word", "eval-k-list-empty", "eval-k-list-zero",
             "sample-frames", "sample-k", "train-k", "train-max-frames", "train-frames",
-            "train-config-k", "flops-frames", "flops-k"])
+            "train-config-k", "flops-frames", "flops-k", "eval-seed", "synth-seed"])
     def test_one_error_line(self, checkpoint, tmp_path, capsys, command, extra, flag):
         path, manifest = checkpoint
         config = tmp_path / "run.cfg"
@@ -378,10 +380,63 @@ class TestArgumentErrors:
                            "--k", "2", "--out", str(out)],
                 "train": ["--train-manifest", str(manifest), "--out-dir", str(out),
                           "--ns-labels", "false", "--epochs", "1", "--lr-decay-epochs", ""],
-                "flops": ["--k", "2", "--frames", "4"]}[command]
+                "flops": ["--k", "2", "--frames", "4"],
+                "synth": ["--out-dir", str(out), "--classes", "2", "--videos-per-class", "1",
+                          "--frames", "2", "--light-dim", "3", "--guiding-dim", "3"]}[command]
         extra = [arg.format(config=config) for arg in extra]
         error = assert_one_error_line(*run([command] + argv + extra, capsys)[::2])
         assert error == "error: " + flag.format(config=config)
+        assert not out.exists()
+
+
+class TestCheckpointFit:
+    """`eval` and `sample` reject a manifest whose class count or light
+    feature width is not the checkpoint's, naming both files, before any
+    forward."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--classes", "3"], "has num_classes=2 but manifest {manifest} has C=3"),
+        (["--light-dim", "4"], "has input_dim=3 but manifest {manifest} has light width 4"),
+    ], ids=["classes", "light-width"])
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    def test_one_error_line(self, checkpoint, tmp_path, capsys, command, flags, message):
+        path, _ = checkpoint
+        other = tmp_path / "other"
+        assert run(["synth", "--out-dir", str(other), "--classes", "2",
+                    "--videos-per-class", "1", "--val-videos-per-class", "0", "--frames", "2",
+                    "--light-dim", "3", "--guiding-dim", "3", "--seed", "5"] + flags,
+                   capsys)[0] == 0
+        manifest = other / "train.nsm"
+        out = tmp_path / "out.csv"
+        argv = [command, "--checkpoint", str(path), "--manifest", str(manifest),
+                "--out", str(out)]
+        argv += ["--k-list", "2"] if command == "eval" else ["--k", "2"]
+        error = assert_one_error_line(*run(argv, capsys)[::2])
+        assert error == f"error: checkpoint {path} " + message.format(manifest=manifest)
+        assert not out.exists()
+
+
+class TestFloatFlags:
+    """Every float flag is parsed by `data.finite_float`: nan or inf is a
+    usage error naming the flag, and nothing is written."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("synth", "--noise-sigma"), ("synth", "--salient-fraction"),
+        ("prototypes", "--epsilon"), ("sample", "--ratio"), ("eval", "--ratio")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rejected(self, checkpoint, tmp_path, capsys, command, flag, value):
+        path, manifest = checkpoint
+        out = tmp_path / "out"
+        argv = {"synth": ["--out-dir", str(out)],
+                "prototypes": ["--manifest", str(manifest), "--out", str(out)],
+                "sample": ["--checkpoint", str(path), "--manifest", str(manifest),
+                           "--k", "2", "--out", str(out)],
+                "eval": ["--checkpoint", str(path), "--manifest", str(manifest),
+                         "--k-list", "2", "--out", str(out)]}[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command] + argv + [flag, value])
+        assert excinfo.value.code != 0
+        assert f"argument {flag}: " in capsys.readouterr().err
         assert not out.exists()
 
 

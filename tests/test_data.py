@@ -2,6 +2,7 @@
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ class TestFeatureFileLayout:
     def test_single_value_layout(self, tmp_path):
         path = str(tmp_path / "one.nsf")
         write_feature_file(path, np.array([[42.0]]))
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         assert len(blob) == 16
         assert blob[:4] == b"NSF1"
         assert struct.unpack("<II", blob[4:12]) == (1, 1)
@@ -44,12 +45,12 @@ class TestFeatureFileLayout:
         assert back.dtype == np.float64
         np.testing.assert_array_equal(back, matrix.astype(np.float32).astype(np.float64))
         write_feature_file(str(tmp_path / "m2.nsf"), back)
-        assert open(path, "rb").read() == open(str(tmp_path / "m2.nsf"), "rb").read()
+        assert Path(path).read_bytes() == (tmp_path / "m2.nsf").read_bytes()
 
     def test_file_size_formula(self, tmp_path):
         path = str(tmp_path / "f.nsf")
         write_feature_file(path, np.zeros((3, 4)))
-        assert len(open(path, "rb").read()) == 4 + 4 + 4 + 48
+        assert len(Path(path).read_bytes()) == 4 + 4 + 4 + 48
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.nsf"
@@ -60,8 +61,7 @@ class TestFeatureFileLayout:
     def test_truncation_cites_byte_counts(self, tmp_path):
         path = str(tmp_path / "t.nsf")
         write_feature_file(path, np.zeros((3, 4)))
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-4])
+        Path(path).write_bytes(Path(path).read_bytes()[:-4])
         with pytest.raises(FeatureFormatError, match="expected 60 bytes, got 56"):
             read_feature_file(str(path))
 
@@ -209,8 +209,7 @@ class TestManifest:
         path = str(tmp_path / "m.nsm")
         write_manifest(path, 2, entries)
         # break the referenced file path
-        text = open(path).read().replace("x.nsf", "gone.nsf")
-        open(path, "w").write(text)
+        Path(path).write_text(Path(path).read_text().replace("x.nsf", "gone.nsf"))
         with pytest.raises(FeatureFormatError, match="missing"):
             load_manifest(path)
 

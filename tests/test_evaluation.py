@@ -122,6 +122,32 @@ class TestMeanAveragePrecision:
                                                     (labels == cls).tolist())
                 assert abs(result.per_class[cls] - expected) <= 1e-12
 
+    @staticmethod
+    def per_class_loop(scores, labels):
+        """The per-class reference: one stable argsort and one mean per class."""
+        per_class = np.full(scores.shape[1], np.nan)
+        for cls in range(scores.shape[1]):
+            positives = labels == cls
+            if positives.any():
+                hits = positives[np.argsort(-scores[:, cls], kind="stable")]
+                ranks = np.flatnonzero(hits) + 1
+                per_class[cls] = float((np.cumsum(hits)[ranks - 1] / ranks).mean())
+        return per_class
+
+    def test_equals_per_class_loop(self):
+        rng = np.random.default_rng(3)
+        for draw in range(600):
+            v, c = int(rng.integers(1, 200)), int(rng.integers(1, 12))
+            # every other draw leaves the upper classes without a positive
+            labels = rng.integers(0, c if draw % 2 else max(1, c // 2), size=v)
+            scores = rng.integers(0, 3, size=(v, c)).astype(float) if draw % 3 \
+                else rng.random((v, c))   # integer scores: ties in every class
+            per_class = self.per_class_loop(scores, labels)
+            result = mean_average_precision(scores, labels)
+            assert np.array_equal(result.per_class, per_class, equal_nan=True)
+            assert result.mean == float(per_class[~np.isnan(per_class)].mean())
+            assert result.skipped_classes == np.flatnonzero(np.isnan(per_class)).tolist()
+
     def test_rank_invariance(self):
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 3, size=12)
@@ -186,7 +212,7 @@ class TestSalientRecall:
         """``ScoredVideos.score``'s recall over videos carrying ``masks``."""
         videos = ScoredVideos.from_records([
             VideoRecord(f"v{i}", 0, np.zeros((t, 2)), np.zeros((t, 2)), np.zeros((t, 3)), mask)
-            for i, mask in enumerate(masks)])
+            for i, mask in enumerate(masks)], t)
         return videos.score(np.array(selected))[1]
 
     def test_perfect_ranking_recall(self):
@@ -289,7 +315,7 @@ def test_run_comparison_equals_per_video_loop(t, mode):
     records, model = mixed_records(t), model_for(t)
     k_list = [1, 3, t]
     observed = [presample(r, PresampleConfig(frames=t)) for r in records]
-    videos = ScoredVideos.from_records(observed)
+    videos = ScoredVideos.from_records(observed, t)
     labels = np.array([r.label for r in observed])
     expected = []
     for k in k_list:

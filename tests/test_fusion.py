@@ -1,8 +1,9 @@
 """Fusion strategies vs. independent brute-force references.
 
 The oracles below re-derive each combination rule with plain-python list
-scans (no argsort, no sets-of-numpy); the library implementations must
-match them exactly, index sets and ordering both.
+scans (no argsort, no sets-of-numpy); ``select_frames`` must match them
+exactly, index sets and ordering both, on one (T,) pair and on every row
+of a (V, T) matrix.
 """
 
 import itertools
@@ -11,18 +12,26 @@ import numpy as np
 import pytest
 
 from nsnet.data import VideoRecord, generate_synthetic_dataset, load_manifest
-from nsnet.fusion import (
-    FUSION_MODES,
-    FusionConfig,
-    fuse_index_intersect,
-    fuse_index_join,
-    fuse_index_union,
-    fuse_scores,
-    recognize_video,
-    saliency_profile,
-    select_frames,
-    select_topk,
-)
+from nsnet.fusion import FUSION_MODES, FusionConfig, fuse_scores, recognize_video, \
+    select_frames
+
+
+def select_topk(scores, k):
+    """Top-K of one track: score_max of the track with itself."""
+    return select_frames(scores, scores, FusionConfig("score_max", k=k))
+
+
+def fuse_index_intersect(s_f, s_v, k):
+    return select_frames(s_f, s_v, FusionConfig("index_intersect", k=k))
+
+
+def fuse_index_union(s_f, s_v, k, ratio=0.6):
+    return select_frames(s_f, s_v, FusionConfig("index_union", ratio, k))
+
+
+def fuse_index_join(s_f, s_v, k):
+    return select_frames(s_f, s_v, FusionConfig("index_join", k=k))
+
 
 # ---------------------------------------------------------------------------
 # Brute-force references
@@ -287,15 +296,47 @@ class TestOracleEquivalence:
                 == select_topk(s_v, k)
 
 
-class TestProfileAndRecognition:
-    def test_profile_carries_fused_scores_only_for_score_modes(self):
-        s_f, s_v = np.array([0.7, 0.3]), np.array([0.2, 0.8])
-        profile = saliency_profile(s_f, s_v, FusionConfig("score_add", 0.6, 1))
-        assert profile.fused_scores is not None
-        profile = saliency_profile(s_f, s_v, FusionConfig("index_join", k=1))
-        assert profile.fused_scores is None
-        assert len(profile.selected) == 1
+class TestMatrixSelection:
+    """(V, T) score tracks give a (V, K) array whose every row is the
+    oracle's selection for that row's pair."""
 
+    RATIOS = (0.0, 0.3, 0.5, 0.6, 1.0)
+
+    @pytest.mark.parametrize("kind", ["integer", "continuous"])
+    def test_rows_match_oracle(self, kind):
+        rng = np.random.default_rng(11 if kind == "integer" else 12)
+        for t in range(1, 20):
+            if kind == "integer":   # ties within and across the two tracks
+                s_f, s_v = rng.integers(0, 4, size=(2, 6, t)).astype(float)
+            else:
+                s_f, s_v = rng.random((2, 6, t))
+            for mode in FUSION_MODES:
+                ratios = self.RATIOS if mode in ("score_add", "index_union") else (0.6,)
+                for ratio in ratios:
+                    for k in range(1, t + 1):
+                        got = select_frames(s_f, s_v, FusionConfig(mode, ratio, k))
+                        assert isinstance(got, np.ndarray) and got.shape == (6, k)
+                        for f, v, row in zip(s_f.tolist(), s_v.tolist(), got.tolist()):
+                            assert row == oracle_select(f, v, mode, k, ratio), \
+                                (mode, ratio, k, f, v, row)
+
+    def test_one_row_is_a_list_of_ints(self):
+        s_f, s_v = np.array([0.3, 0.1, 0.2]), np.array([0.0, 0.9, 0.1])
+        for mode in FUSION_MODES:
+            chosen = select_frames(s_f, s_v, FusionConfig(mode, k=2))
+            assert type(chosen) is list and all(type(i) is int for i in chosen)
+            assert chosen == select_frames(s_f[None], s_v[None],
+                                           FusionConfig(mode, k=2))[0].tolist()
+
+    @pytest.mark.parametrize("s_f, s_v", [(np.zeros((2, 3)), np.zeros((3, 2))),
+                                          (np.zeros(3), np.zeros((1, 3))),
+                                          (np.zeros((1, 2, 3)), np.zeros((1, 2, 3)))])
+    def test_shapes_must_agree(self, s_f, s_v):
+        with pytest.raises(ValueError, match="score tracks"):
+            select_frames(s_f, s_v, FusionConfig(k=1))
+
+
+class TestProfileAndRecognition:
     def _record(self, logits):
         n = logits.shape[0]
         return VideoRecord("r", 0, np.zeros((n, 2)), np.zeros((n, 2)), logits)

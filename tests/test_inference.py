@@ -20,12 +20,15 @@ import math
 import numpy as np
 import pytest
 
+from test_fusion import oracle_select
+
 from nsnet.cli import main
-from nsnet.data import VideoRecord, generate_synthetic_dataset, load_manifest
+from nsnet.data import PresampleConfig, VideoRecord, generate_synthetic_dataset, \
+    load_manifest, presample
 from nsnet.evaluation import run_comparison
-from nsnet.fusion import FusionConfig
+from nsnet.fusion import FUSION_MODES, SCORE_MODES, FusionConfig
 from nsnet.model import SALIENCY_BLOCK, ModelConfig, SamplerModel, fsm_saliency, \
-    save_checkpoint, vgm_saliency
+    load_checkpoint, save_checkpoint, vgm_saliency
 from nsnet.training import evaluate_epoch
 
 T, D, C = 16, 8, 3
@@ -111,3 +114,32 @@ def test_sample_command_forwards_once_per_block(tmp_path, capsys, count_forwards
                  "--k", "2", "--out", str(out)]) == 0, capsys.readouterr().err
     assert len(out.read_text().splitlines()) == 1 + videos * T
     assert 0 < len(count_forwards) <= math.ceil(videos / SALIENCY_BLOCK)
+
+
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_sample_csv_equals_per_video_reference(tmp_path, capsys, mode):
+    """Each video's rows written one video at a time: its own forward, the
+    oracle's selection and the fused value of each frame (empty for the
+    index modes). Videos of 21 frames are pre-sampled to T."""
+    manifest, _ = generate_synthetic_dataset(
+        str(tmp_path), num_classes=C, videos_per_class=4, num_frames=21,
+        light_dim=D, guiding_dim=D, salient_fraction=0.5, noise_sigma=0.2, seed=4)
+    checkpoint = str(tmp_path / "model.nsc1")
+    save_checkpoint(make_model(2), checkpoint)
+    out = tmp_path / "saliency.csv"
+    assert main(["sample", "--checkpoint", checkpoint, "--manifest", manifest,
+                 "--fusion", mode, "--ratio", "0.3", "--k", "5",
+                 "--out", str(out)]) == 0, capsys.readouterr().err
+    model = load_checkpoint(checkpoint)
+    fuse = {"score_add": lambda a, b: 0.3 * a + (1 - 0.3) * b,
+            "score_mul": lambda a, b: a * b, "score_max": max}.get(mode)
+    lines = ["video_id,frame,s_f,s_v,fused,selected"]
+    for record in load_manifest(manifest).load_all():
+        observed = presample(record, PresampleConfig(frames=T))
+        s_f, s_v = (track[0].tolist()
+                    for track in per_video_saliency(model, [observed.light_features]))
+        chosen = oracle_select(s_f, s_v, mode, 5, 0.3)
+        for i, (f, v) in enumerate(zip(s_f, s_v)):
+            fused = repr(fuse(f, v)) if mode in SCORE_MODES else ""
+            lines.append(f"{record.video_id},{i},{f!r},{v!r},{fused},{int(i in chosen)}")
+    assert out.read_text() == "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Tests for the sampler network, its losses and the checkpoint format."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,7 +324,7 @@ class TestCheckpoint:
         a, b = str(tmp_path / "a.nsc1"), str(tmp_path / "b.nsc1")
         save_checkpoint(model, a)
         save_checkpoint(model, b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -0.1])
     def test_config_that_cannot_round_trip_is_rejected(self, gamma):

@@ -1,6 +1,7 @@
 """Tests for prototypes, guiding scores and pseudo labels."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,5 +201,5 @@ class TestPersistence:
         assert loaded.epsilon_percent == 25.0
         np.testing.assert_array_equal(
             loaded.prototypes, bank.prototypes.astype(np.float32).astype(np.float64))
-        meta = open(path + ".meta").read()
+        meta = Path(path + ".meta").read_text()
         assert "manifest_sha256=" in meta

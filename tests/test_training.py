@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nsnet.data import PresampleConfig, VideoRecord, generate_synthetic_dataset, \
-    load_manifest, presample_indices, gather_record
+    load_manifest, presample, presample_indices
 from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig, SamplerModel
 from nsnet.supervision import build_prototypes, guiding_saliency_scores, \
@@ -137,12 +137,11 @@ class TestPseudoLabelCache:
     def test_gathered_cache_equals_fresh_computation(self, tmp_path):
         train_records, _ = tiny_dataset(tmp_path, frames=9)
         bank = build_prototypes(train_records, 3)
-        rng = np.random.default_rng(5)
         cfg = PresampleConfig(frames=4, shift_augment=True)
-        for record in train_records[:6]:
+        for seed, record in enumerate(train_records[:6]):
             g_full = guiding_saliency_scores(record, bank)
-            indices = presample_indices(record.num_frames, cfg, rng)
-            observed = gather_record(record, indices)
+            indices = presample_indices(record.num_frames, cfg, np.random.default_rng(seed))
+            observed = presample(record, cfg, np.random.default_rng(seed))
             cached = ns_pseudo_label_matrix(g_full[indices], record.label, 3)
             fresh = ns_pseudo_label_matrix(
                 guiding_saliency_scores(observed, bank), record.label, 3)
