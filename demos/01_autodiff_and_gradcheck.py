@@ -21,9 +21,9 @@ print("\n== stable softmax ==")
 print(f"softmax([1000, 1000, 999]) = {ad.softmax_values([1000.0, 1000.0, 999.0])}")
 
 print("\n== soft cross entropy ==")
-logits = ad.constant([1.0, 1.0, 1.0])
-target = np.array([0.5, 0.0, 0.5])
-print(f"uniform logits vs [0.5, 0, 0.5] -> {float(ad.soft_cross_entropy(logits, target).value):.6f}"
+logits = ad.constant([[1.0, 1.0, 1.0]])
+target = np.array([[0.5, 0.0, 0.5]])
+print(f"uniform logits vs [0.5, 0, 0.5] -> {float(ad.soft_cross_entropy_rows(logits, target).value):.6f}"
       f"  (log 3 = {np.log(3):.6f})")
 
 print("\n== full-model gradient check ==")

@@ -379,17 +379,6 @@ def _check_distribution(target: np.ndarray, what: str) -> np.ndarray:
     return target
 
 
-def soft_cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
-    """-sum(target * log softmax(logits)) for one distribution over N classes."""
-    target = _check_distribution(target, "soft_cross_entropy target")
-    if logits.value.ndim == 2 and logits.shape[0] == 1:
-        target = target.reshape(logits.shape)
-    if target.shape != logits.shape:
-        raise ValueError(
-            f"soft_cross_entropy: target shape {target.shape} vs logits {logits.shape}")
-    return mul_const(sum_all(mul_const(log_softmax(logits, axis=-1), target)), -1.0)
-
-
 def soft_cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Sum of per-row soft cross entropies for (T,N) logits and (T,N) targets."""
     targets = _check_distribution(targets, "soft_cross_entropy_rows targets")

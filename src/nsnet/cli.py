@@ -150,8 +150,7 @@ def cmd_train(args) -> int:
         if run[key] is not None and not os.path.exists(run[key]):
             raise FileNotFoundError(f"{key} does not exist: {run[key]}")
     manifest = load_manifest(run["train_manifest"])
-    train_records = manifest.load_all()
-    val_records = load_manifest(run["val_manifest"]).load_all() if run["val_manifest"] else None
+    val_manifest = load_manifest(run["val_manifest"]) if run["val_manifest"] else None
     train_cfg = TrainConfig(
         presample=PresampleConfig(frames=run["frames"], shift_augment=run["shift_augment"]),
         **owned(TrainConfig))
@@ -160,8 +159,17 @@ def cmd_train(args) -> int:
         if run["prototypes"] is None:
             raise ValueError("ns_labels=true requires a prototypes path")
         bank = load_prototypes(run["prototypes"])
+    # the other files must fit the train manifest before any epoch runs
+    for key, dims in (("val_manifest", val_manifest and val_manifest.dims),
+                      ("prototypes", bank and dict(zip(("C", "D_g"), bank.prototypes.shape)))):
+        for dim, have in (dims or {}).items():
+            if have != manifest.dims[dim]:
+                raise ValueError(f"train_manifest {run['train_manifest']} has {dim}="
+                                 f"{manifest.dims[dim]} but {key} {run[key]} has {dim}={have}")
+    train_records = manifest.load_all()
+    val_records = val_manifest.load_all() if val_manifest else None
     model_cfg = ModelConfig(
-        input_dim=train_records[0].light_features.shape[1],
+        input_dim=manifest.dims["D_l"],
         num_classes=manifest.num_classes,
         max_frames=run["frames"] if run["max_frames"] is None else run["max_frames"],
         **owned(ModelConfig))
@@ -225,7 +233,8 @@ def cmd_eval(args) -> int:
         k_list = [at_least("K", integer(k), 1) for k in args.k_list.split(",")]
     except ValueError as exc:
         raise ValueError(f"--k-list: {exc}") from None
-    at_least("--seed", args.seed, 0)
+    if at_least("--seed", args.seed, 0) >= 2 ** 64:
+        raise ValueError(f"--seed must be < 2**64, got {args.seed}")
     model, manifest, frames = load_fitting(args)
     records = manifest.load_all()
     costs = load_cost_table(args.cost_table) if args.cost_table else dict(DEFAULT_COST_TABLE)

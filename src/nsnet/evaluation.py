@@ -168,12 +168,27 @@ class ScoredVideos:
 # Hand-crafted baseline samplers
 # ---------------------------------------------------------------------------
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)   # SplitMix64's increment
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser, elementwise over a uint64 array (wraps)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
 
 def baseline_selection(videos: ScoredVideos, method: str, k: int,
                        seed: int = 0) -> np.ndarray:
     """uniform: segment centers; random: seeded K-subset (sorted); dense:
     every frame; topk_confidence: K highest max-softmax recognizer rows.
-    uniform and dense return one row shared by every video."""
+    uniform and dense return one row shared by every video.
+
+    random keys frame f by h = mix(seed + G), then h = mix((h ^ w) + G)
+    for w = crc32(video id), k, f (wrapping uint64; mix: SplitMix64's
+    finaliser; G: _GAMMA) and keeps the K smallest keys, ascending. A row's
+    keys are distinct (bijective in f) and come from its own video only.
+    """
     t = videos.planted.shape[1]
     if method == "dense":
         return np.arange(t)[None]
@@ -182,10 +197,13 @@ def baseline_selection(videos: ScoredVideos, method: str, k: int,
     if method == "uniform":
         return np.array([[math.floor((i + 0.5) * t / k) for i in range(k)]])
     if method == "random":
-        return np.array([
-            np.sort(np.random.default_rng([seed, zlib.crc32(video_id.encode()), k])
-                    .choice(t, size=k, replace=False))
-            for video_id in videos.video_ids])
+        if not 0 <= seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        ids = np.array([zlib.crc32(v.encode()) for v in videos.video_ids], dtype=np.uint64)
+        key = _mix(np.array([seed], dtype=np.uint64) + _GAMMA)
+        for word in (ids[:, None], np.array([k], dtype=np.uint64), np.arange(t, dtype=np.uint64)):
+            key = _mix((key ^ word) + _GAMMA)
+        return np.sort(np.argsort(key, axis=1, kind="stable")[:, :k], axis=1)
     if method == "topk_confidence":
         return videos.ranking[:, :k]
     raise ValueError(f"unknown baseline {method!r}; "

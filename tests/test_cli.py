@@ -366,9 +366,11 @@ class TestArgumentErrors:
         ("flops", ["--k", "-1"], "--k must be >= 0, got -1"),
         ("eval", ["--seed", "-1"], "--seed must be >= 0, got -1"),
         ("synth", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+        ("eval", ["--seed", str(2 ** 64)], f"--seed must be < 2**64, got {2 ** 64}"),
     ], ids=["eval-frames", "eval-k-list-word", "eval-k-list-empty", "eval-k-list-zero",
             "sample-frames", "sample-k", "train-k", "train-max-frames", "train-frames",
-            "train-config-k", "flops-frames", "flops-k", "eval-seed", "synth-seed"])
+            "train-config-k", "flops-frames", "flops-k", "eval-seed", "synth-seed",
+            "eval-seed-above-uint64"])
     def test_one_error_line(self, checkpoint, tmp_path, capsys, command, extra, flag):
         path, manifest = checkpoint
         config = tmp_path / "run.cfg"
@@ -414,6 +416,59 @@ class TestCheckpointFit:
         error = assert_one_error_line(*run(argv, capsys)[::2])
         assert error == f"error: checkpoint {path} " + message.format(manifest=manifest)
         assert not out.exists()
+
+
+class TestTrainFit:
+    """`train` rejects a val manifest or prototype bank whose class count or
+    feature widths are not the train manifest's, naming both files, before
+    any epoch runs or out_dir is made."""
+
+    @staticmethod
+    def synth(root, capsys, *flags):
+        """A 2-class toy dataset, 3-wide features unless ``flags`` say
+        otherwise, and the prototypes of its train split."""
+        assert run(["synth", "--out-dir", str(root), "--classes", "2",
+                    "--videos-per-class", "1", "--val-videos-per-class", "1",
+                    "--frames", "2", "--light-dim", "3", "--guiding-dim", "3",
+                    "--seed", "5", *flags], capsys)[0] == 0
+        protos = root / "protos.nsf"
+        assert run(["prototypes", "--manifest", str(root / "train.nsm"),
+                    "--out", str(protos)], capsys)[0] == 0
+        return root / "train.nsm", root / "val.nsm", protos
+
+    @pytest.mark.parametrize("flags, key, message", [
+        (["--classes", "3"], "prototypes", "C=2 but prototypes {other} has C=3"),
+        (["--classes", "3"], "val_manifest", "C=2 but val_manifest {other} has C=3"),
+        (["--light-dim", "4"], "val_manifest", "D_l=3 but val_manifest {other} has D_l=4"),
+        (["--guiding-dim", "4"], "val_manifest", "D_g=3 but val_manifest {other} has D_g=4"),
+        (["--guiding-dim", "4"], "prototypes", "D_g=3 but prototypes {other} has D_g=4"),
+    ], ids=["prototype-classes", "val-classes", "val-light-width", "val-guiding-width",
+            "prototype-guiding-width"])
+    def test_one_error_line(self, tmp_path, capsys, flags, key, message):
+        train_manifest, val_manifest, protos = self.synth(tmp_path / "data", capsys)
+        _, other_val, other_protos = self.synth(tmp_path / "other", capsys, *flags)
+        files = {"val_manifest": val_manifest, "prototypes": protos}
+        files[key] = other = {"val_manifest": other_val, "prototypes": other_protos}[key]
+        out = tmp_path / "run"
+        error = assert_one_error_line(*run(self.train_args(
+            train_manifest, files["val_manifest"], files["prototypes"], out), capsys)[::2])
+        assert error == (f"error: train_manifest {train_manifest} has "
+                         + message.format(other=other))
+        assert not out.exists()
+
+    @staticmethod
+    def train_args(train_manifest, val_manifest, protos, out):
+        return ["train", "--train-manifest", str(train_manifest), "--out-dir", str(out),
+                "--val-manifest", str(val_manifest), "--prototypes", str(protos),
+                "--frames", "2", "--heads", "1", "--encoder-layers", "1",
+                "--epochs", "1", "--lr-decay-epochs", ""]
+
+    def test_matching_files_train(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, _, err = run(self.train_args(*self.synth(tmp_path / "data", capsys), out),
+                           capsys)
+        assert code == 0, err
+        assert (out / "last.nsc1").exists()
 
 
 class TestFloatFlags:

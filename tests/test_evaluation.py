@@ -16,6 +16,7 @@ from nsnet.evaluation import (
     FlopsBudget,
     ScoredVideos,
     baseline_sample,
+    baseline_selection,
     budget_from_cost_table,
     flops_total,
     load_cost_table,
@@ -247,6 +248,27 @@ RATIO = 0.6
 V, D, C = 14, 8, 3
 
 
+MASK64 = 2 ** 64 - 1
+
+
+def splitmix64_finaliser(z):
+    """SplitMix64's finaliser on a Python int, masked to 64 bits."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_random(video_id, t, k, seed):
+    """The random baseline's contract, one video at a time in Python ints:
+    the K frames of smallest key, ascending."""
+    gamma = 0x9E3779B97F4A7C15
+    head = splitmix64_finaliser((seed + gamma) & MASK64)
+    for word in (zlib.crc32(video_id.encode()), k):
+        head = splitmix64_finaliser(((head ^ word) + gamma) & MASK64)
+    keys = [splitmix64_finaliser(((head ^ f) + gamma) & MASK64) for f in range(t)]
+    return sorted(sorted(range(t), key=keys.__getitem__)[:k])
+
+
 def reference_baseline(record, method, k, seed):
     t = record.num_frames
     if method == "dense":
@@ -254,8 +276,7 @@ def reference_baseline(record, method, k, seed):
     if method == "uniform":
         return [int(math.floor((i + 0.5) * t / k)) for i in range(k)]
     if method == "random":
-        rng = np.random.default_rng([seed, zlib.crc32(record.video_id.encode()), k])
-        return sorted(int(i) for i in rng.choice(t, size=k, replace=False))
+        return reference_random(record.video_id, t, k, seed)
     confidence = softmax_values(record.recognizer_logits, axis=1).max(axis=1)
     return np.argsort(-confidence, kind="stable")[:k].tolist()
 
@@ -341,6 +362,68 @@ def test_evaluate_epoch_equals_per_video_loop(t, mode):
         scores, recall = reference_scores(observed, selections)
         assert evaluate_epoch(model, records, k, FusionConfig(mode, RATIO, k), frames=t) \
             == (top1_accuracy(scores, labels), recall)
+
+
+# ---------------------------------------------------------------------------
+# The random baseline's hash contract
+# ---------------------------------------------------------------------------
+
+
+def ids_only(video_ids, t):
+    """The ScoredVideos fields ``baseline_selection("random")`` reads."""
+    return ScoredVideos(light=None, probs=None, planted=np.zeros((len(video_ids), t), bool),
+                        ranking=None, labels=None, video_ids=list(video_ids))
+
+
+class TestRandomContract:
+    def test_equals_python_oracle(self):
+        video_ids = ["", "v", "val_c000_v0000", "train_c009_v0039", "ünïcode", "x" * 40,
+                     *(f"id{i}" for i in range(10))]
+        for t in range(1, 20):
+            for seed in (0, 1, 7, 2 ** 32, 2 ** 63, 2 ** 64 - 1):
+                videos = ids_only(video_ids, t)
+                for k in range(1, t + 1):
+                    assert baseline_selection(videos, "random", k, seed).tolist() == \
+                        [reference_random(v, t, k, seed) for v in video_ids], (t, seed, k)
+
+    def test_golden_rows(self):
+        # literals: numpy 1.24 and numpy 2 must give these same rows
+        videos = ids_only(["val_c000_v0000", "val_c001_v0003", "train_c009_v0039"], 16)
+        assert baseline_selection(videos, "random", 4, 0).tolist() == \
+            [[6, 9, 11, 12], [2, 3, 5, 8], [5, 6, 9, 14]]
+        assert baseline_selection(videos, "random", 8, 2 ** 64 - 1).tolist() == \
+            [[0, 1, 4, 7, 8, 11, 14, 15], [0, 2, 4, 5, 8, 10, 14, 15],
+             [2, 3, 4, 6, 8, 11, 13, 14]]
+
+    def test_rows_follow_their_videos(self):
+        video_ids = [f"val_c{i % 10:03d}_v{i:04d}" for i in range(50)]
+        order = np.random.default_rng(0).permutation(50)
+        for k in (1, 5, 16):
+            rows = baseline_selection(ids_only(video_ids, 16), "random", k, 3)
+            shuffled = baseline_selection(ids_only([video_ids[i] for i in order], 16),
+                                          "random", k, 3)
+            assert np.array_equal(shuffled, rows[order])
+
+    @pytest.mark.parametrize("t, k", [(16, 8), (16, 2), (7, 3)])
+    def test_every_frame_equally_likely(self, t, k):
+        n = 20_000
+        rows = baseline_selection(ids_only([f"id{i}" for i in range(n)], t), "random", k, 0)
+        freq = np.bincount(rows.ravel(), minlength=t) / n
+        p = k / t
+        assert np.all(np.abs(freq - p) < 5 * math.sqrt(p * (1 - p) / n)), freq
+
+    def test_k_and_seed_both_change_the_rows(self):
+        videos = ids_only([f"id{i}" for i in range(200)], 16)
+        base = baseline_selection(videos, "random", 8, 0)
+        assert not np.array_equal(base, baseline_selection(videos, "random", 8, 1))
+        # were the key blind to k, each row at k - 1 would be a subset of its row at k
+        assert not all(set(a) <= set(b) for a, b in zip(
+            baseline_selection(videos, "random", 7, 0).tolist(), base.tolist()))
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_rejects_seed_outside_uint64(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            baseline_selection(ids_only(["v"], 4), "random", 2, seed)
 
 
 def test_baseline_sample_is_the_one_video_row():

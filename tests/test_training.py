@@ -123,6 +123,8 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="prototype bank"):
             train(train_records, 3, None, tiny_model_cfg(), tiny_train_cfg())
 
+    # the injected inf makes numpy warn on its way to the loss
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_nonfinite_loss_aborts_with_batch_ids(self, tmp_path):
         train_records, _ = tiny_dataset(tmp_path)
         bank = build_prototypes(train_records, 3)
