@@ -11,7 +11,8 @@ inference pass frees each intermediate as soon as the next op has used it.
 
 Everything runs in float64. A batch of B videos of T frames travels as
 (B*T, D) rows, so one node covers the whole batch; the per-video steps are
-fused ops with hand-written backwards.
+fused ops with hand-written backwards. ``linear`` is x @ w + b as one
+node; the attention softmax runs in place, bit-exact with ``softmax_values``.
 """
 
 from __future__ import annotations
@@ -46,9 +47,11 @@ class Tensor:
         return self.value.shape
 
     def _accumulate(self, delta: np.ndarray) -> None:
+        # copied, not adopted: ``add`` hands one array to both parents
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += delta
+            self.grad = np.array(delta, dtype=np.float64)
+        else:
+            self.grad += delta
 
     # Operator sugar. Tensor-Tensor forms track gradients on both sides;
     # plain numbers/arrays are treated as constants.
@@ -60,14 +63,6 @@ class Tensor:
     def __radd__(self, other):
         return add_const(self, other)
 
-    def __neg__(self):
-        return mul_const(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, mul_const(other, -1.0))
-        return add_const(self, -np.asarray(other, dtype=np.float64))
-
     def __rsub__(self, other):
         return add_const(mul_const(self, -1.0), other)
 
@@ -78,9 +73,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul_const(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
@@ -130,32 +122,24 @@ def _node(value, parents: tuple[Tensor, ...],
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b for equal shapes, or matrix (M,N) + row bias (N,)."""
-    if a.shape == b.shape:
-        def backprop(g):
-            a._accumulate(g)
-            b._accumulate(g)
-
-    elif a.value.ndim == 2 and b.value.ndim == 1 and a.shape[1] == b.shape[0]:
-        def backprop(g):
-            a._accumulate(g)
-            b._accumulate(g.sum(axis=0))
-
-    else:
+    """a + b for equal shapes."""
+    if a.shape != b.shape:
         raise ValueError(f"add: incompatible shapes {a.shape} and {b.shape}")
+
+    def backprop(g):
+        a._accumulate(g)
+        b._accumulate(g)
+
     return _node(a.value + b.value, (a, b), backprop)
 
 
 def add_const(a: Tensor, c) -> Tensor:
     c = np.asarray(c, dtype=np.float64)
+    if not (c.shape == () or c.shape == a.shape):
+        raise ValueError(f"add_const: constant shape {c.shape} vs tensor {a.shape}")
 
     def backprop(g):
-        if c.shape == () or c.shape == a.shape:
-            a._accumulate(g)
-        else:
-            # constant broadcast against a: gradient of a is g summed back
-            a._accumulate(np.broadcast_to(g, np.broadcast(a.value, c).shape).sum(
-                axis=tuple(range(g.ndim - a.value.ndim))).reshape(a.shape))
+        a._accumulate(g)
 
     return _node(a.value + c, (a,), backprop)
 
@@ -182,16 +166,20 @@ def mul_const(a: Tensor, c) -> Tensor:
     return _node(a.value * c, (a,), backprop)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product with the standard transpose backward rules."""
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node: (M, K) rows, a (K, N) weight, an (N,) bias."""
+    if x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[0] \
+            or b.shape != w.shape[1:]:
+        raise ValueError(f"linear: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
 
     def backprop(g):
-        a._accumulate(g @ b.value.T)
-        b._accumulate(a.value.T @ g)
+        x._accumulate(g @ w.value.T)
+        w._accumulate(x.value.T @ g)
+        b._accumulate(g.sum(axis=0))
 
-    return _node(a.value @ b.value, (a, b), backprop)
+    out = x.value @ w.value
+    out += b.value
+    return _node(out, (x, w, b), backprop)
 
 
 def add_position(x: Tensor, table: Tensor, frames: int) -> Tensor:
@@ -337,6 +325,15 @@ def attention_pool(x: Tensor, weights: Tensor, batch: int) -> Tensor:
     return _node((ws @ xs).reshape(batch, -1), (x, weights), backprop)
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True), exactly: np.maximum of the two halves
+    (overlapping by one for odd lengths) until one column is left, which
+    beats the reduction over the short rows of a large batch."""
+    while (n := x.shape[-1]) > 1:
+        x = np.maximum(x[..., :(n + 1) // 2], x[..., n // 2:])
+    return x
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, batch: int,
                          heads: int) -> Tensor:
     """Scaled dot-product self-attention over (B, heads, T, T) for (B*T, D)
@@ -356,12 +353,20 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, batch: int,
         return m.transpose(0, 2, 1, 3).reshape(rows, d)
 
     qh, kh, vh = split(q.value), split(k.value), split(v.value)
-    probs = softmax_values((qh @ kh.transpose(0, 1, 3, 2)) * scale, axis=-1)
+    # softmax_values, step for step, in place on the fresh scores array
+    probs = qh @ kh.transpose(0, 1, 3, 2)
+    probs *= scale
+    probs -= _row_max(probs)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
 
     def backprop(g):
         gh = split(g)
-        gp = gh @ vh.transpose(0, 1, 3, 2)
-        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
+        # gs = probs * (gp - (gp * probs).sum(-1)) * scale, in place on gp
+        gs = gh @ vh.transpose(0, 1, 3, 2)
+        gs -= (gs * probs).sum(axis=-1, keepdims=True)
+        gs *= probs
+        gs *= scale
         q._accumulate(merge(gs @ kh))
         k._accumulate(merge(gs.transpose(0, 1, 3, 2) @ qh))
         v._accumulate(merge(probs.transpose(0, 1, 3, 2) @ gh))
@@ -444,18 +449,20 @@ class SgdState:
 def sgd_step(params: Iterable[Parameter], state: SgdState) -> None:
     """buffer <- momentum * buffer + grad; value <- value - lr * buffer.
 
-    Gradients are zeroed after the update.
+    Gradients are cleared (set to None) after the update, so each step
+    needs a fresh ``backward``.
     """
     for p in params:
         if p.grad is None:
             raise ValueError(f"parameter {p.name!r} has no gradient; run backward first")
         buf = state.buffers.get(p.name)
-        if buf is None:
-            buf = state.buffers.setdefault(p.name, np.zeros_like(p.value))
-        buf *= state.momentum
-        buf += p.grad
+        if buf is None:   # a zero buffer's first update: 0 * momentum + grad
+            buf = state.buffers[p.name] = p.grad + 0.0
+        else:
+            buf *= state.momentum
+            buf += p.grad
         p.value -= state.learning_rate * buf
-        p.grad = np.zeros_like(p.value)
+        p.grad = None
 
 
 # ---------------------------------------------------------------------------

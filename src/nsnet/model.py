@@ -215,21 +215,21 @@ class SamplerModel:
         x = ad.dropout(x, self.config.dropout_pos_enc, noise)
         for layer in self.layers:
             h = ad.layer_norm(x, layer["ln1_gain"], layer["ln1_bias"])
-            context = ad.multi_head_attention(h @ layer["wq"] + layer["bq"],
-                                              h @ layer["wk"] + layer["bk"],
-                                              h @ layer["wv"] + layer["bv"],
+            context = ad.multi_head_attention(ad.linear(h, layer["wq"], layer["bq"]),
+                                              ad.linear(h, layer["wk"], layer["bk"]),
+                                              ad.linear(h, layer["wv"], layer["bv"]),
                                               b, self.config.heads)
-            x = x + (context @ layer["wo"] + layer["bo"])
+            x = x + ad.linear(context, layer["wo"], layer["bo"])
             h2 = ad.layer_norm(x, layer["ln2_gain"], layer["ln2_bias"])
-            ffn = ad.relu(h2 @ layer["w1"] + layer["b1"]) @ layer["w2"] + layer["b2"]
-            x = x + ffn
+            hidden = ad.relu(ad.linear(h2, layer["w1"], layer["b1"]))
+            x = x + ad.linear(hidden, layer["w2"], layer["b2"])
         return x
 
     # -- frame scrutinize ------------------------------------------------
 
     def fsm_forward(self, encoded: Tensor, noise: np.ndarray | None = None) -> Tensor:
         h = ad.dropout(encoded, self.config.dropout_cls, noise)
-        return h @ self.fsm_w + self.fsm_b
+        return ad.linear(h, self.fsm_w, self.fsm_b)
 
     # -- video glimpse -----------------------------------------------------
 
@@ -238,7 +238,7 @@ class SamplerModel:
         """(B*T, 1) attention: sigmoid activations L1-normalized over each
         video's frames."""
         h = ad.dropout(encoded, self.config.dropout_attn, noise)
-        raw = ad.sigmoid(h @ self.attn_w + self.attn_b)
+        raw = ad.sigmoid(ad.linear(h, self.attn_w, self.attn_b))
         return ad.l1_normalize(raw, batch)
 
     def vgm_representations(self, encoded: Tensor, attn: Tensor,
@@ -253,7 +253,7 @@ class SamplerModel:
     def classify_video(self, representation: Tensor,
                        noise: np.ndarray | None = None) -> Tensor:
         h = ad.dropout(representation, self.config.dropout_cls, noise)
-        return h @ self.cls_w + self.cls_b
+        return ad.linear(h, self.cls_w, self.cls_b)
 
     # -- whole network -------------------------------------------------------
 

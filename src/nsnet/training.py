@@ -136,10 +136,15 @@ def evaluate_epoch(model: SamplerModel, records: list[VideoRecord], k: int,
                    frames: int | None = None) -> tuple[float, float | None]:
     """Top-1 through the full selection path, plus mean recall of planted
     salient frames when masks exist."""
+    return _score_selection(model, ScoredVideos.from_records(
+        records, frames if frames is not None else model.config.max_frames), k, fusion_cfg)
+
+
+def _score_selection(model: SamplerModel, videos: ScoredVideos, k: int,
+                     fusion_cfg: FusionConfig | None) -> tuple[float, float | None]:
+    """``evaluate_epoch`` on videos already gathered (``train`` gathers once)."""
     fusion_cfg = FusionConfig(k=k) if fusion_cfg is None \
         else FusionConfig(fusion_cfg.mode, fusion_cfg.ratio, k)
-    videos = ScoredVideos.from_records(
-        records, frames if frames is not None else model.config.max_frames)
     scores, recall = videos.score(select_frames(*model.saliency(videos.light), fusion_cfg))
     return top1_accuracy(scores, videos.labels), recall
 
@@ -191,6 +196,9 @@ def train(train_records: list[VideoRecord],
         for record in records:
             guiding[record.video_id] = guiding_saliency_scores(record, bank)
 
+    # the validation set is observed the same way every epoch; gather it once
+    val_videos = ScoredVideos.from_records(val_records, train_cfg.presample.frames) \
+        if val_records else None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     last_path = os.path.join(out_dir, "last.nsc1") if out_dir else None
@@ -230,11 +238,11 @@ def train(train_records: list[VideoRecord],
             seen += len(batch)
         means = [float(x) for x in sums / seen]
         val_top1 = val_recall = None
-        if val_records:
+        if val_videos is not None:
             _probe_invariants(model, val_records[0], train_cfg.presample.frames, epoch)
-            val_top1, val_recall = evaluate_epoch(
-                model, val_records, eval_k or max(1, train_cfg.presample.frames // 4),
-                fusion_cfg, frames=train_cfg.presample.frames)
+            val_top1, val_recall = _score_selection(
+                model, val_videos, eval_k or max(1, train_cfg.presample.frames // 4),
+                fusion_cfg)
         metrics.append(EpochMetrics(epoch, optimizer.learning_rate, *means,
                                     val_top1, val_recall))
         if last_path is not None:

@@ -15,7 +15,7 @@ from nsnet.autodiff import (
     constant,
     finite_difference_check,
     layer_norm,
-    matmul,
+    linear,
     no_grad,
     sgd_step,
     soft_cross_entropy_rows,
@@ -36,26 +36,75 @@ def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def matmul(a, b) -> Tensor:
+    """The matrix product inside ``linear``: a zero bias."""
+    return linear(constant(a), constant(b), constant(np.zeros(np.shape(b)[1])))
+
+
 class TestMatmul:
     def test_identity(self):
         b = np.array([[3.0, 4.0], [5.0, 6.0]])
-        out = matmul(constant(np.eye(2)), constant(b))
+        out = matmul(np.eye(2), b)
         np.testing.assert_array_equal(out.value, b)
 
     def test_hand_arithmetic(self):
-        out = matmul(constant([[1.0, 2.0]]), constant([[3.0], [4.0]]))
+        out = matmul([[1.0, 2.0]], [[3.0], [4.0]])
         np.testing.assert_array_equal(out.value, [[11.0]])
 
     def test_against_triple_loop(self):
         rng = np.random.default_rng(42)
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((4, 2))
-        out = matmul(constant(a), constant(b))
+        out = matmul(a, b)
         np.testing.assert_allclose(out.value, matmul_oracle(a, b), atol=1e-12)
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(constant(np.zeros((2, 3))), constant(np.zeros((2, 3))))
+            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+class TestLinear:
+    def test_value_is_product_plus_bias_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        x, w, b = (rng.standard_normal((7, 5)), rng.standard_normal((5, 3)),
+                   rng.standard_normal(3))
+        out = linear(constant(x), constant(w), constant(b))
+        np.testing.assert_array_equal(out.value, x @ w + b)
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(9)
+        x = Parameter("x", rng.standard_normal((4, 3)))
+        w = Parameter("w", rng.standard_normal((3, 2)))
+        b = Parameter("b", rng.standard_normal(2))
+        weights = rng.standard_normal((4, 2))
+
+        def loss_fn():
+            out = linear(x, w, b)
+            return ad.sum_all(ad.mul(out, ad.mul_const(out, weights)))
+
+        report = finite_difference_check([x, w, b], loss_fn, step=1e-5, tolerance=1e-6)
+        assert report.passed, str(report)
+
+    def test_shape_error_names_all_three_shapes(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(3, 4\).*\(5,\)"):
+            linear(constant(np.zeros((2, 3))), constant(np.zeros((3, 4))),
+                   constant(np.zeros(5)))
+
+
+class TestRowMax:
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_equals_max_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((6, 3, n))
+        x[1, 0, rng.integers(n)] = np.inf
+        x[2, 1, rng.integers(n)] = -np.inf
+        x[3, 2] = -np.inf
+        x[4, 0, rng.integers(n)] = np.nan
+        x[5, 1, rng.integers(n)] = np.inf
+        x[5, 1, rng.integers(n)] = np.nan
+        before = x.copy()
+        np.testing.assert_array_equal(ad._row_max(x), x.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(x, before)
 
 
 class TestSoftmax:
@@ -160,6 +209,21 @@ class TestBackward:
         backward(loss)
         np.testing.assert_allclose(p.grad, p.value, atol=1e-15)
 
+    def test_first_touch_gradients_are_not_shared(self):
+        # add hands one gradient array to both parents; each must own a copy
+        a, b = Parameter("a", np.zeros(3)), Parameter("b", np.zeros(3))
+        from nsnet.autodiff import add, mul_const, sum_all
+        backward(sum_all(add(a, b)) + sum_all(mul_const(a, 2.0)))
+        np.testing.assert_array_equal(a.grad, np.full(3, 3.0))
+        np.testing.assert_array_equal(b.grad, np.ones(3))
+        p = Parameter("p", np.zeros(3))
+        backward(sum_all(add(p, p)))
+        np.testing.assert_array_equal(p.grad, np.full(3, 2.0))
+
+    def test_add_const_rejects_a_broadcast_constant(self):
+        with pytest.raises(ValueError, match=r"\(3,\).*\(2, 3\)"):
+            ad.add_const(Parameter("p", np.ones((2, 3))), np.ones(3))
+
     def test_non_scalar_loss_rejected(self):
         p = Parameter("p", np.ones((2, 2)))
         with pytest.raises(ValueError, match="scalar"):
@@ -170,9 +234,12 @@ class TestSgdStep:
     def test_vanilla(self):
         p = Parameter("w", np.array([1.0]))
         p.grad = np.array([2.0])
-        sgd_step([p], SgdState(learning_rate=0.1, momentum=0.0))
+        state = SgdState(learning_rate=0.1, momentum=0.0)
+        sgd_step([p], state)
         np.testing.assert_allclose(p.value, [0.8], atol=1e-15)
-        np.testing.assert_array_equal(p.grad, [0.0])
+        assert p.grad is None
+        with pytest.raises(ValueError, match="no gradient"):
+            sgd_step([p], state)
 
     def test_momentum_unrolled(self):
         p = Parameter("w", np.array([0.0]))
@@ -210,7 +277,7 @@ class TestFiniteDifferenceCheck:
         target = np.array([[0.2, 0.5, 0.3]])
 
         def loss_fn():
-            logits = matmul(constant(x), w) + b
+            logits = linear(constant(x), w, b)
             return soft_cross_entropy_rows(logits, target)
 
         report = finite_difference_check([w, b], loss_fn, step=1e-5, tolerance=1e-6)
@@ -251,7 +318,7 @@ _OPS = {
     "add_const": lambda p, q: ad.add_const(p, 1.5),
     "mul": lambda p, q: ad.mul(p, q),
     "mul_const": lambda p, q: ad.mul_const(p, -2.0),
-    "matmul": lambda p, q: ad.matmul(p, Parameter("w", np.eye(4))),
+    "linear": lambda p, q: ad.linear(p, Parameter("w", np.eye(4)), Parameter("b", np.ones(4))),
     "add_position": lambda p, q: ad.add_position(p, q, 3),
     "sum_all": lambda p, q: ad.sum_all(p),
     "sigmoid": lambda p, q: ad.sigmoid(p),

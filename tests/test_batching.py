@@ -182,6 +182,46 @@ def test_fused_attention_matches_finite_differences(frames):
     assert report.passed, str(report)
 
 
+def reference_attention(q, k, v, batch, heads, g):
+    """The fused attention as first written: ``softmax_values`` over fresh
+    arrays forward, and the backward formula in one expression. Returns the
+    context and the gradients of q, k and v for an incoming gradient g."""
+    rows, d = q.shape
+    t, width = rows // batch, d // heads
+    scale = 1.0 / np.sqrt(width)
+
+    def split(m):
+        return m.reshape(batch, t, heads, width).transpose(0, 2, 1, 3)
+
+    def merge(m):
+        return m.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    probs = ad.softmax_values((qh @ kh.transpose(0, 1, 3, 2)) * scale, axis=-1)
+    gp = gh @ vh.transpose(0, 1, 3, 2)
+    gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
+    return (merge(probs @ vh), merge(gs @ kh), merge(gs.transpose(0, 1, 3, 2) @ qh),
+            merge(probs.transpose(0, 1, 3, 2) @ gh))
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("frames", [1, 5, 16])
+@pytest.mark.parametrize("width", [4, 8, 9, 12])
+def test_fused_attention_is_bit_identical_to_reference(width, frames, batch):
+    heads = 2
+    rng = np.random.default_rng(100 * width + 10 * frames + batch)
+    q, k, v = (Parameter(name, rng.standard_normal((batch * frames, heads * width)))
+               for name in ("q", "k", "v"))
+    g = rng.standard_normal((batch * frames, heads * width))
+    out = ad.multi_head_attention(q, k, v, batch, heads)
+    backward(ad.sum_all(ad.mul_const(out, g)))
+    context, gq, gk, gv = reference_attention(q.value, k.value, v.value, batch, heads, g)
+    np.testing.assert_array_equal(out.value, context)
+    np.testing.assert_array_equal(q.grad, gq)
+    np.testing.assert_array_equal(k.grad, gk)
+    np.testing.assert_array_equal(v.grad, gv)
+
+
 def test_fused_attention_keeps_videos_apart():
     """A video's context depends on its own frames only."""
     batch, frames, width = 3, 4, 8
