@@ -123,7 +123,7 @@ def cmd_prototypes(args) -> int:
     manifest = load_manifest(args.manifest)
     records = manifest.load_all()
     bank = build_prototypes(records, manifest.num_classes, args.epsilon)
-    save_prototypes(bank, args.out, source_manifest=args.manifest)
+    save_prototypes(bank, args.out)
     print(f"wrote {bank.num_classes}x{bank.prototypes.shape[1]} prototypes to {args.out}")
     return 0
 

@@ -197,20 +197,22 @@ class DatasetManifest:
     path: str
     num_classes: int
     entries: list[ManifestEntry] = field(default_factory=list)
-    dims: dict[str, int] = field(default_factory=dict)   # D_l, D_g and C of every file
+    dims: dict[str, int] = field(default_factory=dict)   # D_l, D_g, C of the first video
 
     def load_record(self, entry: ManifestEntry) -> VideoRecord:
-        mask = None
+        """The video's files, each checked against ``dims`` as it is read."""
+        arrays = []
+        for kind, key, p in (("light", "D_l", entry.light_path),
+                             ("guiding", "D_g", entry.guiding_path),
+                             ("logits", "C", entry.logits_path)):
+            arrays.append(read_feature_file(p))
+            if arrays[-1].shape[1] != self.dims[key]:
+                raise FeatureFormatError(
+                    f"{p}: {kind} width {arrays[-1].shape[1]} disagrees with "
+                    f"{key}={self.dims[key]} of manifest {self.path}")
         if entry.mask_path is not None:
-            mask = read_feature_file(entry.mask_path).reshape(-1)
-        return VideoRecord(
-            video_id=entry.video_id,
-            label=entry.label,
-            light_features=read_feature_file(entry.light_path),
-            guiding_features=read_feature_file(entry.guiding_path),
-            recognizer_logits=read_feature_file(entry.logits_path),
-            saliency_mask=mask,
-        )
+            arrays.append(read_feature_file(entry.mask_path).reshape(-1))
+        return VideoRecord(entry.video_id, entry.label, *arrays)
 
     def load_all(self) -> list[VideoRecord]:
         return [self.load_record(e) for e in self.entries]
@@ -227,19 +229,24 @@ def write_manifest(path: str, num_classes: int, entries: Sequence[ManifestEntry]
 
 
 def load_manifest(path: str) -> DatasetManifest:
-    """Parse and validate a manifest: header, unique ids, files exist and
-    agree on dimensions (headers of every referenced file are checked)."""
+    """Parse and validate a manifest: header, labels, unique ids and that
+    every listed file exists. Only the first video's light, guiding and
+    logits headers are read here, for the split's widths (``dims``); each
+    file is checked against them when ``load_record`` reads it. Errors name
+    ``path:line``, counting blank lines."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith(MANIFEST_MAGIC + " "):
+        lines = [(lineno, ln.rstrip("\n")) for lineno, ln in enumerate(fh, start=1)
+                 if ln.strip()]
+    first = lines[0][1] if lines else ""
+    if not first.startswith(MANIFEST_MAGIC + " "):
         raise FeatureFormatError(f"{path}: missing '{MANIFEST_MAGIC} C=<int>' header")
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 2 or not header[1].startswith("C="):
-        raise FeatureFormatError(f"{path}: malformed header {lines[0]!r}")
+        raise FeatureFormatError(f"{path}: malformed header {first!r}")
     try:
         num_classes = int(header[1][2:])
     except ValueError:
-        raise FeatureFormatError(f"{path}: malformed class count in {lines[0]!r}") from None
+        raise FeatureFormatError(f"{path}: malformed class count in {first!r}") from None
     if num_classes < 1:
         raise FeatureFormatError(f"{path}: class count must be positive, got {num_classes}")
 
@@ -251,7 +258,7 @@ def load_manifest(path: str) -> DatasetManifest:
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
     dims: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         fields = line.split("\t")
         if len(fields) not in (5, 6):
             raise FeatureFormatError(f"{path}:{lineno}: expected 5 or 6 tab-separated fields")
@@ -271,17 +278,13 @@ def load_manifest(path: str) -> DatasetManifest:
         for kind, p in zip(("light", "guiding", "logits", "mask"), paths):
             if not os.path.isfile(p):
                 raise FeatureFormatError(f"{path}:{lineno}: missing {kind} file {p}")
-            with open(p, "rb") as fh:   # the header only
-                _, d = _feature_shape(p, fh.read(12), os.path.getsize(p))
-            key = {"light": "D_l", "guiding": "D_g", "logits": "C"}.get(kind)
-            if key is not None:
-                if key in dims and dims[key] != d:
-                    raise FeatureFormatError(
-                        f"{path}:{lineno}: {kind} width {d} disagrees with earlier {dims[key]}")
-                dims[key] = d
-        if "C" in dims and dims["C"] != num_classes:
-            raise FeatureFormatError(
-                f"{path}:{lineno}: logits width {dims['C']} != header C={num_classes}")
+        if not dims:   # the split's widths, from the first video's headers only
+            for key, p in zip(("D_l", "D_g", "C"), paths):
+                with open(p, "rb") as fh:
+                    dims[key] = _feature_shape(p, fh.read(12), os.path.getsize(p))[1]
+            if dims["C"] != num_classes:
+                raise FeatureFormatError(
+                    f"{path}:{lineno}: logits width {dims['C']} != header C={num_classes}")
         entries.append(ManifestEntry(video_id, label, paths[0], paths[1], paths[2],
                                      paths[3] if len(paths) == 4 else None))
     if not entries:

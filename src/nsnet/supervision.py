@@ -10,7 +10,6 @@ off-topic frames act as negative samples instead of noisy positives.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass
@@ -141,17 +140,13 @@ def hard_label_matrix(label: int, num_classes: int, num_frames: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def save_prototypes(bank: PrototypeBank, path: str,
-                    source_manifest: str | None = None) -> None:
+def save_prototypes(bank: PrototypeBank, path: str) -> None:
     write_feature_file(path, bank.prototypes)
-    lines = [f"epsilon_percent={bank.epsilon_percent!r}"]
-    if source_manifest is not None:
-        with open(source_manifest, "rb") as fh:
-            lines.append(f"manifest_sha256={hashlib.sha256(fh.read()).hexdigest()}")
-    atomic_write_text(path + ".meta", "\n".join(lines) + "\n")
+    atomic_write_text(path + ".meta", f"epsilon_percent={bank.epsilon_percent!r}\n")
 
 
 def load_prototypes(path: str) -> PrototypeBank:
+    """The bank at ``path``; an older ``.meta``'s ``manifest_sha256`` is ignored."""
     prototypes = read_feature_file(path)
     meta = path + ".meta"
     values = read_key_values(meta, {"epsilon_percent": finite_float, "manifest_sha256": str},

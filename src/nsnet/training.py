@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import PresampleConfig, VideoRecord, atomic_write_text, presample, \
-    presample_indices
+from .data import PresampleConfig, VideoRecord, atomic_write_text, presample_indices
 from .evaluation import ScoredVideos, top1_accuracy
 from .fusion import FusionConfig, select_frames
 from .model import LossBreakdown, ModelConfig, SamplerModel, save_checkpoint, total_loss
@@ -136,32 +135,34 @@ def evaluate_epoch(model: SamplerModel, records: list[VideoRecord], k: int,
                    frames: int | None = None) -> tuple[float, float | None]:
     """Top-1 through the full selection path, plus mean recall of planted
     salient frames when masks exist."""
-    return _score_selection(model, ScoredVideos.from_records(
-        records, frames if frames is not None else model.config.max_frames), k, fusion_cfg)
+    videos = ScoredVideos.from_records(
+        records, frames if frames is not None else model.config.max_frames)
+    return _score_selection(videos, model.saliency(videos.light), k, fusion_cfg)
 
 
-def _score_selection(model: SamplerModel, videos: ScoredVideos, k: int,
-                     fusion_cfg: FusionConfig | None) -> tuple[float, float | None]:
-    """``evaluate_epoch`` on videos already gathered (``train`` gathers once)."""
+def _score_selection(videos: ScoredVideos, saliency: tuple[np.ndarray, np.ndarray],
+                     k: int, fusion_cfg: FusionConfig | None) -> tuple[float, float | None]:
+    """``evaluate_epoch`` on gathered videos and their ``(s_f, s_v)``."""
     fusion_cfg = FusionConfig(k=k) if fusion_cfg is None \
         else FusionConfig(fusion_cfg.mode, fusion_cfg.ratio, k)
-    scores, recall = videos.score(select_frames(*model.saliency(videos.light), fusion_cfg))
+    scores, recall = videos.score(select_frames(*saliency, fusion_cfg))
     return top1_accuracy(scores, videos.labels), recall
 
 
-def _probe_invariants(model: SamplerModel, record: VideoRecord, frames: int,
-                      epoch: int) -> None:
-    """Attention must stay a valid distribution and the frame scores finite
-    as parameters move; probed once per epoch on a validation video."""
-    observed = presample(record, PresampleConfig(frames=frames))
-    s_f, attn = model.saliency([observed.light_features])
-    if attn.min() < 0.0 or attn.max() > 1.0 or abs(float(attn.sum()) - 1.0) > 1e-9:
+def _check_saliency(s_f: np.ndarray, s_v: np.ndarray, ids: list[str], epoch: int) -> None:
+    """Each video's attention must stay a distribution (entries in [0, 1]
+    summing to 1 within 1e-9) and its frame scores finite as parameters move."""
+    sums = s_v.sum(axis=1)
+    valid = (s_v >= 0.0).all(axis=1) & (s_v <= 1.0).all(axis=1) & (np.abs(sums - 1.0) <= 1e-9)
+    if not valid.all():
+        v = int(np.argmin(valid))
         raise RuntimeError(
-            f"attention invariant violated at epoch {epoch} on {record.video_id}: "
-            f"min {attn.min()}, max {attn.max()}, sum {attn.sum()}")
-    if not np.all(np.isfinite(s_f)):
-        raise RuntimeError(
-            f"non-finite frame saliency at epoch {epoch} on {record.video_id}")
+            f"attention invariant violated at epoch {epoch} on {ids[v]}: "
+            f"min {s_v[v].min()}, max {s_v[v].max()}, sum {sums[v]}")
+    finite = np.isfinite(s_f).all(axis=1)
+    if not finite.all():
+        raise RuntimeError(f"non-finite frame saliency at epoch {epoch} on "
+                           f"{ids[int(np.argmin(finite))]}")
 
 
 def train(train_records: list[VideoRecord],
@@ -239,9 +240,10 @@ def train(train_records: list[VideoRecord],
         means = [float(x) for x in sums / seen]
         val_top1 = val_recall = None
         if val_videos is not None:
-            _probe_invariants(model, val_records[0], train_cfg.presample.frames, epoch)
+            saliency = model.saliency(val_videos.light)
+            _check_saliency(*saliency, val_videos.video_ids, epoch)
             val_top1, val_recall = _score_selection(
-                model, val_videos, eval_k or max(1, train_cfg.presample.frames // 4),
+                val_videos, saliency, eval_k or max(1, train_cfg.presample.frames // 4),
                 fusion_cfg)
         metrics.append(EpochMetrics(epoch, optimizer.learning_rate, *means,
                                     val_top1, val_recall))

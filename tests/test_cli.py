@@ -322,6 +322,44 @@ class TestInputTruncation:
             assert error is not None and str(light) in error, (size, error)
 
 
+class TestFaultsFoundOnRead:
+    """A manifest's widths come from its first video's headers; every other
+    file is checked as it is read. A wrong width, a truncated file or a bad
+    magic in the last video ends each command with exit 1, one `error:`
+    line naming the file, and no output."""
+
+    @pytest.mark.parametrize("kind, fault", [
+        ("light", "width"), ("guide", "width"), ("logits", "width"),
+        ("light", "truncated"), ("mask", "truncated"), ("guide", "magic"),
+        ("logits", "magic")])
+    @pytest.mark.parametrize("command", ["eval", "sample", "prototypes", "train",
+                                         "train-val"])
+    def test_one_error_line(self, checkpoint, tmp_path, capsys, command, kind, fault):
+        path, manifest = checkpoint
+        feature = manifest.parent / "feats" / f"val_c001_v0000.{kind}.nsf"
+        blob = feature.read_bytes()
+        if fault == "width":   # one more column, a well-formed file
+            values = read_feature_file(str(feature))
+            write_feature_file(str(feature), np.hstack([values, values[:, :1]]))
+        else:
+            feature.write_bytes(blob[:-1] if fault == "truncated" else b"NSF0" + blob[4:])
+        out = tmp_path / "out"
+        model = ["--checkpoint", str(path), "--manifest", str(manifest), "--out", str(out)]
+        train = ["train", "--out-dir", str(out), "--ns-labels", "false", "--frames", "2",
+                 "--epochs", "1", "--lr-decay-epochs", ""]
+        argv = {"eval": ["eval", *model, "--k-list", "2"],
+                "sample": ["sample", *model, "--k", "2"],
+                "prototypes": ["prototypes", "--manifest", str(manifest), "--out", str(out)],
+                "train": train + ["--train-manifest", str(manifest)],
+                "train-val": train + ["--train-manifest", str(manifest.parent / "train.nsm"),
+                                      "--val-manifest", str(manifest)]}[command]
+        error = assert_one_error_line(*run(argv, capsys)[::2])
+        assert error.startswith(f"error: {feature}: "), error
+        if fault == "width":
+            assert f"of manifest {manifest}" in error, error
+        assert not out.exists()
+
+
 class TestNonFiniteFeatures:
     """A feature file holding NaN or inf ends `nsnet eval` and `nsnet sample`
     with exit 1 and one `error:` line naming the video."""

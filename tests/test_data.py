@@ -1,12 +1,15 @@
 """Round-trip, layout and pre-sampling tests for the storage layer."""
 
 import math
+import os
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nsnet import data
 from nsnet.data import (
     FeatureFormatError,
     ManifestEntry,
@@ -239,6 +242,31 @@ class TestManifest:
         with pytest.raises(FeatureFormatError,
                            match=f"{path}:3: label 'one' is not an integer"):
             load_manifest(str(path))
+        # blank lines are counted: after two of them the record is on line 5
+        path.write_text(path.read_text().replace("\nv1\t", "\n\n\nv1\t"))
+        with pytest.raises(FeatureFormatError,
+                           match=f"{path}:5: label 'one' is not an integer"):
+            load_manifest(str(path))
+
+    def test_each_feature_file_is_opened_once(self, tmp_path, monkeypatch):
+        """Loading a split opens every feature file once; only the first
+        video's light, guiding and logits headers are read before that."""
+        train, _ = generate_synthetic_dataset(
+            str(tmp_path), num_classes=2, videos_per_class=3, num_frames=4,
+            light_dim=3, guiding_dim=5, salient_fraction=0.5, noise_sigma=0.2, seed=2)
+        opened = Counter()
+
+        def counting_open(file, *args, **kwargs):
+            opened[os.path.relpath(file, tmp_path)] += 1
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(data, "open", counting_open, raising=False)
+        assert len(load_manifest(train).load_all()) == 6
+        first = [f"feats/train_c000_v0000.{kind}.nsf" for kind in ("light", "guide", "logits")]
+        expected = Counter({"train.nsm": 1} | {f"feats/{name}": 1
+                                                for name in os.listdir(tmp_path / "feats")})
+        expected.update(first)
+        assert len(expected) == 1 + 6 * 4 and opened == expected
 
 
 class TestVideoRecord:

@@ -193,13 +193,11 @@ class TestPersistence:
     def test_round_trip_with_sidecar(self, tmp_path):
         rng = np.random.default_rng(2)
         bank = PrototypeBank(rng.standard_normal((3, 5)), epsilon_percent=25.0)
-        manifest = tmp_path / "m.nsm"
-        manifest.write_text("NSM1 C=3\n")
         path = str(tmp_path / "protos.nsf")
-        save_prototypes(bank, path, source_manifest=str(manifest))
+        save_prototypes(bank, path)
         loaded = load_prototypes(path)
         assert loaded.epsilon_percent == 25.0
         np.testing.assert_array_equal(
             loaded.prototypes, bank.prototypes.astype(np.float32).astype(np.float64))
         meta = Path(path + ".meta").read_text()
-        assert "manifest_sha256=" in meta
+        assert "manifest_sha256" not in meta

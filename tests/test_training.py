@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nsnet.cli import main
 from nsnet.data import PresampleConfig, VideoRecord, generate_synthetic_dataset, \
     load_manifest, presample, presample_indices
 from nsnet.fusion import FusionConfig
@@ -133,6 +134,60 @@ class TestTrainLoop:
         train_records[0].light_features[0, 0] = np.inf
         with pytest.raises(RuntimeError, match="non-finite loss"):
             train(train_records, 3, bank, tiny_model_cfg(), cfg)
+
+
+def break_saliency(monkeypatch, case, epoch, video):
+    """Make the ``epoch``-th saliency pass (validation's, the only one in
+    ``train``) give NaN frame scores, or attention that sums to 0.5, for the
+    ``video``-th video."""
+    honest, passes = SamplerModel.saliency, []
+
+    def saliency(self, videos):
+        s_f, s_v = honest(self, videos)
+        if len(passes) == epoch:
+            if case == "nan":
+                s_f[video, 1] = np.nan
+            else:
+                s_v[video] *= 0.5
+        passes.append(len(videos))
+        return s_f, s_v
+
+    monkeypatch.setattr(SamplerModel, "saliency", saliency)
+    return passes
+
+
+INVARIANT_CASES = [("nan", "non-finite frame saliency at epoch 1 on {video}"),
+                   ("sum", "attention invariant violated at epoch 1 on {video}: ")]
+
+
+class TestSaliencyInvariants:
+    """Every epoch, ``train`` checks the (s_f, s_v) of every validation video
+    from the pass that validation scores, and names the epoch and video."""
+
+    @pytest.mark.parametrize("case, message", INVARIANT_CASES)
+    def test_train_raises(self, tmp_path, monkeypatch, case, message):
+        train_records, val_records = tiny_dataset(tmp_path)
+        passes = break_saliency(monkeypatch, case, epoch=1, video=4)
+        with pytest.raises(RuntimeError) as excinfo:
+            train(train_records, 3, build_prototypes(train_records, 3), tiny_model_cfg(),
+                  tiny_train_cfg(), val_records=val_records, eval_k=2)
+        assert message.format(video=val_records[4].video_id) in str(excinfo.value)
+        assert passes == [len(val_records)] * 2   # no forward besides validation's
+
+    @pytest.mark.parametrize("case, message", INVARIANT_CASES)
+    def test_cli_prints_one_error_line(self, tmp_path, monkeypatch, capsys, case, message):
+        train_m, val_m = generate_synthetic_dataset(
+            str(tmp_path / "data"), num_classes=2, videos_per_class=2, num_frames=4,
+            light_dim=4, guiding_dim=4, salient_fraction=0.5, noise_sigma=0.2, seed=1,
+            val_videos_per_class=2)
+        break_saliency(monkeypatch, case, epoch=1, video=3)
+        code = main(["train", "--train-manifest", train_m, "--val-manifest", val_m,
+                     "--ns-labels", "false", "--out-dir", str(tmp_path / "run"),
+                     "--frames", "4", "--heads", "1", "--encoder-layers", "1",
+                     "--epochs", "2", "--lr-decay-epochs", ""])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and len(err) == 1, err
+        assert err[0].startswith("error: " + message.format(video="val_c001_v0001")), err
 
 
 class TestPseudoLabelCache:
