@@ -12,7 +12,9 @@ inference pass frees each intermediate as soon as the next op has used it.
 Everything runs in float64. A batch of B videos of T frames travels as
 (B*T, D) rows, so one node covers the whole batch; the per-video steps are
 fused ops with hand-written backwards. ``linear`` is x @ w + b as one
-node; the attention softmax runs in place, bit-exact with ``softmax_values``.
+node; the attention softmax runs in place, bit-exact with ``softmax_values``;
+``soft_cross_entropy_rows`` is a whole loss term (log-softmax, weighting by
+the targets, sum, negation) as one node.
 """
 
 from __future__ import annotations
@@ -252,16 +254,6 @@ def log_softmax_values(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    y = log_softmax_values(a.value, axis=axis)
-    s = np.exp(y)
-
-    def backprop(g):
-        a._accumulate(g - s * g.sum(axis=axis, keepdims=True))
-
-    return _node(y, (a,), backprop)
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
                eps: float = LAYER_NORM_EPS) -> Tensor:
     """Per-row normalization (population variance) followed by affine."""
@@ -385,12 +377,21 @@ def _check_distribution(target: np.ndarray, what: str) -> np.ndarray:
 
 
 def soft_cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Sum of per-row soft cross entropies for (T,N) logits and (T,N) targets."""
+    """Sum of per-row soft cross entropies for (T,N) logits and (T,N) targets,
+    as one node: -sum(targets * log_softmax(logits))."""
     targets = _check_distribution(targets, "soft_cross_entropy_rows targets")
     if targets.shape != logits.shape:
         raise ValueError(
             f"soft_cross_entropy_rows: targets shape {targets.shape} vs logits {logits.shape}")
-    return mul_const(sum_all(mul_const(log_softmax(logits, axis=-1), targets)), -1.0)
+    y = log_softmax_values(logits.value)
+
+    def backprop(g):
+        # each step rounds as the separate log-softmax, product, sum and
+        # negation nodes did, so training's bytes do not depend on the fusion
+        gy = np.full_like(y, float(g * -1.0)) * targets
+        logits._accumulate(gy - np.exp(y) * gy.sum(axis=-1, keepdims=True))
+
+    return _node((y * targets).sum() * -1.0, (logits,), backprop)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .data import DatasetManifest, PresampleConfig, atomic_write_text, finite_fl
 from .evaluation import DEFAULT_COST_TABLE, budget_from_cost_table, flops_total, \
     load_cost_table, run_comparison, write_comparison_csv
 from .fusion import FUSION_MODES, SCORE_MODES, FusionConfig, fuse_scores, select_frames
-from .model import SALIENCY_BLOCK, ModelConfig, SamplerModel, load_checkpoint
+from .model import ModelConfig, SamplerModel, load_checkpoint
 from .supervision import build_prototypes, load_prototypes, save_prototypes
 from .training import TrainConfig, train
 
@@ -207,13 +207,9 @@ def cmd_sample(args) -> int:
     model, manifest, frames = load_fitting(args)
     fusion_cfg = FusionConfig(args.fusion, args.ratio, at_least("--k", args.k, 1))
     pre = PresampleConfig(frames=frames)
-    tracks = []   # (s_f, s_v) per block of videos, loaded one block at a time
-    for start in range(0, len(manifest.entries), SALIENCY_BLOCK):
-        records = [manifest.load_record(entry)
-                   for entry in manifest.entries[start:start + SALIENCY_BLOCK]]
-        tracks.append(model.saliency([r.light_features[presample_indices(r.num_frames, pre)]
-                                      for r in records]))
-    s_f, s_v = (np.concatenate(track) for track in zip(*tracks))
+    # a generator, so each record is read only when its block's forward needs it
+    s_f, s_v = model.saliency(r.light_features[presample_indices(r.num_frames, pre)]
+                              for r in map(manifest.load_record, manifest.entries))
     chosen = np.zeros(s_f.shape, dtype=bool)
     np.put_along_axis(chosen, select_frames(s_f, s_v, fusion_cfg), True, axis=1)
     fused = fuse_scores(s_f, s_v, args.fusion, args.ratio).tolist() \

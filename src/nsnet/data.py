@@ -204,14 +204,16 @@ class DatasetManifest:
         arrays = []
         for kind, key, p in (("light", "D_l", entry.light_path),
                              ("guiding", "D_g", entry.guiding_path),
-                             ("logits", "C", entry.logits_path)):
+                             ("logits", "C", entry.logits_path),
+                             ("mask", "width", entry.mask_path)):
+            if p is None:   # a video without a mask
+                continue
+            width = 1 if kind == "mask" else self.dims[key]
             arrays.append(read_feature_file(p))
-            if arrays[-1].shape[1] != self.dims[key]:
+            if arrays[-1].shape[1] != width:
                 raise FeatureFormatError(
                     f"{p}: {kind} width {arrays[-1].shape[1]} disagrees with "
-                    f"{key}={self.dims[key]} of manifest {self.path}")
-        if entry.mask_path is not None:
-            arrays.append(read_feature_file(entry.mask_path).reshape(-1))
+                    f"{key}={width} of manifest {self.path}")
         return VideoRecord(entry.video_id, entry.label, *arrays)
 
     def load_all(self) -> list[VideoRecord]:

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import ast
 import functools
+import itertools
 import math
 import struct
 from dataclasses import MISSING, dataclass, fields
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -274,36 +275,29 @@ class SamplerModel:
             nonsalient_logits=self.classify_video(nonsalient, noise.get("nonsalient")),
         )
 
-    def saliency(self, videos: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Inference scores (s_f, s_v), each (B, T), for a sequence of B
-        videos' (T, D) features: eval-mode forwards under ``no_grad`` over
-        blocks of at most SALIENCY_BLOCK videos, stacked one at a time."""
-        t = np.shape(videos[0])[0]
-        s_f, s_v = np.empty((len(videos), t)), np.empty((len(videos), t))
+    def saliency(self, videos: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Inference scores (s_f, s_v), each (B, T), for B videos' (T, D)
+        features from any iterable: eval-mode forwards under ``no_grad`` over
+        blocks of at most SALIENCY_BLOCK videos, each block pulled from the
+        iterable just before its forward."""
+        videos = iter(videos)
+        tracks = []
         with ad.no_grad():
-            for start in range(0, len(videos), SALIENCY_BLOCK):
-                block = np.stack(videos[start:start + SALIENCY_BLOCK])
+            while block := list(itertools.islice(videos, SALIENCY_BLOCK)):
+                block = np.stack(block)
                 if block.ndim != 3:
                     raise ValueError(f"expected videos of (T, D) features, got {block.shape}")
-                n = block.shape[0]
+                n, t, _ = block.shape
                 out = self.forward(block)
-                s_f[start:start + n] = fsm_saliency(out.fsm_logits.value.reshape(n, t, -1))
-                s_v[start:start + n] = vgm_saliency(out.attn.value.reshape(n, t, 1))
-        return s_f, s_v
+                tracks.append((fsm_saliency(out.fsm_logits.value.reshape(n, t, -1)),
+                               vgm_saliency(out.attn.value.reshape(n, t, 1))))
+        s_f, s_v = zip(*tracks)
+        return np.concatenate(s_f), np.concatenate(s_v)
 
 
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
-
-
-def fsm_loss(fsm_logits: Tensor, frame_targets: np.ndarray) -> Tensor:
-    """Soft cross entropy summed over the frames."""
-    frame_targets = np.asarray(frame_targets, dtype=np.float64)
-    if frame_targets.shape != fsm_logits.shape:
-        raise ValueError(
-            f"frame targets {frame_targets.shape} vs logits {fsm_logits.shape}")
-    return ad.soft_cross_entropy_rows(fsm_logits, frame_targets)
 
 
 @dataclass
@@ -328,7 +322,7 @@ def total_loss(output: ForwardOutput, frame_targets: np.ndarray,
     l_cls = scale * ad.soft_cross_entropy_rows(output.salient_logits, one_hot[labels])
     l_ns = scale * ad.soft_cross_entropy_rows(output.nonsalient_logits,
                                               one_hot[np.full(b, c)])
-    l_f = scale * fsm_loss(output.fsm_logits, frame_targets)
+    l_f = scale * ad.soft_cross_entropy_rows(output.fsm_logits, frame_targets)
     total = l_cls + config.gamma * l_ns + l_f
     return LossBreakdown(total=total, frame=l_f, video_cls=l_cls, video_ns=l_ns)
 

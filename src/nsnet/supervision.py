@@ -112,7 +112,8 @@ def guiding_saliency_scores(record: VideoRecord, bank: PrototypeBank) -> np.ndar
 
 
 def ns_pseudo_label_matrix(g: np.ndarray, label: int, num_classes: int) -> np.ndarray:
-    """(T, C+1) targets: g at the video category, 1 - g at the non-salient slot."""
+    """(T, C+1) targets: g at the video category, 1 - g at the non-salient slot.
+    g = 1 everywhere gives the plain video labels of the hard-label baseline."""
     g = np.asarray(g, dtype=np.float64).reshape(-1)
     if g.min() < -1e-9 or g.max() > 1.0 + 1e-9:
         raise ValueError(f"guiding scores outside [0, 1]: min {g.min()}, max {g.max()}")
@@ -122,16 +123,6 @@ def ns_pseudo_label_matrix(g: np.ndarray, label: int, num_classes: int) -> np.nd
     targets = np.zeros((g.shape[0], num_classes + 1))
     targets[:, label] = g
     targets[:, num_classes] = 1.0 - g
-    return targets
-
-
-def hard_label_matrix(label: int, num_classes: int, num_frames: int) -> np.ndarray:
-    """Every frame tagged with the plain video category (the no-suppression
-    baseline the pseudo labels are compared against)."""
-    if not 0 <= label < num_classes:
-        raise ValueError(f"label {label} out of range for C={num_classes}")
-    targets = np.zeros((num_frames, num_classes + 1))
-    targets[:, label] = 1.0
     return targets
 
 

@@ -3,9 +3,10 @@
 All randomness flows from one seed through named substreams (init,
 shuffle, augment, dropout), so (seed, config, data) fixes the entire
 trajectory bit-exactly. Guiding scores depend only on the frozen
-prototypes and the recognizer features of the original frames, so they
-are computed once per video and gathered through the per-epoch
-pre-sampling indices.
+prototypes and the recognizer features of the original frames, so each
+video's frame targets (pseudo labels, or plain video labels with
+ns_labels=False) are built once on its original frames and gathered
+through each step's pre-sampling indices.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .data import PresampleConfig, VideoRecord, atomic_write_text, presample_ind
 from .evaluation import ScoredVideos, top1_accuracy
 from .fusion import FusionConfig, select_frames
 from .model import LossBreakdown, ModelConfig, SamplerModel, save_checkpoint, total_loss
-from .supervision import PrototypeBank, guiding_saliency_scores, hard_label_matrix, \
-    ns_pseudo_label_matrix
+from .supervision import PrototypeBank, guiding_saliency_scores, ns_pseudo_label_matrix
 
 METRICS_HEADER = "epoch,lr,loss,loss_f,loss_cls,loss_ns,val_top1,val_recall"
 
@@ -191,11 +191,9 @@ def train(train_records: list[VideoRecord],
     optimizer = ad.SgdState(learning_rate=train_cfg.base_lr,
                             momentum=train_cfg.momentum)
 
-    # guiding scores are static per video; cache them on the original frames
-    guiding: dict[str, np.ndarray] = {}
-    if train_cfg.ns_labels:
-        for record in records:
-            guiding[record.video_id] = guiding_saliency_scores(record, bank)
+    frame_targets = [ns_pseudo_label_matrix(
+        guiding_saliency_scores(record, bank) if train_cfg.ns_labels
+        else np.ones(record.num_frames), record.label, num_classes) for record in records]
 
     # the validation set is observed the same way every epoch; gather it once
     val_videos = ScoredVideos.from_records(val_records, train_cfg.presample.frames) \
@@ -219,12 +217,8 @@ def train(train_records: list[VideoRecord],
                 record = records[int(idx)]
                 indices = presample_indices(record.num_frames, train_cfg.presample,
                                             augment_rng)
-                if train_cfg.ns_labels:
-                    g = guiding[record.video_id][indices]
-                    targets = ns_pseudo_label_matrix(g, record.label, num_classes)
-                else:
-                    targets = hard_label_matrix(record.label, num_classes, len(indices))
-                batch.append(TrainExample(record.light_features[indices], targets,
+                batch.append(TrainExample(record.light_features[indices],
+                                          frame_targets[idx][indices],
                                           record.label, record.video_id))
             parts = batch_loss(model, batch, train=True, rng=dropout_rng)
             values = np.array([float(parts.total.value), float(parts.frame.value),

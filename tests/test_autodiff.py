@@ -195,6 +195,60 @@ class TestSoftCrossEntropy:
         np.testing.assert_allclose(total, by_rows, atol=1e-12)
 
 
+def chained_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """``soft_cross_entropy_rows`` as the four-node chain it fuses: a
+    log-softmax node (``log_softmax_values`` forward, g - softmax * row sum
+    of g backward), then ``mul_const`` by the targets, ``sum_all`` and
+    ``mul_const`` by -1."""
+    y = ad.log_softmax_values(logits.value)
+    s = np.exp(y)
+    log_probs = Tensor(y, (logits,),
+                       lambda g: logits._accumulate(g - s * g.sum(axis=-1, keepdims=True)))
+    return ad.mul_const(ad.sum_all(ad.mul_const(log_probs, targets)), -1.0)
+
+
+class TestFusedCrossEntropy:
+    """``soft_cross_entropy_rows`` is one node whose value and logits
+    gradient equal the chain's bit for bit."""
+
+    @pytest.mark.parametrize("rows, width", [(1, 2), (5, 4), (16, 11), (256, 11)])
+    @pytest.mark.parametrize("upstream", [1.0, 1 / 16, 0.2 / 16])
+    def test_bit_identical_to_chain(self, rows, width, upstream):
+        rng = np.random.default_rng(rows * width)
+        values = rng.standard_normal((rows, width)) * 4.0
+        targets = rng.dirichlet(np.ones(width), size=rows)
+        targets[::3] = np.eye(width)[rng.integers(width, size=targets[::3].shape[0])]
+        fused, chained = Parameter("fused", values), Parameter("chained", values.copy())
+        out = soft_cross_entropy_rows(fused, targets)
+        ref = chained_cross_entropy(chained, targets)
+        backward(ad.mul_const(out, upstream))
+        backward(ad.mul_const(ref, upstream))
+        assert out.value.tobytes() == ref.value.tobytes()
+        assert fused.grad.tobytes() == chained.grad.tobytes()
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(12)
+        logits = Parameter("logits", rng.standard_normal((5, 4)) * 2.0)
+        targets = rng.dirichlet(np.ones(4), size=5)
+        report = finite_difference_check(
+            [logits], lambda: ad.mul_const(soft_cross_entropy_rows(logits, targets), 0.7),
+            step=1e-5, tolerance=1e-6)
+        assert report.passed, str(report)
+
+    def test_builds_one_node(self, monkeypatch):
+        logits = Parameter("logits", np.zeros((3, 4)))
+        built = []
+        init = Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counted)
+        loss = soft_cross_entropy_rows(logits, np.full((3, 4), 0.25))
+        assert len(built) == 1 and loss._parents == (logits,)
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         p = Parameter("p", np.arange(6.0).reshape(2, 3))
@@ -323,7 +377,8 @@ _OPS = {
     "sum_all": lambda p, q: ad.sum_all(p),
     "sigmoid": lambda p, q: ad.sigmoid(p),
     "relu": lambda p, q: ad.relu(p),
-    "log_softmax": lambda p, q: ad.log_softmax(p),
+    "soft_cross_entropy_rows": lambda p, q: ad.soft_cross_entropy_rows(
+        p, softmax_values(q.value)),
     "layer_norm": lambda p, q: ad.layer_norm(p, Parameter("g", np.ones(4)),
                                              Parameter("b", np.zeros(4))),
     "l1_normalize": lambda p, q: ad.l1_normalize(Parameter("a", np.abs(p.value[:, :1])), 2),

@@ -329,7 +329,7 @@ class TestFaultsFoundOnRead:
     line naming the file, and no output."""
 
     @pytest.mark.parametrize("kind, fault", [
-        ("light", "width"), ("guide", "width"), ("logits", "width"),
+        ("light", "width"), ("guide", "width"), ("logits", "width"), ("mask", "width"),
         ("light", "truncated"), ("mask", "truncated"), ("guide", "magic"),
         ("logits", "magic")])
     @pytest.mark.parametrize("command", ["eval", "sample", "prototypes", "train",

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import struct
 from collections import Counter
 from pathlib import Path
@@ -247,6 +248,21 @@ class TestManifest:
         with pytest.raises(FeatureFormatError,
                            match=f"{path}:5: label 'one' is not an integer"):
             load_manifest(str(path))
+
+    def test_mask_must_be_one_column(self, tmp_path):
+        """A (1, 2) mask file holds as many values as a 2-frame video has
+        frames, yet it is refused as it is read, naming the file."""
+        feat, mask = str(tmp_path / "x.nsf"), str(tmp_path / "x.mask.nsf")
+        write_feature_file(feat, np.zeros((2, 2)))
+        path = str(tmp_path / "m.nsm")
+        write_manifest(path, 2, [ManifestEntry("v0", 0, feat, feat, feat, mask)])
+        write_feature_file(mask, np.array([[1.0], [0.0]]))
+        np.testing.assert_array_equal(load_manifest(path).load_all()[0].saliency_mask,
+                                      [1.0, 0.0])
+        write_feature_file(mask, np.array([[1.0, 0.0]]))
+        with pytest.raises(FeatureFormatError, match=re.escape(
+                f"{mask}: mask width 2 disagrees with width=1 of manifest {path}")):
+            load_manifest(path).load_all()
 
     def test_each_feature_file_is_opened_once(self, tmp_path, monkeypatch):
         """Loading a split opens every feature file once; only the first

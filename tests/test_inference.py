@@ -23,8 +23,8 @@ import pytest
 from test_fusion import oracle_select
 
 from nsnet.cli import main
-from nsnet.data import PresampleConfig, VideoRecord, generate_synthetic_dataset, \
-    load_manifest, presample
+from nsnet.data import DatasetManifest, PresampleConfig, VideoRecord, \
+    generate_synthetic_dataset, load_manifest, presample
 from nsnet.evaluation import run_comparison
 from nsnet.fusion import FUSION_MODES, SCORE_MODES, FusionConfig
 from nsnet.model import SALIENCY_BLOCK, ModelConfig, SamplerModel, fsm_saliency, \
@@ -114,6 +114,38 @@ def test_sample_command_forwards_once_per_block(tmp_path, capsys, count_forwards
                  "--k", "2", "--out", str(out)]) == 0, capsys.readouterr().err
     assert len(out.read_text().splitlines()) == 1 + videos * T
     assert 0 < len(count_forwards) <= math.ceil(videos / SALIENCY_BLOCK)
+
+
+def test_sample_reads_one_block_ahead(tmp_path, capsys, monkeypatch):
+    """`sample` streams: before each forward it has read at most the
+    SALIENCY_BLOCK records that forward scores, so its memory does not grow
+    with the manifest."""
+    manifest, _ = generate_synthetic_dataset(
+        str(tmp_path), num_classes=C, videos_per_class=math.ceil(VIDEOS / C),
+        num_frames=T, light_dim=D, guiding_dim=D, salient_fraction=0.5,
+        noise_sigma=0.2, seed=3)
+    videos = len(load_manifest(manifest).entries)
+    checkpoint = str(tmp_path / "model.nsc1")
+    save_checkpoint(make_model(), checkpoint)
+    loaded, loaded_at_forward = [], []
+    load_record, forward = DatasetManifest.load_record, SamplerModel.forward
+
+    def counted_load(self, entry):
+        loaded.append(entry.video_id)
+        return load_record(self, entry)
+
+    def counted_forward(self, *args, **kwargs):
+        loaded_at_forward.append(len(loaded))
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(DatasetManifest, "load_record", counted_load)
+    monkeypatch.setattr(SamplerModel, "forward", counted_forward)
+    assert main(["sample", "--checkpoint", checkpoint, "--manifest", manifest,
+                 "--k", "2", "--out", str(tmp_path / "saliency.csv")]) == 0, \
+        capsys.readouterr().err
+    blocks = math.ceil(videos / SALIENCY_BLOCK)
+    assert loaded_at_forward == [min(videos, (i + 1) * SALIENCY_BLOCK) for i in range(blocks)]
+    assert len(loaded) == videos
 
 
 @pytest.mark.parametrize("mode", FUSION_MODES)

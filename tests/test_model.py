@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from nsnet import autodiff as ad
-from nsnet.autodiff import backward, constant, finite_difference_check
+from nsnet.autodiff import backward, constant, finite_difference_check, \
+    soft_cross_entropy_rows
 from nsnet.model import (
     ForwardOutput,
     ModelConfig,
     SamplerModel,
-    fsm_loss,
     fsm_saliency,
     load_checkpoint,
     save_checkpoint,
@@ -93,7 +93,7 @@ class TestFsm:
         logits[:, 1] = 50.0
         targets = np.zeros((3, 4))
         targets[:, 1] = 1.0
-        loss = fsm_loss(constant(logits), targets)
+        loss = soft_cross_entropy_rows(constant(logits), targets)
         assert float(loss.value) < 1e-12
 
     def test_loss_uniform_logits(self):
@@ -101,7 +101,7 @@ class TestFsm:
         targets = np.zeros((t, c1))
         targets[:, 0] = 0.3
         targets[:, c1 - 1] = 0.7
-        loss = fsm_loss(constant(np.ones((t, c1))), targets)
+        loss = soft_cross_entropy_rows(constant(np.ones((t, c1))), targets)
         np.testing.assert_allclose(float(loss.value), t * math.log(c1), atol=1e-12)
 
     def test_loss_matches_naive_per_element_oracle(self):
@@ -116,12 +116,12 @@ class TestFsm:
             row = logits[i]
             log_probs = row - (row.max() + math.log(np.exp(row - row.max()).sum()))
             expected -= float((targets[i] * log_probs).sum())
-        loss = fsm_loss(constant(logits), targets)
+        loss = soft_cross_entropy_rows(constant(logits), targets)
         np.testing.assert_allclose(float(loss.value), expected, atol=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="targets"):
-            fsm_loss(constant(np.zeros((3, 4))), np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="targets shape"):
+            soft_cross_entropy_rows(constant(np.zeros((3, 4))), np.full((2, 4), 0.25))
 
 
 class TestFsmSaliency:

@@ -11,7 +11,6 @@ from nsnet.supervision import (
     PrototypeBank,
     build_prototypes,
     guiding_saliency_scores,
-    hard_label_matrix,
     load_prototypes,
     ns_pseudo_label_matrix,
     save_prototypes,
@@ -183,7 +182,7 @@ class TestPseudoLabels:
         assert_pseudo_label_rows_valid()
 
     def test_hard_labels(self):
-        matrix = hard_label_matrix(2, 4, 3)
+        matrix = ns_pseudo_label_matrix(np.ones(3), 2, 4)
         assert matrix.shape == (3, 5)
         np.testing.assert_array_equal(matrix[:, 2], 1.0)
         np.testing.assert_array_equal(matrix.sum(axis=1), 1.0)

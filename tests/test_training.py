@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nsnet import training
 from nsnet.cli import main
 from nsnet.data import PresampleConfig, VideoRecord, generate_synthetic_dataset, \
     load_manifest, presample, presample_indices
@@ -199,10 +200,29 @@ class TestPseudoLabelCache:
             g_full = guiding_saliency_scores(record, bank)
             indices = presample_indices(record.num_frames, cfg, np.random.default_rng(seed))
             observed = presample(record, cfg, np.random.default_rng(seed))
-            cached = ns_pseudo_label_matrix(g_full[indices], record.label, 3)
+            cached = ns_pseudo_label_matrix(g_full, record.label, 3)[indices]
+            per_step = ns_pseudo_label_matrix(g_full[indices], record.label, 3)
             fresh = ns_pseudo_label_matrix(
                 guiding_saliency_scores(observed, bank), record.label, 3)
+            assert cached.tobytes() == per_step.tobytes()
             np.testing.assert_allclose(cached, fresh, atol=1e-12)
+
+    @pytest.mark.parametrize("ns_labels", [True, False])
+    def test_targets_built_once_per_video(self, tmp_path, monkeypatch, ns_labels):
+        """A video's frame targets depend only on its frozen g (all ones
+        for the hard-label baseline): one build per video per run, however
+        many epochs gather from them."""
+        train_records, _ = tiny_dataset(tmp_path)
+        built = []
+
+        def counted(g, label, num_classes):
+            built.append(np.shape(g))
+            return ns_pseudo_label_matrix(g, label, num_classes)
+
+        monkeypatch.setattr(training, "ns_pseudo_label_matrix", counted)
+        bank = build_prototypes(train_records, 3) if ns_labels else None
+        train(train_records, 3, bank, tiny_model_cfg(), tiny_train_cfg(ns_labels=ns_labels))
+        assert built == [(r.num_frames,) for r in train_records]
 
 
 class TestGradientCheckOnModel:
