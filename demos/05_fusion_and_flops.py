@@ -7,7 +7,7 @@ blend values; index modes merge the two rankings.
 
 import numpy as np
 
-from nsnet.evaluation import DEFAULT_COST_TABLE, budget_from_cost_table, flops_total
+from nsnet.evaluation import DEFAULT_COST_TABLE, sampler_gflops
 from nsnet.fusion import FUSION_MODES, FusionConfig, select_frames
 
 s_f = np.array([0.30, 0.05, 0.25, 0.10, 0.20, 0.10])   # frame head
@@ -24,8 +24,7 @@ print("\nper-video GFLOPs with the default cost table "
 t = 16
 print(f"  {'K':>3s} {'total':>8s}   (T = {t} observation frames)")
 for k in (1, 2, 5, 8, 16):
-    total = flops_total(budget_from_cost_table(DEFAULT_COST_TABLE, k, t))
-    print(f"  {k:3d} {total:8.2f}")
+    print(f"  {k:3d} {sampler_gflops(DEFAULT_COST_TABLE, k, t):8.2f}")
 print("\nthe recognizer dominates: every selected frame adds "
       f"{DEFAULT_COST_TABLE['recognizer_per_frame']} GFLOPs, the whole sampling "
       f"apparatus costs {0.320 * t + 0.315 + 0.006:.2f}")

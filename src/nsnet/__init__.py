@@ -19,9 +19,7 @@ from .data import (
     write_feature_file,
 )
 from .evaluation import (
-    FlopsBudget,
     baseline_sample,
-    flops_total,
     mean_average_precision,
     run_comparison,
     top1_accuracy,
@@ -52,8 +50,7 @@ __all__ = [
     "DatasetManifest", "PresampleConfig", "VideoRecord",
     "generate_synthetic_dataset", "load_manifest", "presample",
     "read_feature_file", "write_feature_file",
-    "FlopsBudget", "baseline_sample", "flops_total", "mean_average_precision",
-    "run_comparison", "top1_accuracy",
+    "baseline_sample", "mean_average_precision", "run_comparison", "top1_accuracy",
     "FusionConfig", "recognize_video", "select_frames",
     "ForwardOutput", "ModelConfig", "SamplerModel", "fsm_saliency",
     "load_checkpoint", "save_checkpoint", "vgm_saliency",

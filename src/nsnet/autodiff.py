@@ -55,14 +55,11 @@ class Tensor:
         else:
             self.grad += delta
 
-    # Operator sugar. Tensor-Tensor forms track gradients on both sides;
-    # plain numbers/arrays are treated as constants.
+    # Operator sugar: Tensor + Tensor tracks gradients on both sides; plain
+    # numbers/arrays are constants. There is no Tensor * Tensor.
     def __add__(self, other):
         if isinstance(other, Tensor):
             return add(self, other)
-        return add_const(self, other)
-
-    def __radd__(self, other):
         return add_const(self, other)
 
     def __rsub__(self, other):
@@ -70,11 +67,10 @@ class Tensor:
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
-            return mul(self, other)
+            return NotImplemented
         return mul_const(self, other)
 
-    def __rmul__(self, other):
-        return mul_const(self, other)
+    __rmul__ = __mul__
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
@@ -144,17 +140,6 @@ def add_const(a: Tensor, c) -> Tensor:
         a._accumulate(g)
 
     return _node(a.value + c, (a,), backprop)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-
-    def backprop(g):
-        a._accumulate(g * b.value)
-        b._accumulate(g * a.value)
-
-    return _node(a.value * b.value, (a, b), backprop)
 
 
 def mul_const(a: Tensor, c) -> Tensor:

@@ -2,7 +2,7 @@
 
 ``train`` reads an optional ``key=value`` run configuration (the syntax of
 ``data.read_key_values``); every key has a same-named command-line flag and
-flags win. The run-level keys (paths, observation length, validation
+flags win. The run-level keys (paths, positional capacity, validation
 fusion) are declared here; every other key is a field of ``ModelConfig`` or
 ``TrainConfig``, parsed by its annotation and defaulting to the dataclass's
 default. Unknown or repeated keys and unparsable values are rejected, and
@@ -21,10 +21,10 @@ from dataclasses import fields
 
 import numpy as np
 
-from .data import DatasetManifest, PresampleConfig, atomic_write_text, finite_float, \
-    generate_synthetic_dataset, load_manifest, presample_indices, read_key_values
-from .evaluation import DEFAULT_COST_TABLE, budget_from_cost_table, flops_total, \
-    load_cost_table, run_comparison, write_comparison_csv
+from .data import PARSE_ANNOTATION, DatasetManifest, PresampleConfig, atomic_write_text, \
+    boolean, finite_float, generate_synthetic_dataset, integer, integer_list, load_manifest, \
+    presample_indices, read_key_values
+from .evaluation import load_cost_table, run_comparison, sampler_gflops, write_comparison_csv
 from .fusion import FUSION_MODES, SCORE_MODES, FusionConfig, fuse_scores, select_frames
 from .model import ModelConfig, SamplerModel, load_checkpoint
 from .supervision import build_prototypes, load_prototypes, save_prototypes
@@ -36,27 +36,6 @@ from .training import TrainConfig, train
 # ---------------------------------------------------------------------------
 
 
-def integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"must be an integer, got {text!r}") from None
-
-
-def boolean(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"must be a boolean, got {text!r}")
-
-
-def integer_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    return tuple(integer(part) for part in text.split(",")) if text else ()
-
-
 def at_least(name: str, value: int, minimum: int) -> int:
     """``value``, or a ValueError naming the flag or key it came from."""
     if value < minimum:
@@ -64,10 +43,6 @@ def at_least(name: str, value: int, minimum: int) -> int:
     return value
 
 
-_PARSE_ANNOTATION = {"int": integer, "int | None": integer, "float": finite_float,
-                     "bool": boolean, "tuple[int, ...]": integer_list}
-# Training's presample default: PresampleConfig's own leaves shift_augment off.
-_TRAINING_PRESAMPLE = TrainConfig().presample
 # The run-level keys of `train`, as key: (parser, default).
 RUN_KEYS = {
     "train_manifest": (str, None),
@@ -75,15 +50,13 @@ RUN_KEYS = {
     "prototypes": (str, None),
     "out_dir": (str, None),
     "max_frames": (integer, None),   # positional capacity; None: frames
-    "frames": (integer, _TRAINING_PRESAMPLE.frames),
-    "shift_augment": (boolean, _TRAINING_PRESAMPLE.shift_augment),
     "fusion": (str, FusionConfig.mode),
     "ratio": (finite_float, FusionConfig.ratio),
-    "k": (integer, None),            # None: frames // 4
+    "k": (integer, None),            # None: TrainConfig.default_k
 }
 # Fields filled from the data or from the run-level keys above.
-_NOT_KEYS = {"input_dim", "num_classes", "max_frames", "presample"}
-TRAIN_KEYS = {**RUN_KEYS, **{f.name: (_PARSE_ANNOTATION[f.type], f.default)
+_NOT_KEYS = {"input_dim", "num_classes", "max_frames"}
+TRAIN_KEYS = {**RUN_KEYS, **{f.name: (PARSE_ANNOTATION[f.type], f.default)
                              for f in fields(ModelConfig) + fields(TrainConfig)
                              if f.name not in _NOT_KEYS}}
 
@@ -139,9 +112,9 @@ def cmd_train(args) -> int:
                 if f.name in settings and f.name not in _NOT_KEYS}
 
     for key in ("max_frames", "frames", "k"):
-        if run[key] is not None:
+        if settings.get(key) is not None:
             at_least("--" + key.replace("_", "-") if getattr(args, key) is not None
-                     else f"{key} in {args.config}", run[key], 1)
+                     else f"{key} in {args.config}", settings[key], 1)
 
     if run["train_manifest"] is None or run["out_dir"] is None:
         raise ValueError("train needs at least train_manifest and out_dir "
@@ -151,9 +124,7 @@ def cmd_train(args) -> int:
             raise FileNotFoundError(f"{key} does not exist: {run[key]}")
     manifest = load_manifest(run["train_manifest"])
     val_manifest = load_manifest(run["val_manifest"]) if run["val_manifest"] else None
-    train_cfg = TrainConfig(
-        presample=PresampleConfig(frames=run["frames"], shift_augment=run["shift_augment"]),
-        **owned(TrainConfig))
+    train_cfg = TrainConfig(**owned(TrainConfig))
     bank = None
     if train_cfg.ns_labels:
         if run["prototypes"] is None:
@@ -171,13 +142,12 @@ def cmd_train(args) -> int:
     model_cfg = ModelConfig(
         input_dim=manifest.dims["D_l"],
         num_classes=manifest.num_classes,
-        max_frames=run["frames"] if run["max_frames"] is None else run["max_frames"],
+        max_frames=train_cfg.frames if run["max_frames"] is None else run["max_frames"],
         **owned(ModelConfig))
-    eval_k = max(1, run["frames"] // 4) if run["k"] is None else run["k"]
-    result = train(train_records, manifest.num_classes, bank, model_cfg, train_cfg,
-                   val_records=val_records, eval_k=eval_k,
-                   fusion_cfg=FusionConfig(run["fusion"], run["ratio"], eval_k),
-                   out_dir=run["out_dir"])
+    fusion_cfg = FusionConfig(run["fusion"], run["ratio"],
+                              train_cfg.default_k if run["k"] is None else run["k"])
+    result = train(train_records, bank, model_cfg, train_cfg, val_records=val_records,
+                   fusion_cfg=fusion_cfg, out_dir=run["out_dir"])
     last = result.metrics[-1]
     summary = f"trained {train_cfg.epochs} epochs, final loss {last.loss:.4f}"
     if last.val_top1 is not None:
@@ -233,9 +203,8 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--seed must be < 2**64, got {args.seed}")
     model, manifest, frames = load_fitting(args)
     records = manifest.load_all()
-    costs = load_cost_table(args.cost_table) if args.cost_table else dict(DEFAULT_COST_TABLE)
-    rows = run_comparison(records, model,
-                          FusionConfig(args.fusion, args.ratio, max(k_list)),
+    costs = load_cost_table(args.cost_table)
+    rows = run_comparison(records, model, FusionConfig(args.fusion, args.ratio),
                           k_list, costs=costs, frames=frames, seed=args.seed)
     write_comparison_csv(args.out, rows)
     print(f"wrote {len(rows)} method/K rows to {args.out}")
@@ -243,10 +212,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    costs = load_cost_table(args.cost_table) if args.cost_table else dict(DEFAULT_COST_TABLE)
-    budget = budget_from_cost_table(costs, at_least("--k", args.k, 0),
-                                    at_least("--frames", args.frames, 0))
-    print(f"{flops_total(budget):.2f}")
+    costs = load_cost_table(args.cost_table)
+    k, frames = at_least("--k", args.k, 0), at_least("--frames", args.frames, 0)
+    print(f"{sampler_gflops(costs, k, frames):.2f}")
     return 0
 
 

@@ -10,10 +10,11 @@ Two bit-exact formats:
   directory unless absolute. A manifest lists at least one video.
 
 Plus the one reader of ``key=value`` text files (run configurations,
-checkpoint ``.cfg`` sidecars, cost tables and prototype ``.meta`` files),
-temporal pre-sampling to a fixed observation length and a synthetic
-generator that plants per-frame saliency ground truth, with an analytic
-nearest-centroid recognizer providing per-frame logits.
+checkpoint ``.cfg`` sidecars, cost tables and prototype ``.meta`` files)
+and the parsers of their values, temporal pre-sampling to a fixed
+observation length and a synthetic generator that plants per-frame
+saliency ground truth, with an analytic nearest-centroid recognizer
+providing per-frame logits.
 """
 
 from __future__ import annotations
@@ -72,6 +73,36 @@ def finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"must be a finite number, got {text!r}")
     return value
+
+
+def integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text!r}") from None
+
+
+def optional_integer(text: str) -> int | None:
+    return None if text.strip() == "None" else integer(text)
+
+
+def boolean(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(f"must be a boolean, got {text!r}")
+
+
+def integer_list(text: str) -> tuple[int, ...]:
+    text = text.strip()
+    return tuple(integer(part) for part in text.split(",")) if text else ()
+
+
+# The parser of a configuration dataclass field, by its annotation.
+PARSE_ANNOTATION = {"int": integer, "int | None": optional_integer, "float": finite_float,
+                    "bool": boolean, "tuple[int, ...]": integer_list}
 
 
 def read_key_values(path: str, parsers: dict[str, Callable[[str], Any]],
@@ -394,6 +425,8 @@ def generate_synthetic_dataset(out_dir: str,
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     if min(videos_per_class, num_frames, light_dim, guiding_dim) < 1:
         raise ValueError("videos_per_class, num_frames and dims must be >= 1")
+    if val_videos_per_class < 0:
+        raise ValueError(f"val_videos_per_class must be >= 0, got {val_videos_per_class}")
 
     rng = np.random.default_rng(seed)
     class_light = [_unit_vector(rng, light_dim) for _ in range(num_classes)]

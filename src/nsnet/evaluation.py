@@ -38,42 +38,28 @@ DEFAULT_COST_TABLE = {
 }
 
 
-@dataclass
-class FlopsBudget:
-    recognizer_per_frame: float  # GFLOPs per recognized frame
-    frames_recognized: int       # K
-    embedding: float             # extractor * T + encoder
-    vgm: float
-    fsm: float
-
-    def __post_init__(self):
-        for name in ("recognizer_per_frame", "embedding", "vgm", "fsm"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.frames_recognized < 0:
-            raise ValueError("frames_recognized must be >= 0")
+def sampler_gflops(costs: dict[str, float], k: int, t: int) -> float:
+    """The sampler's per-video GFLOPs: K recognized frames, the embedding of
+    all T observation frames (extractor * T + encoder) and both heads."""
+    return (costs["recognizer_per_frame"] * k
+            + (costs["extractor_per_frame"] * t + costs["encoder"])
+            + costs["vgm"] + costs["fsm"])
 
 
-def flops_total(budget: FlopsBudget) -> float:
-    return (budget.recognizer_per_frame * budget.frames_recognized
-            + budget.embedding + budget.vgm + budget.fsm)
+def _gflops(text: str) -> float:
+    value = finite_float(text)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {text!r}")
+    return value
 
 
-def load_cost_table(path: str) -> dict[str, float]:
-    """The published table with the entries a ``name=gflops`` file sets."""
+def load_cost_table(path: str | None) -> dict[str, float]:
+    """The published table with the entries a ``name=gflops`` file sets
+    (none without a file)."""
+    if not path:
+        return dict(DEFAULT_COST_TABLE)
     return {**DEFAULT_COST_TABLE,
-            **read_key_values(path, dict.fromkeys(DEFAULT_COST_TABLE, finite_float),
-                              "cost entry")}
-
-
-def budget_from_cost_table(costs: dict[str, float], k: int, t: int) -> FlopsBudget:
-    return FlopsBudget(
-        recognizer_per_frame=costs["recognizer_per_frame"],
-        frames_recognized=k,
-        embedding=costs["extractor_per_frame"] * t + costs["encoder"],
-        vgm=costs["vgm"],
-        fsm=costs["fsm"],
-    )
+            **read_key_values(path, dict.fromkeys(DEFAULT_COST_TABLE, _gflops), "cost entry")}
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +246,7 @@ def run_comparison(records: list[VideoRecord], model: SamplerModel,
                for method in BASELINE_METHODS},
         }
         recognized = {"uniform": k, "random": k, "dense": t, "topk_confidence": t}
-        gflops = {"nsnet": flops_total(budget_from_cost_table(costs, k, t)),
+        gflops = {"nsnet": sampler_gflops(costs, k, t),
                   **{m: costs["recognizer_per_frame"] * n for m, n in recognized.items()}}
         for method, selected in selections.items():
             scores, recall = videos.score(selected)

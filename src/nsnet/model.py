@@ -18,13 +18,11 @@ Three parts share one encoding pass over a (T, D) video or a stacked
 Checkpoints use the NSC1 container: magic ``NSC1`` | u32 parameter count |
 per parameter u16 name length, name bytes, u32 rank, u32 dims..., IEEE-754
 32-bit values row-major; the model configuration rides in a ``.cfg`` text
-sidecar of ``key=literal`` lines, parsed as data.
+sidecar of ``key=value`` lines, parsed as data.
 """
 
 from __future__ import annotations
 
-import ast
-import functools
 import itertools
 import math
 import struct
@@ -35,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, softmax_values
-from .data import atomic_write_bytes, atomic_write_text, read_key_values
+from .data import PARSE_ANNOTATION, atomic_write_bytes, atomic_write_text, read_key_values
 
 CHECKPOINT_MAGIC = b"NSC1"
 # Videos per graph-free forward in ``SamplerModel.saliency``: enough to
@@ -78,32 +76,14 @@ class ModelConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ModelConfig":
-        """Parse a ``to_text`` sidecar as data: each key a field at most
-        once, each value a literal of the field's type."""
-        values = read_key_values(
-            path, {f.name: functools.partial(_typed_literal, f.type) for f in fields(cls)},
-            "model configuration key")
+        """Parse a ``to_text`` sidecar: each key a field at most once, each
+        value parsed by its field's type like a run file's."""
+        values = read_key_values(path, {f.name: PARSE_ANNOTATION[f.type] for f in fields(cls)},
+                                 "model configuration key")
         missing = [f.name for f in fields(cls) if f.name not in values and f.default is MISSING]
         if missing:
             raise ValueError(f"{path}: missing model configuration keys {missing}")
         return cls(**values)
-
-
-def _typed_literal(kind: str, text: str):
-    """``text`` as a literal of annotation ``kind``: "int", "int | None" or
-    "float" (finite; an int literal passes)."""
-    try:
-        value = ast.literal_eval(text)
-    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
-        raise ValueError(f"is not a literal: {text!r}") from None
-    if value is None and kind.endswith("None"):
-        return value
-    allowed = (int, float) if kind == "float" else int
-    if not isinstance(value, allowed) or isinstance(value, bool):
-        raise ValueError(f"must be {kind}, got {text!r}")
-    if not -math.inf < value < math.inf:
-        raise ValueError(f"must be finite, got {text!r}")
-    return value
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,9 +43,9 @@ class TrainConfig:
     decay_factor: float = 0.1
     momentum: float = 0.9
     seed: int = 0
-    presample: PresampleConfig = field(
-        default_factory=lambda: PresampleConfig(frames=16, shift_augment=True))
-    ns_labels: bool = True   # False: plain video labels on the frame head
+    frames: int = 16           # observation length of every video
+    shift_augment: bool = True
+    ns_labels: bool = True     # False: plain video labels on the frame head
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -58,6 +58,12 @@ class TrainConfig:
                 f"lr_decay_epochs {decays} must lie in [0, {self.epochs})")
         self.lr_decay_epochs = decays
 
+    @property
+    def default_k(self) -> int:
+        """Validation's frame budget when none is given: a quarter of the
+        observed frames, at least 1."""
+        return max(1, self.frames // 4)
+
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     """Piecewise-constant schedule: one decay step at each listed epoch."""
@@ -67,33 +73,25 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     return cfg.base_lr * cfg.decay_factor ** drops
 
 
-@dataclass
-class TrainExample:
-    features: np.ndarray       # (T, D_l)
-    frame_targets: np.ndarray  # (T, C+1)
-    label: int
-    video_id: str
-
-
-def batch_loss(model: SamplerModel, batch: list[TrainExample], train: bool = False,
+def batch_loss(model: SamplerModel, features: np.ndarray, frame_targets: np.ndarray,
+               labels: list[int], train: bool = False,
                rng: np.random.Generator | None = None) -> LossBreakdown:
     """Mean over the batch of the per-video total loss (frame loss summed
-    over frames, video losses per head), from one forward over the stacked
-    batch; every example must have the same frame count."""
-    if not batch:
+    over frames, video losses per head), from one forward over the
+    ``(B, T, D)`` features; ``frame_targets`` holds their ``(B*T, C+1)``
+    rows, video by video."""
+    if len(labels) == 0:
         raise ValueError("empty batch")
-    out = model.forward(np.stack([example.features for example in batch]),
-                        train=train, rng=rng)
-    return total_loss(out, np.concatenate([example.frame_targets for example in batch]),
-                      [example.label for example in batch], model.config)
+    out = model.forward(features, train=train, rng=rng)
+    return total_loss(out, frame_targets, labels, model.config)
 
 
-def gradient_check(model: SamplerModel, batch: list[TrainExample],
-                   step: float = 1e-5, tolerance: float = 1e-4):
+def gradient_check(model: SamplerModel, features: np.ndarray, frame_targets: np.ndarray,
+                   labels: list[int], step: float = 1e-5, tolerance: float = 1e-4):
     """Full-model finite-difference check on the training loss (dropout off)."""
     return ad.finite_difference_check(
         model.parameters(),
-        lambda: batch_loss(model, batch, train=False).total,
+        lambda: batch_loss(model, features, frame_targets, labels).total,
         step=step, tolerance=tolerance)
 
 
@@ -137,14 +135,13 @@ def evaluate_epoch(model: SamplerModel, records: list[VideoRecord], k: int,
     salient frames when masks exist."""
     videos = ScoredVideos.from_records(
         records, frames if frames is not None else model.config.max_frames)
-    return _score_selection(videos, model.saliency(videos.light), k, fusion_cfg)
+    return _score_selection(videos, model.saliency(videos.light),
+                            FusionConfig(k=k) if fusion_cfg is None else replace(fusion_cfg, k=k))
 
 
 def _score_selection(videos: ScoredVideos, saliency: tuple[np.ndarray, np.ndarray],
-                     k: int, fusion_cfg: FusionConfig | None) -> tuple[float, float | None]:
+                     fusion_cfg: FusionConfig) -> tuple[float, float | None]:
     """``evaluate_epoch`` on gathered videos and their ``(s_f, s_v)``."""
-    fusion_cfg = FusionConfig(k=k) if fusion_cfg is None \
-        else FusionConfig(fusion_cfg.mode, fusion_cfg.ratio, k)
     scores, recall = videos.score(select_frames(*saliency, fusion_cfg))
     return top1_accuracy(scores, videos.labels), recall
 
@@ -166,22 +163,27 @@ def _check_saliency(s_f: np.ndarray, s_v: np.ndarray, ids: list[str], epoch: int
 
 
 def train(train_records: list[VideoRecord],
-          num_classes: int,
           bank: PrototypeBank | None,
           model_cfg: ModelConfig,
           train_cfg: TrainConfig,
           val_records: list[VideoRecord] | None = None,
-          eval_k: int | None = None,
           fusion_cfg: FusionConfig | None = None,
           out_dir: str | None = None) -> TrainResult:
     """Run the full schedule and keep the best checkpoint by validation top-1.
 
     ``bank`` may be None only with ns_labels=False (the hard-label baseline
-    needs no prototypes).
+    needs no prototypes). Validation selects through ``fusion_cfg``
+    (default: the default mode and ratio at ``train_cfg.default_k``).
     """
     if train_cfg.ns_labels and bank is None:
         raise ValueError("pseudo labels need a prototype bank; pass ns_labels=False "
                          "to train the hard-label baseline")
+    observe = PresampleConfig(train_cfg.frames, train_cfg.shift_augment)
+    if fusion_cfg is None:
+        fusion_cfg = FusionConfig(k=train_cfg.default_k)
+    if fusion_cfg.k > train_cfg.frames:
+        raise ValueError(f"k={fusion_cfg.k} out of range for {train_cfg.frames} "
+                         "observation frames")
     records = sorted(train_records, key=lambda r: r.video_id)
     init_rng = substream(train_cfg.seed, "init")
     shuffle_rng = substream(train_cfg.seed, "shuffle")
@@ -193,10 +195,11 @@ def train(train_records: list[VideoRecord],
 
     frame_targets = [ns_pseudo_label_matrix(
         guiding_saliency_scores(record, bank) if train_cfg.ns_labels
-        else np.ones(record.num_frames), record.label, num_classes) for record in records]
+        else np.ones(record.num_frames), record.label, model_cfg.num_classes)
+        for record in records]
 
     # the validation set is observed the same way every epoch; gather it once
-    val_videos = ScoredVideos.from_records(val_records, train_cfg.presample.frames) \
+    val_videos = ScoredVideos.from_records(val_records, train_cfg.frames) \
         if val_records else None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -211,22 +214,19 @@ def train(train_records: list[VideoRecord],
         sums = np.zeros(4)
         seen = 0
         for start in range(0, len(records), train_cfg.batch_size):
-            batch_ids = order[start:start + train_cfg.batch_size]
-            batch = []
-            for idx in batch_ids:
-                record = records[int(idx)]
-                indices = presample_indices(record.num_frames, train_cfg.presample,
-                                            augment_rng)
-                batch.append(TrainExample(record.light_features[indices],
-                                          frame_targets[idx][indices],
-                                          record.label, record.video_id))
-            parts = batch_loss(model, batch, train=True, rng=dropout_rng)
+            batch = order[start:start + train_cfg.batch_size].tolist()
+            picks = [presample_indices(records[i].num_frames, observe, augment_rng)
+                     for i in batch]
+            parts = batch_loss(
+                model, np.stack([records[i].light_features[p] for i, p in zip(batch, picks)]),
+                np.concatenate([frame_targets[i][p] for i, p in zip(batch, picks)]),
+                [records[i].label for i in batch], train=True, rng=dropout_rng)
             values = np.array([float(parts.total.value), float(parts.frame.value),
                                float(parts.video_cls.value), float(parts.video_ns.value)])
             if not np.all(np.isfinite(values)):
                 raise RuntimeError(
                     f"non-finite loss {values[0]!r} at epoch {epoch}, batch of "
-                    f"videos {[b.video_id for b in batch]}")
+                    f"videos {[records[i].video_id for i in batch]}")
             ad.backward(parts.total)
             ad.sgd_step(model.parameters(), optimizer)
             sums += values * len(batch)
@@ -236,9 +236,7 @@ def train(train_records: list[VideoRecord],
         if val_videos is not None:
             saliency = model.saliency(val_videos.light)
             _check_saliency(*saliency, val_videos.video_ids, epoch)
-            val_top1, val_recall = _score_selection(
-                val_videos, saliency, eval_k or max(1, train_cfg.presample.frames // 4),
-                fusion_cfg)
+            val_top1, val_recall = _score_selection(val_videos, saliency, fusion_cfg)
         metrics.append(EpochMetrics(epoch, optimizer.learning_rate, *means,
                                     val_top1, val_recall))
         if last_path is not None:

@@ -12,7 +12,8 @@ import time
 
 import pytest
 
-from nsnet.data import PresampleConfig, generate_synthetic_dataset, load_manifest
+from nsnet.data import generate_synthetic_dataset, load_manifest
+from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig
 from nsnet.supervision import build_prototypes
 from nsnet.training import TrainConfig, train
@@ -44,7 +45,7 @@ def bench_train_config(ns_labels=True):
     return TrainConfig(
         epochs=BENCH["epochs"], batch_size=BENCH["batch_size"], base_lr=0.01,
         lr_decay_epochs=(), momentum=0.9, seed=BENCH["train_seed"],
-        presample=PresampleConfig(frames=BENCH["frames"], shift_augment=True),
+        frames=BENCH["frames"], shift_augment=True,
         ns_labels=ns_labels)
 
 
@@ -77,10 +78,9 @@ def bench_data(tmp_path_factory):
 def bench_ns_run(bench_data, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("bench_ns_run")
     started = time.perf_counter()
-    result = train(bench_data["train_records"], BENCH["num_classes"],
-                   bench_data["bank"], bench_model_config(),
+    result = train(bench_data["train_records"], bench_data["bank"], bench_model_config(),
                    bench_train_config(), val_records=bench_data["val_records"],
-                   eval_k=BENCH["eval_k"], out_dir=str(out_dir))
+                   fusion_cfg=FusionConfig(k=BENCH["eval_k"]), out_dir=str(out_dir))
     return {"result": result, "out_dir": str(out_dir),
             "seconds": time.perf_counter() - started}
 
@@ -88,7 +88,8 @@ def bench_ns_run(bench_data, tmp_path_factory):
 @pytest.fixture(scope="session")
 def bench_baseline_run(bench_data):
     started = time.perf_counter()
-    result = train(bench_data["train_records"], BENCH["num_classes"], None,
+    result = train(bench_data["train_records"], None,
                    bench_model_config(gamma=0.0), bench_train_config(ns_labels=False),
-                   val_records=bench_data["val_records"], eval_k=BENCH["eval_k"])
+                   val_records=bench_data["val_records"],
+                   fusion_cfg=FusionConfig(k=BENCH["eval_k"]))
     return {"result": result, "seconds": time.perf_counter() - started}

@@ -18,7 +18,7 @@ from nsnet.evaluation import mean_average_precision, run_comparison
 from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig, SamplerModel, load_checkpoint
 from nsnet.supervision import build_prototypes, guiding_saliency_scores
-from nsnet.training import TrainExample, evaluate_epoch, gradient_check, train
+from nsnet.training import evaluate_epoch, gradient_check, train
 from nsnet.supervision import ns_pseudo_label_matrix
 
 
@@ -47,13 +47,13 @@ def test_criterion_2_gradient_fidelity(capsys):
                       dropout_attn=0.0)
     model = SamplerModel(cfg, np.random.default_rng(100))
     rng = np.random.default_rng(101)
-    batch = []
-    for label in (1, 3):
+    labels, features, targets = (1, 3), [], []
+    for label in labels:
         g = rng.random(8)
-        batch.append(TrainExample(rng.standard_normal((8, 16)),
-                                  ns_pseudo_label_matrix(g, label, 4), label,
-                                  f"v{label}"))
-    result = gradient_check(model, batch, step=1e-5, tolerance=1e-4)
+        features.append(rng.standard_normal((8, 16)))
+        targets.append(ns_pseudo_label_matrix(g, label, 4))
+    result = gradient_check(model, np.stack(features), np.concatenate(targets), list(labels),
+                            step=1e-5, tolerance=1e-4)
     elapsed = time.perf_counter() - started
     with capsys.disabled():
         report(2, "gradient fidelity", result.passed and elapsed < 120.0,
@@ -176,9 +176,9 @@ def test_criterion_6_metric_oracles(bench_data, capsys):
 
 def test_criterion_7_determinism(bench_ns_run, bench_data, tmp_path_factory, capsys):
     rerun_dir = tmp_path_factory.mktemp("bench_ns_rerun")
-    train(bench_data["train_records"], BENCH["num_classes"], bench_data["bank"],
+    train(bench_data["train_records"], bench_data["bank"],
           bench_model_config(), bench_train_config(),
-          val_records=bench_data["val_records"], eval_k=BENCH["eval_k"],
+          val_records=bench_data["val_records"], fusion_cfg=FusionConfig(k=BENCH["eval_k"]),
           out_dir=str(rerun_dir))
     identical = True
     for name in ("last.nsc1", "best.nsc1", "metrics.csv"):

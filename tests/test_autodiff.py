@@ -76,11 +76,10 @@ class TestLinear:
         x = Parameter("x", rng.standard_normal((4, 3)))
         w = Parameter("w", rng.standard_normal((3, 2)))
         b = Parameter("b", rng.standard_normal(2))
-        weights = rng.standard_normal((4, 2))
+        targets = softmax_values(rng.standard_normal((4, 2)))
 
         def loss_fn():
-            out = linear(x, w, b)
-            return ad.sum_all(ad.mul(out, ad.mul_const(out, weights)))
+            return soft_cross_entropy_rows(linear(x, w, b), targets)
 
         report = finite_difference_check([x, w, b], loss_fn, step=1e-5, tolerance=1e-6)
         assert report.passed, str(report)
@@ -256,13 +255,6 @@ class TestBackward:
         backward(sum_all(p))
         np.testing.assert_array_equal(p.grad, np.ones((2, 3)))
 
-    def test_half_squared_norm_gives_value(self):
-        p = Parameter("p", np.array([1.0, -2.0, 3.0]))
-        from nsnet.autodiff import mul, sum_all
-        loss = 0.5 * sum_all(mul(p, p))
-        backward(loss)
-        np.testing.assert_allclose(p.grad, p.value, atol=1e-15)
-
     def test_first_touch_gradients_are_not_shared(self):
         # add hands one gradient array to both parents; each must own a copy
         a, b = Parameter("a", np.zeros(3)), Parameter("b", np.zeros(3))
@@ -277,6 +269,14 @@ class TestBackward:
     def test_add_const_rejects_a_broadcast_constant(self):
         with pytest.raises(ValueError, match=r"\(3,\).*\(2, 3\)"):
             ad.add_const(Parameter("p", np.ones((2, 3))), np.ones(3))
+
+    def test_no_tensor_product_or_left_sum(self):
+        p, q = Parameter("p", np.ones(3)), Parameter("q", np.ones(3))
+        with pytest.raises(TypeError):
+            p * q
+        with pytest.raises(TypeError):
+            0 + p
+        np.testing.assert_array_equal((2.0 * p).value, (p * 2.0).value)
 
     def test_non_scalar_loss_rejected(self):
         p = Parameter("p", np.ones((2, 2)))
@@ -356,10 +356,9 @@ def test_repeated_runs_are_bit_identical():
     def run():
         p = Parameter("w", np.linspace(-1, 1, 8).reshape(2, 4))
         state = SgdState(learning_rate=0.05, momentum=0.9)
-        from nsnet.autodiff import mul, sum_all
+        targets = softmax_values(np.arange(8.0).reshape(2, 4))
         for _ in range(5):
-            loss = 0.5 * sum_all(mul(p, p))
-            backward(loss)
+            backward(soft_cross_entropy_rows(p, targets))
             sgd_step([p], state)
         return p.value.tobytes()
 
@@ -370,7 +369,6 @@ def test_repeated_runs_are_bit_identical():
 _OPS = {
     "add": lambda p, q: ad.add(p, q),
     "add_const": lambda p, q: ad.add_const(p, 1.5),
-    "mul": lambda p, q: ad.mul(p, q),
     "mul_const": lambda p, q: ad.mul_const(p, -2.0),
     "linear": lambda p, q: ad.linear(p, Parameter("w", np.eye(4)), Parameter("b", np.ones(4))),
     "add_position": lambda p, q: ad.add_position(p, q, 3),
@@ -417,6 +415,6 @@ class TestNoGrad:
         with pytest.raises(RuntimeError, match="inside"):
             with no_grad():
                 raise RuntimeError("inside")
-        loss = ad.sum_all(ad.mul(p, q))
+        loss = ad.sum_all(ad.mul_const(p, q.value))
         backward(loss)
         np.testing.assert_array_equal(p.grad, q.value)

@@ -11,6 +11,8 @@ relative: the key-bias gradients are exactly zero in exact arithmetic
 left and a relative comparison would divide noise by noise.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,11 @@ from nsnet.autodiff import Parameter, backward, finite_difference_check
 from nsnet.model import ForwardOutput, LossBreakdown, ModelConfig, SamplerModel, \
     total_loss
 from nsnet.supervision import ns_pseudo_label_matrix
-from nsnet.training import TrainExample, batch_loss
+from nsnet.training import batch_loss
 
 ATOL = 1e-12
 B, T, D, C = 5, 6, 16, 4
+Example = namedtuple("Example", "features frame_targets label")
 
 
 def make_model(seed=0, dropout=True):
@@ -38,10 +41,16 @@ def make_batch(seed=1, size=B, frames=T):
     batch = []
     for i in range(size):
         label = int(rng.integers(C))
-        batch.append(TrainExample(rng.standard_normal((frames, D)),
-                                  ns_pseudo_label_matrix(rng.random(frames), label, C),
-                                  label, f"v{i}"))
+        batch.append(Example(rng.standard_normal((frames, D)),
+                             ns_pseudo_label_matrix(rng.random(frames), label, C), label))
     return batch
+
+
+def stacked_batch_loss(model, batch, train=False, rng=None) -> LossBreakdown:
+    """``batch_loss`` on the batch's stacked features and targets."""
+    return batch_loss(model, np.stack([e.features for e in batch]),
+                      np.concatenate([e.frame_targets for e in batch]),
+                      [e.label for e in batch], train=train, rng=rng)
 
 
 def per_video_forward(model, features, train=False, rng=None) -> ForwardOutput:
@@ -148,7 +157,7 @@ def test_batch_loss_terms_and_gradients_equal_per_video_mean(train):
         backward(parts.total)
         return values, {p.name: p.grad.copy() for p in model.parameters()}
 
-    values, grads = run(batch_loss, rng_batched)
+    values, grads = run(stacked_batch_loss, rng_batched)
     ref_values, ref_grads = run(per_video_batch_loss, rng_loop)
     for key in values:
         np.testing.assert_allclose(values[key], ref_values[key], rtol=0, atol=ATOL,
@@ -162,8 +171,10 @@ def test_batch_loss_terms_and_gradients_equal_per_video_mean(train):
 def test_batch_loss_rejects_unequal_frame_counts():
     model = make_model(dropout=False)
     batch = make_batch(size=2) + make_batch(size=1, frames=T - 1)
-    with pytest.raises(ValueError):
-        batch_loss(model, batch)
+    with pytest.raises(ValueError, match="targets shape"):
+        batch_loss(model, np.stack([e.features for e in batch[:2]]),
+                   np.concatenate([e.frame_targets for e in batch]),
+                   [e.label for e in batch[:2]])
 
 
 @pytest.mark.parametrize("frames", [1, 5])

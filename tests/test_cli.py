@@ -216,11 +216,13 @@ class TestCheckpointBoundary:
 
     @pytest.mark.parametrize("key, replacement, message", [
         ("gamma", "gamma=().__class__.__base__.__subclasses__().__len__() * 0.0",
-         "not a literal"),
-        ("heads", "heads=int('2')", "not a literal"),
-        ("heads", "heads='2'", "heads must be int"),
+         "must be a finite number"),
+        ("heads", "heads=int('2')", "must be an int"),
+        ("heads", "heads='2'", "must be an int"),
         (None, "foo=1", "unknown model configuration key 'foo'"),
         (None, "gamma=0.2", "duplicate key 'gamma'"),
+        ("heads", "heads=0x2", "integer, got '0x2'"),
+        ("heads", "heads=True", "integer, got 'True'"),
     ])
     def test_bad_sidecar_line(self, checkpoint, tmp_path, capsys, key, replacement,
                               message):
@@ -237,8 +239,18 @@ class TestCheckpointBoundary:
         sidecar.write_text("\n".join(lines) + "\n")
         code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
         line = assert_one_error_line(code, err)
-        assert f"{sidecar}:{lineno}: " in line, line
+        assert f"{sidecar}:{lineno}: {'' if key is None else key + ' '}" in line, line
         assert message in line, line
+
+    def test_sidecar_ffn_dim_none_loads(self, checkpoint, tmp_path, capsys):
+        path, manifest = checkpoint
+        sidecar = tmp_path / "model.nsc1.cfg"
+        lines = ["ffn_dim=None" if line.startswith("ffn_dim=") else line
+                 for line in sidecar.read_text().splitlines()]
+        sidecar.write_text("\n".join(lines) + "\n")
+        assert ModelConfig.from_file(str(sidecar)).ffn_dim == 3   # input_dim
+        code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
+        assert code == 0, err
 
     def test_non_finite_parameter(self, checkpoint, tmp_path, capsys):
         path, manifest = checkpoint
@@ -405,10 +417,13 @@ class TestArgumentErrors:
         ("eval", ["--seed", "-1"], "--seed must be >= 0, got -1"),
         ("synth", ["--seed", "-1"], "--seed must be >= 0, got -1"),
         ("eval", ["--seed", str(2 ** 64)], f"--seed must be < 2**64, got {2 ** 64}"),
+        ("synth", ["--val-videos-per-class", "-3"], "val_videos_per_class must be >= 0, got -3"),
+        ("train", ["--frames", "8", "--k", "9", "--heads", "1"],
+         "k=9 out of range for 8 observation frames"),
     ], ids=["eval-frames", "eval-k-list-word", "eval-k-list-empty", "eval-k-list-zero",
             "sample-frames", "sample-k", "train-k", "train-max-frames", "train-frames",
             "train-config-k", "flops-frames", "flops-k", "eval-seed", "synth-seed",
-            "eval-seed-above-uint64"])
+            "eval-seed-above-uint64", "synth-val-videos-per-class", "train-k-above-frames"])
     def test_one_error_line(self, checkpoint, tmp_path, capsys, command, extra, flag):
         path, manifest = checkpoint
         config = tmp_path / "run.cfg"
@@ -571,7 +586,7 @@ def test_run_config_parsing(tiny_tree, tmp_path, capsys, monkeypatch):
                         "# comment line\nratio=0.4\n")
     seen = {}
 
-    def capture(records, num_classes, bank, model_cfg, train_cfg, **kwargs):
+    def capture(records, bank, model_cfg, train_cfg, **kwargs):
         seen.update(model=model_cfg, train=train_cfg, fusion=kwargs["fusion_cfg"])
         raise RuntimeError("configuration captured")
 
@@ -579,7 +594,7 @@ def test_run_config_parsing(tiny_tree, tmp_path, capsys, monkeypatch):
     assert run(["train", "--config", str(cfg_file)], capsys)[0] == 1
     assert seen["train"].epochs == 30
     assert seen["train"].lr_decay_epochs == (10, 20)
-    assert seen["train"].presample.shift_augment is False
+    assert seen["train"].shift_augment is False
     assert seen["fusion"].ratio == 0.4
     assert seen["model"].gamma == 0.2  # untouched default
 
@@ -590,23 +605,22 @@ class TestTrainKeys:
 
     def test_keys(self):
         assert set(RUN_KEYS) == {"train_manifest", "val_manifest", "prototypes", "out_dir",
-                                 "max_frames", "frames", "shift_augment", "fusion",
-                                 "ratio", "k"}
+                                 "max_frames", "fusion", "ratio", "k"}
         model = {f.name for f in fields(ModelConfig)} - {"input_dim", "num_classes"}
-        training = {f.name for f in fields(TrainConfig)} - {"presample"}
+        training = {f.name for f in fields(TrainConfig)}
         assert set(TRAIN_KEYS) == set(RUN_KEYS) | model | training
+        assert len(TRAIN_KEYS) == 25
 
     def test_help_defaults(self, capsys):
         with pytest.raises(SystemExit):
             main(["train", "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        presample, fusion = TrainConfig().presample, FusionConfig()
+        fusion = FusionConfig()
         defaults = {f.name: f.default for f in fields(ModelConfig) + fields(TrainConfig)}
         defaults.update(train_manifest=None, val_manifest=None, prototypes=None,
-                        out_dir=None, max_frames=None, k=None, frames=presample.frames,
-                        shift_augment=presample.shift_augment, fusion=fusion.mode,
+                        out_dir=None, max_frames=None, k=None, fusion=fusion.mode,
                         ratio=fusion.ratio)
-        assert (presample.frames, presample.shift_augment) == (16, True)
+        assert (defaults["frames"], defaults["shift_augment"]) == (16, True)
         for key in TRAIN_KEYS:
             assert f"--{key.replace('_', '-')} " in text, key
             assert f"override {key} (default {defaults[key]})" in text, key

@@ -326,12 +326,19 @@ def _bad_key_value_files():
                                               for v in ("nan", "inf", "-inf", "1e999")]:
             kept = [line for line in lines if not line.startswith(key + "=")]
             yield reader, kept + [f"{key}={text}"], f"{key} "
+    # values the run file's parsers reject where a Python literal would pass
+    sidecar = KEY_VALUE_READERS["checkpoint sidecar"][2]
+    for text in ("0x2", "True"):
+        yield ("checkpoint sidecar", [line for line in sidecar if not line.startswith("heads=")]
+               + [f"heads={text}"], f"heads must be an integer, got {text!r}")
+    yield "cost table", ["encoder=0.5", "vgm=-0.001"], "vgm must be >= 0, got '-0.001'"
 
 
 @pytest.mark.parametrize("reader, lines, message", list(_bad_key_value_files()))
 def test_key_value_readers_name_the_line(tmp_path, reader, lines, message):
     """Every key=value file rejects an unknown or repeated key, an
-    unparsable value and a non-finite float, naming path:line."""
+    unparsable value (a sidecar's hex or boolean integer, a negative cost
+    included) and a non-finite float, naming path:line."""
     read, file_name, *_ = KEY_VALUE_READERS[reader]
     path = tmp_path / file_name
     path.write_text("\n".join(lines[:-1]) + "\n")

@@ -2,6 +2,7 @@
 batched method x K scoring against the per-video loop it replaced."""
 
 import math
+import re
 import zlib
 from dataclasses import astuple
 
@@ -13,15 +14,13 @@ from nsnet.data import PresampleConfig, VideoRecord, presample
 from nsnet.evaluation import (
     BASELINE_METHODS,
     DEFAULT_COST_TABLE,
-    FlopsBudget,
     ScoredVideos,
     baseline_sample,
     baseline_selection,
-    budget_from_cost_table,
-    flops_total,
     load_cost_table,
     mean_average_precision,
     run_comparison,
+    sampler_gflops,
     top1_accuracy,
 )
 from nsnet.fusion import FUSION_MODES, FusionConfig, select_frames
@@ -43,18 +42,30 @@ def average_precision_oracle(class_scores, positives):
 
 class TestFlops:
     def test_published_example(self):
-        budget = FlopsBudget(recognizer_per_frame=4.109, frames_recognized=5,
-                             embedding=0.320 * 16 + 0.315, vgm=0.004, fsm=0.002)
-        assert abs(flops_total(budget) - 25.99) <= 0.01
+        costs = dict(recognizer_per_frame=4.109, extractor_per_frame=0.320, encoder=0.315,
+                     vgm=0.004, fsm=0.002)
+        assert abs(sampler_gflops(costs, 5, 16) - 25.99) <= 0.01
 
     def test_zero_frames_leaves_overhead(self):
-        budget = FlopsBudget(4.109, 0, 1.5, 0.004, 0.002)
-        np.testing.assert_allclose(flops_total(budget), 1.506, atol=1e-12)
+        costs = dict(DEFAULT_COST_TABLE, extractor_per_frame=0.075, encoder=0.3)
+        np.testing.assert_allclose(sampler_gflops(costs, 0, 16), 1.506, atol=1e-12)
+
+    def test_arithmetic_order(self):
+        """Recognized frames, then the embedding (extractor * T + encoder),
+        then each head: the frontier's gflops column depends on this order."""
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            costs = dict(zip(DEFAULT_COST_TABLE, rng.random(5) * 10))
+            k, t = (int(n) for n in rng.integers(0, 64, size=2))
+            embedding = costs["extractor_per_frame"] * t + costs["encoder"]
+            expected = costs["recognizer_per_frame"] * k + embedding + costs["vgm"] \
+                + costs["fsm"]
+            assert sampler_gflops(costs, k, t) == expected
 
     def test_linear_in_k(self):
         costs = dict(DEFAULT_COST_TABLE)
-        base = flops_total(budget_from_cost_table(costs, 3, 16))
-        doubled = flops_total(budget_from_cost_table(costs, 6, 16))
+        base = sampler_gflops(costs, 3, 16)
+        doubled = sampler_gflops(costs, 6, 16)
         np.testing.assert_allclose(doubled - base, 3 * costs["recognizer_per_frame"],
                                    atol=1e-12)
 
@@ -67,6 +78,9 @@ class TestFlops:
         assert costs["encoder"] == DEFAULT_COST_TABLE["encoder"]
         path.write_text("nonsense=1\n")
         with pytest.raises(ValueError, match="unknown cost entry"):
+            load_cost_table(str(path))
+        path.write_text("encoder=0.5\nvgm=-0.001\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: vgm must be >= 0, got '-0.001'")):
             load_cost_table(str(path))
 
 

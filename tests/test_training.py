@@ -13,7 +13,6 @@ from nsnet.supervision import build_prototypes, guiding_saliency_scores, \
     ns_pseudo_label_matrix
 from nsnet.training import (
     TrainConfig,
-    TrainExample,
     batch_loss,
     evaluate_epoch,
     gradient_check,
@@ -74,8 +73,7 @@ def tiny_model_cfg(classes=3, dim=8, frames=4, **overrides):
 
 def tiny_train_cfg(**overrides):
     base = dict(epochs=2, batch_size=4, base_lr=0.05, lr_decay_epochs=(1,),
-                decay_factor=0.1, momentum=0.9, seed=7,
-                presample=PresampleConfig(frames=4, shift_augment=True))
+                decay_factor=0.1, momentum=0.9, seed=7, frames=4, shift_augment=True)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -85,7 +83,7 @@ class TestTrainLoop:
         train_records, _ = tiny_dataset(tmp_path)
         bank = build_prototypes(train_records, 3)
         cfg = tiny_train_cfg(epochs=1, base_lr=0.0, lr_decay_epochs=())
-        result = train(train_records, 3, bank, tiny_model_cfg(), cfg)
+        result = train(train_records, bank, tiny_model_cfg(), cfg)
         reference = SamplerModel(tiny_model_cfg(), substream(cfg.seed, "init"))
         for (name, p), (_, q) in zip(result.model.named_parameters(),
                                      reference.named_parameters()):
@@ -96,8 +94,8 @@ class TestTrainLoop:
         bank = build_prototypes(train_records, 3)
         runs = []
         for _ in range(2):
-            result = train(train_records, 3, bank, tiny_model_cfg(),
-                           tiny_train_cfg(), val_records=val_records, eval_k=2)
+            result = train(train_records, bank, tiny_model_cfg(), tiny_train_cfg(),
+                           val_records=val_records, fusion_cfg=FusionConfig(k=2))
             runs.append([m.csv_row() for m in result.metrics])
         assert runs[0] == runs[1]
 
@@ -105,8 +103,9 @@ class TestTrainLoop:
         train_records, val_records = tiny_dataset(tmp_path / "data")
         bank = build_prototypes(train_records, 3)
         out = tmp_path / "run"
-        result = train(train_records, 3, bank, tiny_model_cfg(), tiny_train_cfg(),
-                       val_records=val_records, eval_k=2, out_dir=str(out))
+        result = train(train_records, bank, tiny_model_cfg(), tiny_train_cfg(),
+                       val_records=val_records, fusion_cfg=FusionConfig(k=2),
+                       out_dir=str(out))
         assert (out / "last.nsc1").exists()
         assert (out / "best.nsc1").exists()
         lines = (out / "metrics.csv").read_text().strip().splitlines()
@@ -117,13 +116,39 @@ class TestTrainLoop:
     def test_hard_label_baseline_needs_no_bank(self, tmp_path):
         train_records, _ = tiny_dataset(tmp_path)
         cfg = tiny_train_cfg(ns_labels=False, epochs=1, lr_decay_epochs=())
-        result = train(train_records, 3, None, tiny_model_cfg(gamma=0.0), cfg)
+        result = train(train_records, None, tiny_model_cfg(gamma=0.0), cfg)
         assert len(result.metrics) == cfg.epochs
+
+    def test_k_above_frames_rejected_before_any_epoch(self, tmp_path):
+        train_records, val_records = tiny_dataset(tmp_path / "data")
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="k=5 out of range for 4 observation frames"):
+            train(train_records, None, tiny_model_cfg(), tiny_train_cfg(ns_labels=False),
+                  val_records=val_records, fusion_cfg=FusionConfig(k=5), out_dir=str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fusion_cfg, expected", [
+        (None, FusionConfig(k=1)),   # default_k: 4 frames // 4
+        (FusionConfig("score_max", 0.3, 3), FusionConfig("score_max", 0.3, 3)),
+    ])
+    def test_validation_selects_through_the_fusion_config(self, tmp_path, monkeypatch,
+                                                          fusion_cfg, expected):
+        train_records, val_records = tiny_dataset(tmp_path)
+        seen, honest = [], training._score_selection
+
+        def score(videos, saliency, cfg):
+            seen.append(cfg)
+            return honest(videos, saliency, cfg)
+
+        monkeypatch.setattr(training, "_score_selection", score)
+        train(train_records, None, tiny_model_cfg(), tiny_train_cfg(ns_labels=False),
+              val_records=val_records, fusion_cfg=fusion_cfg)
+        assert seen == [expected] * 2
 
     def test_ns_labels_require_bank(self, tmp_path):
         train_records, _ = tiny_dataset(tmp_path)
         with pytest.raises(ValueError, match="prototype bank"):
-            train(train_records, 3, None, tiny_model_cfg(), tiny_train_cfg())
+            train(train_records, None, tiny_model_cfg(), tiny_train_cfg())
 
     # the injected inf makes numpy warn on its way to the loss
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -134,7 +159,7 @@ class TestTrainLoop:
         # poison the data instead of waiting for divergence
         train_records[0].light_features[0, 0] = np.inf
         with pytest.raises(RuntimeError, match="non-finite loss"):
-            train(train_records, 3, bank, tiny_model_cfg(), cfg)
+            train(train_records, bank, tiny_model_cfg(), cfg)
 
 
 def break_saliency(monkeypatch, case, epoch, video):
@@ -170,8 +195,8 @@ class TestSaliencyInvariants:
         train_records, val_records = tiny_dataset(tmp_path)
         passes = break_saliency(monkeypatch, case, epoch=1, video=4)
         with pytest.raises(RuntimeError) as excinfo:
-            train(train_records, 3, build_prototypes(train_records, 3), tiny_model_cfg(),
-                  tiny_train_cfg(), val_records=val_records, eval_k=2)
+            train(train_records, build_prototypes(train_records, 3), tiny_model_cfg(),
+                  tiny_train_cfg(), val_records=val_records, fusion_cfg=FusionConfig(k=2))
         assert message.format(video=val_records[4].video_id) in str(excinfo.value)
         assert passes == [len(val_records)] * 2   # no forward besides validation's
 
@@ -221,7 +246,7 @@ class TestPseudoLabelCache:
 
         monkeypatch.setattr(training, "ns_pseudo_label_matrix", counted)
         bank = build_prototypes(train_records, 3) if ns_labels else None
-        train(train_records, 3, bank, tiny_model_cfg(), tiny_train_cfg(ns_labels=ns_labels))
+        train(train_records, bank, tiny_model_cfg(), tiny_train_cfg(ns_labels=ns_labels))
         assert built == [(r.num_frames,) for r in train_records]
 
 
@@ -230,13 +255,13 @@ class TestGradientCheckOnModel:
         rng = np.random.default_rng(9)
         model = SamplerModel(tiny_model_cfg(classes=2, dim=4, frames=3),
                              np.random.default_rng(3))
-        batch = []
+        features, targets = [], []
         for label in (0, 1):
             g = rng.random(3)
-            batch.append(TrainExample(rng.standard_normal((3, 4)),
-                                      ns_pseudo_label_matrix(g, label, 2),
-                                      label, f"v{label}"))
-        report = gradient_check(model, batch, tolerance=1e-5)
+            features.append(rng.standard_normal((3, 4)))
+            targets.append(ns_pseudo_label_matrix(g, label, 2))
+        report = gradient_check(model, np.stack(features), np.concatenate(targets), [0, 1],
+                                tolerance=1e-5)
         assert report.passed, str(report)
 
 
@@ -271,7 +296,7 @@ class TestEvaluateEpoch:
     def test_batch_loss_rejects_empty(self):
         model = SamplerModel(tiny_model_cfg(), np.random.default_rng(0))
         with pytest.raises(ValueError, match="empty"):
-            batch_loss(model, [])
+            batch_loss(model, np.zeros((0, 4, 8)), np.zeros((0, 4)), [])
 
 
 def test_benchmark_loss_strictly_decreases_early(bench_ns_run):
