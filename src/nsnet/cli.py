@@ -14,6 +14,7 @@ never leaves a truncated file behind.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import os
 import sys
@@ -305,7 +306,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def keep_heap() -> None:
+    """Keep freed memory in the process's heap, once per process.
+
+    Each training step frees its whole autodiff graph; at glibc's default
+    threshold the top of the heap is then trimmed and the next step faults
+    the same pages back in. Setting the trim threshold also freezes glibc's
+    dynamic mmap threshold at 128 KiB, which would map and unmap every
+    larger array (the 1 MiB attention arrays at batch 64) on each
+    allocation, so the mmap threshold is raised to glibc's own 64-bit
+    ceiling. A C library without ``mallopt`` is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    keep_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

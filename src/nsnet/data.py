@@ -42,17 +42,20 @@ class FeatureFormatError(ValueError):
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    """Write ``payload`` to ``path``; an OSError names ``path`` and leaves
+    no temporary file behind."""
+    tmp = None
     try:
+        directory = os.path.dirname(os.path.abspath(path))
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+        raise OSError(f"failed writing {path}: {exc}") from exc
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -144,10 +147,7 @@ def write_feature_file(path: str, matrix: np.ndarray) -> None:
     n, d = matrix.shape
     payload = FEATURE_MAGIC + struct.pack("<II", n, d) \
         + matrix.astype("<f4").tobytes(order="C")
-    try:
-        atomic_write_bytes(path, payload)
-    except OSError as exc:
-        raise OSError(f"failed writing feature file {path}: {exc}") from exc
+    atomic_write_bytes(path, payload)
 
 
 def _feature_shape(path: str, header: bytes, size: int) -> tuple[int, int]:

@@ -240,10 +240,7 @@ def train(train_records: list[VideoRecord],
         metrics.append(EpochMetrics(epoch, optimizer.learning_rate, *means,
                                     val_top1, val_recall))
         if last_path is not None:
-            try:
-                save_checkpoint(model, last_path)
-            except OSError as exc:
-                raise RuntimeError(f"checkpoint write failed: {last_path}: {exc}") from exc
+            save_checkpoint(model, last_path)
         criterion = val_top1 if val_top1 is not None else -float(means[0])
         if criterion > best_top1:
             best_top1, best_epoch = criterion, epoch

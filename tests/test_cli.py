@@ -1,16 +1,20 @@
 """End-to-end command tests (tiny configurations, in-process)."""
 
+import ctypes
+import errno
 import os
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nsnet.cli import RUN_KEYS, TRAIN_KEYS, build_parser, main
-from nsnet.data import read_feature_file, write_feature_file
+import nsnet.cli
+from nsnet.cli import RUN_KEYS, TRAIN_KEYS, build_parser, keep_heap, main
+from nsnet.data import load_manifest, read_feature_file, write_feature_file
 from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig, SamplerModel, save_checkpoint
-from nsnet.training import TrainConfig
+from nsnet.training import TrainConfig, train
 
 
 def run(argv, capsys):
@@ -565,6 +569,104 @@ class TestParser:
         assert code == 0, err
         # the cost table of the first call must not leak into this one
         assert run(["flops", "--k", "5", "--frames", "16"], capsys)[:2] == (0, "25.99\n")
+
+
+class TestHeapPolicy:
+    """`main` raises glibc's trim and mmap thresholds once per process,
+    before the subcommand runs; a C library that cannot be loaded or has
+    no `mallopt` is skipped, and `train()` called directly leaves the
+    allocator alone."""
+
+    @pytest.fixture
+    def use_library(self, monkeypatch):
+        def use(cdll):
+            monkeypatch.setattr(ctypes, "CDLL", cdll)
+            keep_heap.cache_clear()
+        yield use
+        keep_heap.cache_clear()   # the next `main` sets the real library again
+
+    @pytest.fixture
+    def calls(self, use_library):
+        calls = []
+
+        class Mallopt:
+            def __call__(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        use_library(lambda name: SimpleNamespace(mallopt=Mallopt()))
+        return calls
+
+    def test_set_once_before_the_subcommand(self, calls, monkeypatch, capsys):
+        monkeypatch.setattr(nsnet.cli, "sampler_gflops",
+                            lambda *args: calls.append("flops") or 25.99)
+        assert run(["flops", "--k", "5", "--frames", "16"], capsys)[:2] == (0, "25.99\n")
+        assert run(["flops", "--k", "5", "--frames", "16"], capsys)[:2] == (0, "25.99\n")
+        assert calls == [(-1, 256 << 20), (-3, 32 << 20), "flops", "flops"]
+
+    @pytest.mark.parametrize("library", ["no-mallopt", "unloadable"])
+    def test_missing_mallopt_is_skipped(self, library, use_library, capsys):
+        def unloadable(name):
+            raise OSError("no C library")
+
+        use_library({"no-mallopt": lambda name: SimpleNamespace(),
+                     "unloadable": unloadable}[library])
+        assert run(["flops", "--k", "5", "--frames", "16"], capsys) == (0, "25.99\n", "")
+
+    def test_train_leaves_the_allocator_alone(self, tiny_tree, calls):
+        data, _ = tiny_tree
+        records = load_manifest(str(data / "train.nsm")).load_all()
+        keep_heap.cache_clear()
+        calls.clear()
+        train(records, None, ModelConfig(input_dim=8, num_classes=2, max_frames=6,
+                                         encoder_layers=1, heads=1),
+              TrainConfig(epochs=1, lr_decay_epochs=(), frames=6, ns_labels=False))
+        assert calls == []
+
+
+class TestWriteFailures:
+    """A failed write (here a full disk) ends every writing command with
+    exit 1 and one `error:` line naming the artifact, and leaves no
+    temporary file behind."""
+
+    @pytest.mark.parametrize("command", ["synth", "prototypes", "train", "eval", "sample"])
+    def test_one_error_line(self, checkpoint, tmp_path, capsys, monkeypatch, command):
+        path, manifest = checkpoint
+        data, out = manifest.parent, tmp_path / "out"
+        model = ["--checkpoint", str(path), "--manifest", str(manifest), "--out", str(out)]
+        argv, target = {
+            "synth": (["synth", "--out-dir", str(out), "--classes", "2",
+                       "--videos-per-class", "1", "--frames", "2", "--light-dim", "3",
+                       "--guiding-dim", "3"], out / "feats" / "train_c000_v0000.light.nsf"),
+            "prototypes": (["prototypes", "--manifest", str(data / "train.nsm"),
+                            "--out", str(out)], out),
+            "train": (["train", "--train-manifest", str(data / "train.nsm"),
+                       "--out-dir", str(out), "--ns-labels", "false", "--frames", "2",
+                       "--heads", "1", "--epochs", "1", "--lr-decay-epochs", ""],
+                      out / "last.nsc1"),
+            "eval": (["eval", *model, "--k-list", "2"], out),
+            "sample": (["sample", *model, "--k", "2"], out),
+        }[command]
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, payload):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: FullDisk(fdopen(fd, mode)))
+        error = assert_one_error_line(*run(argv, capsys)[::2])
+        assert error == (f"error: failed writing {target}: "
+                         f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
+        assert not list(tmp_path.rglob(".tmp-*"))
 
 
 class TestHelp:
