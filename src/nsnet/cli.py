@@ -2,13 +2,14 @@
 
 ``train`` reads an optional ``key=value`` run configuration (the syntax of
 ``data.read_key_values``); every key has a same-named command-line flag and
-flags win. The run-level keys (paths, positional capacity, validation
-fusion) are declared here; every other key is a field of ``ModelConfig`` or
-``TrainConfig``, parsed by its annotation and defaulting to the dataclass's
-default. Unknown or repeated keys and unparsable values are rejected, and
-all referenced paths are validated before any work starts. Every artifact
-is written to a temporary file and renamed into place, so a failed command
-never leaves a truncated file behind.
+flags win. The run-level keys (paths, validation fusion) are declared here;
+every other key is a field of ``ModelConfig`` or ``TrainConfig``, parsed by
+its annotation and defaulting to the dataclass's default. Unknown or
+repeated keys and unparsable values are rejected. Every command checks all
+of its settings, its referenced paths and how its inputs fit together
+before it reads any video, and then reads each video only when its work
+needs it. Every artifact is written to a temporary file and renamed into
+place, so a failed command never leaves a truncated file behind.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ import ctypes
 import functools
 import os
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 
-from .data import PARSE_ANNOTATION, DatasetManifest, PresampleConfig, atomic_write_text, \
-    boolean, finite_float, generate_synthetic_dataset, integer, integer_list, load_manifest, \
-    presample_indices, read_key_values
-from .evaluation import load_cost_table, run_comparison, sampler_gflops, write_comparison_csv
+from .data import PARSE_ANNOTATION, DatasetManifest, PresampleConfig, boolean, finite_float, \
+    generate_synthetic_dataset, integer, integer_list, load_manifest, presample_indices, \
+    read_key_values, write_csv
+from .evaluation import load_cost_table, run_comparison, sampler_gflops
 from .fusion import FUSION_MODES, SCORE_MODES, FusionConfig, fuse_scores, select_frames
 from .model import ModelConfig, SamplerModel, load_checkpoint
 from .supervision import build_prototypes, load_prototypes, save_prototypes
@@ -50,7 +51,6 @@ RUN_KEYS = {
     "val_manifest": (str, None),
     "prototypes": (str, None),
     "out_dir": (str, None),
-    "max_frames": (integer, None),   # positional capacity; None: frames
     "fusion": (str, FusionConfig.mode),
     "ratio": (finite_float, FusionConfig.ratio),
     "k": (integer, None),            # None: TrainConfig.default_k
@@ -95,8 +95,8 @@ def cmd_synth(args) -> int:
 
 def cmd_prototypes(args) -> int:
     manifest = load_manifest(args.manifest)
-    records = manifest.load_all()
-    bank = build_prototypes(records, manifest.num_classes, args.epsilon)
+    bank = build_prototypes(map(manifest.load_record, manifest.entries),
+                            manifest.num_classes, args.epsilon)
     save_prototypes(bank, args.out)
     print(f"wrote {bank.num_classes}x{bank.prototypes.shape[1]} prototypes to {args.out}")
     return 0
@@ -112,9 +112,9 @@ def cmd_train(args) -> int:
         return {f.name: settings[f.name] for f in fields(cls)
                 if f.name in settings and f.name not in _NOT_KEYS}
 
-    for key in ("max_frames", "frames", "k"):
+    for key in ("frames", "k"):
         if settings.get(key) is not None:
-            at_least("--" + key.replace("_", "-") if getattr(args, key) is not None
+            at_least("--" + key if getattr(args, key) is not None
                      else f"{key} in {args.config}", settings[key], 1)
 
     if run["train_manifest"] is None or run["out_dir"] is None:
@@ -126,6 +126,10 @@ def cmd_train(args) -> int:
     manifest = load_manifest(run["train_manifest"])
     val_manifest = load_manifest(run["val_manifest"]) if run["val_manifest"] else None
     train_cfg = TrainConfig(**owned(TrainConfig))
+    model_cfg = ModelConfig(input_dim=manifest.dims["D_l"], num_classes=manifest.num_classes,
+                            max_frames=train_cfg.frames, **owned(ModelConfig))
+    fusion_cfg = FusionConfig(run["fusion"], run["ratio"],
+                              train_cfg.default_k if run["k"] is None else run["k"])
     bank = None
     if train_cfg.ns_labels:
         if run["prototypes"] is None:
@@ -138,16 +142,9 @@ def cmd_train(args) -> int:
             if have != manifest.dims[dim]:
                 raise ValueError(f"train_manifest {run['train_manifest']} has {dim}="
                                  f"{manifest.dims[dim]} but {key} {run[key]} has {dim}={have}")
-    train_records = manifest.load_all()
-    val_records = val_manifest.load_all() if val_manifest else None
-    model_cfg = ModelConfig(
-        input_dim=manifest.dims["D_l"],
-        num_classes=manifest.num_classes,
-        max_frames=train_cfg.frames if run["max_frames"] is None else run["max_frames"],
-        **owned(ModelConfig))
-    fusion_cfg = FusionConfig(run["fusion"], run["ratio"],
-                              train_cfg.default_k if run["k"] is None else run["k"])
-    result = train(train_records, bank, model_cfg, train_cfg, val_records=val_records,
+    result = train(map(manifest.load_record, manifest.entries), bank, model_cfg, train_cfg,
+                   val_records=val_manifest and map(val_manifest.load_record,
+                                                    val_manifest.entries),
                    fusion_cfg=fusion_cfg, out_dir=run["out_dir"])
     last = result.metrics[-1]
     summary = f"trained {train_cfg.epochs} epochs, final loss {last.loss:.4f}"
@@ -157,10 +154,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def load_fitting(args) -> tuple[SamplerModel, DatasetManifest, int]:
+def load_fitting(args, ks: list[int]) -> tuple[SamplerModel, DatasetManifest, int]:
     """The checkpoint and manifest of `eval` and `sample`, which must agree
     on the class count and the light feature width, and the observation
-    length (default: the checkpoint's capacity)."""
+    length (default: the checkpoint's capacity), which must fit in the
+    checkpoint's capacity and hold every frame budget in ``ks``."""
     model = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
     cfg = model.config
@@ -170,13 +168,19 @@ def load_fitting(args) -> tuple[SamplerModel, DatasetManifest, int]:
         if want != have:
             raise ValueError(f"checkpoint {args.checkpoint} has {key}={want} but manifest "
                              f"{manifest.path} has {what}{have}")
-    return model, manifest, cfg.max_frames if args.frames is None \
-        else at_least("--frames", args.frames, 1)
+    frames = cfg.max_frames if args.frames is None else at_least("--frames", args.frames, 1)
+    if frames > cfg.max_frames:
+        raise ValueError(f"--frames {frames} exceeds the positional capacity "
+                         f"{cfg.max_frames} of checkpoint {args.checkpoint}")
+    for k in ks:
+        if k > frames:
+            raise ValueError(f"k={k} out of range for {frames} observation frames")
+    return model, manifest, frames
 
 
 def cmd_sample(args) -> int:
-    model, manifest, frames = load_fitting(args)
     fusion_cfg = FusionConfig(args.fusion, args.ratio, at_least("--k", args.k, 1))
+    model, manifest, frames = load_fitting(args, [fusion_cfg.k])
     pre = PresampleConfig(frames=frames)
     # a generator, so each record is read only when its block's forward needs it
     s_f, s_v = model.saliency(r.light_features[presample_indices(r.num_frames, pre)]
@@ -185,12 +189,11 @@ def cmd_sample(args) -> int:
     np.put_along_axis(chosen, select_frames(s_f, s_v, fusion_cfg), True, axis=1)
     fused = fuse_scores(s_f, s_v, args.fusion, args.ratio).tolist() \
         if args.fusion in SCORE_MODES else [[None] * frames] * len(s_f)
-    lines = ["video_id,frame,s_f,s_v,fused,selected"]
-    for entry, *row in zip(manifest.entries, s_f.tolist(), s_v.tolist(), fused,
-                           chosen.tolist()):
-        lines += [f"{entry.video_id},{i},{f!r},{v!r},{'' if u is None else repr(u)},{int(pick)}"
-                  for i, (f, v, u, pick) in enumerate(zip(*row))]
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    write_csv(args.out, ["video_id", "frame", "s_f", "s_v", "fused", "selected"],
+              ((entry.video_id, i, f, v, u, int(pick))
+               for entry, *row in zip(manifest.entries, s_f.tolist(), s_v.tolist(), fused,
+                                      chosen.tolist())
+               for i, (f, v, u, pick) in enumerate(zip(*row))))
     print(f"wrote saliency for {len(manifest.entries)} videos to {args.out}")
     return 0
 
@@ -202,12 +205,13 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--k-list: {exc}") from None
     if at_least("--seed", args.seed, 0) >= 2 ** 64:
         raise ValueError(f"--seed must be < 2**64, got {args.seed}")
-    model, manifest, frames = load_fitting(args)
-    records = manifest.load_all()
+    fusion_cfg = FusionConfig(args.fusion, args.ratio)
     costs = load_cost_table(args.cost_table)
-    rows = run_comparison(records, model, FusionConfig(args.fusion, args.ratio),
+    model, manifest, frames = load_fitting(args, k_list)
+    rows = run_comparison(map(manifest.load_record, manifest.entries), model, fusion_cfg,
                           k_list, costs=costs, frames=frames, seed=args.seed)
-    write_comparison_csv(args.out, rows)
+    write_csv(args.out, ["method", "K", "top1", "mAP", "recall", "gflops"],
+              map(astuple, rows))
     print(f"wrote {len(rows)} method/K rows to {args.out}")
     return 0
 
@@ -232,9 +236,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Saliency-supervised frame sampling over precomputed features.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, help_text):
-        return sub.add_parser(name, help=help_text,
+    def add_parser(name, help_text, *parents):
+        return sub.add_parser(name, help=help_text, parents=parents,
                               formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+
+    # the flags `eval` and `sample` share, and the cost table of `eval` and `flops`
+    scored = argparse.ArgumentParser(add_help=False)
+    scored.add_argument("--checkpoint", required=True, help="NSC1 checkpoint")
+    scored.add_argument("--manifest", required=True, help="manifest to score (NSM1)")
+    scored.add_argument("--fusion", choices=FUSION_MODES, default=FusionConfig.mode,
+                        help="fusion strategy")
+    scored.add_argument("--ratio", type=finite_float, default=FusionConfig.ratio,
+                        help="fusion ratio")
+    scored.add_argument("--frames", type=int, default=None,
+                        help="observation frames (default: checkpoint capacity)")
+    costed = argparse.ArgumentParser(add_help=False)
+    costed.add_argument("--cost-table", default=None,
+                        help="name=gflops text file (default: built-in table)")
 
     p = add_parser("synth", "generate a synthetic dataset with planted saliency")
     p.add_argument("--out-dir", required=True, help="output directory")
@@ -269,36 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=metavars.get(parse), help=f"override {key} (default {default})")
     p.set_defaults(func=cmd_train)
 
-    p = add_parser("sample", "dump per-frame saliency and selections to CSV")
-    p.add_argument("--checkpoint", required=True, help="NSC1 checkpoint")
-    p.add_argument("--manifest", required=True, help="manifest to score (NSM1)")
-    p.add_argument("--fusion", choices=FUSION_MODES, default="index_union",
-                   help="fusion strategy")
-    p.add_argument("--ratio", type=finite_float, default=0.6, help="fusion ratio")
+    p = add_parser("sample", "dump per-frame saliency and selections to CSV", scored)
     p.add_argument("--k", type=int, required=True, help="frames to select")
-    p.add_argument("--frames", type=int, default=None,
-                   help="observation frames (default: checkpoint capacity)")
     p.add_argument("--out", required=True, help="saliency CSV path")
     p.set_defaults(func=cmd_sample)
 
-    p = add_parser("eval", "compare the sampler against baselines over K")
-    p.add_argument("--checkpoint", required=True, help="NSC1 checkpoint")
-    p.add_argument("--manifest", required=True, help="manifest to evaluate (NSM1)")
+    p = add_parser("eval", "compare the sampler against baselines over K", scored, costed)
     p.add_argument("--k-list", required=True, help="comma-separated frame budgets")
-    p.add_argument("--fusion", choices=FUSION_MODES, default="index_union",
-                   help="fusion strategy")
-    p.add_argument("--ratio", type=finite_float, default=0.6, help="fusion ratio")
-    p.add_argument("--frames", type=int, default=None,
-                   help="observation frames (default: checkpoint capacity)")
-    p.add_argument("--cost-table", default=None,
-                   help="name=gflops text file (default: built-in table)")
     p.add_argument("--seed", type=int, default=0, help="seed for the random baseline")
     p.add_argument("--out", required=True, help="frontier CSV path")
     p.set_defaults(func=cmd_eval)
 
-    p = add_parser("flops", "print the per-video GFLOPs for a budget")
-    p.add_argument("--cost-table", default=None,
-                   help="name=gflops text file (default: built-in table)")
+    p = add_parser("flops", "print the per-video GFLOPs for a budget", costed)
     p.add_argument("--k", type=int, required=True, help="frames recognized")
     p.add_argument("--frames", type=int, required=True, help="observation frames")
     p.set_defaults(func=cmd_flops)

@@ -24,7 +24,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -60,6 +60,14 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
 
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Every CSV artifact: a float cell is its repr, None an empty cell and
+    anything else its str."""
+    def cell(x):
+        return "" if x is None else repr(float(x)) if isinstance(x, float) else str(x)
+    atomic_write_text(path, "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows]))
 
 
 # ---------------------------------------------------------------------------

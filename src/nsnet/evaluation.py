@@ -17,12 +17,13 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .autodiff import softmax_values
-from .data import PresampleConfig, VideoRecord, atomic_write_text, finite_float, \
-    presample_indices, read_key_values
+from .data import PresampleConfig, VideoRecord, finite_float, presample_indices, \
+    read_key_values
 from .fusion import FusionConfig, recognize, select_frames
 from .model import SamplerModel
 
@@ -123,21 +124,23 @@ class ScoredVideos:
     video_ids: list[str]
 
     @classmethod
-    def from_records(cls, records: list[VideoRecord], frames: int) -> ScoredVideos:
+    def from_records(cls, records: Iterable[VideoRecord], frames: int) -> ScoredVideos:
         """The records pre-sampled (without shift) to ``frames`` frames each,
-        gathered straight into stacked arrays."""
+        gathered in one pass over any iterable, so no record outlives its
+        own rows."""
         cfg = PresampleConfig(frames=frames)
-        index = [presample_indices(r.num_frames, cfg) for r in records]
-        probs = softmax_values(np.stack([r.recognizer_logits[i]
-                                         for r, i in zip(records, index)]))
-        return cls(
-            light=np.stack([r.light_features[i] for r, i in zip(records, index)]),
-            probs=probs,
-            planted=np.stack([np.zeros(frames, dtype=bool) if r.saliency_mask is None
-                              else r.saliency_mask[i] > 0.5 for r, i in zip(records, index)]),
-            ranking=np.argsort(-probs.max(axis=2), axis=1, kind="stable"),
-            labels=np.array([r.label for r in records]),
-            video_ids=[r.video_id for r in records])
+
+        def observe(r: VideoRecord) -> tuple:
+            i = presample_indices(r.num_frames, cfg)
+            return (r.light_features[i], r.recognizer_logits[i],
+                    np.zeros(frames, dtype=bool) if r.saliency_mask is None
+                    else r.saliency_mask[i] > 0.5, r.label, r.video_id)
+
+        light, logits, planted, labels, video_ids = zip(*map(observe, records))
+        probs = softmax_values(np.stack(logits))
+        return cls(light=np.stack(light), probs=probs, planted=np.stack(planted),
+                   ranking=np.argsort(-probs.max(axis=2), axis=1, kind="stable"),
+                   labels=np.array(labels), video_ids=list(video_ids))
 
     def score(self, selected: np.ndarray) -> tuple[np.ndarray, float | None]:
         """The (V, C) video scores of a selection, and the mean over videos
@@ -218,12 +221,13 @@ class ComparisonRow:
     gflops: float
 
 
-def run_comparison(records: list[VideoRecord], model: SamplerModel,
+def run_comparison(records: Iterable[VideoRecord], model: SamplerModel,
                    fusion_cfg: FusionConfig, k_list: list[int],
                    costs: dict[str, float] | None = None,
                    frames: int | None = None,
                    seed: int = 0) -> list[ComparisonRow]:
-    """Evaluate the sampler and every baseline at each K.
+    """Evaluate the sampler and every baseline at each K; every K is
+    checked before the first record is drawn.
 
     The budget charges the recognizer for the frames it actually sees:
     K for the sampler (plus its embedding/head overhead), K for uniform and
@@ -259,12 +263,3 @@ def run_comparison(records: list[VideoRecord], model: SamplerModel,
                 gflops=gflops[method],
             ))
     return rows
-
-
-def write_comparison_csv(path: str, rows: list[ComparisonRow]) -> None:
-    lines = ["method,K,top1,mAP,recall,gflops"]
-    for r in rows:
-        recall = "" if r.recall is None else repr(float(r.recall))
-        lines.append(f"{r.method},{r.k},{float(r.top1)!r},{float(r.map_score)!r},"
-                     f"{recall},{float(r.gflops)!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -322,13 +322,13 @@ def fsm_saliency(fsm_logits: np.ndarray) -> np.ndarray:
 
 
 def vgm_saliency(attn: np.ndarray) -> np.ndarray:
-    """(..., T, 1) attention columns, or one (T,) vector, to (..., T)
-    scores: the attention weights are the scores; kept as a named step so
-    both granularities feed fusion the same way."""
+    """(..., T, 1) attention columns to (..., T) scores: the attention
+    weights are the scores; kept as a named step so both granularities feed
+    fusion the same way."""
     attn = np.asarray(attn, dtype=np.float64)
-    if attn.ndim > 1 and attn.shape[-1] != 1:
+    if attn.ndim < 2 or attn.shape[-1] != 1:
         raise ValueError(f"expected (..., T, 1) attention, got shape {attn.shape}")
-    return (attn[..., 0] if attn.ndim > 1 else attn).copy()
+    return attn[..., 0].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -59,7 +59,7 @@ def _top_confident_frames(record: VideoRecord, epsilon_percent: float) -> np.nda
     return order[:keep]
 
 
-def build_prototypes(records: Sequence[VideoRecord], num_classes: int,
+def build_prototypes(records: Iterable[VideoRecord], num_classes: int,
                      epsilon_percent: float = DEFAULT_EPSILON_PERCENT) -> PrototypeBank:
     """Average the per-video guiding features into per-category prototypes.
 

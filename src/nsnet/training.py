@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
+from typing import Iterable
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import PresampleConfig, VideoRecord, atomic_write_text, presample_indices
+from .data import PresampleConfig, VideoRecord, presample_indices, write_csv
 from .evaluation import ScoredVideos, top1_accuracy
 from .fusion import FusionConfig, select_frames
 from .model import LossBreakdown, ModelConfig, SamplerModel, save_checkpoint, total_loss
 from .supervision import PrototypeBank, guiding_saliency_scores, ns_pseudo_label_matrix
-
-METRICS_HEADER = "epoch,lr,loss,loss_f,loss_cls,loss_ns,val_top1,val_recall"
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -106,29 +105,15 @@ class EpochMetrics:
     val_top1: float | None = None
     val_recall: float | None = None
 
-    def csv_row(self) -> str:
-        def fmt(x):
-            return "" if x is None else repr(float(x))
-        return ",".join([str(self.epoch), fmt(self.lr), fmt(self.loss),
-                         fmt(self.loss_f), fmt(self.loss_cls), fmt(self.loss_ns),
-                         fmt(self.val_top1), fmt(self.val_recall)])
-
-
-def write_metrics_csv(path: str, metrics: list[EpochMetrics]) -> None:
-    atomic_write_text(path, "\n".join([METRICS_HEADER]
-                                      + [m.csv_row() for m in metrics]) + "\n")
-
 
 @dataclass
 class TrainResult:
     model: SamplerModel
     metrics: list[EpochMetrics]
     best_epoch: int
-    best_checkpoint: str | None = None
-    last_checkpoint: str | None = None
 
 
-def evaluate_epoch(model: SamplerModel, records: list[VideoRecord], k: int,
+def evaluate_epoch(model: SamplerModel, records: Iterable[VideoRecord], k: int,
                    fusion_cfg: FusionConfig | None = None,
                    frames: int | None = None) -> tuple[float, float | None]:
     """Top-1 through the full selection path, plus mean recall of planted
@@ -162,18 +147,20 @@ def _check_saliency(s_f: np.ndarray, s_v: np.ndarray, ids: list[str], epoch: int
                            f"{ids[int(np.argmin(finite))]}")
 
 
-def train(train_records: list[VideoRecord],
+def train(train_records: Iterable[VideoRecord],
           bank: PrototypeBank | None,
           model_cfg: ModelConfig,
           train_cfg: TrainConfig,
-          val_records: list[VideoRecord] | None = None,
+          val_records: Iterable[VideoRecord] | None = None,
           fusion_cfg: FusionConfig | None = None,
           out_dir: str | None = None) -> TrainResult:
     """Run the full schedule and keep the best checkpoint by validation top-1.
 
     ``bank`` may be None only with ns_labels=False (the hard-label baseline
     needs no prototypes). Validation selects through ``fusion_cfg``
-    (default: the default mode and ratio at ``train_cfg.default_k``).
+    (default: the default mode and ratio at ``train_cfg.default_k``). The
+    settings are checked before the first record is drawn from either
+    iterable.
     """
     if train_cfg.ns_labels and bank is None:
         raise ValueError("pseudo labels need a prototype bank; pass ns_labels=False "
@@ -200,7 +187,7 @@ def train(train_records: list[VideoRecord],
 
     # the validation set is observed the same way every epoch; gather it once
     val_videos = ScoredVideos.from_records(val_records, train_cfg.frames) \
-        if val_records else None
+        if val_records is not None else None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     last_path = os.path.join(out_dir, "last.nsc1") if out_dir else None
@@ -247,6 +234,6 @@ def train(train_records: list[VideoRecord],
             if best_path is not None:
                 save_checkpoint(model, best_path)
         if out_dir is not None:
-            write_metrics_csv(os.path.join(out_dir, "metrics.csv"), metrics)
-    return TrainResult(model, metrics, best_epoch,
-                       best_checkpoint=best_path, last_checkpoint=last_path)
+            write_csv(os.path.join(out_dir, "metrics.csv"),
+                      [f.name for f in fields(EpochMetrics)], map(astuple, metrics))
+    return TrainResult(model, metrics, best_epoch)

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import nsnet.cli
+import nsnet.data
+import nsnet.supervision
 from nsnet.cli import RUN_KEYS, TRAIN_KEYS, build_parser, keep_heap, main
 from nsnet.data import load_manifest, read_feature_file, write_feature_file
 from nsnet.fusion import FusionConfig
@@ -362,7 +364,7 @@ class TestFaultsFoundOnRead:
         out = tmp_path / "out"
         model = ["--checkpoint", str(path), "--manifest", str(manifest), "--out", str(out)]
         train = ["train", "--out-dir", str(out), "--ns-labels", "false", "--frames", "2",
-                 "--epochs", "1", "--lr-decay-epochs", ""]
+                 "--heads", "1", "--epochs", "1", "--lr-decay-epochs", ""]
         argv = {"eval": ["eval", *model, "--k-list", "2"],
                 "sample": ["sample", *model, "--k", "2"],
                 "prototypes": ["prototypes", "--manifest", str(manifest), "--out", str(out)],
@@ -413,7 +415,6 @@ class TestArgumentErrors:
         ("sample", ["--frames", "0"], "--frames must be >= 1, got 0"),
         ("sample", ["--k", "0"], "--k must be >= 1, got 0"),
         ("train", ["--k", "0"], "--k must be >= 1, got 0"),
-        ("train", ["--max-frames", "0"], "--max-frames must be >= 1, got 0"),
         ("train", ["--frames", "0"], "--frames must be >= 1, got 0"),
         ("train", ["--config", "{config}"], "k in {config} must be >= 1, got 0"),
         ("flops", ["--frames", "-2"], "--frames must be >= 0, got -2"),
@@ -425,7 +426,7 @@ class TestArgumentErrors:
         ("train", ["--frames", "8", "--k", "9", "--heads", "1"],
          "k=9 out of range for 8 observation frames"),
     ], ids=["eval-frames", "eval-k-list-word", "eval-k-list-empty", "eval-k-list-zero",
-            "sample-frames", "sample-k", "train-k", "train-max-frames", "train-frames",
+            "sample-frames", "sample-k", "train-k", "train-frames",
             "train-config-k", "flops-frames", "flops-k", "eval-seed", "synth-seed",
             "eval-seed-above-uint64", "synth-val-videos-per-class", "train-k-above-frames"])
     def test_one_error_line(self, checkpoint, tmp_path, capsys, command, extra, flag):
@@ -445,6 +446,65 @@ class TestArgumentErrors:
         extra = [arg.format(config=config) for arg in extra]
         error = assert_one_error_line(*run([command] + argv + extra, capsys)[::2])
         assert error == "error: " + flag.format(config=config)
+        assert not out.exists()
+
+
+class TestSettingsBeforeReads:
+    """A setting that no input can make valid, or that does not fit the
+    checkpoint or the other settings, ends the command with exit 1 and one
+    `error:` line before any feature file is read."""
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("eval", ["--k-list", "2,40"], "k=40 out of range for 16 observation frames"),
+        ("eval", ["--frames", "64"], "--frames 64 exceeds the positional capacity 16"),
+        ("eval", ["--ratio", "1.5"], "ratio must be in [0, 1], got 1.5"),
+        ("eval", ["--cost-table", "{costs}"], "{costs}:1: vgm must be >= 0, got '-1'"),
+        ("sample", ["--k", "40"], "k=40 out of range for 16 observation frames"),
+        ("sample", ["--frames", "64"], "--frames 64 exceeds the positional capacity 16"),
+        ("prototypes", ["--epsilon", "0"], "epsilon_percent must be in (0, 100], got 0.0"),
+        ("train", ["--ratio", "1.5"], "ratio must be in [0, 1], got 1.5"),
+        ("train", ["--heads", "5"], "input_dim 8 not divisible by heads 5"),
+        ("train", ["--dropout-cls", "1.0"], "dropout_cls must be in [0, 1), got 1.0"),
+        ("train", ["--gamma", "-1"], "gamma must be finite and >= 0, got -1.0"),
+        ("train", ["--frames", "4", "--k", "5"], "k=5 out of range for 4 observation frames"),
+    ], ids=["eval-k-list", "eval-frames", "eval-ratio", "eval-cost-table", "sample-k",
+            "sample-frames", "prototypes-epsilon", "train-ratio", "train-heads",
+            "train-dropout-cls", "train-gamma", "train-k-above-frames"])
+    def test_one_error_line_and_no_read(self, tmp_path, capsys, monkeypatch, command, extra,
+                                        message):
+        data = tmp_path / "data"
+        assert run(["synth", "--out-dir", str(data), "--classes", "2",
+                    "--videos-per-class", "2", "--val-videos-per-class", "2",
+                    "--frames", "16", "--light-dim", "8", "--guiding-dim", "8",
+                    "--seed", "5"], capsys)[0] == 0
+        checkpoint = tmp_path / "model.nsc1"
+        save_checkpoint(SamplerModel(ModelConfig(input_dim=8, num_classes=2, max_frames=16,
+                                                 encoder_layers=1, heads=1),
+                                     np.random.default_rng(0)), str(checkpoint))
+        costs = tmp_path / "costs.txt"
+        costs.write_text("vgm=-1\n")
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return read_feature_file(path)
+
+        for module in (nsnet.data, nsnet.supervision):
+            monkeypatch.setattr(module, "read_feature_file", counted)
+        out = tmp_path / "out"
+        model = ["--checkpoint", str(checkpoint), "--manifest", str(data / "val.nsm"),
+                 "--out", str(out)]
+        argv = {"eval": ["eval", *model, "--k-list", "2"],
+                "sample": ["sample", *model, "--k", "2"],
+                "prototypes": ["prototypes", "--manifest", str(data / "train.nsm"),
+                               "--out", str(out)],
+                "train": ["train", "--train-manifest", str(data / "train.nsm"),
+                          "--val-manifest", str(data / "val.nsm"), "--out-dir", str(out),
+                          "--ns-labels", "false", "--epochs", "1", "--lr-decay-epochs", ""],
+                }[command] + [arg.format(costs=costs) for arg in extra]
+        code, stdout, err = run(argv, capsys)
+        assert message.format(costs=costs) in assert_one_error_line(code, err)
+        assert reads == [] and stdout == ""
         assert not out.exists()
 
 
@@ -703,15 +763,17 @@ def test_run_config_parsing(tiny_tree, tmp_path, capsys, monkeypatch):
 
 class TestTrainKeys:
     """The `train` keys are the run-level keys plus the configuration
-    fields not filled from the data, and `--help` shows each owner's default."""
+    fields not filled from the data or from `frames`, and `--help` shows
+    each owner's default."""
 
     def test_keys(self):
         assert set(RUN_KEYS) == {"train_manifest", "val_manifest", "prototypes", "out_dir",
-                                 "max_frames", "fusion", "ratio", "k"}
-        model = {f.name for f in fields(ModelConfig)} - {"input_dim", "num_classes"}
+                                 "fusion", "ratio", "k"}
+        model = {f.name for f in fields(ModelConfig)} - {"input_dim", "num_classes",
+                                                         "max_frames"}
         training = {f.name for f in fields(TrainConfig)}
         assert set(TRAIN_KEYS) == set(RUN_KEYS) | model | training
-        assert len(TRAIN_KEYS) == 25
+        assert len(TRAIN_KEYS) == 24
 
     def test_help_defaults(self, capsys):
         with pytest.raises(SystemExit):
@@ -720,7 +782,7 @@ class TestTrainKeys:
         fusion = FusionConfig()
         defaults = {f.name: f.default for f in fields(ModelConfig) + fields(TrainConfig)}
         defaults.update(train_manifest=None, val_manifest=None, prototypes=None,
-                        out_dir=None, max_frames=None, k=None, fusion=fusion.mode,
+                        out_dir=None, k=None, fusion=fusion.mode,
                         ratio=fusion.ratio)
         assert (defaults["frames"], defaults["shift_augment"]) == (16, True)
         for key in TRAIN_KEYS:

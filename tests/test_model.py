@@ -239,7 +239,8 @@ class TestVgm:
     def test_vgm_saliency_is_identity(self):
         attn = np.array([[0.5], [0.5]])
         np.testing.assert_array_equal(vgm_saliency(attn), [0.5, 0.5])
-        assert vgm_saliency(np.array([0.1, 0.7, 0.2])).argmax() == 1
+        with pytest.raises(ValueError, match=r"expected \(\.\.\., T, 1\) attention"):
+            vgm_saliency(np.array([0.1, 0.7, 0.2]))
 
 
 class TestTotalLoss:

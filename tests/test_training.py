@@ -19,7 +19,6 @@ from nsnet.training import (
     lr_at_epoch,
     substream,
     train,
-    write_metrics_csv,
 )
 
 
@@ -96,7 +95,7 @@ class TestTrainLoop:
         for _ in range(2):
             result = train(train_records, bank, tiny_model_cfg(), tiny_train_cfg(),
                            val_records=val_records, fusion_cfg=FusionConfig(k=2))
-            runs.append([m.csv_row() for m in result.metrics])
+            runs.append(result.metrics)
         assert runs[0] == runs[1]
 
     def test_checkpoints_and_metrics_written(self, tmp_path):
@@ -305,11 +304,15 @@ def test_benchmark_loss_strictly_decreases_early(bench_ns_run):
 
 
 def test_metrics_csv_round_trip(tmp_path):
+    from dataclasses import astuple, fields
+
+    from nsnet.data import write_csv
     from nsnet.training import EpochMetrics
     rows = [EpochMetrics(0, 0.01, 1.5, 1.0, 0.4, 0.1, 0.25, None),
             EpochMetrics(1, 0.01, 1.2, 0.8, 0.3, 0.1, None, None)]
     path = tmp_path / "m.csv"
-    write_metrics_csv(str(path), rows)
+    write_csv(str(path), [f.name for f in fields(EpochMetrics)], map(astuple, rows))
     lines = path.read_text().strip().splitlines()
+    assert lines[0] == "epoch,lr,loss,loss_f,loss_cls,loss_ns,val_top1,val_recall"
     assert lines[1] == "0,0.01,1.5,1.0,0.4,0.1,0.25,"
     assert lines[2] == "1,0.01,1.2,0.8,0.3,0.1,,"
