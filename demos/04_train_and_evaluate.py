@@ -25,18 +25,18 @@ bank = build_prototypes(train_records, 6)
 
 model_cfg = ModelConfig(input_dim=16, num_classes=6, max_frames=12, heads=4)
 train_cfg = TrainConfig(epochs=12, batch_size=12, base_lr=0.01, lr_decay_epochs=(),
-                        seed=3, frames=12, shift_augment=True)
-fusion_cfg = FusionConfig("index_union", 0.6, 3)
+                        seed=3, frames=12, shift_augment=True,
+                        fusion="index_union", ratio=0.6, k=3)
 print("training 12 epochs ...")
-result = train(train_records, bank, model_cfg, train_cfg,
-               val_records=val_records, fusion_cfg=fusion_cfg)
+result = train(train_records, bank, model_cfg, train_cfg, val_records=val_records)
 for m in result.metrics:
     if m.epoch % 3 == 0 or m.epoch == len(result.metrics) - 1:
         print(f"  epoch {m.epoch:2d}: loss {m.loss:7.3f}  val top-1 {m.val_top1:.3f}"
               f"  salient recall@3 {m.val_recall:.3f}")
 
 print("\nmethod comparison at K=3 (100-video budget arithmetic in GFLOPs):")
-rows = run_comparison(val_records, result.model, fusion_cfg, [3], frames=12, seed=3)
+validation = FusionConfig(train_cfg.fusion, train_cfg.ratio, train_cfg.k)
+rows = run_comparison(val_records, result.model, validation, [3], seed=3)
 print(f"  {'method':16s} {'top1':>6s} {'mAP':>6s} {'recall':>7s} {'gflops':>8s}")
 for row in rows:
     print(f"  {row.method:16s} {row.top1:6.3f} {row.map_score:6.3f} "

@@ -2,14 +2,17 @@
 
 ``train`` reads an optional ``key=value`` run configuration (the syntax of
 ``data.read_key_values``); every key has a same-named command-line flag and
-flags win. The run-level keys (paths, validation fusion) are declared here;
-every other key is a field of ``ModelConfig`` or ``TrainConfig``, parsed by
-its annotation and defaulting to the dataclass's default. Unknown or
-repeated keys and unparsable values are rejected. Every command checks all
-of its settings, its referenced paths and how its inputs fit together
-before it reads any video, and then reads each video only when its work
-needs it. Every artifact is written to a temporary file and renamed into
-place, so a failed command never leaves a truncated file behind.
+flags win. The run-level keys (the four paths) are declared here; every
+other key, validation's ``fusion``, ``ratio`` and ``k`` among them, is a
+field of ``ModelConfig`` or ``TrainConfig``, parsed by its annotation and
+defaulting to the dataclass's default. Unknown or repeated keys and
+unparsable values are rejected. A checkpoint's positional capacity is the
+``frames`` it was trained at, and ``eval`` and ``sample`` observe every
+video at that length. Every command checks all of its settings, its
+referenced paths and how its inputs fit together before it reads any
+video, and then reads each video only when its work needs it. Every
+artifact is written to a temporary file and renamed into place, so a
+failed command never leaves a truncated file behind.
 """
 
 from __future__ import annotations
@@ -45,17 +48,10 @@ def at_least(name: str, value: int, minimum: int) -> int:
     return value
 
 
-# The run-level keys of `train`, as key: (parser, default).
-RUN_KEYS = {
-    "train_manifest": (str, None),
-    "val_manifest": (str, None),
-    "prototypes": (str, None),
-    "out_dir": (str, None),
-    "fusion": (str, FusionConfig.mode),
-    "ratio": (finite_float, FusionConfig.ratio),
-    "k": (integer, None),            # None: TrainConfig.default_k
-}
-# Fields filled from the data or from the run-level keys above.
+# The paths of `train`, as key: (parser, default).
+RUN_KEYS = dict.fromkeys(("train_manifest", "val_manifest", "prototypes", "out_dir"),
+                         (str, None))
+# Fields filled from the data or from `frames`.
 _NOT_KEYS = {"input_dim", "num_classes", "max_frames"}
 TRAIN_KEYS = {**RUN_KEYS, **{f.name: (PARSE_ANNOTATION[f.type], f.default)
                              for f in fields(ModelConfig) + fields(TrainConfig)
@@ -116,6 +112,7 @@ def cmd_train(args) -> int:
         if settings.get(key) is not None:
             at_least("--" + key if getattr(args, key) is not None
                      else f"{key} in {args.config}", settings[key], 1)
+    train_cfg = TrainConfig(**owned(TrainConfig))
 
     if run["train_manifest"] is None or run["out_dir"] is None:
         raise ValueError("train needs at least train_manifest and out_dir "
@@ -125,11 +122,8 @@ def cmd_train(args) -> int:
             raise FileNotFoundError(f"{key} does not exist: {run[key]}")
     manifest = load_manifest(run["train_manifest"])
     val_manifest = load_manifest(run["val_manifest"]) if run["val_manifest"] else None
-    train_cfg = TrainConfig(**owned(TrainConfig))
     model_cfg = ModelConfig(input_dim=manifest.dims["D_l"], num_classes=manifest.num_classes,
                             max_frames=train_cfg.frames, **owned(ModelConfig))
-    fusion_cfg = FusionConfig(run["fusion"], run["ratio"],
-                              train_cfg.default_k if run["k"] is None else run["k"])
     bank = None
     if train_cfg.ns_labels:
         if run["prototypes"] is None:
@@ -145,7 +139,7 @@ def cmd_train(args) -> int:
     result = train(map(manifest.load_record, manifest.entries), bank, model_cfg, train_cfg,
                    val_records=val_manifest and map(val_manifest.load_record,
                                                     val_manifest.entries),
-                   fusion_cfg=fusion_cfg, out_dir=run["out_dir"])
+                   out_dir=run["out_dir"])
     last = result.metrics[-1]
     summary = f"trained {train_cfg.epochs} epochs, final loss {last.loss:.4f}"
     if last.val_top1 is not None:
@@ -154,11 +148,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def load_fitting(args, ks: list[int]) -> tuple[SamplerModel, DatasetManifest, int]:
+def load_fitting(args, ks: list[int]) -> tuple[SamplerModel, DatasetManifest]:
     """The checkpoint and manifest of `eval` and `sample`, which must agree
-    on the class count and the light feature width, and the observation
-    length (default: the checkpoint's capacity), which must fit in the
-    checkpoint's capacity and hold every frame budget in ``ks``."""
+    on the class count and the light feature width; the observation length
+    is the checkpoint's capacity, which must hold every frame budget in
+    ``ks``."""
     model = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
     cfg = model.config
@@ -168,27 +162,23 @@ def load_fitting(args, ks: list[int]) -> tuple[SamplerModel, DatasetManifest, in
         if want != have:
             raise ValueError(f"checkpoint {args.checkpoint} has {key}={want} but manifest "
                              f"{manifest.path} has {what}{have}")
-    frames = cfg.max_frames if args.frames is None else at_least("--frames", args.frames, 1)
-    if frames > cfg.max_frames:
-        raise ValueError(f"--frames {frames} exceeds the positional capacity "
-                         f"{cfg.max_frames} of checkpoint {args.checkpoint}")
     for k in ks:
-        if k > frames:
-            raise ValueError(f"k={k} out of range for {frames} observation frames")
-    return model, manifest, frames
+        if k > cfg.max_frames:
+            raise ValueError(f"k={k} out of range for {cfg.max_frames} observation frames")
+    return model, manifest
 
 
 def cmd_sample(args) -> int:
     fusion_cfg = FusionConfig(args.fusion, args.ratio, at_least("--k", args.k, 1))
-    model, manifest, frames = load_fitting(args, [fusion_cfg.k])
-    pre = PresampleConfig(frames=frames)
+    model, manifest = load_fitting(args, [fusion_cfg.k])
+    pre = PresampleConfig(frames=model.config.max_frames)
     # a generator, so each record is read only when its block's forward needs it
     s_f, s_v = model.saliency(r.light_features[presample_indices(r.num_frames, pre)]
                               for r in map(manifest.load_record, manifest.entries))
     chosen = np.zeros(s_f.shape, dtype=bool)
     np.put_along_axis(chosen, select_frames(s_f, s_v, fusion_cfg), True, axis=1)
     fused = fuse_scores(s_f, s_v, args.fusion, args.ratio).tolist() \
-        if args.fusion in SCORE_MODES else [[None] * frames] * len(s_f)
+        if args.fusion in SCORE_MODES else [[None] * s_f.shape[1]] * len(s_f)
     write_csv(args.out, ["video_id", "frame", "s_f", "s_v", "fused", "selected"],
               ((entry.video_id, i, f, v, u, int(pick))
                for entry, *row in zip(manifest.entries, s_f.tolist(), s_v.tolist(), fused,
@@ -207,9 +197,9 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--seed must be < 2**64, got {args.seed}")
     fusion_cfg = FusionConfig(args.fusion, args.ratio)
     costs = load_cost_table(args.cost_table)
-    model, manifest, frames = load_fitting(args, k_list)
+    model, manifest = load_fitting(args, k_list)
     rows = run_comparison(map(manifest.load_record, manifest.entries), model, fusion_cfg,
-                          k_list, costs=costs, frames=frames, seed=args.seed)
+                          k_list, costs=costs, seed=args.seed)
     write_csv(args.out, ["method", "K", "top1", "mAP", "recall", "gflops"],
               map(astuple, rows))
     print(f"wrote {len(rows)} method/K rows to {args.out}")
@@ -248,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fusion strategy")
     scored.add_argument("--ratio", type=finite_float, default=FusionConfig.ratio,
                         help="fusion ratio")
-    scored.add_argument("--frames", type=int, default=None,
-                        help="observation frames (default: checkpoint capacity)")
     costed = argparse.ArgumentParser(add_help=False)
     costed.add_argument("--cost-table", default=None,
                         help="name=gflops text file (default: built-in table)")

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -42,13 +41,15 @@ class FeatureFormatError(ValueError):
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write ``payload`` to ``path``; an OSError names ``path`` and leaves
-    no temporary file behind."""
+    """Write ``payload`` to ``path`` with the permissions the umask gives a
+    new file; an OSError names ``path`` and leaves no temporary file behind."""
     tmp = None
     try:
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        name = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
@@ -113,7 +114,7 @@ def integer_list(text: str) -> tuple[int, ...]:
 
 # The parser of a configuration dataclass field, by its annotation.
 PARSE_ANNOTATION = {"int": integer, "int | None": optional_integer, "float": finite_float,
-                    "bool": boolean, "tuple[int, ...]": integer_list}
+                    "bool": boolean, "tuple[int, ...]": integer_list, "str": str}
 
 
 def read_key_values(path: str, parsers: dict[str, Callable[[str], Any]],

@@ -224,10 +224,10 @@ class ComparisonRow:
 def run_comparison(records: Iterable[VideoRecord], model: SamplerModel,
                    fusion_cfg: FusionConfig, k_list: list[int],
                    costs: dict[str, float] | None = None,
-                   frames: int | None = None,
                    seed: int = 0) -> list[ComparisonRow]:
-    """Evaluate the sampler and every baseline at each K; every K is
-    checked before the first record is drawn.
+    """Evaluate the sampler and every baseline at each K, observing every
+    video at the model's positional capacity T; every K is checked before
+    the first record is drawn.
 
     The budget charges the recognizer for the frames it actually sees:
     K for the sampler (plus its embedding/head overhead), K for uniform and
@@ -235,7 +235,7 @@ def run_comparison(records: Iterable[VideoRecord], model: SamplerModel,
     score every frame before discarding any).
     """
     costs = dict(DEFAULT_COST_TABLE) if costs is None else costs
-    t = frames if frames is not None else model.config.max_frames
+    t = model.config.max_frames
     for k in k_list:
         if not 1 <= k <= t:
             raise ValueError(f"k={k} out of range for {t} observation frames")

@@ -45,6 +45,9 @@ class TrainConfig:
     frames: int = 16           # observation length of every video
     shift_augment: bool = True
     ns_labels: bool = True     # False: plain video labels on the frame head
+    fusion: str = FusionConfig.mode    # validation selects through
+    ratio: float = FusionConfig.ratio  # FusionConfig(fusion, ratio, k);
+    k: int | None = None               # None: frames // 4, at least 1
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -55,13 +58,17 @@ class TrainConfig:
         if any(not 0 <= e < self.epochs for e in decays):
             raise ValueError(
                 f"lr_decay_epochs {decays} must lie in [0, {self.epochs})")
+        if self.decay_factor < 0:
+            raise ValueError(f"decay_factor must be >= 0, got {self.decay_factor}")
         self.lr_decay_epochs = decays
-
-    @property
-    def default_k(self) -> int:
-        """Validation's frame budget when none is given: a quarter of the
-        observed frames, at least 1."""
-        return max(1, self.frames // 4)
+        # the rules of the optimizer, observation and validation train() builds
+        ad.SgdState(self.base_lr, self.momentum)
+        PresampleConfig(self.frames, self.shift_augment)
+        if self.k is None:
+            self.k = max(1, self.frames // 4)
+        FusionConfig(self.fusion, self.ratio, self.k)
+        if self.k > self.frames:
+            raise ValueError(f"k={self.k} out of range for {self.frames} observation frames")
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
@@ -152,25 +159,23 @@ def train(train_records: Iterable[VideoRecord],
           model_cfg: ModelConfig,
           train_cfg: TrainConfig,
           val_records: Iterable[VideoRecord] | None = None,
-          fusion_cfg: FusionConfig | None = None,
           out_dir: str | None = None) -> TrainResult:
     """Run the full schedule and keep the best checkpoint by validation top-1.
 
     ``bank`` may be None only with ns_labels=False (the hard-label baseline
-    needs no prototypes). Validation selects through ``fusion_cfg``
-    (default: the default mode and ratio at ``train_cfg.default_k``). The
-    settings are checked before the first record is drawn from either
-    iterable.
+    needs no prototypes). The model's positional capacity must be the
+    observation length, so a checkpoint carries it to ``eval`` and
+    ``sample``. The settings are checked before the first record is drawn
+    from either iterable.
     """
     if train_cfg.ns_labels and bank is None:
         raise ValueError("pseudo labels need a prototype bank; pass ns_labels=False "
                          "to train the hard-label baseline")
+    if model_cfg.max_frames != train_cfg.frames:
+        raise ValueError(f"positional capacity max_frames={model_cfg.max_frames} is not "
+                         f"the observation length frames={train_cfg.frames}")
     observe = PresampleConfig(train_cfg.frames, train_cfg.shift_augment)
-    if fusion_cfg is None:
-        fusion_cfg = FusionConfig(k=train_cfg.default_k)
-    if fusion_cfg.k > train_cfg.frames:
-        raise ValueError(f"k={fusion_cfg.k} out of range for {train_cfg.frames} "
-                         "observation frames")
+    validation = FusionConfig(train_cfg.fusion, train_cfg.ratio, train_cfg.k)
     records = sorted(train_records, key=lambda r: r.video_id)
     init_rng = substream(train_cfg.seed, "init")
     shuffle_rng = substream(train_cfg.seed, "shuffle")
@@ -223,7 +228,7 @@ def train(train_records: Iterable[VideoRecord],
         if val_videos is not None:
             saliency = model.saliency(val_videos.light)
             _check_saliency(*saliency, val_videos.video_ids, epoch)
-            val_top1, val_recall = _score_selection(val_videos, saliency, fusion_cfg)
+            val_top1, val_recall = _score_selection(val_videos, saliency, validation)
         metrics.append(EpochMetrics(epoch, optimizer.learning_rate, *means,
                                     val_top1, val_recall))
         if last_path is not None:

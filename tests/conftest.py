@@ -13,7 +13,6 @@ import time
 import pytest
 
 from nsnet.data import generate_synthetic_dataset, load_manifest
-from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig
 from nsnet.supervision import build_prototypes
 from nsnet.training import TrainConfig, train
@@ -46,7 +45,7 @@ def bench_train_config(ns_labels=True):
         epochs=BENCH["epochs"], batch_size=BENCH["batch_size"], base_lr=0.01,
         lr_decay_epochs=(), momentum=0.9, seed=BENCH["train_seed"],
         frames=BENCH["frames"], shift_augment=True,
-        ns_labels=ns_labels)
+        ns_labels=ns_labels, k=BENCH["eval_k"])
 
 
 @pytest.fixture(scope="session")
@@ -80,7 +79,7 @@ def bench_ns_run(bench_data, tmp_path_factory):
     started = time.perf_counter()
     result = train(bench_data["train_records"], bench_data["bank"], bench_model_config(),
                    bench_train_config(), val_records=bench_data["val_records"],
-                   fusion_cfg=FusionConfig(k=BENCH["eval_k"]), out_dir=str(out_dir))
+                   out_dir=str(out_dir))
     return {"result": result, "out_dir": str(out_dir),
             "seconds": time.perf_counter() - started}
 
@@ -90,6 +89,5 @@ def bench_baseline_run(bench_data):
     started = time.perf_counter()
     result = train(bench_data["train_records"], None,
                    bench_model_config(gamma=0.0), bench_train_config(ns_labels=False),
-                   val_records=bench_data["val_records"],
-                   fusion_cfg=FusionConfig(k=BENCH["eval_k"]))
+                   val_records=bench_data["val_records"])
     return {"result": result, "seconds": time.perf_counter() - started}

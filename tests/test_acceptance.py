@@ -123,7 +123,7 @@ def test_criterion_5_synthetic_recovery(bench_data, bench_ns_run,
     _, base_recall = evaluate_epoch(base_model, bench_data["val_records"], k,
                                     fusion, frames=BENCH["frames"])
     rows = run_comparison(bench_data["val_records"], best, fusion, [k],
-                          frames=BENCH["frames"], seed=BENCH["train_seed"])
+                          seed=BENCH["train_seed"])
     uniform = next(r for r in rows if r.method == "uniform")
     elapsed = bench_data["seconds"] + bench_ns_run["seconds"] \
         + bench_baseline_run["seconds"]
@@ -161,7 +161,7 @@ def test_criterion_6_metric_oracles(bench_data, capsys):
     t = BENCH["frames"]
     records = bench_data["val_records"][:50]
     rows = run_comparison(records, model, FusionConfig("index_union", 0.6, t),
-                          [2, t], frames=t, seed=0)
+                          [2, t], seed=0)
     by = {(r.method, r.k): r for r in rows}
     dense_invariant = by[("dense", 2)].top1 == by[("dense", t)].top1
     full_budget = {by[(m, t)].top1 for m in ("nsnet", "uniform", "dense")}
@@ -178,8 +178,7 @@ def test_criterion_7_determinism(bench_ns_run, bench_data, tmp_path_factory, cap
     rerun_dir = tmp_path_factory.mktemp("bench_ns_rerun")
     train(bench_data["train_records"], bench_data["bank"],
           bench_model_config(), bench_train_config(),
-          val_records=bench_data["val_records"], fusion_cfg=FusionConfig(k=BENCH["eval_k"]),
-          out_dir=str(rerun_dir))
+          val_records=bench_data["val_records"], out_dir=str(rerun_dir))
     identical = True
     for name in ("last.nsc1", "best.nsc1", "metrics.csv"):
         first = Path(bench_ns_run["out_dir"], name).read_bytes()

@@ -408,11 +408,9 @@ class TestArgumentErrors:
     it; 0 is never read as "unset"."""
 
     @pytest.mark.parametrize("command, extra, flag", [
-        ("eval", ["--frames", "0"], "--frames must be >= 1, got 0"),
         ("eval", ["--k-list", "2,x"], "--k-list: must be an integer, got 'x'"),
         ("eval", ["--k-list", ""], "--k-list: must be an integer, got ''"),
         ("eval", ["--k-list", "2,0"], "--k-list: K must be >= 1, got 0"),
-        ("sample", ["--frames", "0"], "--frames must be >= 1, got 0"),
         ("sample", ["--k", "0"], "--k must be >= 1, got 0"),
         ("train", ["--k", "0"], "--k must be >= 1, got 0"),
         ("train", ["--frames", "0"], "--frames must be >= 1, got 0"),
@@ -425,10 +423,12 @@ class TestArgumentErrors:
         ("synth", ["--val-videos-per-class", "-3"], "val_videos_per_class must be >= 0, got -3"),
         ("train", ["--frames", "8", "--k", "9", "--heads", "1"],
          "k=9 out of range for 8 observation frames"),
-    ], ids=["eval-frames", "eval-k-list-word", "eval-k-list-empty", "eval-k-list-zero",
-            "sample-frames", "sample-k", "train-k", "train-frames",
+        ("train", ["--decay-factor", "-1"], "decay_factor must be >= 0, got -1.0"),
+    ], ids=["eval-k-list-word", "eval-k-list-empty", "eval-k-list-zero",
+            "sample-k", "train-k", "train-frames",
             "train-config-k", "flops-frames", "flops-k", "eval-seed", "synth-seed",
-            "eval-seed-above-uint64", "synth-val-videos-per-class", "train-k-above-frames"])
+            "eval-seed-above-uint64", "synth-val-videos-per-class", "train-k-above-frames",
+            "train-decay-factor"])
     def test_one_error_line(self, checkpoint, tmp_path, capsys, command, extra, flag):
         path, manifest = checkpoint
         config = tmp_path / "run.cfg"
@@ -454,35 +454,20 @@ class TestSettingsBeforeReads:
     checkpoint or the other settings, ends the command with exit 1 and one
     `error:` line before any feature file is read."""
 
-    @pytest.mark.parametrize("command, extra, message", [
-        ("eval", ["--k-list", "2,40"], "k=40 out of range for 16 observation frames"),
-        ("eval", ["--frames", "64"], "--frames 64 exceeds the positional capacity 16"),
-        ("eval", ["--ratio", "1.5"], "ratio must be in [0, 1], got 1.5"),
-        ("eval", ["--cost-table", "{costs}"], "{costs}:1: vgm must be >= 0, got '-1'"),
-        ("sample", ["--k", "40"], "k=40 out of range for 16 observation frames"),
-        ("sample", ["--frames", "64"], "--frames 64 exceeds the positional capacity 16"),
-        ("prototypes", ["--epsilon", "0"], "epsilon_percent must be in (0, 100], got 0.0"),
-        ("train", ["--ratio", "1.5"], "ratio must be in [0, 1], got 1.5"),
-        ("train", ["--heads", "5"], "input_dim 8 not divisible by heads 5"),
-        ("train", ["--dropout-cls", "1.0"], "dropout_cls must be in [0, 1), got 1.0"),
-        ("train", ["--gamma", "-1"], "gamma must be finite and >= 0, got -1.0"),
-        ("train", ["--frames", "4", "--k", "5"], "k=5 out of range for 4 observation frames"),
-    ], ids=["eval-k-list", "eval-frames", "eval-ratio", "eval-cost-table", "sample-k",
-            "sample-frames", "prototypes-epsilon", "train-ratio", "train-heads",
-            "train-dropout-cls", "train-gamma", "train-k-above-frames"])
-    def test_one_error_line_and_no_read(self, tmp_path, capsys, monkeypatch, command, extra,
-                                        message):
+    @pytest.fixture
+    def data(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert run(["synth", "--out-dir", str(data), "--classes", "2",
                     "--videos-per-class", "2", "--val-videos-per-class", "2",
                     "--frames", "16", "--light-dim", "8", "--guiding-dim", "8",
                     "--seed", "5"], capsys)[0] == 0
-        checkpoint = tmp_path / "model.nsc1"
-        save_checkpoint(SamplerModel(ModelConfig(input_dim=8, num_classes=2, max_frames=16,
-                                                 encoder_layers=1, heads=1),
-                                     np.random.default_rng(0)), str(checkpoint))
-        costs = tmp_path / "costs.txt"
-        costs.write_text("vgm=-1\n")
+        assert run(["prototypes", "--manifest", str(data / "train.nsm"),
+                    "--out", str(data / "protos.nsf")], capsys)[0] == 0
+        return data
+
+    @pytest.fixture
+    def reads(self, data, monkeypatch):
+        """Every feature file read from here on, the prototype bank's too."""
         reads = []
 
         def counted(path):
@@ -491,21 +476,64 @@ class TestSettingsBeforeReads:
 
         for module in (nsnet.data, nsnet.supervision):
             monkeypatch.setattr(module, "read_feature_file", counted)
+        return reads
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("eval", ["--k-list", "2,40"], "k=40 out of range for 16 observation frames"),
+        ("eval", ["--ratio", "1.5"], "ratio must be in [0, 1], got 1.5"),
+        ("eval", ["--cost-table", "{costs}"], "{costs}:1: vgm must be >= 0, got '-1'"),
+        ("sample", ["--k", "40"], "k=40 out of range for 16 observation frames"),
+        ("prototypes", ["--epsilon", "0"], "epsilon_percent must be in (0, 100], got 0.0"),
+        ("train", ["--ratio", "1.5"], "ratio must be in [0, 1], got 1.5"),
+        ("train", ["--heads", "5"], "input_dim 8 not divisible by heads 5"),
+        ("train", ["--dropout-cls", "1.0"], "dropout_cls must be in [0, 1), got 1.0"),
+        ("train", ["--gamma", "-1"], "gamma must be finite and >= 0, got -1.0"),
+        ("train", ["--frames", "4", "--k", "5"], "k=5 out of range for 4 observation frames"),
+        ("train", ["--momentum", "1.0"], "momentum must be in [0, 1), got 1.0"),
+        ("train", ["--base-lr", "-1"], "learning_rate must be >= 0, got -1.0"),
+        ("train", ["--decay-factor", "-1"], "decay_factor must be >= 0, got -1.0"),
+        ("train-ns", ["--frames", "4", "--k", "5"],
+         "k=5 out of range for 4 observation frames"),
+    ], ids=["eval-k-list", "eval-ratio", "eval-cost-table", "sample-k",
+            "prototypes-epsilon", "train-ratio", "train-heads", "train-dropout-cls",
+            "train-gamma", "train-k-above-frames", "train-momentum", "train-base-lr",
+            "train-decay-factor", "train-ns-labels-k-above-frames"])
+    def test_one_error_line_and_no_read(self, data, reads, tmp_path, capsys, command, extra,
+                                        message):
+        checkpoint = tmp_path / "model.nsc1"
+        save_checkpoint(SamplerModel(ModelConfig(input_dim=8, num_classes=2, max_frames=16,
+                                                 encoder_layers=1, heads=1),
+                                     np.random.default_rng(0)), str(checkpoint))
+        costs = tmp_path / "costs.txt"
+        costs.write_text("vgm=-1\n")
         out = tmp_path / "out"
         model = ["--checkpoint", str(checkpoint), "--manifest", str(data / "val.nsm"),
                  "--out", str(out)]
+        train = ["train", "--train-manifest", str(data / "train.nsm"),
+                 "--val-manifest", str(data / "val.nsm"), "--out-dir", str(out),
+                 "--epochs", "1", "--lr-decay-epochs", ""]
         argv = {"eval": ["eval", *model, "--k-list", "2"],
                 "sample": ["sample", *model, "--k", "2"],
                 "prototypes": ["prototypes", "--manifest", str(data / "train.nsm"),
                                "--out", str(out)],
-                "train": ["train", "--train-manifest", str(data / "train.nsm"),
-                          "--val-manifest", str(data / "val.nsm"), "--out-dir", str(out),
-                          "--ns-labels", "false", "--epochs", "1", "--lr-decay-epochs", ""],
+                "train": [*train, "--ns-labels", "false"],
+                "train-ns": [*train, "--prototypes", str(data / "protos.nsf")],
                 }[command] + [arg.format(costs=costs) for arg in extra]
         code, stdout, err = run(argv, capsys)
         assert message.format(costs=costs) in assert_one_error_line(code, err)
         assert reads == [] and stdout == ""
         assert not out.exists()
+
+    def test_library_train_checks_the_capacity(self, data, reads, tmp_path):
+        manifest = load_manifest(str(data / "train.nsm"))
+        with pytest.raises(ValueError, match="max_frames=8 is not the observation length "
+                                             "frames=16"):
+            train(map(manifest.load_record, manifest.entries), None,
+                  ModelConfig(input_dim=8, num_classes=2, max_frames=8, heads=1),
+                  TrainConfig(epochs=1, lr_decay_epochs=(), frames=16, ns_labels=False),
+                  out_dir=str(tmp_path / "out"))
+        assert reads == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestCheckpointFit:
@@ -749,7 +777,7 @@ def test_run_config_parsing(tiny_tree, tmp_path, capsys, monkeypatch):
     seen = {}
 
     def capture(records, bank, model_cfg, train_cfg, **kwargs):
-        seen.update(model=model_cfg, train=train_cfg, fusion=kwargs["fusion_cfg"])
+        seen.update(model=model_cfg, train=train_cfg)
         raise RuntimeError("configuration captured")
 
     monkeypatch.setattr("nsnet.cli.train", capture)
@@ -757,18 +785,17 @@ def test_run_config_parsing(tiny_tree, tmp_path, capsys, monkeypatch):
     assert seen["train"].epochs == 30
     assert seen["train"].lr_decay_epochs == (10, 20)
     assert seen["train"].shift_augment is False
-    assert seen["fusion"].ratio == 0.4
+    assert seen["train"].ratio == 0.4
     assert seen["model"].gamma == 0.2  # untouched default
 
 
 class TestTrainKeys:
-    """The `train` keys are the run-level keys plus the configuration
-    fields not filled from the data or from `frames`, and `--help` shows
-    each owner's default."""
+    """The `train` keys are the four paths plus the configuration fields
+    not filled from the data or from `frames`, and `--help` shows each
+    owner's default."""
 
     def test_keys(self):
-        assert set(RUN_KEYS) == {"train_manifest", "val_manifest", "prototypes", "out_dir",
-                                 "fusion", "ratio", "k"}
+        assert set(RUN_KEYS) == {"train_manifest", "val_manifest", "prototypes", "out_dir"}
         model = {f.name for f in fields(ModelConfig)} - {"input_dim", "num_classes",
                                                          "max_frames"}
         training = {f.name for f in fields(TrainConfig)}
@@ -779,11 +806,11 @@ class TestTrainKeys:
         with pytest.raises(SystemExit):
             main(["train", "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        fusion = FusionConfig()
         defaults = {f.name: f.default for f in fields(ModelConfig) + fields(TrainConfig)}
-        defaults.update(train_manifest=None, val_manifest=None, prototypes=None,
-                        out_dir=None, k=None, fusion=fusion.mode,
-                        ratio=fusion.ratio)
+        defaults.update(dict.fromkeys(RUN_KEYS))
+        fusion = FusionConfig()
+        assert (defaults["fusion"], defaults["ratio"], defaults["k"]) == \
+            (fusion.mode, fusion.ratio, None)
         assert (defaults["frames"], defaults["shift_augment"]) == (16, True)
         for key in TRAIN_KEYS:
             assert f"--{key.replace('_', '-')} " in text, key

@@ -30,6 +30,33 @@ from nsnet.model import ModelConfig
 from nsnet.supervision import load_prototypes
 
 
+@pytest.fixture(params=[0o022, 0o027], ids=["umask022", "umask027"])
+def umask(request):
+    previous = os.umask(request.param)
+    yield request.param
+    os.umask(previous)
+
+
+class TestAtomicWrite:
+    """An artifact gets the permissions the umask gives any new file."""
+
+    def test_mode_follows_the_umask(self, tmp_path, umask):
+        path = tmp_path / "a.bin"
+        data.atomic_write_bytes(str(path), b"x")
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+        data.atomic_write_bytes(str(path), b"y")   # a replaced file too
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+        assert path.read_bytes() == b"y" and os.listdir(tmp_path) == ["a.bin"]
+
+    def test_every_synthetic_file(self, tmp_path, umask):
+        generate_synthetic_dataset(str(tmp_path), num_classes=2, videos_per_class=1,
+                                   num_frames=2, light_dim=4, guiding_dim=4,
+                                   salient_fraction=0.5, noise_sigma=0.1, seed=0,
+                                   val_videos_per_class=1)
+        modes = {os.stat(p).st_mode & 0o777 for p in tmp_path.rglob("*") if p.is_file()}
+        assert modes == {0o666 & ~umask}
+
+
 class TestFeatureFileLayout:
     def test_single_value_layout(self, tmp_path):
         path = str(tmp_path / "one.nsf")

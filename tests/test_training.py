@@ -49,6 +49,28 @@ class TestLrSchedule:
         with pytest.raises(ValueError, match="lie in"):
             TrainConfig(epochs=40, lr_decay_epochs=(50,))
 
+    @pytest.mark.parametrize("settings, message", [
+        (dict(decay_factor=-1.0), "decay_factor must be >= 0, got -1.0"),
+        (dict(momentum=1.0), "momentum must be in [0, 1), got 1.0"),
+        (dict(base_lr=-1.0), "learning_rate must be >= 0, got -1.0"),
+        (dict(frames=0), "frames must be >= 1, got 0"),
+        (dict(fusion="score_sum"), "unknown fusion mode 'score_sum'"),
+        (dict(ratio=1.5), "ratio must be in [0, 1], got 1.5"),
+        (dict(k=0), "k must be >= 1, got 0"),
+    ], ids=["decay-factor", "momentum", "base-lr", "frames", "fusion", "ratio", "k"])
+    def test_each_setting_checked_at_construction(self, settings, message):
+        with pytest.raises(ValueError) as excinfo:
+            TrainConfig(**settings)
+        assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize("frames, k", [(1, 1), (7, 1), (16, 4), (18, 4)])
+    def test_default_k_is_a_quarter_of_the_frames(self, frames, k):
+        assert TrainConfig(frames=frames).k == k
+
+    def test_zero_decay_factor_is_valid(self):
+        cfg = TrainConfig(epochs=4, lr_decay_epochs=(2,), decay_factor=0.0)
+        assert [lr_at_epoch(cfg, e) for e in range(4)] == [0.01, 0.01, 0.0, 0.0]
+
 
 def tiny_dataset(tmp_path, seed=1, classes=3, train_videos=4, val_videos=2,
                  frames=6, dim=8):
@@ -93,8 +115,8 @@ class TestTrainLoop:
         bank = build_prototypes(train_records, 3)
         runs = []
         for _ in range(2):
-            result = train(train_records, bank, tiny_model_cfg(), tiny_train_cfg(),
-                           val_records=val_records, fusion_cfg=FusionConfig(k=2))
+            result = train(train_records, bank, tiny_model_cfg(), tiny_train_cfg(k=2),
+                           val_records=val_records)
             runs.append(result.metrics)
         assert runs[0] == runs[1]
 
@@ -102,9 +124,8 @@ class TestTrainLoop:
         train_records, val_records = tiny_dataset(tmp_path / "data")
         bank = build_prototypes(train_records, 3)
         out = tmp_path / "run"
-        result = train(train_records, bank, tiny_model_cfg(), tiny_train_cfg(),
-                       val_records=val_records, fusion_cfg=FusionConfig(k=2),
-                       out_dir=str(out))
+        result = train(train_records, bank, tiny_model_cfg(), tiny_train_cfg(k=2),
+                       val_records=val_records, out_dir=str(out))
         assert (out / "last.nsc1").exists()
         assert (out / "best.nsc1").exists()
         lines = (out / "metrics.csv").read_text().strip().splitlines()
@@ -118,16 +139,12 @@ class TestTrainLoop:
         result = train(train_records, None, tiny_model_cfg(gamma=0.0), cfg)
         assert len(result.metrics) == cfg.epochs
 
-    def test_k_above_frames_rejected_before_any_epoch(self, tmp_path):
-        train_records, val_records = tiny_dataset(tmp_path / "data")
-        out = tmp_path / "run"
+    def test_k_above_frames_rejected_before_any_epoch(self):
         with pytest.raises(ValueError, match="k=5 out of range for 4 observation frames"):
-            train(train_records, None, tiny_model_cfg(), tiny_train_cfg(ns_labels=False),
-                  val_records=val_records, fusion_cfg=FusionConfig(k=5), out_dir=str(out))
-        assert not out.exists()
+            tiny_train_cfg(ns_labels=False, k=5)
 
     @pytest.mark.parametrize("fusion_cfg, expected", [
-        (None, FusionConfig(k=1)),   # default_k: 4 frames // 4
+        (None, FusionConfig(k=1)),   # the default k: 4 frames // 4
         (FusionConfig("score_max", 0.3, 3), FusionConfig("score_max", 0.3, 3)),
     ])
     def test_validation_selects_through_the_fusion_config(self, tmp_path, monkeypatch,
@@ -140,8 +157,10 @@ class TestTrainLoop:
             return honest(videos, saliency, cfg)
 
         monkeypatch.setattr(training, "_score_selection", score)
-        train(train_records, None, tiny_model_cfg(), tiny_train_cfg(ns_labels=False),
-              val_records=val_records, fusion_cfg=fusion_cfg)
+        fields = {} if fusion_cfg is None else \
+            dict(fusion=fusion_cfg.mode, ratio=fusion_cfg.ratio, k=fusion_cfg.k)
+        train(train_records, None, tiny_model_cfg(), tiny_train_cfg(ns_labels=False, **fields),
+              val_records=val_records)
         assert seen == [expected] * 2
 
     def test_ns_labels_require_bank(self, tmp_path):
@@ -195,7 +214,7 @@ class TestSaliencyInvariants:
         passes = break_saliency(monkeypatch, case, epoch=1, video=4)
         with pytest.raises(RuntimeError) as excinfo:
             train(train_records, build_prototypes(train_records, 3), tiny_model_cfg(),
-                  tiny_train_cfg(), val_records=val_records, fusion_cfg=FusionConfig(k=2))
+                  tiny_train_cfg(k=2), val_records=val_records)
         assert message.format(video=val_records[4].video_id) in str(excinfo.value)
         assert passes == [len(val_records)] * 2   # no forward besides validation's
 
