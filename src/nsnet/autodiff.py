@@ -49,9 +49,11 @@ class Tensor:
         return self.value.shape
 
     def _accumulate(self, delta: np.ndarray) -> None:
-        # copied, not adopted: ``add`` hands one array to both parents
+        # the first delta is adopted, not copied: each op hands over an array
+        # it just computed, and the ops that pass their incoming gradient
+        # through unchanged (add, add_const, add_position) hand over a copy
         if self.grad is None:
-            self.grad = np.array(delta, dtype=np.float64)
+            self.grad = np.asarray(delta, dtype=np.float64)
         else:
             self.grad += delta
 
@@ -125,8 +127,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
     def backprop(g):
-        a._accumulate(g)
-        b._accumulate(g)
+        a._accumulate(g.copy())
+        b._accumulate(g.copy())
 
     return _node(a.value + b.value, (a, b), backprop)
 
@@ -137,7 +139,7 @@ def add_const(a: Tensor, c) -> Tensor:
         raise ValueError(f"add_const: constant shape {c.shape} vs tensor {a.shape}")
 
     def backprop(g):
-        a._accumulate(g)
+        a._accumulate(g.copy())
 
     return _node(a.value + c, (a,), backprop)
 
@@ -177,7 +179,7 @@ def add_position(x: Tensor, table: Tensor, frames: int) -> Tensor:
         raise ValueError(f"add_position: {x.shape} in blocks of {frames} vs {table.shape}")
 
     def backprop(g):
-        x._accumulate(g)
+        x._accumulate(g.copy())
         if table.grad is None:
             table.grad = np.zeros_like(table.value)
         table.grad[:frames] += g.reshape(-1, frames, d).sum(axis=0)

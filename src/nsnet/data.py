@@ -353,24 +353,29 @@ class PresampleConfig:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
 
 
-def presample_indices(num_frames: int, cfg: PresampleConfig,
+def presample_indices(num_frames: int | np.ndarray, cfg: PresampleConfig,
                       rng: np.random.Generator | None = None) -> np.ndarray:
-    """Frame indices for uniform pre-sampling.
+    """Frame indices for uniform pre-sampling: (T,) for one frame count N,
+    (V, T) rows for an array of V counts.
 
     For N >= T, segment centers floor((i + 0.5) * N / T); with
-    ``shift_augment`` a shared random integer offset in [0, N // T] is added
-    (clamped at N - 1). For N < T the sequence is tiled cyclically.
+    ``shift_augment`` a random integer offset in [0, N // T], shared by the
+    video's frames, is added (clamped at N - 1). The offsets are drawn one
+    ``rng.integers`` call per such video, in order. For N < T the sequence
+    is tiled cyclically and draws nothing.
     """
     t = cfg.frames
-    if num_frames >= t:
-        idx = np.floor((np.arange(t) + 0.5) * num_frames / t).astype(np.int64)
-        if cfg.shift_augment:
-            if rng is None:
-                raise ValueError("shift_augment requires an rng")
-            offset = int(rng.integers(0, num_frames // t + 1))
-            idx = np.minimum(idx + offset, num_frames - 1)
-        return idx
-    return np.arange(t, dtype=np.int64) % num_frames
+    counts = np.asarray(num_frames, dtype=np.int64)
+    n = counts.reshape(-1, 1)
+    long = n >= t
+    idx = np.where(long, np.floor((np.arange(t) + 0.5) * n / t).astype(np.int64),
+                   np.arange(t) % n)
+    if cfg.shift_augment and long.any():
+        if rng is None:
+            raise ValueError("shift_augment requires an rng")
+        offsets = [rng.integers(0, c // t + 1) if c >= t else 0 for c in n[:, 0].tolist()]
+        idx = np.minimum(idx + np.array(offsets)[:, None], n - 1)
+    return idx.reshape(counts.shape + (t,))
 
 
 def presample(record: VideoRecord, cfg: PresampleConfig,

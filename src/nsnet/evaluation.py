@@ -14,6 +14,7 @@ without positives are excluded and reported.
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -129,9 +130,11 @@ class ScoredVideos:
         gathered in one pass over any iterable, so no record outlives its
         own rows."""
         cfg = PresampleConfig(frames=frames)
+        # without shift the indices depend on the frame count alone
+        indices = functools.cache(lambda n: presample_indices(n, cfg))
 
         def observe(r: VideoRecord) -> tuple:
-            i = presample_indices(r.num_frames, cfg)
+            i = indices(r.num_frames)
             return (r.light_features[i], r.recognizer_logits[i],
                     np.zeros(frames, dtype=bool) if r.saliency_mask is None
                     else r.saliency_mask[i] > 0.5, r.label, r.video_id)

@@ -63,23 +63,27 @@ def build_prototypes(records: Iterable[VideoRecord], num_classes: int,
                      epsilon_percent: float = DEFAULT_EPSILON_PERCENT) -> PrototypeBank:
     """Average the per-video guiding features into per-category prototypes.
 
-    Videos weigh equally within their category; accumulation runs in
-    video_id order so the result is independent of input ordering.
+    Videos weigh equally within their category. One pass over ``records``
+    keeps only each video's pooled feature; accumulation then runs in
+    video_id order, so the result is independent of input ordering.
     """
     if not 0 < epsilon_percent <= 100:
         raise ValueError(f"epsilon_percent must be in (0, 100], got {epsilon_percent}")
-    sums: dict[int, np.ndarray] = {}
-    counts = np.zeros(num_classes, dtype=np.int64)
-    for record in sorted(records, key=lambda r: r.video_id):
+    pooled: list[tuple[str, int, np.ndarray]] = []
+    for record in records:
         if record.label >= num_classes:
             raise ValueError(f"{record.video_id}: label {record.label} >= C={num_classes}")
         chosen = _top_confident_frames(record, epsilon_percent)
-        video_feature = record.guiding_features[chosen].mean(axis=0)
-        if record.label in sums:
-            sums[record.label] += video_feature
+        pooled.append((record.video_id, record.label,
+                       record.guiding_features[chosen].mean(axis=0)))
+    sums: dict[int, np.ndarray] = {}
+    counts = np.zeros(num_classes, dtype=np.int64)
+    for _, label, video_feature in sorted(pooled, key=lambda p: p[0]):
+        if label in sums:
+            sums[label] += video_feature
         else:
-            sums[record.label] = video_feature.copy()
-        counts[record.label] += 1
+            sums[label] = video_feature
+        counts[label] += 1
     missing = np.flatnonzero(counts == 0)
     if missing.size > 0:
         raise ValueError(f"no videos for categories {missing.tolist()}; "

@@ -5,8 +5,11 @@ shuffle, augment, dropout), so (seed, config, data) fixes the entire
 trajectory bit-exactly. Guiding scores depend only on the frozen
 prototypes and the recognizer features of the original frames, so each
 video's frame targets (pseudo labels, or plain video labels with
-ns_labels=False) are built once on its original frames and gathered
-through each step's pre-sampling indices.
+ns_labels=False) are built once on its original frames, as its record
+streams past. The split then keeps only two flat per-frame arrays, the
+light rows and the target rows, never guiding features, logits or masks;
+a batch is one pre-sampling call over its videos' frame counts and one
+gather of rows.
 """
 
 from __future__ import annotations
@@ -114,6 +117,46 @@ class EpochMetrics:
 
 
 @dataclass
+class _FrameRows:
+    """A training split as flat per-frame arrays: each video's light rows
+    and frame targets, video after video in arrival order, plus its first
+    row, frame count, label and id."""
+
+    light: np.ndarray      # (frames of all videos, D_l)
+    targets: np.ndarray    # (frames of all videos, C+1)
+    starts: np.ndarray     # (V,)
+    lengths: np.ndarray    # (V,)
+    labels: np.ndarray     # (V,)
+    video_ids: list[str]
+
+    @classmethod
+    def from_records(cls, records: Iterable[VideoRecord], bank: PrototypeBank | None,
+                     ns_labels: bool, num_classes: int) -> _FrameRows:
+        """One pass: each record's targets are built as it streams past, and
+        only its light rows and target rows are kept."""
+        light, targets, labels, video_ids = [], [], [], []
+        for record in records:
+            light.append(record.light_features)
+            targets.append(ns_pseudo_label_matrix(
+                guiding_saliency_scores(record, bank) if ns_labels
+                else np.ones(record.num_frames), record.label, num_classes))
+            labels.append(record.label)
+            video_ids.append(record.video_id)
+        if not video_ids:
+            raise ValueError("no training videos")
+        lengths = np.array([len(rows) for rows in light])
+        return cls(np.concatenate(light), np.concatenate(targets),
+                   np.cumsum(lengths) - lengths, lengths, np.array(labels), video_ids)
+
+    def batch(self, videos: np.ndarray, observe: PresampleConfig,
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The (B, T, D_l) observed features, their (B*T, C+1) targets and the
+        labels of ``videos``, gathered through one pre-sampling call."""
+        rows = self.starts[videos, None] + presample_indices(self.lengths[videos], observe, rng)
+        return self.light[rows], self.targets[rows.reshape(-1)], self.labels[videos].tolist()
+
+
+@dataclass
 class TrainResult:
     model: SamplerModel
     metrics: list[EpochMetrics]
@@ -176,7 +219,10 @@ def train(train_records: Iterable[VideoRecord],
                          f"the observation length frames={train_cfg.frames}")
     observe = PresampleConfig(train_cfg.frames, train_cfg.shift_augment)
     validation = FusionConfig(train_cfg.fusion, train_cfg.ratio, train_cfg.k)
-    records = sorted(train_records, key=lambda r: r.video_id)
+    split = _FrameRows.from_records(train_records, bank, train_cfg.ns_labels,
+                                    model_cfg.num_classes)
+    # batches draw from the videos in video_id order, whatever order they came in
+    by_id = np.array(sorted(range(len(split.video_ids)), key=split.video_ids.__getitem__))
     init_rng = substream(train_cfg.seed, "init")
     shuffle_rng = substream(train_cfg.seed, "shuffle")
     augment_rng = substream(train_cfg.seed, "augment")
@@ -184,11 +230,6 @@ def train(train_records: Iterable[VideoRecord],
     model = SamplerModel(model_cfg, init_rng)
     optimizer = ad.SgdState(learning_rate=train_cfg.base_lr,
                             momentum=train_cfg.momentum)
-
-    frame_targets = [ns_pseudo_label_matrix(
-        guiding_saliency_scores(record, bank) if train_cfg.ns_labels
-        else np.ones(record.num_frames), record.label, model_cfg.num_classes)
-        for record in records]
 
     # the validation set is observed the same way every epoch; gather it once
     val_videos = ScoredVideos.from_records(val_records, train_cfg.frames) \
@@ -202,27 +243,23 @@ def train(train_records: Iterable[VideoRecord],
     best_epoch, best_top1 = 0, -1.0
     for epoch in range(train_cfg.epochs):
         optimizer.learning_rate = lr_at_epoch(train_cfg, epoch)
-        order = shuffle_rng.permutation(len(records))
+        order = by_id[shuffle_rng.permutation(len(by_id))]
         sums = np.zeros(4)
         seen = 0
-        for start in range(0, len(records), train_cfg.batch_size):
-            batch = order[start:start + train_cfg.batch_size].tolist()
-            picks = [presample_indices(records[i].num_frames, observe, augment_rng)
-                     for i in batch]
-            parts = batch_loss(
-                model, np.stack([records[i].light_features[p] for i, p in zip(batch, picks)]),
-                np.concatenate([frame_targets[i][p] for i, p in zip(batch, picks)]),
-                [records[i].label for i in batch], train=True, rng=dropout_rng)
+        for start in range(0, len(order), train_cfg.batch_size):
+            videos = order[start:start + train_cfg.batch_size]
+            parts = batch_loss(model, *split.batch(videos, observe, augment_rng),
+                               train=True, rng=dropout_rng)
             values = np.array([float(parts.total.value), float(parts.frame.value),
                                float(parts.video_cls.value), float(parts.video_ns.value)])
             if not np.all(np.isfinite(values)):
                 raise RuntimeError(
                     f"non-finite loss {values[0]!r} at epoch {epoch}, batch of "
-                    f"videos {[records[i].video_id for i in batch]}")
+                    f"videos {[split.video_ids[v] for v in videos]}")
             ad.backward(parts.total)
             ad.sgd_step(model.parameters(), optimizer)
-            sums += values * len(batch)
-            seen += len(batch)
+            sums += values * len(videos)
+            seen += len(videos)
         means = [float(x) for x in sums / seen]
         val_top1 = val_recall = None
         if val_videos is not None:

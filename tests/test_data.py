@@ -145,6 +145,24 @@ class TestPresample:
     def test_shift_requires_rng(self):
         with pytest.raises(ValueError, match="rng"):
             presample_indices(10, PresampleConfig(frames=5, shift_augment=True))
+        with pytest.raises(ValueError, match="rng"):
+            presample_indices(np.array([3, 10]), PresampleConfig(frames=5, shift_augment=True))
+
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_frame_count_array_stacks_the_scalar_calls(self, shift):
+        # N < T, N = T and N > T, mixed, at T = 4
+        counts = np.array([3, 4, 9, 1, 23, 4, 2, 8, 5])
+        cfg = PresampleConfig(frames=4, shift_augment=shift)
+        batched, one_by_one = np.random.default_rng(5), np.random.default_rng(5)
+        rows = presample_indices(counts, cfg, batched)
+        stacked = np.stack([presample_indices(int(n), cfg, one_by_one) for n in counts])
+        assert rows.dtype == stacked.dtype and rows.shape == (len(counts), 4)
+        assert rows.tobytes() == stacked.tobytes()
+        assert batched.bit_generator.state == one_by_one.bit_generator.state
+
+    def test_short_videos_draw_no_offset(self):
+        rows = presample_indices(np.array([1, 3]), PresampleConfig(frames=4, shift_augment=True))
+        np.testing.assert_array_equal(rows, [[0, 0, 0, 0], [0, 1, 2, 0]])
 
     def test_alignment_across_parallel_arrays(self):
         record = _record_with_tagged_frames(11)

@@ -1,5 +1,7 @@
 """Training loop, schedule and determinism tests (desk-scale configs)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,91 @@ class TestPseudoLabelCache:
         bank = build_prototypes(train_records, 3) if ns_labels else None
         train(train_records, bank, tiny_model_cfg(), tiny_train_cfg(ns_labels=ns_labels))
         assert built == [(r.num_frames,) for r in train_records]
+
+
+class RecordTracker:
+    """Hands out fresh copies of records one at a time and counts how many
+    copies, and how many of their guiding and logits arrays, are alive."""
+
+    def __init__(self):
+        self.records = self.arrays = 0
+        self.alive_at_draw: list[int] = []
+
+    def _gone(self, kind: str) -> None:
+        setattr(self, kind, getattr(self, kind) - 1)
+
+    def stream(self, records):
+        for r in records:
+            self.alive_at_draw.append(self.records)
+            guiding, logits = r.guiding_features.copy(), r.recognizer_logits.copy()
+            copy = VideoRecord(r.video_id, r.label, r.light_features.copy(), guiding, logits,
+                               None if r.saliency_mask is None else r.saliency_mask.copy())
+            self.records += 1
+            self.arrays += 2
+            weakref.finalize(copy, self._gone, "records")
+            weakref.finalize(guiding, self._gone, "arrays")
+            weakref.finalize(logits, self._gone, "arrays")
+            yield copy
+
+
+class TestStreaming:
+    """``build_prototypes`` and ``train`` read their records in one pass and
+    keep none of them, nor their guiding features or logits."""
+
+    def test_build_prototypes_keeps_no_record(self, tmp_path):
+        train_records, _ = tiny_dataset(tmp_path)
+        tracker = RecordTracker()
+        bank = build_prototypes(tracker.stream(train_records), 3)
+        assert len(tracker.alive_at_draw) == len(train_records)
+        assert max(tracker.alive_at_draw) <= 2
+        assert tracker.records == tracker.arrays == 0
+        np.testing.assert_array_equal(bank.prototypes,
+                                      build_prototypes(train_records, 3).prototypes)
+
+    @pytest.mark.parametrize("ns_labels", [True, False])
+    def test_train_keeps_no_record(self, tmp_path, monkeypatch, ns_labels):
+        train_records, val_records = tiny_dataset(tmp_path)
+        bank = build_prototypes(train_records, 3) if ns_labels else None
+        tracker, at_first_step, honest = RecordTracker(), [], training.batch_loss
+
+        def counted(*args, **kwargs):
+            if not at_first_step:
+                at_first_step.append((tracker.records, tracker.arrays))
+            return honest(*args, **kwargs)
+
+        monkeypatch.setattr(training, "batch_loss", counted)
+        train(tracker.stream(train_records), bank, tiny_model_cfg(),
+              tiny_train_cfg(ns_labels=ns_labels, epochs=1, lr_decay_epochs=()),
+              val_records=tracker.stream(val_records))
+        assert len(tracker.alive_at_draw) == len(train_records) + len(val_records)
+        assert max(tracker.alive_at_draw) <= 2
+        assert at_first_step == [(0, 0)]
+
+    def test_mixed_lengths_are_order_independent(self, tmp_path):
+        """Videos shorter than, equal to and longer than T go through one
+        batch path, and the records' arrival order changes no byte."""
+        rng = np.random.default_rng(21)
+        records = []
+        for i in range(12):
+            n = (3, 4, 9)[i % 3]
+            records.append(VideoRecord(f"v{i:02d}", i % 3, rng.standard_normal((n, 8)),
+                                       rng.standard_normal((n, 8)),
+                                       rng.standard_normal((n, 3))))
+        val_records = records[::4]
+        bank = build_prototypes(records, 3)
+        shuffled = [records[i] for i in np.random.default_rng(2).permutation(len(records))]
+        assert [r.video_id for r in shuffled] != [r.video_id for r in records]
+        artifacts = []
+        for name, arrival in (("manifest", records), ("shuffled", shuffled)):
+            out = tmp_path / name
+            train(arrival, bank, tiny_model_cfg(), tiny_train_cfg(k=2),
+                  val_records=val_records, out_dir=str(out))
+            artifacts.append([(out / f).read_bytes() for f in ("last.nsc1", "metrics.csv")])
+        assert artifacts[0] == artifacts[1]
+
+    def test_no_training_videos_rejected(self):
+        with pytest.raises(ValueError, match="no training videos"):
+            train(iter([]), None, tiny_model_cfg(), tiny_train_cfg(ns_labels=False))
 
 
 class TestGradientCheckOnModel:
