@@ -35,7 +35,7 @@ for m in result.metrics:
               f"  salient recall@3 {m.val_recall:.3f}")
 
 print("\nmethod comparison at K=3 (100-video budget arithmetic in GFLOPs):")
-validation = FusionConfig(train_cfg.fusion, train_cfg.ratio, train_cfg.k)
+validation = FusionConfig(train_cfg.fusion, train_cfg.ratio, train_cfg.validation_k)
 rows = run_comparison(val_records, result.model, validation, [3], seed=3)
 print(f"  {'method':16s} {'top1':>6s} {'mAP':>6s} {'recall':>7s} {'gflops':>8s}")
 for row in rows:

@@ -9,7 +9,8 @@ budget arithmetic is reproducible without any real backbone.
 
 mAP is single-label: per category, videos are ranked by that category's
 score and AP averages the precision at each positive's rank; categories
-without positives are excluded and reported.
+without positives are excluded from the mean and reported as NaN in
+``per_class``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -73,7 +74,6 @@ def load_cost_table(path: str | None) -> dict[str, float]:
 class MapResult:
     per_class: np.ndarray       # AP per category, nan where no positives
     mean: float
-    skipped_classes: list[int] = field(default_factory=list)
 
 
 def mean_average_precision(scores: np.ndarray, labels: np.ndarray) -> MapResult:
@@ -98,8 +98,7 @@ def mean_average_precision(scores: np.ndarray, labels: np.ndarray) -> MapResult:
     valid = counts > 0
     if not valid.any():
         raise ValueError("no class has a positive video; mAP undefined")
-    return MapResult(per_class, float(per_class[valid].mean()),
-                     np.flatnonzero(~valid).tolist())
+    return MapResult(per_class, float(per_class[valid].mean()))
 
 
 def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:

@@ -1,7 +1,12 @@
 """The frame sampler network and its losses.
 
-Three parts share one encoding pass over a (T, D) video or a stacked
-(B, T, D) batch, carried as (B*T, D) rows with fused multi-head attention:
+Every parameter is declared once, in ``parameter_table``: an ordered list
+of (name, initial value) pairs whose order is both the NSC1 order and the
+order of the initial draws. ``SamplerModel.params`` maps each name to its
+``Parameter``, and ``SamplerModel.forward`` builds the whole graph from the
+autodiff ops. Three parts share one encoding pass over a (T, D) video or a
+stacked (B, T, D) batch, carried as (B*T, D) rows with fused multi-head
+attention:
 
 * feature embedding: learnable positional embedding plus a pre-norm
   transformer encoder over the per-frame lightweight features;
@@ -27,7 +32,7 @@ import itertools
 import math
 import struct
 from dataclasses import MISSING, dataclass, fields
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -99,161 +104,104 @@ class ForwardOutput:
     nonsalient_logits: Tensor  # (B, C+1)
 
 
-def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def parameter_table(config: ModelConfig,
+                    rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
+    """Every parameter's name and initial value, in NSC1 checkpoint order;
+    the weights are drawn from ``rng`` in that same order."""
+    d, f, c1 = config.input_dim, config.ffn_dim, config.num_classes + 1
+
+    def uniform(fan_in, *shape):
+        bound = 1.0 / math.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
+    table = [("pos_embedding", rng.normal(0.0, 0.02, size=(config.max_frames, d)))]
+    for i in range(config.encoder_layers):
+        table += [(f"enc{i}.{name}", value) for name, value in (
+            ("ln1_gain", np.ones(d)), ("ln1_bias", np.zeros(d)),
+            ("wq", uniform(d, d, d)), ("bq", np.zeros(d)),
+            ("wk", uniform(d, d, d)), ("bk", np.zeros(d)),
+            ("wv", uniform(d, d, d)), ("bv", np.zeros(d)),
+            ("wo", uniform(d, d, d)), ("bo", np.zeros(d)),
+            ("ln2_gain", np.ones(d)), ("ln2_bias", np.zeros(d)),
+            ("w1", uniform(d, d, f)), ("b1", np.zeros(f)),
+            ("w2", uniform(f, f, d)), ("b2", np.zeros(d)))]
+    return table + [
+        ("fsm.w", uniform(d, d, c1)), ("fsm.b", np.zeros(c1)),
+        ("vgm.attn_w", uniform(d, d, 1)), ("vgm.attn_b", np.zeros(1)),
+        ("vgm.cls_w", uniform(d, d, c1)), ("vgm.cls_b", np.zeros(c1))]
 
 
 class SamplerModel:
-    """Parameter container plus the forward passes of all three parts."""
+    """The parameters, by name in ``parameter_table`` order, and the forward
+    graph of all three parts."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
-        d, f = config.input_dim, config.ffn_dim
-        c1 = config.num_classes + 1
-        self._params: dict[str, Parameter] = {}
+        self.params = {name: Parameter(name, value)
+                       for name, value in parameter_table(config, rng)}
 
-        def param(name, value):
-            p = Parameter(name, value)
-            self._params[name] = p
-            return p
+    def forward(self, features: np.ndarray, train: bool = False,
+                rng: np.random.Generator | None = None) -> ForwardOutput:
+        """One graph over (T, D) features or a stacked (B, T, D) batch.
 
-        self.pos_embedding = param(
-            "pos_embedding", rng.normal(0.0, 0.02, size=(config.max_frames, d)))
-        self.layers = []
-        for i in range(config.encoder_layers):
-            prefix = f"enc{i}."
-            layer = {
-                "ln1_gain": param(prefix + "ln1_gain", np.ones(d)),
-                "ln1_bias": param(prefix + "ln1_bias", np.zeros(d)),
-                "wq": param(prefix + "wq", _uniform_init(rng, d, (d, d))),
-                "bq": param(prefix + "bq", np.zeros(d)),
-                "wk": param(prefix + "wk", _uniform_init(rng, d, (d, d))),
-                "bk": param(prefix + "bk", np.zeros(d)),
-                "wv": param(prefix + "wv", _uniform_init(rng, d, (d, d))),
-                "bv": param(prefix + "bv", np.zeros(d)),
-                "wo": param(prefix + "wo", _uniform_init(rng, d, (d, d))),
-                "bo": param(prefix + "bo", np.zeros(d)),
-                "ln2_gain": param(prefix + "ln2_gain", np.ones(d)),
-                "ln2_bias": param(prefix + "ln2_bias", np.zeros(d)),
-                "w1": param(prefix + "w1", _uniform_init(rng, d, (d, f))),
-                "b1": param(prefix + "b1", np.zeros(f)),
-                "w2": param(prefix + "w2", _uniform_init(rng, f, (f, d))),
-                "b2": param(prefix + "b2", np.zeros(d)),
-            }
-            self.layers.append(layer)
-        self.fsm_w = param("fsm.w", _uniform_init(rng, d, (d, c1)))
-        self.fsm_b = param("fsm.b", np.zeros(c1))
-        self.attn_w = param("vgm.attn_w", _uniform_init(rng, d, (d, 1)))
-        self.attn_b = param("vgm.attn_b", np.zeros(1))
-        self.cls_w = param("vgm.cls_w", _uniform_init(rng, d, (d, c1)))
-        self.cls_b = param("vgm.cls_b", np.zeros(c1))
-
-    def parameters(self) -> list[Parameter]:
-        return list(self._params.values())
-
-    def named_parameters(self) -> Iterator[tuple[str, Parameter]]:
-        return iter(self._params.items())
-
-    def _as_batch(self, features: np.ndarray) -> np.ndarray:
-        """(T, D) or (B, T, D) features as a checked (B, T, D) array."""
+        Train mode draws uniforms for each active dropout site per video, in
+        the order pos, fsm, attn, salient, nonsalient, so the random stream
+        does not depend on the batching."""
+        cfg, p = self.config, self.params
         x = np.asarray(features, dtype=np.float64)
         x = x[None] if x.ndim == 2 else x
-        if x.ndim != 3 or x.shape[2] != self.config.input_dim or 0 in x.shape:
-            raise ValueError(f"expected (T, {self.config.input_dim}) or (B, T, "
-                             f"{self.config.input_dim}) features, got {np.shape(features)}")
-        if x.shape[1] > self.config.max_frames:
-            raise ValueError(f"video has {x.shape[1]} frames but positional capacity "
-                             f"is {self.config.max_frames}")
-        return x
-
-    def _dropout_noise(self, b: int, t: int, train: bool,
-                       rng: np.random.Generator | None) -> dict[str, np.ndarray]:
-        """Uniform draws per active dropout site, drawn per video in the site
-        order below, so the random stream does not depend on the batching."""
-        cfg = self.config
+        if x.ndim != 3 or x.shape[2] != cfg.input_dim or 0 in x.shape:
+            raise ValueError(f"expected (T, {cfg.input_dim}) or (B, T, {cfg.input_dim}) "
+                             f"features, got {np.shape(features)}")
+        b, t, d = x.shape
+        if t > cfg.max_frames:
+            raise ValueError(f"video has {t} frames but positional capacity "
+                             f"is {cfg.max_frames}")
         sites = [(name, rows) for name, rows, rate in (
             ("pos", t, cfg.dropout_pos_enc), ("fsm", t, cfg.dropout_cls),
             ("attn", t, cfg.dropout_attn), ("salient", 1, cfg.dropout_cls),
             ("nonsalient", 1, cfg.dropout_cls)) if train and rate > 0.0]
-        if not sites:
-            return {}
-        if rng is None:
-            raise ValueError("train-mode dropout needs an rng")
-        draws = rng.random((b, sum(rows for _, rows in sites), cfg.input_dim))
-        ends = np.cumsum([rows for _, rows in sites])
-        return {name: draws[:, end - rows:end].reshape(b * rows, -1)
-                for (name, rows), end in zip(sites, ends)}
+        noise = {}
+        if sites:
+            if rng is None:
+                raise ValueError("train-mode dropout needs an rng")
+            draws = rng.random((b, sum(rows for _, rows in sites), d))
+            ends = np.cumsum([rows for _, rows in sites])
+            noise = {name: draws[:, end - rows:end].reshape(b * rows, d)
+                     for (name, rows), end in zip(sites, ends)}
 
-    # -- feature embedding ---------------------------------------------------
+        # feature embedding: positions, dropout, pre-norm encoder blocks
+        h = ad.add_position(ad.constant(x.reshape(b * t, d)), p["pos_embedding"], t)
+        h = ad.dropout(h, cfg.dropout_pos_enc, noise.get("pos"))
+        for i in range(cfg.encoder_layers):
+            e = f"enc{i}."
+            n = ad.layer_norm(h, p[e + "ln1_gain"], p[e + "ln1_bias"])
+            context = ad.multi_head_attention(ad.linear(n, p[e + "wq"], p[e + "bq"]),
+                                              ad.linear(n, p[e + "wk"], p[e + "bk"]),
+                                              ad.linear(n, p[e + "wv"], p[e + "bv"]),
+                                              b, cfg.heads)
+            h = h + ad.linear(context, p[e + "wo"], p[e + "bo"])
+            n = ad.layer_norm(h, p[e + "ln2_gain"], p[e + "ln2_bias"])
+            hidden = ad.relu(ad.linear(n, p[e + "w1"], p[e + "b1"]))
+            h = h + ad.linear(hidden, p[e + "w2"], p[e + "b2"])
 
-    def encode(self, features: np.ndarray, noise: np.ndarray | None = None) -> Tensor:
-        """Positional embedding + dropout + pre-norm encoder blocks over
-        (T, D) or (B, T, D) features; returns (B*T, D) rows, video-major."""
-        features = self._as_batch(features)
-        b, t, d = features.shape
-        x = ad.add_position(ad.constant(features.reshape(b * t, d)), self.pos_embedding, t)
-        x = ad.dropout(x, self.config.dropout_pos_enc, noise)
-        for layer in self.layers:
-            h = ad.layer_norm(x, layer["ln1_gain"], layer["ln1_bias"])
-            context = ad.multi_head_attention(ad.linear(h, layer["wq"], layer["bq"]),
-                                              ad.linear(h, layer["wk"], layer["bk"]),
-                                              ad.linear(h, layer["wv"], layer["bv"]),
-                                              b, self.config.heads)
-            x = x + ad.linear(context, layer["wo"], layer["bo"])
-            h2 = ad.layer_norm(x, layer["ln2_gain"], layer["ln2_bias"])
-            hidden = ad.relu(ad.linear(h2, layer["w1"], layer["b1"]))
-            x = x + ad.linear(hidden, layer["w2"], layer["b2"])
-        return x
-
-    # -- frame scrutinize ------------------------------------------------
-
-    def fsm_forward(self, encoded: Tensor, noise: np.ndarray | None = None) -> Tensor:
-        h = ad.dropout(encoded, self.config.dropout_cls, noise)
-        return ad.linear(h, self.fsm_w, self.fsm_b)
-
-    # -- video glimpse -----------------------------------------------------
-
-    def vgm_attention(self, encoded: Tensor, batch: int = 1,
-                      noise: np.ndarray | None = None) -> Tensor:
-        """(B*T, 1) attention: sigmoid activations L1-normalized over each
-        video's frames."""
-        h = ad.dropout(encoded, self.config.dropout_attn, noise)
-        raw = ad.sigmoid(ad.linear(h, self.attn_w, self.attn_b))
-        return ad.l1_normalize(raw, batch)
-
-    def vgm_representations(self, encoded: Tensor, attn: Tensor,
-                            batch: int = 1) -> tuple[Tensor, Tensor]:
-        """(B, D) salient pooling sum(a_i x_i) and its complement with weights
-        (1 - a_i)/T; the complementary weights sum to (T-1)/T."""
-        t = encoded.shape[0] // batch
-        salient = ad.attention_pool(encoded, attn, batch)
-        nonsalient = ad.attention_pool(encoded, (1.0 - attn) * (1.0 / t), batch)
-        return salient, nonsalient
-
-    def classify_video(self, representation: Tensor,
-                       noise: np.ndarray | None = None) -> Tensor:
-        h = ad.dropout(representation, self.config.dropout_cls, noise)
-        return ad.linear(h, self.cls_w, self.cls_b)
-
-    # -- whole network -------------------------------------------------------
-
-    def forward(self, features: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None) -> ForwardOutput:
-        """One graph over (T, D) or a stacked (B, T, D) batch of videos."""
-        features = self._as_batch(features)
-        b, t, _ = features.shape
-        noise = self._dropout_noise(b, t, train, rng)
-        encoded = self.encode(features, noise.get("pos"))
-        attn = self.vgm_attention(encoded, b, noise.get("attn"))
-        salient, nonsalient = self.vgm_representations(encoded, attn, b)
-        return ForwardOutput(
-            encoded=encoded,
-            fsm_logits=self.fsm_forward(encoded, noise.get("fsm")),
-            attn=attn,
-            salient_logits=self.classify_video(salient, noise.get("salient")),
-            nonsalient_logits=self.classify_video(nonsalient, noise.get("nonsalient")),
-        )
+        # video glimpse: attention over each video's frames pools a salient
+        # representation and its complement with weights (1 - a_i)/T
+        raw = ad.linear(ad.dropout(h, cfg.dropout_attn, noise.get("attn")),
+                        p["vgm.attn_w"], p["vgm.attn_b"])
+        attn = ad.l1_normalize(ad.sigmoid(raw), b)
+        salient = ad.attention_pool(h, attn, b)
+        nonsalient = ad.attention_pool(h, (1.0 - attn) * (1.0 / t), b)
+        cls_w, cls_b = p["vgm.cls_w"], p["vgm.cls_b"]
+        salient = ad.linear(ad.dropout(salient, cfg.dropout_cls, noise.get("salient")),
+                            cls_w, cls_b)
+        nonsalient = ad.linear(ad.dropout(nonsalient, cfg.dropout_cls, noise.get("nonsalient")),
+                               cls_w, cls_b)
+        # frame scrutinize: a (C+1)-way classifier per frame
+        fsm_logits = ad.linear(ad.dropout(h, cfg.dropout_cls, noise.get("fsm")),
+                               p["fsm.w"], p["fsm.b"])
+        return ForwardOutput(encoded=h, fsm_logits=fsm_logits, attn=attn,
+                             salient_logits=salient, nonsalient_logits=nonsalient)
 
     def saliency(self, videos: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Inference scores (s_f, s_v), each (B, T), for B videos' (T, D)
@@ -337,8 +285,8 @@ def vgm_saliency(attn: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(model: SamplerModel, path: str) -> None:
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", len(model._params))]
-    for name, p in model.named_parameters():
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", len(model.params))]
+    for name, p in model.params.items():
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)
@@ -368,7 +316,7 @@ def load_checkpoint(path: str) -> SamplerModel:
     if take(4, "magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad magic, not an NSC1 checkpoint")
     (count,) = struct.unpack("<I", take(4, "parameter count"))
-    expected = dict(model.named_parameters())
+    expected = model.params
     loaded: dict[str, np.ndarray] = {}
     for index in range(count):
         (name_len,) = struct.unpack("<H", take(2, f"parameter {index} name length"))

@@ -67,11 +67,15 @@ class TrainConfig:
         # the rules of the optimizer, observation and validation train() builds
         ad.SgdState(self.base_lr, self.momentum)
         PresampleConfig(self.frames, self.shift_augment)
-        if self.k is None:
-            self.k = max(1, self.frames // 4)
-        FusionConfig(self.fusion, self.ratio, self.k)
-        if self.k > self.frames:
-            raise ValueError(f"k={self.k} out of range for {self.frames} observation frames")
+        k = self.validation_k
+        FusionConfig(self.fusion, self.ratio, k)
+        if k > self.frames:
+            raise ValueError(f"k={k} out of range for {self.frames} observation frames")
+
+    @property
+    def validation_k(self) -> int:
+        """The frames validation selects: ``k``, or frames // 4, at least 1."""
+        return max(1, self.frames // 4) if self.k is None else self.k
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
@@ -99,7 +103,7 @@ def gradient_check(model: SamplerModel, features: np.ndarray, frame_targets: np.
                    labels: list[int], step: float = 1e-5, tolerance: float = 1e-4):
     """Full-model finite-difference check on the training loss (dropout off)."""
     return ad.finite_difference_check(
-        model.parameters(),
+        model.params.values(),
         lambda: batch_loss(model, features, frame_targets, labels).total,
         step=step, tolerance=tolerance)
 
@@ -218,7 +222,7 @@ def train(train_records: Iterable[VideoRecord],
         raise ValueError(f"positional capacity max_frames={model_cfg.max_frames} is not "
                          f"the observation length frames={train_cfg.frames}")
     observe = PresampleConfig(train_cfg.frames, train_cfg.shift_augment)
-    validation = FusionConfig(train_cfg.fusion, train_cfg.ratio, train_cfg.k)
+    validation = FusionConfig(train_cfg.fusion, train_cfg.ratio, train_cfg.validation_k)
     split = _FrameRows.from_records(train_records, bank, train_cfg.ns_labels,
                                     model_cfg.num_classes)
     # batches draw from the videos in video_id order, whatever order they came in
@@ -257,7 +261,7 @@ def train(train_records: Iterable[VideoRecord],
                     f"non-finite loss {values[0]!r} at epoch {epoch}, batch of "
                     f"videos {[split.video_ids[v] for v in videos]}")
             ad.backward(parts.total)
-            ad.sgd_step(model.parameters(), optimizer)
+            ad.sgd_step(model.params.values(), optimizer)
             sums += values * len(videos)
             seen += len(videos)
         means = [float(x) for x in sums / seen]

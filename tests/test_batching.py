@@ -54,21 +54,10 @@ def stacked_batch_loss(model, batch, train=False, rng=None) -> LossBreakdown:
 
 
 def per_video_forward(model, features, train=False, rng=None) -> ForwardOutput:
-    """One video through the network, each dropout site drawing its own
-    mask from ``rng`` when it is reached."""
-    cfg = model.config
-
-    def draw(rate, rows):
-        return rng.random((rows, D)) if train and rate > 0.0 else None
-
-    encoded = model.encode(features, draw(cfg.dropout_pos_enc, len(features)))
-    fsm_logits = model.fsm_forward(encoded, draw(cfg.dropout_cls, len(features)))
-    attn = model.vgm_attention(encoded, 1, draw(cfg.dropout_attn, len(features)))
-    salient, nonsalient = model.vgm_representations(encoded, attn)
-    return ForwardOutput(
-        encoded=encoded, fsm_logits=fsm_logits, attn=attn,
-        salient_logits=model.classify_video(salient, draw(cfg.dropout_cls, 1)),
-        nonsalient_logits=model.classify_video(nonsalient, draw(cfg.dropout_cls, 1)))
+    """One video through the network as a batch of one. ``Generator.random``
+    fills its one (1, rows, D) draw in C order, so the dropout sites take
+    their masks from ``rng`` one after another, as if each drew its own."""
+    return model.forward(features, train, rng)
 
 
 def per_video_batch_loss(model, batch, train=False, rng=None) -> LossBreakdown:
@@ -155,7 +144,7 @@ def test_batch_loss_terms_and_gradients_equal_per_video_mean(train):
         values = {k: float(getattr(parts, k).value)
                   for k in ("total", "frame", "video_cls", "video_ns")}
         backward(parts.total)
-        return values, {p.name: p.grad.copy() for p in model.parameters()}
+        return values, {p.name: p.grad.copy() for p in model.params.values()}
 
     values, grads = run(stacked_batch_loss, rng_batched)
     ref_values, ref_grads = run(per_video_batch_loss, rng_loop)

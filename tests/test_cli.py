@@ -263,7 +263,7 @@ class TestCheckpointBoundary:
         cfg = ModelConfig(input_dim=3, num_classes=2, max_frames=2, encoder_layers=1,
                           heads=1)
         model = SamplerModel(cfg, np.random.default_rng(0))
-        model.fsm_w.value[:] = np.nan
+        model.params["fsm.w"].value[:] = np.nan
         save_checkpoint(model, str(path))
         code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
         line = assert_one_error_line(code, err)

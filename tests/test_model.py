@@ -1,5 +1,6 @@
 """Tests for the sampler network, its losses and the checkpoint format."""
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -37,21 +38,21 @@ class TestEncode:
         model = make_model()
         rng = np.random.default_rng(1)
         for t in range(1, 7):
-            out = model.encode(rng.standard_normal((t, 8)))
-            assert out.shape == (t, 8)
+            out = model.forward(rng.standard_normal((t, 8)))
+            assert out.encoded.shape == (t, 8)
 
     def test_capacity_error(self):
         model = make_model()
         with pytest.raises(ValueError, match="capacity"):
-            model.encode(np.zeros((7, 8)))
+            model.forward(np.zeros((7, 8)))
 
     def test_zeroed_model_is_identity(self):
         model = make_model()
-        for p in model.parameters():
+        for p in model.params.values():
             p.value = np.zeros_like(p.value)
         x = np.random.default_rng(2).standard_normal((4, 8))
-        out = model.encode(x)
-        np.testing.assert_allclose(out.value, x, atol=1e-12)
+        out = model.forward(x)
+        np.testing.assert_allclose(out.encoded.value, x, atol=1e-12)
 
     def test_eval_mode_is_deterministic(self):
         model = make_model(dropout_pos_enc=0.2, dropout_cls=0.9, dropout_attn=0.2)
@@ -70,9 +71,9 @@ class TestEncode:
 class TestFsm:
     def test_zero_head_gives_zero_logits(self):
         model = make_model()
-        model.fsm_w.value = np.zeros_like(model.fsm_w.value)
-        model.fsm_b.value = np.zeros_like(model.fsm_b.value)
-        logits = model.fsm_forward(constant(np.ones((4, 8))))
+        for name in ("fsm.w", "fsm.b"):
+            model.params[name].value[:] = 0.0
+        logits = model.forward(np.ones((4, 8))).fsm_logits
         np.testing.assert_array_equal(logits.value, np.zeros((4, 4)))
 
     def test_logits_shape(self):
@@ -83,10 +84,10 @@ class TestFsm:
 
     def test_zero_rate_train_equals_eval(self):
         model = make_model(dropout_cls=0.0)
-        encoded = constant(np.random.default_rng(4).standard_normal((3, 8)))
-        train = model.fsm_forward(encoded, noise=np.random.default_rng(0).random((3, 8)))
-        eval_ = model.fsm_forward(encoded)
-        np.testing.assert_array_equal(train.value, eval_.value)
+        x = np.random.default_rng(4).standard_normal((3, 8))
+        train = model.forward(x, train=True, rng=np.random.default_rng(0))
+        eval_ = model.forward(x)
+        np.testing.assert_array_equal(train.fsm_logits.value, eval_.fsm_logits.value)
 
     def test_loss_saturated_goes_to_zero(self):
         logits = np.full((3, 4), -50.0)
@@ -157,13 +158,13 @@ class TestFsmSaliency:
 class TestVgm:
     def test_identical_frames_uniform_attention(self):
         model = make_model()
-        encoded = constant(np.tile(np.linspace(-1, 1, 8), (4, 1)))
-        attn = model.vgm_attention(encoded)
+        model.params["pos_embedding"].value[:] = 0.0
+        attn = model.forward(np.tile(np.linspace(-1, 1, 8), (4, 1))).attn
         np.testing.assert_allclose(attn.value, 0.25, atol=1e-12)
 
     def test_single_frame(self):
         model = make_model()
-        attn = model.vgm_attention(constant(np.random.default_rng(7).standard_normal((1, 8))))
+        attn = model.forward(np.random.default_rng(7).standard_normal((1, 8))).attn
         np.testing.assert_allclose(attn.value, [[1.0]], atol=1e-12)
 
     def test_attention_sums_to_one(self):
@@ -171,27 +172,39 @@ class TestVgm:
         rng = np.random.default_rng(8)
         for _ in range(50):
             t = int(rng.integers(1, 7))
-            attn = model.vgm_attention(constant(rng.standard_normal((t, 8))))
+            attn = model.forward(rng.standard_normal((t, 8))).attn
             assert abs(float(attn.value.sum()) - 1.0) <= 1e-9
             assert attn.value.min() >= 0.0
 
     def test_complement_weights(self):
-        model = make_model()
         encoded = constant(np.eye(4, 8))
         attn = constant(np.array([[1.0], [0.0], [0.0], [0.0]]))
-        salient, nonsalient = model.vgm_representations(encoded, attn)
+        salient = ad.attention_pool(encoded, attn, 1)
+        nonsalient = ad.attention_pool(encoded, (1.0 - attn) * (1.0 / 4), 1)
         np.testing.assert_allclose(salient.value, encoded.value[:1], atol=1e-12)
         expected_weights = np.array([0.0, 0.25, 0.25, 0.25])
         np.testing.assert_allclose(nonsalient.value[0],
                                    expected_weights @ encoded.value, atol=1e-12)
 
     def test_uniform_attention_pools_mean(self):
-        model = make_model()
         rng = np.random.default_rng(9)
         encoded = constant(rng.standard_normal((5, 8)))
         attn = constant(np.full((5, 1), 0.2))
-        salient, _ = model.vgm_representations(encoded, attn)
+        salient = ad.attention_pool(encoded, attn, 1)
         np.testing.assert_allclose(salient.value[0], encoded.value.mean(axis=0),
+                                   atol=1e-12)
+
+    def test_forward_heads_classify_attention_and_complement_pools(self):
+        model = make_model(seed=4)
+        x = np.random.default_rng(10).standard_normal((2, 5, 8))
+        out = model.forward(x)
+        encoded = out.encoded.value.reshape(2, 5, 8)
+        attn = out.attn.value.reshape(2, 5)
+        w, b = model.params["vgm.cls_w"].value, model.params["vgm.cls_b"].value
+        salient = np.einsum("vt,vtd->vd", attn, encoded)
+        nonsalient = np.einsum("vt,vtd->vd", (1.0 - attn) / 5, encoded)
+        np.testing.assert_allclose(out.salient_logits.value, salient @ w + b, atol=1e-12)
+        np.testing.assert_allclose(out.nonsalient_logits.value, nonsalient @ w + b,
                                    atol=1e-12)
 
     def test_complement_sums_to_t_minus_one_over_t(self):
@@ -270,14 +283,14 @@ class TestTotalLoss:
             out = model.forward(features)
             parts = total_loss(out, targets, [1], model.config)
             backward(getattr(parts, component))
-            return {p.name: p.grad.copy() for p in model.parameters()}
+            return {p.name: p.grad.copy() for p in model.params.values()}
 
         g_total = grads_of("total")
         out = model.forward(features)
         parts = total_loss(out, targets, [1], model.config)
         combined = parts.video_cls + model.config.gamma * parts.video_ns + parts.frame
         backward(combined)
-        for p in model.parameters():
+        for p in model.params.values():
             np.testing.assert_allclose(g_total[p.name], p.grad, atol=1e-12)
 
     def test_full_loss_gradients_match_finite_differences(self):
@@ -287,7 +300,7 @@ class TestTotalLoss:
             out = model.forward(features)
             return total_loss(out, targets, [1], model.config).total
 
-        report = finite_difference_check(model.parameters(), loss_fn,
+        report = finite_difference_check(model.params.values(), loss_fn,
                                          step=1e-5, tolerance=1e-5)
         assert report.passed, str(report)
 
@@ -307,6 +320,43 @@ class TestForwardOutputInvariants:
             assert np.all(np.isfinite(out.salient_logits.value))
 
 
+class TestParameterTable:
+    def test_initial_checkpoint_bytes_are_pinned(self, tmp_path):
+        # the digests pin every parameter's name, order, shape and initial draw
+        model = SamplerModel(ModelConfig(input_dim=32, num_classes=10, max_frames=16),
+                             np.random.default_rng(0))
+        path = tmp_path / "init.nsc1"
+        save_checkpoint(model, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "9c14e14b199898957bf84c03a791f266b74f2a38ccdc1c73bebcc92590cbf9f7"
+        assert hashlib.sha256((tmp_path / "init.nsc1.cfg").read_bytes()).hexdigest() == \
+            "8e5c791035082d41822e1fc2bd95e882923dc57308eb3c73951db2a9da9edf8c"
+
+    @staticmethod
+    def graph_nodes(roots):
+        """The non-parameter nodes reachable from ``roots`` through ``_parents``."""
+        seen, stack, count = set(), list(roots), 0
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+                count += not isinstance(node, ad.Parameter)
+        return count
+
+    def test_graph_node_counts(self):
+        cfg = ModelConfig(input_dim=32, num_classes=10, max_frames=16)
+        model = SamplerModel(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((16, 16, 32))
+        out = model.forward(x, train=True, rng=rng)
+        loss = total_loss(out, np.full((16 * 16, 11), 1 / 11), [v % 10 for v in range(16)], cfg)
+        assert self.graph_nodes([loss.total]) == 51
+        out = model.forward(x)
+        assert self.graph_nodes([out.encoded, out.fsm_logits, out.attn, out.salient_logits,
+                                 out.nonsalient_logits]) == 37
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = make_model(seed=30)
@@ -314,8 +364,7 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert loaded.config == model.config
-        for (name, p), (name2, q) in zip(model.named_parameters(),
-                                         loaded.named_parameters()):
+        for (name, p), (name2, q) in zip(model.params.items(), loaded.params.items()):
             assert name == name2
             np.testing.assert_array_equal(
                 q.value, p.value.astype(np.float32).astype(np.float64))

@@ -1,6 +1,7 @@
 """Training loop, schedule and determinism tests (desk-scale configs)."""
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,7 +68,14 @@ class TestLrSchedule:
 
     @pytest.mark.parametrize("frames, k", [(1, 1), (7, 1), (16, 4), (18, 4)])
     def test_default_k_is_a_quarter_of_the_frames(self, frames, k):
-        assert TrainConfig(frames=frames).k == k
+        cfg = TrainConfig(frames=frames)
+        assert cfg.k is None
+        assert cfg.validation_k == k
+
+    def test_replace_derives_the_default_k_again(self):
+        assert replace(TrainConfig(), frames=2).validation_k == 1
+        assert replace(TrainConfig(frames=4), frames=64).validation_k == 16
+        assert replace(TrainConfig(k=3), frames=64).validation_k == 3
 
     def test_zero_decay_factor_is_valid(self):
         cfg = TrainConfig(epochs=4, lr_decay_epochs=(2,), decay_factor=0.0)
@@ -108,8 +116,8 @@ class TestTrainLoop:
         cfg = tiny_train_cfg(epochs=1, base_lr=0.0, lr_decay_epochs=())
         result = train(train_records, bank, tiny_model_cfg(), cfg)
         reference = SamplerModel(tiny_model_cfg(), substream(cfg.seed, "init"))
-        for (name, p), (_, q) in zip(result.model.named_parameters(),
-                                     reference.named_parameters()):
+        for (name, p), (_, q) in zip(result.model.params.items(),
+                                     reference.params.items()):
             np.testing.assert_array_equal(p.value, q.value, err_msg=name)
 
     def test_same_seed_same_metrics(self, tmp_path):
