@@ -12,9 +12,12 @@ inference pass frees each intermediate as soon as the next op has used it.
 Everything runs in float64. A batch of B videos of T frames travels as
 (B*T, D) rows, so one node covers the whole batch; the per-video steps are
 fused ops with hand-written backwards. ``linear`` is x @ w + b as one
-node; the attention softmax runs in place, bit-exact with ``softmax_values``;
+node; ``encoder_block`` is a whole pre-norm transformer layer (two layer
+norms, multi-head self-attention whose softmax runs in place, bit-exact with
+``softmax_values``, a ReLU feed-forward and both residual sums) as one node;
 ``soft_cross_entropy_rows`` is a whole loss term (log-softmax, weighting by
-the targets, sum, negation) as one node.
+the targets, sum, negation) as one node. Each fused op repeats the rounding
+of the separate ops it replaced, step for step.
 """
 
 from __future__ import annotations
@@ -155,6 +158,20 @@ def mul_const(a: Tensor, c) -> Tensor:
     return _node(a.value * c, (a,), backprop)
 
 
+def _affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """x @ w + b on plain rows, the bias added in place."""
+    out = x @ w.value
+    out += b.value
+    return out
+
+
+def _affine_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """x @ w + b's gradients: accumulates w's and b's, returns x's."""
+    w._accumulate(x.T @ g)
+    b._accumulate(g.sum(axis=0))
+    return g @ w.value.T
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node: (M, K) rows, a (K, N) weight, an (N,) bias."""
     if x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[0] \
@@ -162,13 +179,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"linear: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
 
     def backprop(g):
-        x._accumulate(g @ w.value.T)
-        w._accumulate(x.value.T @ g)
-        b._accumulate(g.sum(axis=0))
+        x._accumulate(_affine_backward(g, x.value, w, b))
 
-    out = x.value @ w.value
-    out += b.value
-    return _node(out, (x, w, b), backprop)
+    return _node(_affine(x.value, w, b), (x, w, b), backprop)
 
 
 def add_position(x: Tensor, table: Tensor, frames: int) -> Tensor:
@@ -204,13 +217,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(s, (a,), backprop)
 
 
-def relu(a: Tensor) -> Tensor:
-    def backprop(g):
-        a._accumulate(g * (a.value > 0.0))
-
-    return _node(np.maximum(a.value, 0.0), (a,), backprop)
-
-
 def dropout(a: Tensor, rate: float, noise: np.ndarray | None) -> Tensor:
     """Inverted dropout from pre-drawn uniforms in [0, 1): entries whose draw
     is below ``rate`` are zeroed, survivors scaled by 1/(1-rate). Without
@@ -241,33 +247,36 @@ def log_softmax_values(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               eps: float = LAYER_NORM_EPS) -> Tensor:
-    """Per-row normalization (population variance) followed by affine."""
-    if x.value.ndim != 2:
-        raise ValueError(f"layer_norm expects a 2-D input, got shape {x.shape}")
+def _layer_norm(x: np.ndarray, gain: np.ndarray,
+                bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row normalization (population variance) followed by affine;
+    returns the output, the normalized rows and each row's 1/std."""
     d = x.shape[1]
-    if d < 2:
-        raise ValueError("layer_norm needs at least 2 features per row")
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ValueError(
-            f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} vs width {d}")
-    mean = x.value.mean(axis=1, keepdims=True)
-    centered = x.value - mean
-    var = (centered * centered).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    # a row sum divided by d is how ndarray.mean computes, so bit for bit
+    mean = x.sum(axis=1, keepdims=True)
+    mean /= d
+    centered = x - mean
+    var = (centered * centered).sum(axis=1, keepdims=True)
+    var /= d
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
+    return xhat * gain + bias, xhat, inv
 
-    def backprop(g):
-        gain._accumulate((g * xhat).sum(axis=0))
-        bias._accumulate(g.sum(axis=0))
-        gxhat = g * gain.value
-        # d/dx of (x - mean) * inv with mean/var both functions of the row
-        term = gxhat - gxhat.mean(axis=1, keepdims=True) \
-            - xhat * (gxhat * xhat).mean(axis=1, keepdims=True)
-        x._accumulate(term * inv)
 
-    return _node(xhat * gain.value + bias.value, (x, gain, bias), backprop)
+def _layer_norm_backward(g: np.ndarray, gain: Tensor, bias: Tensor,
+                         xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """``_layer_norm``'s gradients: accumulates gain's and bias's, returns
+    the input's."""
+    gain._accumulate((g * xhat).sum(axis=0))
+    bias._accumulate(g.sum(axis=0))
+    gxhat = g * gain.value
+    d = g.shape[1]
+    # d/dx of (x - mean) * inv with mean/var both functions of the row
+    mean_g = gxhat.sum(axis=1, keepdims=True)
+    mean_g /= d
+    mean_gx = (gxhat * xhat).sum(axis=1, keepdims=True)
+    mean_gx /= d
+    return (gxhat - mean_g - xhat * mean_gx) * inv
 
 
 def l1_normalize(a: Tensor, batch: int = 1, floor: float = NORM_FLOOR) -> Tensor:
@@ -313,15 +322,26 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, batch: int,
-                         heads: int) -> Tensor:
-    """Scaled dot-product self-attention over (B, heads, T, T) for (B*T, D)
-    rows, video-major; head h owns columns [h*D/heads, (h+1)*D/heads) and
-    each video attends to its own frames. Returns the contexts side by side."""
-    rows, d = q.shape
-    if k.shape != q.shape or v.shape != q.shape or rows % batch or d % heads:
-        raise ValueError(f"multi_head_attention: q/k/v {q.shape}/{k.shape}/{v.shape} "
-                         f"for {batch} videos and {heads} heads")
+def encoder_block(h: Tensor, params: Sequence[Tensor], batch: int, heads: int) -> Tensor:
+    """One pre-norm transformer layer over (B*T, D) rows, video-major, as
+    one node: u = h + attention(LN1(h)), then u + FFN(LN2(u)) with a ReLU
+    between the FFN's two projections. ``params`` are, in order, LN1 gain
+    and bias, wq, bq, wk, bk, wv, bv, wo, bo, LN2 gain and bias, w1, b1, w2
+    and b2. The attention is scaled dot-product over (B, heads, T, T): head
+    j owns columns [j*D/heads, (j+1)*D/heads) and each video attends to its
+    own frames."""
+    x = h.value
+    if x.ndim != 2 or x.shape[1] < 2 or x.shape[1] % heads or x.shape[0] % batch:
+        raise ValueError(f"encoder_block: rows {x.shape} need 2-D rows of at least 2 "
+                         f"features for {heads} heads and {batch} videos")
+    rows, d = x.shape
+    ln1_gain, ln1_bias, wq, bq, wk, bk, wv, bv, wo, bo, \
+        ln2_gain, ln2_bias, w1, b1, w2, b2 = params
+    f = w1.shape[-1]
+    shapes = [p.value.shape for p in params]
+    if shapes != [(d,), (d,), (d, d), (d,), (d, d), (d,), (d, d), (d,), (d, d), (d,),
+                  (d,), (d,), (d, f), (f,), (f, d), (d,)]:
+        raise ValueError(f"encoder_block: parameter shapes {shapes} vs width {d}")
     t, width = rows // batch, d // heads
     scale = 1.0 / np.sqrt(width)
 
@@ -331,26 +351,45 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, batch: int,
     def merge(m):   # (B, heads, T, width) -> (B*T, D)
         return m.transpose(0, 2, 1, 3).reshape(rows, d)
 
-    qh, kh, vh = split(q.value), split(k.value), split(v.value)
+    n1, xhat1, inv1 = _layer_norm(x, ln1_gain.value, ln1_bias.value)
+    qh, kh, vh = (split(_affine(n1, w, b)) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
     # softmax_values, step for step, in place on the fresh scores array
     probs = qh @ kh.transpose(0, 1, 3, 2)
     probs *= scale
     probs -= _row_max(probs)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
+    context = merge(probs @ vh)
+    u = _affine(context, wo, bo)
+    u += x
+    n2, xhat2, inv2 = _layer_norm(u, ln2_gain.value, ln2_bias.value)
+    hidden = _affine(n2, w1, b1)
+    np.maximum(hidden, 0.0, out=hidden)
+    out = _affine(hidden, w2, b2)
+    out += u
 
     def backprop(g):
-        gh = split(g)
+        g_hidden = _affine_backward(g, hidden, w2, b2)
+        g_hidden *= hidden > 0.0
+        g_u = _layer_norm_backward(_affine_backward(g_hidden, n2, w1, b1),
+                                   ln2_gain, ln2_bias, xhat2, inv2)
+        g_u += g
+        gh = split(_affine_backward(g_u, context, wo, bo))
         # gs = probs * (gp - (gp * probs).sum(-1)) * scale, in place on gp
         gs = gh @ vh.transpose(0, 1, 3, 2)
         gs -= (gs * probs).sum(axis=-1, keepdims=True)
         gs *= probs
         gs *= scale
-        q._accumulate(merge(gs @ kh))
-        k._accumulate(merge(gs.transpose(0, 1, 3, 2) @ qh))
-        v._accumulate(merge(probs.transpose(0, 1, 3, 2) @ gh))
+        # LN1's output gradient in the order its three consumers summed it:
+        # (q's + k's) + v's; a residual sum has two terms, so either order
+        g_n1 = _affine_backward(merge(gs @ kh), n1, wq, bq) \
+            + _affine_backward(merge(gs.transpose(0, 1, 3, 2) @ qh), n1, wk, bk)
+        g_n1 += _affine_backward(merge(probs.transpose(0, 1, 3, 2) @ gh), n1, wv, bv)
+        g_x = _layer_norm_backward(g_n1, ln1_gain, ln1_bias, xhat1, inv1)
+        g_x += g_u
+        h._accumulate(g_x)
 
-    return _node(merge(probs @ vh), (q, k, v), backprop)
+    return _node(out, (h, *params), backprop)
 
 
 def _check_distribution(target: np.ndarray, what: str) -> np.ndarray:

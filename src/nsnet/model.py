@@ -5,8 +5,8 @@ of (name, initial value) pairs whose order is both the NSC1 order and the
 order of the initial draws. ``SamplerModel.params`` maps each name to its
 ``Parameter``, and ``SamplerModel.forward`` builds the whole graph from the
 autodiff ops. Three parts share one encoding pass over a (T, D) video or a
-stacked (B, T, D) batch, carried as (B*T, D) rows with fused multi-head
-attention:
+stacked (B, T, D) batch, carried as (B*T, D) rows, each encoder layer one
+graph node:
 
 * feature embedding: learnable positional embedding plus a pre-norm
   transformer encoder over the per-frame lightweight features;
@@ -170,20 +170,13 @@ class SamplerModel:
             noise = {name: draws[:, end - rows:end].reshape(b * rows, d)
                      for (name, rows), end in zip(sites, ends)}
 
-        # feature embedding: positions, dropout, pre-norm encoder blocks
+        # feature embedding: positions, dropout, pre-norm encoder blocks, each
+        # taking its 16 parameters in table order, right after pos_embedding
         h = ad.add_position(ad.constant(x.reshape(b * t, d)), p["pos_embedding"], t)
         h = ad.dropout(h, cfg.dropout_pos_enc, noise.get("pos"))
-        for i in range(cfg.encoder_layers):
-            e = f"enc{i}."
-            n = ad.layer_norm(h, p[e + "ln1_gain"], p[e + "ln1_bias"])
-            context = ad.multi_head_attention(ad.linear(n, p[e + "wq"], p[e + "bq"]),
-                                              ad.linear(n, p[e + "wk"], p[e + "bk"]),
-                                              ad.linear(n, p[e + "wv"], p[e + "bv"]),
-                                              b, cfg.heads)
-            h = h + ad.linear(context, p[e + "wo"], p[e + "bo"])
-            n = ad.layer_norm(h, p[e + "ln2_gain"], p[e + "ln2_bias"])
-            hidden = ad.relu(ad.linear(n, p[e + "w1"], p[e + "b1"]))
-            h = h + ad.linear(hidden, p[e + "w2"], p[e + "b2"])
+        layers = list(p.values())[1:1 + 16 * cfg.encoder_layers]
+        for i in range(0, len(layers), 16):
+            h = ad.encoder_block(h, layers[i:i + 16], b, cfg.heads)
 
         # video glimpse: attention over each video's frames pools a salient
         # representation and its complement with weights (1 - a_i)/T

@@ -14,7 +14,6 @@ from nsnet.autodiff import (
     backward,
     constant,
     finite_difference_check,
-    layer_norm,
     linear,
     no_grad,
     sgd_step,
@@ -130,26 +129,73 @@ class TestSoftmax:
             assert abs(s.sum() - 1.0) <= 1e-12
 
 
+def layer_norm(x, width):
+    """``_layer_norm``'s output with unit gain and zero bias."""
+    return ad._layer_norm(np.asarray(x, dtype=np.float64), np.ones(width), np.zeros(width))[0]
+
+
+BLOCK_PARAMS = ("ln1_gain", "ln1_bias", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
+                "ln2_gain", "ln2_bias", "w1", "b1", "w2", "b2")
+
+
+def block_params(width, ffn, rng):
+    """``encoder_block``'s 16 parameters, in order, drawn at random; the two
+    layer-norm gains scatter around 1."""
+    shapes = [(width,)] * 2 + [(width, width), (width,)] * 4 + [(width,)] * 2 \
+        + [(width, ffn), (ffn,), (ffn, width), (width,)]
+    values = [rng.standard_normal(shape) * (0.4 if len(shape) == 2 else 1.0)
+              for shape in shapes]
+    values[0] += 1.0
+    values[10] += 1.0
+    return [Parameter(name, value) for name, value in zip(BLOCK_PARAMS, values)]
+
+
 class TestLayerNorm:
     def test_constant_row_collapses_to_bias(self):
-        x = constant(np.full((1, 4), 3.7))
-        out = layer_norm(x, constant(np.ones(4)), constant(np.zeros(4)))
-        np.testing.assert_allclose(out.value, 0.0, atol=1e-12)
+        out = layer_norm(np.full((1, 4), 3.7), 4)
+        np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_two_point_row(self):
-        out = layer_norm(constant([[1.0, 3.0]]), constant(np.ones(2)),
-                         constant(np.zeros(2)))
-        np.testing.assert_allclose(out.value, [[-1.0, 1.0]], atol=1e-4)
+        out = layer_norm([[1.0, 3.0]], 2)
+        np.testing.assert_allclose(out, [[-1.0, 1.0]], atol=1e-4)
 
     def test_output_statistics(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 8)) * 3.0 + 1.0
-        out = layer_norm(constant(x), constant(np.ones(8)), constant(np.zeros(8)))
-        means = out.value.mean(axis=1)
-        variances = out.value.var(axis=1)
+        out = layer_norm(x, 8)
+        means = out.mean(axis=1)
+        variances = out.var(axis=1)
         np.testing.assert_allclose(means, 0.0, atol=1e-9)
         # eps shrinks the variance by var/(var+eps); allow that slack
         np.testing.assert_allclose(variances, 1.0, atol=1e-4)
+
+
+class TestEncoderBlockChecks:
+    @staticmethod
+    def block(shape, batch=1, heads=1, width=None):
+        rng = np.random.default_rng(0)
+        params = block_params(width or shape[-1], 3, rng)
+        return ad.encoder_block(constant(rng.standard_normal(shape)), params, batch, heads)
+
+    def test_rows_must_be_2d(self):
+        with pytest.raises(ValueError, match="encoder_block: rows"):
+            self.block((2, 3, 4))
+
+    def test_needs_two_features(self):
+        with pytest.raises(ValueError, match="encoder_block: rows"):
+            self.block((3, 1))
+
+    def test_width_must_split_into_heads(self):
+        with pytest.raises(ValueError, match="encoder_block: rows .* 3 heads"):
+            self.block((4, 4), heads=3)
+
+    def test_rows_must_split_into_videos(self):
+        with pytest.raises(ValueError, match="encoder_block: rows .* 3 videos"):
+            self.block((4, 4), batch=3)
+
+    def test_parameter_shapes_must_match_the_width(self):
+        with pytest.raises(ValueError, match="encoder_block: parameter shapes"):
+            self.block((4, 4), width=6)
 
 
 def row_entropy(logits, target) -> float:
@@ -374,15 +420,13 @@ _OPS = {
     "add_position": lambda p, q: ad.add_position(p, q, 3),
     "sum_all": lambda p, q: ad.sum_all(p),
     "sigmoid": lambda p, q: ad.sigmoid(p),
-    "relu": lambda p, q: ad.relu(p),
     "soft_cross_entropy_rows": lambda p, q: ad.soft_cross_entropy_rows(
         p, softmax_values(q.value)),
-    "layer_norm": lambda p, q: ad.layer_norm(p, Parameter("g", np.ones(4)),
-                                             Parameter("b", np.zeros(4))),
     "l1_normalize": lambda p, q: ad.l1_normalize(Parameter("a", np.abs(p.value[:, :1])), 2),
     "attention_pool": lambda p, q: ad.attention_pool(
         p, Parameter("w", np.full((6, 1), 1 / 3)), 2),
-    "multi_head_attention": lambda p, q: ad.multi_head_attention(p, q, p, 2, 2),
+    "encoder_block": lambda p, q: ad.encoder_block(
+        p, block_params(4, 3, np.random.default_rng(4)), 2, 2),
 }
 
 

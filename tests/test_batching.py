@@ -22,6 +22,7 @@ from nsnet.model import ForwardOutput, LossBreakdown, ModelConfig, SamplerModel,
     total_loss
 from nsnet.supervision import ns_pseudo_label_matrix
 from nsnet.training import batch_loss
+from test_autodiff import block_params
 
 ATOL = 1e-12
 B, T, D, C = 5, 6, 16, 4
@@ -168,24 +169,43 @@ def test_batch_loss_rejects_unequal_frame_counts():
 
 @pytest.mark.parametrize("frames", [1, 5])
 def test_fused_attention_matches_finite_differences(frames):
+    """The encoder block's hand-written backward, fused attention included."""
     batch, heads, width = 3, 4, 8
     rng = np.random.default_rng(frames)
-    q, k, v = (Parameter(name, rng.standard_normal((batch * frames, width)))
-               for name in ("q", "k", "v"))
-    probe = rng.standard_normal((batch * frames, width))
+    x = Parameter("x", rng.standard_normal((batch * frames, width)))
+    params = block_params(width, 6, rng)
+    targets = ad.softmax_values(rng.standard_normal((batch * frames, width)))
 
+    # a sum of positive terms, so the oracle's roundoff, which it scales by
+    # |loss|, is not hidden by cancellation: the key bias's gradient is zero
+    # in exact arithmetic and only that roundoff is compared for it
     def loss_fn():
-        out = ad.multi_head_attention(q, k, v, batch, heads)
-        return ad.sum_all(ad.mul_const(out, probe))
+        return ad.soft_cross_entropy_rows(ad.encoder_block(x, params, batch, heads), targets)
 
-    report = finite_difference_check([q, k, v], loss_fn, step=1e-5, tolerance=1e-4)
+    report = finite_difference_check([x, *params], loss_fn, step=1e-5, tolerance=1e-4)
     assert report.passed, str(report)
 
 
-def reference_attention(q, k, v, batch, heads, g):
+def reference_layer_norm(x, gain, bias):
+    """The layer norm as first written, with ``ndarray.mean``. Returns the
+    output and a function from its gradient to x's, gain's and bias's."""
+    centered = x - x.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=1, keepdims=True) + 1e-5)
+    xhat = centered * inv
+
+    def grads(g):
+        gxhat = g * gain
+        term = gxhat - gxhat.mean(axis=1, keepdims=True) \
+            - xhat * (gxhat * xhat).mean(axis=1, keepdims=True)
+        return term * inv, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+    return xhat * gain + bias, grads
+
+
+def reference_attention(q, k, v, batch, heads):
     """The fused attention as first written: ``softmax_values`` over fresh
     arrays forward, and the backward formula in one expression. Returns the
-    context and the gradients of q, k and v for an incoming gradient g."""
+    context and a function from its gradient to q's, k's and v's."""
     rows, d = q.shape
     t, width = rows // batch, d // heads
     scale = 1.0 / np.sqrt(width)
@@ -196,43 +216,77 @@ def reference_attention(q, k, v, batch, heads, g):
     def merge(m):
         return m.transpose(0, 2, 1, 3).reshape(rows, d)
 
-    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    qh, kh, vh = split(q), split(k), split(v)
     probs = ad.softmax_values((qh @ kh.transpose(0, 1, 3, 2)) * scale, axis=-1)
-    gp = gh @ vh.transpose(0, 1, 3, 2)
-    gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
-    return (merge(probs @ vh), merge(gs @ kh), merge(gs.transpose(0, 1, 3, 2) @ qh),
-            merge(probs.transpose(0, 1, 3, 2) @ gh))
+
+    def grads(g):
+        gh = split(g)
+        gp = gh @ vh.transpose(0, 1, 3, 2)
+        gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
+        return (merge(gs @ kh), merge(gs.transpose(0, 1, 3, 2) @ qh),
+                merge(probs.transpose(0, 1, 3, 2) @ gh))
+
+    return merge(probs @ vh), grads
+
+
+def reference_layer(x, params, batch, heads, g):
+    """One encoder layer as separate ops composed it: two layer norms, five
+    x @ w + b projections, the attention, a ReLU and two residual sums, each
+    gradient summed in the order the graph summed it. Returns the output,
+    x's gradient and the 16 parameter gradients for an incoming gradient g."""
+    ln1_gain, ln1_bias, wq, bq, wk, bk, wv, bv, wo, bo, ln2_gain, ln2_bias, w1, b1, w2, b2 \
+        = params
+    n1, ln1_grads = reference_layer_norm(x, ln1_gain, ln1_bias)
+    context, attention_grads = reference_attention(n1 @ wq + bq, n1 @ wk + bk, n1 @ wv + bv,
+                                                   batch, heads)
+    u = x + (context @ wo + bo)
+    n2, ln2_grads = reference_layer_norm(u, ln2_gain, ln2_bias)
+    pre = n2 @ w1 + b1
+    hidden = np.maximum(pre, 0.0)
+    out = u + (hidden @ w2 + b2)
+
+    g_pre = (g @ w2.T) * (pre > 0.0)
+    g_u, g_ln2_gain, g_ln2_bias = ln2_grads(g_pre @ w1.T)
+    g_u = g + g_u
+    gq, gk, gv = attention_grads(g_u @ wo.T)
+    g_x, g_ln1_gain, g_ln1_bias = ln1_grads((gq @ wq.T + gk @ wk.T) + gv @ wv.T)
+    return out, g_u + g_x, [
+        g_ln1_gain, g_ln1_bias, n1.T @ gq, gq.sum(axis=0), n1.T @ gk, gk.sum(axis=0),
+        n1.T @ gv, gv.sum(axis=0), context.T @ g_u, g_u.sum(axis=0),
+        g_ln2_gain, g_ln2_bias, n2.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g, g.sum(axis=0)]
 
 
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("frames", [1, 5, 16])
 @pytest.mark.parametrize("width", [4, 8, 9, 12])
 def test_fused_attention_is_bit_identical_to_reference(width, frames, batch):
+    """The encoder block, fused attention included, against the separate
+    ops it replaced: value, input gradient and all 16 parameter gradients
+    equal bit for bit, at head width ``width``."""
     heads = 2
     rng = np.random.default_rng(100 * width + 10 * frames + batch)
-    q, k, v = (Parameter(name, rng.standard_normal((batch * frames, heads * width)))
-               for name in ("q", "k", "v"))
-    g = rng.standard_normal((batch * frames, heads * width))
-    out = ad.multi_head_attention(q, k, v, batch, heads)
+    x = Parameter("x", rng.standard_normal((batch * frames, heads * width)))
+    params = block_params(heads * width, 5, rng)
+    g = rng.standard_normal(x.shape)
+    out = ad.encoder_block(x, params, batch, heads)
     backward(ad.sum_all(ad.mul_const(out, g)))
-    context, gq, gk, gv = reference_attention(q.value, k.value, v.value, batch, heads, g)
-    np.testing.assert_array_equal(out.value, context)
-    np.testing.assert_array_equal(q.grad, gq)
-    np.testing.assert_array_equal(k.grad, gk)
-    np.testing.assert_array_equal(v.grad, gv)
+    value, gx, grads = reference_layer(x.value, [p.value for p in params], batch, heads, g)
+    np.testing.assert_array_equal(out.value, value)
+    np.testing.assert_array_equal(x.grad, gx)
+    for p, grad in zip(params, grads, strict=True):
+        np.testing.assert_array_equal(p.grad, grad, err_msg=p.name)
 
 
 def test_fused_attention_keeps_videos_apart():
-    """A video's context depends on its own frames only."""
+    """A video's encoder-block output depends on its own frames only."""
     batch, frames, width = 3, 4, 8
     rng = np.random.default_rng(7)
-    q, k, v = (rng.standard_normal((batch * frames, width)) for _ in range(3))
-    base = ad.multi_head_attention(ad.constant(q), ad.constant(k), ad.constant(v),
-                                   batch, 2).value
-    v2 = v.copy()
-    v2[frames:2 * frames] += 1.0   # perturb video 1 only
-    moved = ad.multi_head_attention(ad.constant(q), ad.constant(k), ad.constant(v2),
-                                    batch, 2).value
+    x = rng.standard_normal((batch * frames, width))
+    params = block_params(width, 6, rng)
+    base = ad.encoder_block(ad.constant(x), params, batch, 2).value
+    x2 = x.copy()
+    x2[frames:2 * frames] += 1.0   # perturb video 1 only
+    moved = ad.encoder_block(ad.constant(x2), params, batch, 2).value
     np.testing.assert_array_equal(base[:frames], moved[:frames])
     np.testing.assert_array_equal(base[2 * frames:], moved[2 * frames:])
     assert not np.allclose(base[frames:2 * frames], moved[frames:2 * frames])

@@ -351,10 +351,10 @@ class TestParameterTable:
         x = rng.standard_normal((16, 16, 32))
         out = model.forward(x, train=True, rng=rng)
         loss = total_loss(out, np.full((16 * 16, 11), 1 / 11), [v % 10 for v in range(16)], cfg)
-        assert self.graph_nodes([loss.total]) == 51
+        assert self.graph_nodes([loss.total]) == 29
         out = model.forward(x)
         assert self.graph_nodes([out.encoded, out.fsm_logits, out.attn, out.salient_logits,
-                                 out.nonsalient_logits]) == 37
+                                 out.nonsalient_logits]) == 15
 
 
 class TestCheckpoint:
