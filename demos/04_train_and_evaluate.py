@@ -8,7 +8,7 @@ suite runs (fewer videos, fewer epochs) so it finishes in ~15 seconds.
 import tempfile
 
 from nsnet.data import generate_synthetic_dataset, load_manifest
-from nsnet.evaluation import run_comparison
+from nsnet.evaluation import ScoredVideos, run_comparison
 from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig
 from nsnet.supervision import build_prototypes
@@ -36,7 +36,8 @@ for m in result.metrics:
 
 print("\nmethod comparison at K=3 (100-video budget arithmetic in GFLOPs):")
 validation = FusionConfig(train_cfg.fusion, train_cfg.ratio, train_cfg.validation_k)
-rows = run_comparison(val_records, result.model, validation, [3], seed=3)
+val_videos = ScoredVideos.from_records(val_records, model_cfg.max_frames)
+rows = run_comparison(val_videos, result.model, validation, [3], seed=3)
 print(f"  {'method':16s} {'top1':>6s} {'mAP':>6s} {'recall':>7s} {'gflops':>8s}")
 for row in rows:
     print(f"  {row.method:16s} {row.top1:6.3f} {row.map_score:6.3f} "

@@ -201,13 +201,6 @@ def add_position(x: Tensor, table: Tensor, frames: int) -> Tensor:
                  (x, table), backprop)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    def backprop(g):
-        a._accumulate(np.full_like(a.value, float(g)))
-
-    return _node(a.value.sum(), (a,), backprop)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-a.value))
 

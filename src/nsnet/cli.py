@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
+import itertools
 import os
 import sys
 from dataclasses import astuple, fields
@@ -29,9 +30,9 @@ import numpy as np
 from .data import PARSE_ANNOTATION, DatasetManifest, PresampleConfig, boolean, finite_float, \
     generate_synthetic_dataset, integer, integer_list, load_manifest, presample_indices, \
     read_key_values, write_csv
-from .evaluation import load_cost_table, run_comparison, sampler_gflops
+from .evaluation import ScoredVideos, load_cost_table, run_comparison, sampler_gflops
 from .fusion import FUSION_MODES, SCORE_MODES, FusionConfig, fuse_scores, select_frames
-from .model import ModelConfig, SamplerModel, load_checkpoint
+from .model import SALIENCY_BLOCK, ModelConfig, SamplerModel, load_checkpoint
 from .supervision import build_prototypes, load_prototypes, save_prototypes
 from .training import TrainConfig, train
 
@@ -91,8 +92,8 @@ def cmd_synth(args) -> int:
 
 def cmd_prototypes(args) -> int:
     manifest = load_manifest(args.manifest)
-    bank = build_prototypes(map(manifest.load_record, manifest.entries),
-                            manifest.num_classes, args.epsilon)
+    bank = build_prototypes(manifest.videos(("guiding", "logits")), manifest.num_classes,
+                            args.epsilon)
     save_prototypes(bank, args.out)
     print(f"wrote {bank.num_classes}x{bank.prototypes.shape[1]} prototypes to {args.out}")
     return 0
@@ -136,9 +137,9 @@ def cmd_train(args) -> int:
             if have != manifest.dims[dim]:
                 raise ValueError(f"train_manifest {run['train_manifest']} has {dim}="
                                  f"{manifest.dims[dim]} but {key} {run[key]} has {dim}={have}")
-    result = train(map(manifest.load_record, manifest.entries), bank, model_cfg, train_cfg,
-                   val_records=val_manifest and map(val_manifest.load_record,
-                                                    val_manifest.entries),
+    kinds = ("light", "guiding") if train_cfg.ns_labels else ("light",)
+    result = train(manifest.videos(kinds), bank, model_cfg, train_cfg,
+                   val_records=val_manifest and val_manifest.videos(ScoredVideos.kinds),
                    out_dir=run["out_dir"])
     last = result.metrics[-1]
     summary = f"trained {train_cfg.epochs} epochs, final loss {last.loss:.4f}"
@@ -171,10 +172,11 @@ def load_fitting(args, ks: list[int]) -> tuple[SamplerModel, DatasetManifest]:
 def cmd_sample(args) -> int:
     fusion_cfg = FusionConfig(args.fusion, args.ratio, at_least("--k", args.k, 1))
     model, manifest = load_fitting(args, [fusion_cfg.k])
-    pre = PresampleConfig(frames=model.config.max_frames)
-    # a generator, so each record is read only when its block's forward needs it
-    s_f, s_v = model.saliency(r.light_features[presample_indices(r.num_frames, pre)]
-                              for r in map(manifest.load_record, manifest.entries))
+    videos, pre = manifest.videos(("light",)), PresampleConfig(model.config.max_frames)
+    # each block the saliency pass draws is read just before it, pre-sampled in one call
+    blocks = iter(lambda: [v.light_features for v in itertools.islice(videos, SALIENCY_BLOCK)], [])
+    s_f, s_v = model.saliency(rows[i] for block in blocks for rows, i in zip(
+        block, presample_indices(np.array(list(map(len, block))), pre)))
     chosen = np.zeros(s_f.shape, dtype=bool)
     np.put_along_axis(chosen, select_frames(s_f, s_v, fusion_cfg), True, axis=1)
     fused = fuse_scores(s_f, s_v, args.fusion, args.ratio).tolist() \
@@ -198,8 +200,9 @@ def cmd_eval(args) -> int:
     fusion_cfg = FusionConfig(args.fusion, args.ratio)
     costs = load_cost_table(args.cost_table)
     model, manifest = load_fitting(args, k_list)
-    rows = run_comparison(map(manifest.load_record, manifest.entries), model, fusion_cfg,
-                          k_list, costs=costs, seed=args.seed)
+    videos = ScoredVideos.from_records(manifest.videos(ScoredVideos.kinds),
+                                       model.config.max_frames)
+    rows = run_comparison(videos, model, fusion_cfg, k_list, costs=costs, seed=args.seed)
     write_csv(args.out, ["method", "K", "top1", "mAP", "recall", "gflops"],
               map(astuple, rows))
     print(f"wrote {len(rows)} method/K rows to {args.out}")

@@ -9,10 +9,13 @@ Two bit-exact formats:
   logits_path[, mask_path]. Paths are resolved relative to the manifest's
   directory unless absolute. A manifest lists at least one video.
 
-Plus the one reader of ``key=value`` text files (run configurations,
-checkpoint ``.cfg`` sidecars, cost tables and prototype ``.meta`` files)
-and the parsers of their values, temporal pre-sampling to a fixed
-observation length and a synthetic generator that plants per-frame
+A command opens only the kinds of file it uses: ``prototypes`` guiding
+and logits, ``train`` light (plus guiding with pseudo labels), ``eval``
+and validation light, logits and mask, ``sample`` light.
+
+Plus the one ``key=value`` reader (run configurations, checkpoint
+sidecars, cost tables, prototype ``.meta`` files) and its value parsers,
+temporal pre-sampling and a synthetic generator that plants per-frame
 saliency ground truth, with an analytic nearest-centroid recognizer
 providing per-frame logits.
 """
@@ -23,7 +26,8 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -173,8 +177,8 @@ def _feature_shape(path: str, header: bytes, size: int) -> tuple[int, int]:
 
 def read_feature_file(path: str) -> np.ndarray:
     """Read an NSF1 file back as float64 (exact embedding of the f32 payload)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    with open(path, "rb", buffering=0) as fh:   # unbuffered: no BufferedReader around it
+        blob = fh.readall()
     shape = _feature_shape(path, blob[:12], len(blob))
     return np.frombuffer(blob, dtype="<f4", offset=12).astype(np.float64).reshape(shape)
 
@@ -182,6 +186,26 @@ def read_feature_file(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Video records and manifests
 # ---------------------------------------------------------------------------
+
+
+# A video's files in manifest order: kind -> (VideoRecord field, dims key of its width).
+KINDS = {"light": ("light_features", "D_l"), "guiding": ("guiding_features", "D_g"),
+         "logits": ("recognizer_logits", "C"), "mask": ("saliency_mask", "width")}
+
+
+def check_frames(video_id: str, arrays: dict[str, np.ndarray]) -> None:
+    """One video's arrays by kind: one frame count (>= 1), finite features, 0/1 mask."""
+    n = next(iter(arrays.values())).shape[0]
+    for kind, arr in arrays.items():
+        name = KINDS[kind][0]
+        if arr.shape[0] != n:
+            raise ValueError(f"{video_id}: {name} has {arr.shape[0]} frames, expected {n}")
+        if kind == "mask" and np.count_nonzero(arr) != np.count_nonzero(arr == 1.0):
+            raise ValueError(f"{video_id}: saliency_mask entries must be 0 or 1")
+        if kind != "mask" and not np.isfinite(arr).all():
+            raise ValueError(f"{video_id}: {name} has non-finite values")
+    if n < 1:
+        raise ValueError(f"{video_id}: needs at least one frame")
 
 
 @dataclass
@@ -196,24 +220,10 @@ class VideoRecord:
     saliency_mask: np.ndarray | None = None  # (N,) of {0,1}, synthetic only
 
     def __post_init__(self):
-        n = self.light_features.shape[0]
-        for name in ("light_features", "guiding_features", "recognizer_logits"):
-            arr = getattr(self, name)
-            if arr.shape[0] != n:
-                raise ValueError(
-                    f"{self.video_id}: {name} has {arr.shape[0]} frames, expected {n}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{self.video_id}: {name} has non-finite values")
         if self.saliency_mask is not None:
-            mask = np.asarray(self.saliency_mask, dtype=np.float64).reshape(-1)
-            if mask.shape[0] != n:
-                raise ValueError(
-                    f"{self.video_id}: saliency_mask has {mask.shape[0]} frames, expected {n}")
-            if not np.all((mask == 0.0) | (mask == 1.0)):
-                raise ValueError(f"{self.video_id}: saliency_mask entries must be 0 or 1")
-            self.saliency_mask = mask
-        if n < 1:
-            raise ValueError(f"{self.video_id}: needs at least one frame")
+            self.saliency_mask = np.asarray(self.saliency_mask, dtype=np.float64).reshape(-1)
+        check_frames(self.video_id, {kind: getattr(self, name) for kind, (name, _) in KINDS.items()
+                                     if getattr(self, name) is not None})
         if self.label < 0:
             raise ValueError(f"{self.video_id}: negative label {self.label}")
 
@@ -239,22 +249,33 @@ class DatasetManifest:
     entries: list[ManifestEntry] = field(default_factory=list)
     dims: dict[str, int] = field(default_factory=dict)   # D_l, D_g, C of the first video
 
+    def _files(self, entry: ManifestEntry, kinds: Iterable[str]) -> dict[str, np.ndarray]:
+        """The video's listed files of ``kinds``, each held to ``dims`` as read."""
+        arrays = {}
+        for kind in kinds:
+            path, key = getattr(entry, kind + "_path"), KINDS[kind][1]
+            if path is not None:
+                arr, width = read_feature_file(path), self.dims.get(key, 1)
+                if arr.shape[1] != width:
+                    raise FeatureFormatError(f"{path}: {kind} width {arr.shape[1]} disagrees "
+                                             f"with {key}={width} of manifest {self.path}")
+                arrays[kind] = arr.reshape(-1) if kind == "mask" else arr
+        return arrays
+
+    def videos(self, kinds: Iterable[str]) -> Iterator[SimpleNamespace]:
+        """Each video as it is drawn, opening only its files of ``kinds``, checked
+        as ``load_record`` checks them: its id, label and arrays under VideoRecord's
+        names (a mask None unless read), all the library's passes over records use."""
+        for e in self.entries:
+            arrays = self._files(e, kinds)
+            check_frames(e.video_id, arrays)
+            mask = arrays.pop("mask", None)
+            yield SimpleNamespace(video_id=e.video_id, label=e.label, saliency_mask=mask,
+                                  **{KINDS[kind][0]: a for kind, a in arrays.items()})
+
     def load_record(self, entry: ManifestEntry) -> VideoRecord:
-        """The video's files, each checked against ``dims`` as it is read."""
-        arrays = []
-        for kind, key, p in (("light", "D_l", entry.light_path),
-                             ("guiding", "D_g", entry.guiding_path),
-                             ("logits", "C", entry.logits_path),
-                             ("mask", "width", entry.mask_path)):
-            if p is None:   # a video without a mask
-                continue
-            width = 1 if kind == "mask" else self.dims[key]
-            arrays.append(read_feature_file(p))
-            if arrays[-1].shape[1] != width:
-                raise FeatureFormatError(
-                    f"{p}: {kind} width {arrays[-1].shape[1]} disagrees with "
-                    f"{key}={width} of manifest {self.path}")
-        return VideoRecord(entry.video_id, entry.label, *arrays)
+        """All of the video's files; VideoRecord checks them together."""
+        return VideoRecord(entry.video_id, entry.label, *self._files(entry, KINDS).values())
 
     def load_all(self) -> list[VideoRecord]:
         return [self.load_record(e) for e in self.entries]
@@ -274,7 +295,7 @@ def load_manifest(path: str) -> DatasetManifest:
     """Parse and validate a manifest: header, labels, unique ids and that
     every listed file exists. Only the first video's light, guiding and
     logits headers are read here, for the split's widths (``dims``); each
-    file is checked against them when ``load_record`` reads it. Errors name
+    file is checked against them when it is read. Errors name
     ``path:line``, counting blank lines."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(lineno, ln.rstrip("\n")) for lineno, ln in enumerate(fh, start=1)
@@ -317,7 +338,7 @@ def load_manifest(path: str) -> DatasetManifest:
             raise FeatureFormatError(
                 f"{path}:{lineno}: label {label} out of range for C={num_classes}")
         paths = [resolve(p) for p in fields[2:]]
-        for kind, p in zip(("light", "guiding", "logits", "mask"), paths):
+        for kind, p in zip(KINDS, paths):
             if not os.path.isfile(p):
                 raise FeatureFormatError(f"{path}:{lineno}: missing {kind} file {p}")
         if not dims:   # the split's widths, from the first video's headers only
@@ -327,8 +348,7 @@ def load_manifest(path: str) -> DatasetManifest:
             if dims["C"] != num_classes:
                 raise FeatureFormatError(
                     f"{path}:{lineno}: logits width {dims['C']} != header C={num_classes}")
-        entries.append(ManifestEntry(video_id, label, paths[0], paths[1], paths[2],
-                                     paths[3] if len(paths) == 4 else None))
+        entries.append(ManifestEntry(video_id, label, *paths))
     if not entries:
         raise FeatureFormatError(f"{path}: lists no videos")
     return DatasetManifest(path=os.path.abspath(path), num_classes=num_classes,
@@ -476,14 +496,12 @@ def generate_synthetic_dataset(out_dir: str,
                     light[i] = base_l + noise_sigma * rng.standard_normal(light_dim)
                     guide[i] = base_g + noise_sigma * rng.standard_normal(guiding_dim)
                 logits = -np.linalg.norm(guide[:, None, :] - guide_matrix[None, :, :], axis=2)
-                paths = {}
+                paths = []
                 for kind, arr in (("light", light), ("guide", guide),
                                   ("logits", logits), ("mask", mask.reshape(-1, 1))):
-                    rel = os.path.join("feats", f"{vid}.{kind}.nsf")
-                    write_feature_file(os.path.join(out_dir, rel), arr)
-                    paths[kind] = rel
-                entries.append(ManifestEntry(vid, c, paths["light"], paths["guide"],
-                                             paths["logits"], paths["mask"]))
+                    paths.append(os.path.join("feats", f"{vid}.{kind}.nsf"))
+                    write_feature_file(os.path.join(out_dir, paths[-1]), arr)
+                entries.append(ManifestEntry(vid, c, *paths))
         return entries
 
     train_entries = make_split("train", videos_per_class)

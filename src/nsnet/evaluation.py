@@ -123,6 +123,8 @@ class ScoredVideos:
     labels: np.ndarray     # (V,)
     video_ids: list[str]
 
+    kinds = ("light", "logits", "mask")   # the files a gather reads of each video
+
     @classmethod
     def from_records(cls, records: Iterable[VideoRecord], frames: int) -> ScoredVideos:
         """The records pre-sampled (without shift) to ``frames`` frames each,
@@ -133,7 +135,7 @@ class ScoredVideos:
         indices = functools.cache(lambda n: presample_indices(n, cfg))
 
         def observe(r: VideoRecord) -> tuple:
-            i = indices(r.num_frames)
+            i = indices(len(r.light_features))
             return (r.light_features[i], r.recognizer_logits[i],
                     np.zeros(frames, dtype=bool) if r.saliency_mask is None
                     else r.saliency_mask[i] > 0.5, r.label, r.video_id)
@@ -223,13 +225,11 @@ class ComparisonRow:
     gflops: float
 
 
-def run_comparison(records: Iterable[VideoRecord], model: SamplerModel,
+def run_comparison(videos: ScoredVideos, model: SamplerModel,
                    fusion_cfg: FusionConfig, k_list: list[int],
                    costs: dict[str, float] | None = None,
                    seed: int = 0) -> list[ComparisonRow]:
-    """Evaluate the sampler and every baseline at each K, observing every
-    video at the model's positional capacity T; every K is checked before
-    the first record is drawn.
+    """Evaluate the sampler and every baseline at each K on the gathered videos.
 
     The budget charges the recognizer for the frames it actually sees:
     K for the sampler (plus its embedding/head overhead), K for uniform and
@@ -237,11 +237,7 @@ def run_comparison(records: Iterable[VideoRecord], model: SamplerModel,
     score every frame before discarding any).
     """
     costs = dict(DEFAULT_COST_TABLE) if costs is None else costs
-    t = model.config.max_frames
-    for k in k_list:
-        if not 1 <= k <= t:
-            raise ValueError(f"k={k} out of range for {t} observation frames")
-    videos = ScoredVideos.from_records(records, t)
+    t = videos.planted.shape[1]
     s_f, s_v = model.saliency(videos.light)
 
     rows = []

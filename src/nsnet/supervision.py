@@ -53,7 +53,7 @@ def _top_confident_frames(record: VideoRecord, epsilon_percent: float) -> np.nda
     """
     conf = softmax_values(record.recognizer_logits, axis=1)[:, record.label]
     correct = np.flatnonzero(record.recognizer_logits.argmax(axis=1) == record.label)
-    pool = correct if correct.size > 0 else np.arange(record.num_frames)
+    pool = correct if correct.size > 0 else np.arange(len(conf))
     keep = max(1, math.ceil(epsilon_percent / 100.0 * pool.size))
     order = pool[np.argsort(-conf[pool], kind="stable")]
     return order[:keep]

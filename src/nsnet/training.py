@@ -143,7 +143,7 @@ class _FrameRows:
             light.append(record.light_features)
             targets.append(ns_pseudo_label_matrix(
                 guiding_saliency_scores(record, bank) if ns_labels
-                else np.ones(record.num_frames), record.label, num_classes))
+                else np.ones(len(record.light_features)), record.label, num_classes))
             labels.append(record.label)
             video_ids.append(record.video_id)
         if not video_ids:

@@ -240,6 +240,12 @@ class TestSoftCrossEntropy:
         np.testing.assert_allclose(total, by_rows, atol=1e-12)
 
 
+def sum_all(a: Tensor) -> Tensor:
+    """Every entry of ``a`` summed as one node, the probe loss of these
+    tests: its backward hands ``a`` the upstream gradient at every entry."""
+    return Tensor(a.value.sum(), (a,), lambda g: a._accumulate(np.full_like(a.value, float(g))))
+
+
 def chained_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """``soft_cross_entropy_rows`` as the four-node chain it fuses: a
     log-softmax node (``log_softmax_values`` forward, g - softmax * row sum
@@ -249,7 +255,7 @@ def chained_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     s = np.exp(y)
     log_probs = Tensor(y, (logits,),
                        lambda g: logits._accumulate(g - s * g.sum(axis=-1, keepdims=True)))
-    return ad.mul_const(ad.sum_all(ad.mul_const(log_probs, targets)), -1.0)
+    return ad.mul_const(sum_all(ad.mul_const(log_probs, targets)), -1.0)
 
 
 class TestFusedCrossEntropy:
@@ -297,19 +303,17 @@ class TestFusedCrossEntropy:
 class TestBackward:
     def test_sum_gives_ones(self):
         p = Parameter("p", np.arange(6.0).reshape(2, 3))
-        from nsnet.autodiff import sum_all
         backward(sum_all(p))
         np.testing.assert_array_equal(p.grad, np.ones((2, 3)))
 
     def test_first_touch_gradients_are_not_shared(self):
         # add hands one gradient array to both parents; each must own a copy
         a, b = Parameter("a", np.zeros(3)), Parameter("b", np.zeros(3))
-        from nsnet.autodiff import add, mul_const, sum_all
-        backward(sum_all(add(a, b)) + sum_all(mul_const(a, 2.0)))
+        backward(sum_all(ad.add(a, b)) + sum_all(ad.mul_const(a, 2.0)))
         np.testing.assert_array_equal(a.grad, np.full(3, 3.0))
         np.testing.assert_array_equal(b.grad, np.ones(3))
         p = Parameter("p", np.zeros(3))
-        backward(sum_all(add(p, p)))
+        backward(sum_all(ad.add(p, p)))
         np.testing.assert_array_equal(p.grad, np.full(3, 2.0))
 
     def test_add_const_rejects_a_broadcast_constant(self):
@@ -418,7 +422,6 @@ _OPS = {
     "mul_const": lambda p, q: ad.mul_const(p, -2.0),
     "linear": lambda p, q: ad.linear(p, Parameter("w", np.eye(4)), Parameter("b", np.ones(4))),
     "add_position": lambda p, q: ad.add_position(p, q, 3),
-    "sum_all": lambda p, q: ad.sum_all(p),
     "sigmoid": lambda p, q: ad.sigmoid(p),
     "soft_cross_entropy_rows": lambda p, q: ad.soft_cross_entropy_rows(
         p, softmax_values(q.value)),
@@ -459,6 +462,6 @@ class TestNoGrad:
         with pytest.raises(RuntimeError, match="inside"):
             with no_grad():
                 raise RuntimeError("inside")
-        loss = ad.sum_all(ad.mul_const(p, q.value))
+        loss = sum_all(ad.mul_const(p, q.value))
         backward(loss)
         np.testing.assert_array_equal(p.grad, q.value)

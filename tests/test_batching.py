@@ -22,7 +22,7 @@ from nsnet.model import ForwardOutput, LossBreakdown, ModelConfig, SamplerModel,
     total_loss
 from nsnet.supervision import ns_pseudo_label_matrix
 from nsnet.training import batch_loss
-from test_autodiff import block_params
+from test_autodiff import block_params, sum_all
 
 ATOL = 1e-12
 B, T, D, C = 5, 6, 16, 4
@@ -269,7 +269,7 @@ def test_fused_attention_is_bit_identical_to_reference(width, frames, batch):
     params = block_params(heads * width, 5, rng)
     g = rng.standard_normal(x.shape)
     out = ad.encoder_block(x, params, batch, heads)
-    backward(ad.sum_all(ad.mul_const(out, g)))
+    backward(sum_all(ad.mul_const(out, g)))
     value, gx, grads = reference_layer(x.value, [p.value for p in params], batch, heads, g)
     np.testing.assert_array_equal(out.value, value)
     np.testing.assert_array_equal(x.grad, gx)
@@ -303,7 +303,7 @@ def test_per_video_ops_match_finite_differences():
     def loss_fn():
         h = ad.add_position(x, table, frames)
         weights = ad.l1_normalize(raw, batch)
-        return ad.sum_all(ad.mul_const(ad.attention_pool(h, weights, batch), probe))
+        return sum_all(ad.mul_const(ad.attention_pool(h, weights, batch), probe))
 
     report = finite_difference_check([x, table, raw], loss_fn, step=1e-5,
                                      tolerance=1e-5)

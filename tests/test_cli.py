@@ -3,6 +3,8 @@
 import ctypes
 import errno
 import os
+import shutil
+from collections import Counter
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -340,11 +342,33 @@ class TestInputTruncation:
             assert error is not None and str(light) in error, (size, error)
 
 
+# The kinds of feature file each command opens, by file suffix: "train" runs
+# without pseudo labels, "train-val" adds a validation split.
+KINDS_READ = {"eval": {"light", "logits", "mask"}, "sample": {"light"},
+              "prototypes": {"guide", "logits"}, "train": {"light"},
+              "train-val": {"light", "logits", "mask"}}
+
+
+def outputs(argv, out, capsys):
+    """A run's exit code, stdout and stderr, and the bytes of every file it
+    wrote at ``out``: the file, a sidecar beside it or a directory's files.
+    They are removed afterwards, so the same command can run again."""
+    code, stdout, err = run(argv, capsys)
+    files = {}
+    for path in sorted(out.parent.glob(out.name + "*")):
+        inside = sorted(path.iterdir()) if path.is_dir() else [path]
+        files.update((str(f.relative_to(out.parent)), f.read_bytes()) for f in inside)
+        shutil.rmtree(path) if path.is_dir() else path.unlink()
+    return code, stdout, err, files
+
+
 class TestFaultsFoundOnRead:
     """A manifest's widths come from its first video's headers; every other
-    file is checked as it is read. A wrong width, a truncated file or a bad
-    magic in the last video ends each command with exit 1, one `error:`
-    line naming the file, and no output."""
+    file is checked as it is read, and a command opens only the kinds it
+    uses. A wrong width, a truncated file or a bad magic in the last video
+    ends a command that reads the file with exit 1, one `error:` line naming
+    the file, and no output; any other command writes what it writes on the
+    clean split."""
 
     @pytest.mark.parametrize("kind, fault", [
         ("light", "width"), ("guide", "width"), ("logits", "width"), ("mask", "width"),
@@ -356,11 +380,6 @@ class TestFaultsFoundOnRead:
         path, manifest = checkpoint
         feature = manifest.parent / "feats" / f"val_c001_v0000.{kind}.nsf"
         blob = feature.read_bytes()
-        if fault == "width":   # one more column, a well-formed file
-            values = read_feature_file(str(feature))
-            write_feature_file(str(feature), np.hstack([values, values[:, :1]]))
-        else:
-            feature.write_bytes(blob[:-1] if fault == "truncated" else b"NSF0" + blob[4:])
         out = tmp_path / "out"
         model = ["--checkpoint", str(path), "--manifest", str(manifest), "--out", str(out)]
         train = ["train", "--out-dir", str(out), "--ns-labels", "false", "--frames", "2",
@@ -371,6 +390,16 @@ class TestFaultsFoundOnRead:
                 "train": train + ["--train-manifest", str(manifest)],
                 "train-val": train + ["--train-manifest", str(manifest.parent / "train.nsm"),
                                       "--val-manifest", str(manifest)]}[command]
+        clean = outputs(argv, out, capsys) if kind not in KINDS_READ[command] else None
+        if fault == "width":   # one more column, a well-formed file
+            values = read_feature_file(str(feature))
+            write_feature_file(str(feature), np.hstack([values, values[:, :1]]))
+        else:
+            feature.write_bytes(blob[:-1] if fault == "truncated" else b"NSF0" + blob[4:])
+        if clean is not None:
+            assert clean[0] == 0 and clean[3], clean[2]
+            assert outputs(argv, out, capsys) == clean
+            return
         error = assert_one_error_line(*run(argv, capsys)[::2])
         assert error.startswith(f"error: {feature}: "), error
         if fault == "width":
@@ -380,7 +409,8 @@ class TestFaultsFoundOnRead:
 
 class TestNonFiniteFeatures:
     """A feature file holding NaN or inf ends `nsnet eval` and `nsnet sample`
-    with exit 1 and one `error:` line naming the video."""
+    with exit 1 and one `error:` line naming the video, when the command
+    reads that kind; otherwise it writes what it writes on the clean split."""
 
     @pytest.mark.parametrize("kind, name", [("light", "light_features"),
                                             ("guide", "guiding_features"),
@@ -390,16 +420,68 @@ class TestNonFiniteFeatures:
         _, manifest = checkpoint
         video = "val_c001_v0000"
         feature = manifest.parent / "feats" / f"{video}.{kind}.nsf"
-        values = read_feature_file(str(feature))
-        values[-1, -1] = np.inf if kind == "logits" else np.nan
-        write_feature_file(str(feature), values)
         argv = [command, "--checkpoint", str(tmp_path / "model.nsc1"),
                 "--manifest", str(manifest), "--out", str(tmp_path / "out.csv")]
         argv += ["--k-list", "2"] if command == "eval" else ["--k", "2"]
+        clean = outputs(argv, tmp_path / "out.csv", capsys) \
+            if kind not in KINDS_READ[command] else None
+        values = read_feature_file(str(feature))
+        values[-1, -1] = np.inf if kind == "logits" else np.nan
+        write_feature_file(str(feature), values)
+        if clean is not None:
+            assert clean[0] == 0 and clean[3], clean[2]
+            assert outputs(argv, tmp_path / "out.csv", capsys) == clean
+            return
         code, _, err = run(argv, capsys)
         line = assert_one_error_line(code, err)
         assert f"{video}: {name} has non-finite values" in line, line
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestReadsByKind:
+    """Each command reads each video's files of the kinds it uses once, and
+    never opens another: the feature reads of a run, by split and kind."""
+
+    @pytest.mark.parametrize("command, train_kinds, val_kinds", [
+        ("prototypes", ("guide", "logits"), ()),
+        ("train", ("light",), ("light", "logits", "mask")),
+        ("train-ns", ("light", "guide"), ("light", "logits", "mask")),
+        ("eval", (), ("light", "logits", "mask")),
+        ("sample", (), ("light",)),
+    ])
+    def test_reads(self, tiny_tree, tmp_path, capsys, monkeypatch, command, train_kinds,
+                   val_kinds):
+        data, protos = tiny_tree
+        checkpoint = tmp_path / "model.nsc1"
+        save_checkpoint(SamplerModel(ModelConfig(input_dim=8, num_classes=2, max_frames=4,
+                                                 encoder_layers=1, heads=1),
+                                     np.random.default_rng(0)), str(checkpoint))
+        out = str(tmp_path / "out")
+        scored = ["--checkpoint", str(checkpoint), "--manifest", str(data / "val.nsm"),
+                  "--out", out]
+        train = ["train", "--train-manifest", str(data / "train.nsm"), "--val-manifest",
+                 str(data / "val.nsm"), "--out-dir", out, "--frames", "4", "--heads", "1",
+                 "--epochs", "1", "--lr-decay-epochs", ""]
+        argv = {"prototypes": ["prototypes", "--manifest", str(data / "train.nsm"),
+                               "--out", out],
+                "train": [*train, "--ns-labels", "false"],
+                "train-ns": [*train, "--prototypes", str(protos)],
+                "eval": ["eval", *scored, "--k-list", "1,2"],
+                "sample": ["sample", *scored, "--k", "2"]}[command]
+        reads = Counter()
+
+        def counted(path):   # feats/<split>_c<class>_v<video>.<kind>.nsf
+            video, kind, _ = os.path.basename(path).split(".")
+            reads[video.split("_")[0], kind] += 1
+            return read_feature_file(path)
+
+        monkeypatch.setattr(nsnet.data, "read_feature_file", counted)
+        code, _, err = run(argv, capsys)
+        assert code == 0, err
+        videos = {split: len(load_manifest(str(data / f"{split}.nsm")).entries)
+                  for split in ("train", "val")}
+        assert reads == Counter({**{("train", kind): videos["train"] for kind in train_kinds},
+                                 **{("val", kind): videos["val"] for kind in val_kinds}})
 
 
 class TestArgumentErrors:

@@ -341,6 +341,14 @@ class TestVideoRecord:
         with pytest.raises(ValueError, match=f"vid7: {name} has non-finite values"):
             VideoRecord("vid7", 0, **arrays)
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan, np.inf])
+    def test_mask_entries_must_be_0_or_1(self, bad):
+        features = np.zeros((3, 2))
+        mask = VideoRecord("vid7", 0, features, features, features, [-0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(mask.saliency_mask, [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="vid7: saliency_mask entries must be 0 or 1"):
+            VideoRecord("vid7", 0, features, features, features, [1.0, bad, 0.0])
+
 
 def _load_prototype_meta(meta_path):
     features = meta_path[:-len(".meta")]

@@ -357,7 +357,8 @@ def test_run_comparison_equals_per_video_loop(t, mode):
             assert np.array_equal(videos.score(np.array(selections))[0], scores)
             expected.append((method, k, top1_accuracy(scores, labels),
                              mean_average_precision(scores, labels).mean, recall))
-    rows = run_comparison(records, model, FusionConfig(mode, RATIO, 1), k_list, seed=5)
+    rows = run_comparison(ScoredVideos.from_records(records, t), model,
+                          FusionConfig(mode, RATIO, 1), k_list, seed=5)
     # gflops is budget arithmetic, independent of the scoring
     assert [astuple(row)[:5] for row in rows] == expected
     assert any(row[4] is not None for row in expected)

@@ -22,10 +22,11 @@ import pytest
 
 from test_fusion import oracle_select
 
+import nsnet.data
 from nsnet.cli import main
-from nsnet.data import DatasetManifest, PresampleConfig, VideoRecord, \
-    generate_synthetic_dataset, load_manifest, presample
-from nsnet.evaluation import run_comparison
+from nsnet.data import PresampleConfig, VideoRecord, generate_synthetic_dataset, \
+    load_manifest, presample, read_feature_file
+from nsnet.evaluation import ScoredVideos, run_comparison
 from nsnet.fusion import FUSION_MODES, SCORE_MODES, FusionConfig
 from nsnet.model import SALIENCY_BLOCK, ModelConfig, SamplerModel, fsm_saliency, \
     load_checkpoint, save_checkpoint, vgm_saliency
@@ -91,7 +92,7 @@ MAX_FORWARDS = math.ceil(VIDEOS / SALIENCY_BLOCK)
 
 
 def test_run_comparison_forwards_once_per_block(count_forwards):
-    run_comparison(make_records(VIDEOS), make_model(),
+    run_comparison(ScoredVideos.from_records(make_records(VIDEOS), T), make_model(),
                    FusionConfig("index_union", 0.6, 2), [1, 2, 4, T])
     assert 0 < len(count_forwards) <= MAX_FORWARDS
 
@@ -118,8 +119,8 @@ def test_sample_command_forwards_once_per_block(tmp_path, capsys, count_forwards
 
 def test_sample_reads_one_block_ahead(tmp_path, capsys, monkeypatch):
     """`sample` streams: before each forward it has read at most the
-    SALIENCY_BLOCK records that forward scores, so its memory does not grow
-    with the manifest."""
+    SALIENCY_BLOCK videos that forward scores, one light file each, so its
+    memory does not grow with the manifest."""
     manifest, _ = generate_synthetic_dataset(
         str(tmp_path), num_classes=C, videos_per_class=math.ceil(VIDEOS / C),
         num_frames=T, light_dim=D, guiding_dim=D, salient_fraction=0.5,
@@ -128,24 +129,24 @@ def test_sample_reads_one_block_ahead(tmp_path, capsys, monkeypatch):
     checkpoint = str(tmp_path / "model.nsc1")
     save_checkpoint(make_model(), checkpoint)
     loaded, loaded_at_forward = [], []
-    load_record, forward = DatasetManifest.load_record, SamplerModel.forward
+    forward = SamplerModel.forward
 
-    def counted_load(self, entry):
-        loaded.append(entry.video_id)
-        return load_record(self, entry)
+    def counted_read(path):
+        loaded.append(path)
+        return read_feature_file(path)
 
     def counted_forward(self, *args, **kwargs):
         loaded_at_forward.append(len(loaded))
         return forward(self, *args, **kwargs)
 
-    monkeypatch.setattr(DatasetManifest, "load_record", counted_load)
+    monkeypatch.setattr(nsnet.data, "read_feature_file", counted_read)
     monkeypatch.setattr(SamplerModel, "forward", counted_forward)
     assert main(["sample", "--checkpoint", checkpoint, "--manifest", manifest,
                  "--k", "2", "--out", str(tmp_path / "saliency.csv")]) == 0, \
         capsys.readouterr().err
     blocks = math.ceil(videos / SALIENCY_BLOCK)
     assert loaded_at_forward == [min(videos, (i + 1) * SALIENCY_BLOCK) for i in range(blocks)]
-    assert len(loaded) == videos
+    assert len(loaded) == videos and all(path.endswith(".light.nsf") for path in loaded)
 
 
 @pytest.mark.parametrize("mode", FUSION_MODES)
