@@ -13,11 +13,19 @@ Everything runs in float64. A batch of B videos of T frames travels as
 (B*T, D) rows, so one node covers the whole batch; the per-video steps are
 fused ops with hand-written backwards. ``linear`` is x @ w + b as one
 node; ``encoder_block`` is a whole pre-norm transformer layer (two layer
-norms, multi-head self-attention whose softmax runs in place, bit-exact with
-``softmax_values``, a ReLU feed-forward and both residual sums) as one node;
-``soft_cross_entropy_rows`` is a whole loss term (log-softmax, weighting by
-the targets, sum, negation) as one node. Each fused op repeats the rounding
-of the separate ops it replaced, step for step.
+norms, multi-head self-attention, a ReLU feed-forward and both residual
+sums) as one node; ``soft_cross_entropy_rows`` is a whole loss term
+(log-softmax, weighting by the targets, sum, negation) as one node. Each
+fused op repeats the rounding of the separate ops it replaced, step for
+step.
+
+The attention softmax runs key-major: the scores are copied once into a
+(T_key, B*heads*T_query) array, so its row max and row sum reduce down the
+leading axis, and every step is a long contiguous pass where numpy would
+walk B*heads*T rows of only T. The max is exact in any order; the sum
+folds whole rows in numpy's pairwise order for a contiguous row (eight
+accumulators, their tree, the tail, halves above 128), so the
+probabilities equal ``softmax_values`` bit for bit.
 """
 
 from __future__ import annotations
@@ -306,12 +314,44 @@ def attention_pool(x: Tensor, weights: Tensor, batch: int) -> Tensor:
     return _node((ws @ xs).reshape(batch, -1), (x, weights), backprop)
 
 
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """x.max(axis=-1, keepdims=True), exactly: np.maximum of the two halves
-    (overlapping by one for odd lengths) until one column is left, which
-    beats the reduction over the short rows of a large batch."""
-    while (n := x.shape[-1]) > 1:
-        x = np.maximum(x[..., :(n + 1) // 2], x[..., n // 2:])
+def _leading_sum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=0) of an (n, N) array in the order numpy sums a contiguous
+    row of n (its pairwise summation), so bit for bit the transpose's row
+    sums: up to 128 rows, eight accumulators over the blocks of 8 and their
+    pairwise tree, then the rows past the last block one after another
+    (all of them, from zero, below 8); above 128, the sums of two halves
+    (the first a multiple of 8 rows) added. numpy then adds the result to
+    a zero start, which only turns a sum of -0.0 alone into 0.0."""
+    n = len(x)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _leading_sum(x[:half]) + _leading_sum(x[half:])
+    blocks = n - n % 8
+    if blocks:
+        acc = x[:8] + x[8:16] if blocks > 8 else x[:8].copy()
+        for i in range(16, blocks, 8):
+            acc += x[i:i + 8]
+        # the tree into new arrays: numpy would copy an operand that
+        # interleaves with the output of an in-place add
+        acc = acc[0::2] + acc[1::2]
+        acc = acc[0::2] + acc[1::2]
+        total = acc[0] + acc[1]
+    else:
+        total = np.zeros(x.shape[1:])
+    for row in x[blocks:]:
+        total += row
+    return total
+
+
+def _softmax_columns(x: np.ndarray) -> np.ndarray:
+    """The softmax of each column of an (n, N) array, in place, bit for bit
+    what ``softmax_values`` gives each column laid out as a contiguous row:
+    the max down the leading axis is exact in any order (up to the sign of
+    a zero maximum, which exp does not see), and a softmax's sum, which
+    holds exp(0) = 1, is never -0.0."""
+    x -= x.max(axis=0)
+    np.exp(x, out=x)
+    x /= _leading_sum(x)
     return x
 
 
@@ -322,7 +362,9 @@ def encoder_block(h: Tensor, params: Sequence[Tensor], batch: int, heads: int) -
     and bias, wq, bq, wk, bk, wv, bv, wo, bo, LN2 gain and bias, w1, b1, w2
     and b2. The attention is scaled dot-product over (B, heads, T, T): head
     j owns columns [j*D/heads, (j+1)*D/heads) and each video attends to its
-    own frames."""
+    own frames. Its softmax runs on a key-major copy of the scores (see the
+    module docstring); the probabilities go back to row-major for
+    ``probs @ v`` and the backward."""
     x = h.value
     if x.ndim != 2 or x.shape[1] < 2 or x.shape[1] % heads or x.shape[0] % batch:
         raise ValueError(f"encoder_block: rows {x.shape} need 2-D rows of at least 2 "
@@ -346,12 +388,11 @@ def encoder_block(h: Tensor, params: Sequence[Tensor], batch: int, heads: int) -
 
     n1, xhat1, inv1 = _layer_norm(x, ln1_gain.value, ln1_bias.value)
     qh, kh, vh = (split(_affine(n1, w, b)) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-    # softmax_values, step for step, in place on the fresh scores array
-    probs = qh @ kh.transpose(0, 1, 3, 2)
-    probs *= scale
-    probs -= _row_max(probs)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    # softmax_values, step for step, on a (T_key, B*heads*T_query) copy,
+    # then row-major again, contiguous, for probs @ v and the backward
+    keys = _softmax_columns(np.multiply(
+        (qh @ kh.transpose(0, 1, 3, 2)).transpose(3, 0, 1, 2), scale, order="C").reshape(t, -1))
+    probs = np.ascontiguousarray(keys.reshape(t, batch, heads, t).transpose(1, 2, 3, 0))
     context = merge(probs @ vh)
     u = _affine(context, wo, bo)
     u += x

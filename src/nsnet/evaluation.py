@@ -82,23 +82,34 @@ def mean_average_precision(scores: np.ndarray, labels: np.ndarray) -> MapResult:
     labels = np.asarray(labels, dtype=np.int64)
     if scores.ndim != 2 or scores.shape[0] != labels.shape[0]:
         raise ValueError(f"scores {scores.shape} vs labels {labels.shape}")
-    v, c = scores.shape
-    # (C, V): row c marks class c's positives in its descending score order
-    hits = (labels[np.argsort(-scores, axis=0, kind="stable")] == np.arange(c)).T
-    # the precision at each positive's rank, class by class, in rank order
-    precision = (np.cumsum(hits, axis=1) / np.arange(1, v + 1))[hits]
-    counts = hits.sum(axis=1)
-    starts = np.cumsum(counts) - counts
-    per_class = np.full(c, np.nan)
-    # each class's precisions are averaged as one contiguous run, as a
-    # per-class mean would, so the summation order is the same
-    for n in set(counts[counts > 0].tolist()):
-        classes = np.flatnonzero(counts == n)
-        per_class[classes] = precision[starts[classes, None] + np.arange(n)].mean(axis=1)
+    per_class, means = _average_precisions(scores[None], labels)
+    return MapResult(per_class[0], float(means[0]))
+
+
+def _average_precisions(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (R, C) per-class APs and the (R,) mAPs of R stacked (V, C) score
+    rows against one set of labels, each row rounded as if alone."""
+    r, v, c = scores.shape
+    # (R, C, V): row c marks class c's positives in its descending score order
+    hits = (labels[np.argsort(-scores, axis=1, kind="stable")] == np.arange(c)).transpose(0, 2, 1)
+    # the precision at each positive's rank, class by class, in rank order;
+    # every score row has the same positives, so the same layout
+    precision = (np.cumsum(hits, axis=2) / np.arange(1, v + 1))[hits].reshape(r, -1)
+    counts = hits[0].sum(axis=1)
     valid = counts > 0
     if not valid.any():
         raise ValueError("no class has a positive video; mAP undefined")
-    return MapResult(per_class, float(per_class[valid].mean()))
+    starts = np.cumsum(counts) - counts
+    per_class = np.full((r, c), np.nan)
+    # each class's precisions are averaged as one contiguous run, as a
+    # per-class mean would, so the summation order is the same
+    for n in set(counts[valid].tolist()):
+        classes = np.flatnonzero(counts == n)
+        # take and compress, unlike a[:, index], lay each row out
+        # contiguously, so numpy sums it pairwise as it does a lone row
+        per_class[:, classes] = np.take(precision, starts[classes, None] + np.arange(n),
+                                        axis=1).mean(axis=2)
+    return per_class, np.compress(valid, per_class, axis=1).mean(axis=1)
 
 
 def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -140,20 +151,25 @@ class ScoredVideos:
                     np.zeros(frames, dtype=bool) if r.saliency_mask is None
                     else r.saliency_mask[i] > 0.5, r.label, r.video_id)
 
-        light, logits, planted, labels, video_ids = zip(*map(observe, records))
+        observed = list(map(observe, records))
+        if not observed:
+            raise ValueError("no videos to score")
+        light, logits, planted, labels, video_ids = zip(*observed)
         probs = softmax_values(np.stack(logits))
         return cls(light=np.stack(light), probs=probs, planted=np.stack(planted),
                    ranking=np.argsort(-probs.max(axis=2), axis=1, kind="stable"),
                    labels=np.array(labels), video_ids=list(video_ids))
 
-    def score(self, selected: np.ndarray) -> tuple[np.ndarray, float | None]:
-        """The (V, C) video scores of a selection, and the mean over videos
-        of the fraction of planted salient frames it captures. Videos with
-        no planted frame are left out; None means none is left."""
-        hits = self.planted[np.arange(len(self.planted))[:, None], selected].sum(axis=1)
+    def score(self, selected: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The (..., V, C) video scores of stacked selections (..., V, K),
+        and each one's mean over videos of the fraction of planted salient
+        frames it captures, (...). Videos with no planted frame are left
+        out; None means none is left."""
+        hits = self.planted[np.arange(len(self.planted))[:, None], selected].sum(axis=-1)
         planted = self.planted.sum(axis=1)
         counted = planted > 0
-        recall = float(np.mean(hits[counted] / planted[counted])) if counted.any() else None
+        recall = (np.compress(counted, hits, axis=-1) / planted[counted]).mean(axis=-1) \
+            if counted.any() else None
         return recognize(self.probs, selected), recall
 
 
@@ -239,25 +255,34 @@ def run_comparison(videos: ScoredVideos, model: SamplerModel,
     costs = dict(DEFAULT_COST_TABLE) if costs is None else costs
     t = videos.planted.shape[1]
     s_f, s_v = model.saliency(videos.light)
+    per_k = ("nsnet", "uniform", "random", "topk_confidence")
+    # dense sees every frame whatever K is: its row is scored once, first
+    scored = [videos.score(baseline_selection(videos, "dense", t)[None])]
+    for k in k_list:
+        selections = [select_frames(s_f, s_v, FusionConfig(fusion_cfg.mode, fusion_cfg.ratio, k)),
+                      *(baseline_selection(videos, method, k, seed) for method in per_k[1:])]
+        scored.append(videos.score(np.stack(np.broadcast_arrays(*selections))))
+    scores = np.concatenate([s for s, _ in scored])
+    recalls = None if scored[0][1] is None else np.concatenate([r for _, r in scored])
+    # one top-1 and one mAP pass over every distinct (method, K) row
+    top1 = (scores.argmax(axis=2) == videos.labels).mean(axis=1)
+    maps = _average_precisions(scores, videos.labels)[1]
 
     rows = []
-    for k in k_list:
-        selections = {
-            "nsnet": select_frames(s_f, s_v, FusionConfig(fusion_cfg.mode, fusion_cfg.ratio, k)),
-            **{method: baseline_selection(videos, method, k, seed)
-               for method in BASELINE_METHODS},
-        }
+    for i, k in enumerate(k_list):
+        # row 0 is dense's, then each K's four rows in ``per_k`` order
+        index = dict(zip(per_k, range(1 + 4 * i, 5 + 4 * i)), dense=0)
         recognized = {"uniform": k, "random": k, "dense": t, "topk_confidence": t}
         gflops = {"nsnet": sampler_gflops(costs, k, t),
                   **{m: costs["recognizer_per_frame"] * n for m, n in recognized.items()}}
-        for method, selected in selections.items():
-            scores, recall = videos.score(selected)
+        for method in ("nsnet", *BASELINE_METHODS):
+            row = index[method]
             rows.append(ComparisonRow(
                 method=method,
                 k=k,
-                top1=top1_accuracy(scores, videos.labels),
-                map_score=mean_average_precision(scores, videos.labels).mean,
-                recall=recall,
+                top1=float(top1[row]),
+                map_score=float(maps[row]),
+                recall=None if recalls is None else float(recalls[row]),
                 gflops=gflops[method],
             ))
     return rows

@@ -155,8 +155,9 @@ def select_frames(s_f: np.ndarray, s_v: np.ndarray, cfg: FusionConfig):
 def recognize(probs: np.ndarray, selected: np.ndarray) -> np.ndarray:
     """(V, C) video scores: each video's softmax rows ``probs`` (V, T, C)
     averaged over its selected frames, a (V, K) index array or one (1, K)
-    row shared by every video. The argmax is the video prediction."""
-    return probs[np.arange(len(probs))[:, None], selected].mean(axis=1)
+    row shared by every video; stacked (..., V, K) selections give
+    (..., V, C). The argmax is the video prediction."""
+    return probs[np.arange(len(probs))[:, None], selected].mean(axis=-2)
 
 
 def recognize_video(record: VideoRecord, selected: list[int]) -> np.ndarray:

@@ -212,6 +212,8 @@ class SamplerModel:
                 out = self.forward(block)
                 tracks.append((fsm_saliency(out.fsm_logits.value.reshape(n, t, -1)),
                                vgm_saliency(out.attn.value.reshape(n, t, 1))))
+        if not tracks:
+            raise ValueError("no videos to score")
         s_f, s_v = zip(*tracks)
         return np.concatenate(s_f), np.concatenate(s_v)
 

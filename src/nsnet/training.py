@@ -182,7 +182,7 @@ def _score_selection(videos: ScoredVideos, saliency: tuple[np.ndarray, np.ndarra
                      fusion_cfg: FusionConfig) -> tuple[float, float | None]:
     """``evaluate_epoch`` on gathered videos and their ``(s_f, s_v)``."""
     scores, recall = videos.score(select_frames(*saliency, fusion_cfg))
-    return top1_accuracy(scores, videos.labels), recall
+    return top1_accuracy(scores, videos.labels), None if recall is None else float(recall)
 
 
 def _check_saliency(s_f: np.ndarray, s_v: np.ndarray, ids: list[str], epoch: int) -> None:

@@ -89,20 +89,58 @@ class TestLinear:
                    constant(np.zeros(5)))
 
 
+def special_rows(n, rng, rows=8):
+    """(rows, n) scores, some rows holding +inf, -inf, NaN, only -inf or
+    only -0.0, with magnitudes spread so rounding differs by order."""
+    x = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-3, 6, (rows, 1))
+    x[1, rng.integers(n)] = np.inf
+    x[2, rng.integers(n)] = -np.inf
+    x[3] = -np.inf
+    x[4, rng.integers(n)] = np.nan
+    x[5, rng.integers(n)] = np.inf
+    x[5, rng.integers(n)] = np.nan
+    x[6] = -0.0
+    return x
+
+
+def same_bits(a, b):
+    """Equal, NaN for NaN, and zeros of the same sign."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestRowMax:
+    """The attention softmax's row max and row sum, taken down the leading
+    axis of key-major (n, rows) scores."""
+
     @pytest.mark.parametrize("n", range(1, 18))
     def test_equals_max_bit_for_bit(self, n):
-        rng = np.random.default_rng(n)
-        x = rng.standard_normal((6, 3, n))
-        x[1, 0, rng.integers(n)] = np.inf
-        x[2, 1, rng.integers(n)] = -np.inf
-        x[3, 2] = -np.inf
-        x[4, 0, rng.integers(n)] = np.nan
-        x[5, 1, rng.integers(n)] = np.inf
-        x[5, 1, rng.integers(n)] = np.nan
-        before = x.copy()
-        np.testing.assert_array_equal(ad._row_max(x), x.max(axis=-1, keepdims=True))
-        np.testing.assert_array_equal(x, before)
+        rows = special_rows(n, np.random.default_rng(n))
+        keys = rows.T.copy()
+        assert same_bits(keys.max(axis=0), rows.max(axis=1))
+        with np.errstate(invalid="ignore"):
+            assert same_bits(ad._softmax_columns(keys).T, softmax_values(rows))
+
+    def test_max_sum_and_softmax_equal_numpy_rows_for_every_length(self):
+        # below 8, 8 to 15, whole blocks of 8 with and without tails, and
+        # the splits above 128
+        rng = np.random.default_rng(0)
+        for n in range(1, 301):
+            rows = special_rows(n, rng)
+            keys = rows.T.copy()
+            before = keys.copy()
+            with np.errstate(invalid="ignore"):
+                assert same_bits(keys.max(axis=0), rows.max(axis=1)), n
+                # numpy adds its pairwise sum to a zero start
+                assert same_bits(ad._leading_sum(keys) + 0.0, rows.sum(axis=1)), n
+                assert same_bits(keys, before), n
+                assert same_bits(ad._softmax_columns(keys).T, softmax_values(rows)), n
+
+    def test_sum_is_pairwise_not_one_by_one(self):
+        # one at a time, each 2**-53 rounds away against the 1.0; pairwise,
+        # the small terms meet each other first and survive
+        rows = np.full((1, 16), 2.0 ** -53)
+        rows[0, 0] = 1.0
+        assert ad._leading_sum(rows.T.copy())[0] == rows.sum() > 1.0
 
 
 class TestSoftmax:

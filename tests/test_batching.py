@@ -257,7 +257,7 @@ def reference_layer(x, params, batch, heads, g):
 
 
 @pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("frames", [1, 5, 16])
+@pytest.mark.parametrize("frames", [1, 5, 7, 8, 9, 16, 17, 24, 33, 130])
 @pytest.mark.parametrize("width", [4, 8, 9, 12])
 def test_fused_attention_is_bit_identical_to_reference(width, frames, batch):
     """The encoder block, fused attention included, against the separate

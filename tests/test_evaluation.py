@@ -377,6 +377,71 @@ def test_evaluate_epoch_equals_per_video_loop(t, mode):
             == (top1_accuracy(scores, labels), recall)
 
 
+# labels with 1, 2, 3 and 8 positive videos and none for class 4, so mAP
+# averages runs of four lengths and leaves one class out
+UNEVEN_LABELS = [3, 0, 3, 1, 3, 2, 3, 1, 3, 2, 3, 2, 3, 3]
+
+
+def uneven_records(t):
+    """``mixed_records`` over five classes whose positive counts differ."""
+    rng = np.random.default_rng(t)
+    return [VideoRecord(r.video_id, label, r.light_features, r.guiding_features,
+                        rng.integers(-2, 3, (r.num_frames, 5)).astype(float), r.saliency_mask)
+            for r, label in zip(mixed_records(t, seed=2), UNEVEN_LABELS, strict=True)]
+
+
+def map_oracle(scores, labels):
+    """The mean over classes with a positive of ``average_precision_oracle``,
+    with np.mean's pairwise sums so the rounding matches."""
+    aps = []
+    for c in range(scores.shape[1]):
+        order = sorted(range(len(labels)), key=lambda i: (-scores[i, c], i))
+        ranks = [rank for rank, video in enumerate(order, start=1) if labels[video] == c]
+        if ranks:
+            aps.append(np.mean([hits / rank for hits, rank in enumerate(ranks, start=1)]))
+    return float(np.mean(aps))
+
+
+@pytest.mark.parametrize("t", [6, 16])
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_run_comparison_on_uneven_classes(t, mode):
+    records, model = uneven_records(t), model_for(t)
+    k_list = [1, 3, t]
+    observed = [presample(r, PresampleConfig(frames=t)) for r in records]
+    labels = np.array(UNEVEN_LABELS)
+    expected = []
+    for k in k_list:
+        for method, selections in reference_selections(model, observed, mode, k, 5).items():
+            scores, recall = reference_scores(observed, selections)
+            expected.append((method, k, float(np.mean(scores.argmax(axis=1) == labels)),
+                             map_oracle(scores, labels), recall))
+    rows = run_comparison(ScoredVideos.from_records(records, t), model,
+                          FusionConfig(mode, RATIO, 1), k_list, seed=5)
+    assert [astuple(row)[:5] for row in rows] == expected
+    per_class = mean_average_precision(scores, labels).per_class
+    assert np.isnan(per_class[4]) and not np.isnan(per_class[:4]).any()
+
+
+def test_baseline_rows_do_not_depend_on_the_fusion_mode():
+    t = 16
+    videos, model = ScoredVideos.from_records(mixed_records(t), t), model_for(t)
+    runs = [[row for row in run_comparison(videos, model, FusionConfig(mode, RATIO, 1),
+                                           [1, 4, t], seed=3) if row.method != "nsnet"]
+            for mode in FUSION_MODES]
+    assert len(runs[0]) == 4 * 3
+    assert all(run == runs[0] for run in runs[1:])
+
+
+@pytest.mark.parametrize("entry", ["from_records", "saliency", "evaluate_epoch"])
+def test_no_videos_to_score_is_named(entry):
+    model = model_for(6)
+    score = {"from_records": lambda: ScoredVideos.from_records(iter([]), 6),
+             "saliency": lambda: model.saliency(iter([])),
+             "evaluate_epoch": lambda: evaluate_epoch(model, [], 1)}[entry]
+    with pytest.raises(ValueError, match="^no videos to score$"):
+        score()
+
+
 # ---------------------------------------------------------------------------
 # The random baseline's hash contract
 # ---------------------------------------------------------------------------
