@@ -8,9 +8,10 @@ field of ``ModelConfig`` or ``TrainConfig``, parsed by its annotation and
 defaulting to the dataclass's default. Unknown or repeated keys and
 unparsable values are rejected. A checkpoint's positional capacity is the
 ``frames`` it was trained at, and ``eval`` and ``sample`` observe every
-video at that length. Every command checks all of its settings, its
-referenced paths and how its inputs fit together before it reads any
-video, and then reads each video only when its work needs it. Every
+video at that length. Every command checks all of its settings and its
+referenced paths before it reads any video; the files of the kinds it
+reads are checked as they are opened, with how they fit the checkpoint
+or the other inputs, still before any output is written. Every
 artifact is written to a temporary file and renamed into place, so a
 failed command never leaves a truncated file behind.
 """
@@ -92,7 +93,7 @@ def cmd_synth(args) -> int:
 
 def cmd_prototypes(args) -> int:
     manifest = load_manifest(args.manifest)
-    bank = build_prototypes(manifest.videos(("guiding", "logits")), manifest.num_classes,
+    bank = build_prototypes(manifest.views(("guiding", "logits")), manifest.num_classes,
                             args.epsilon)
     save_prototypes(bank, args.out)
     print(f"wrote {bank.num_classes}x{bank.prototypes.shape[1]} prototypes to {args.out}")
@@ -123,24 +124,29 @@ def cmd_train(args) -> int:
             raise FileNotFoundError(f"{key} does not exist: {run[key]}")
     manifest = load_manifest(run["train_manifest"])
     val_manifest = load_manifest(run["val_manifest"]) if run["val_manifest"] else None
-    model_cfg = ModelConfig(input_dim=manifest.dims["D_l"], num_classes=manifest.num_classes,
-                            max_frames=train_cfg.frames, **owned(ModelConfig))
+    model_settings = dict(num_classes=manifest.num_classes, max_frames=train_cfg.frames,
+                          **owned(ModelConfig))
+    # all but how the heads split the light width, which the first light file gives
+    ModelConfig(input_dim=model_settings.get("heads", ModelConfig.heads), **model_settings)
     bank = None
     if train_cfg.ns_labels:
         if run["prototypes"] is None:
             raise ValueError("ns_labels=true requires a prototypes path")
         bank = load_prototypes(run["prototypes"])
-    # the other files must fit the train manifest before any epoch runs
+    videos = manifest.views(("light", "guiding") if train_cfg.ns_labels else ("light",))
+    first = next(videos)   # the first block: the split's widths
+    model_cfg = ModelConfig(input_dim=manifest.dims["D_l"], **model_settings)
+    val = val_manifest and ScoredVideos.gather(val_manifest.read(ScoredVideos.kinds),
+                                               train_cfg.frames)
+    # the other files must fit the train manifest, in each width both have read
     for key, dims in (("val_manifest", val_manifest and val_manifest.dims),
                       ("prototypes", bank and dict(zip(("C", "D_g"), bank.prototypes.shape)))):
         for dim, have in (dims or {}).items():
-            if have != manifest.dims[dim]:
+            if have != manifest.dims.get(dim, have):
                 raise ValueError(f"train_manifest {run['train_manifest']} has {dim}="
                                  f"{manifest.dims[dim]} but {key} {run[key]} has {dim}={have}")
-    kinds = ("light", "guiding") if train_cfg.ns_labels else ("light",)
-    result = train(manifest.videos(kinds), bank, model_cfg, train_cfg,
-                   val_records=val_manifest and val_manifest.videos(ScoredVideos.kinds),
-                   out_dir=run["out_dir"])
+    result = train(itertools.chain([first], videos), bank, model_cfg, train_cfg,
+                   val_records=val, out_dir=run["out_dir"])
     last = result.metrics[-1]
     summary = f"trained {train_cfg.epochs} epochs, final loss {last.loss:.4f}"
     if last.val_top1 is not None:
@@ -149,34 +155,37 @@ def cmd_train(args) -> int:
     return 0
 
 
-def load_fitting(args, ks: list[int]) -> tuple[SamplerModel, DatasetManifest]:
-    """The checkpoint and manifest of `eval` and `sample`, which must agree
-    on the class count and the light feature width; the observation length
-    is the checkpoint's capacity, which must hold every frame budget in
-    ``ks``."""
-    model = load_checkpoint(args.checkpoint)
-    manifest = load_manifest(args.manifest)
+def check_fit(args, model: SamplerModel, manifest: DatasetManifest, ks: list[int] = ()) -> None:
+    """`eval` and `sample`: the manifest must have the checkpoint's class count
+    and, once a light file is read, its light feature width; the observation
+    length is the checkpoint's capacity, which must hold every budget in ``ks``."""
     cfg = model.config
     for key, want, have, what in (("num_classes", cfg.num_classes, manifest.num_classes, "C="),
-                                  ("input_dim", cfg.input_dim, manifest.dims["D_l"],
-                                   "light width ")):
+                                  ("input_dim", cfg.input_dim,
+                                   manifest.dims.get("D_l", cfg.input_dim), "light width ")):
         if want != have:
             raise ValueError(f"checkpoint {args.checkpoint} has {key}={want} but manifest "
                              f"{manifest.path} has {what}{have}")
     for k in ks:
         if k > cfg.max_frames:
             raise ValueError(f"k={k} out of range for {cfg.max_frames} observation frames")
-    return model, manifest
 
 
 def cmd_sample(args) -> int:
     fusion_cfg = FusionConfig(args.fusion, args.ratio, at_least("--k", args.k, 1))
-    model, manifest = load_fitting(args, [fusion_cfg.k])
-    videos, pre = manifest.videos(("light",)), PresampleConfig(model.config.max_frames)
-    # each block the saliency pass draws is read just before it, pre-sampled in one call
-    blocks = iter(lambda: [v.light_features for v in itertools.islice(videos, SALIENCY_BLOCK)], [])
-    s_f, s_v = model.saliency(rows[i] for block in blocks for rows, i in zip(
-        block, presample_indices(np.array(list(map(len, block))), pre)))
+    model, manifest = load_checkpoint(args.checkpoint), load_manifest(args.manifest)
+    check_fit(args, model, manifest, [fusion_cfg.k])
+    pre = PresampleConfig(model.config.max_frames)
+
+    def observed():
+        """Each block the saliency pass draws, read and pre-sampled just before it."""
+        for start in range(0, len(manifest.entries), SALIENCY_BLOCK):
+            block = manifest.read(("light",), manifest.entries[start:start + SALIENCY_BLOCK])
+            check_fit(args, model, manifest)
+            rows = block.starts[:, None] + presample_indices(block.lengths, pre)
+            yield from block.arrays["light"][rows].astype(np.float64)
+
+    s_f, s_v = model.saliency(observed())
     chosen = np.zeros(s_f.shape, dtype=bool)
     np.put_along_axis(chosen, select_frames(s_f, s_v, fusion_cfg), True, axis=1)
     fused = fuse_scores(s_f, s_v, args.fusion, args.ratio).tolist() \
@@ -199,10 +208,12 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--seed must be < 2**64, got {args.seed}")
     fusion_cfg = FusionConfig(args.fusion, args.ratio)
     costs = load_cost_table(args.cost_table)
-    model, manifest = load_fitting(args, k_list)
-    videos = ScoredVideos.from_records(manifest.videos(ScoredVideos.kinds),
-                                       model.config.max_frames)
-    rows = run_comparison(videos, model, fusion_cfg, k_list, costs=costs, seed=args.seed)
+    model, manifest = load_checkpoint(args.checkpoint), load_manifest(args.manifest)
+    check_fit(args, model, manifest, k_list)
+    block = manifest.read(ScoredVideos.kinds)
+    check_fit(args, model, manifest)
+    rows = run_comparison(ScoredVideos.gather(block, model.config.max_frames), model,
+                          fusion_cfg, k_list, costs=costs, seed=args.seed)
     write_csv(args.out, ["method", "K", "top1", "mAP", "recall", "gflops"],
               map(astuple, rows))
     print(f"wrote {len(rows)} method/K rows to {args.out}")

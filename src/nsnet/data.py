@@ -11,7 +11,11 @@ Two bit-exact formats:
 
 A command opens only the kinds of file it uses: ``prototypes`` guiding
 and logits, ``train`` light (plus guiding with pseudo labels), ``eval``
-and validation light, logits and mask, ``sample`` light.
+and validation light, logits and mask, ``sample`` light. ``load_manifest``
+parses the text alone; a split's files are read in blocks, each file opened
+once and checked as it is read (magic, length, and a width held to the
+first file of its kind), then each kind's frame counts, finiteness and 0/1
+mask entries are checked once over the block.
 
 Plus the one ``key=value`` reader (run configurations, checkpoint
 sidecars, cost tables, prototype ``.meta`` files) and its value parsers,
@@ -163,28 +167,24 @@ def write_feature_file(path: str, matrix: np.ndarray) -> None:
     atomic_write_bytes(path, payload)
 
 
-def _feature_shape(path: str, header: bytes, size: int) -> tuple[int, int]:
-    """(N, D) from the first 12 bytes of an NSF1 file of ``size`` bytes:
-    magic, dims and exact byte length are checked."""
-    if len(header) < 12 or header[:4] != FEATURE_MAGIC:
-        raise FeatureFormatError(f"{path}: bad magic, not an NSF1 feature file")
-    n, d = struct.unpack("<II", header[4:12])
-    if size != 12 + 4 * n * d:
-        raise FeatureFormatError(f"{path}: truncated or oversized payload, expected "
-                                 f"{12 + 4 * n * d} bytes, got {size}")
-    return n, d
-
-
-def read_feature_file(path: str) -> np.ndarray:
-    """Read an NSF1 file back as float64 (exact embedding of the f32 payload)."""
+def read_feature_file(path: str, dtype: Any = np.float64) -> np.ndarray:
+    """An NSF1 file's (N, D) values as ``dtype`` (float64 is an exact embedding
+    of the f32 payload; float32 is a read-only view of the bytes read), once
+    its magic, dims and exact byte length are checked. Every feature file is
+    opened here, once per read."""
     with open(path, "rb", buffering=0) as fh:   # unbuffered: no BufferedReader around it
         blob = fh.readall()
-    shape = _feature_shape(path, blob[:12], len(blob))
-    return np.frombuffer(blob, dtype="<f4", offset=12).astype(np.float64).reshape(shape)
+    if len(blob) < 12 or blob[:4] != FEATURE_MAGIC:
+        raise FeatureFormatError(f"{path}: bad magic, not an NSF1 feature file")
+    n, d = struct.unpack("<II", blob[4:12])
+    if len(blob) != 12 + 4 * n * d:
+        raise FeatureFormatError(f"{path}: truncated or oversized payload, expected "
+                                 f"{12 + 4 * n * d} bytes, got {len(blob)}")
+    return np.frombuffer(blob, dtype="<f4", offset=12).astype(dtype, copy=False).reshape(n, d)
 
 
 # ---------------------------------------------------------------------------
-# Video records and manifests
+# Video records, blocks and manifests
 # ---------------------------------------------------------------------------
 
 
@@ -193,19 +193,33 @@ KINDS = {"light": ("light_features", "D_l"), "guiding": ("guiding_features", "D_
          "logits": ("recognizer_logits", "C"), "mask": ("saliency_mask", "width")}
 
 
-def check_frames(video_id: str, arrays: dict[str, np.ndarray]) -> None:
-    """One video's arrays by kind: one frame count (>= 1), finite features, 0/1 mask."""
-    n = next(iter(arrays.values())).shape[0]
-    for kind, arr in arrays.items():
-        name = KINDS[kind][0]
-        if arr.shape[0] != n:
-            raise ValueError(f"{video_id}: {name} has {arr.shape[0]} frames, expected {n}")
+def stack_frames(video_ids: Sequence[str], files: dict[str, list[np.ndarray]]
+                 ) -> tuple[list[int], dict[str, np.ndarray]]:
+    """The videos' frame counts and each kind's per-video arrays (a mask's
+    one value per row) stacked into one, once every video has one frame
+    count (>= 1), finite features and a 0/1 mask. The first video in order
+    with a fault is named, with its first fault in kind order."""
+    n, faults, stacked = list(map(len, next(iter(files.values())))), [], {}
+    for kind, arrays in files.items():   # each check's first offending video, in order
+        name, count = KINDS[kind][0], list(map(len, arrays))
+        arr = stacked[kind] = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        if count != n:
+            v = next(v for v, (have, want) in enumerate(zip(count, n)) if have != want)
+            faults.append((v, f"{name} has {count[v]} frames, expected {n[v]}"))
         if kind == "mask" and np.count_nonzero(arr) != np.count_nonzero(arr == 1.0):
-            raise ValueError(f"{video_id}: saliency_mask entries must be 0 or 1")
+            row = np.argmax((arr != 0) & (arr != 1))
+            faults.append((np.searchsorted(np.cumsum(count), row, side="right"),
+                           f"{name} entries must be 0 or 1"))
         if kind != "mask" and not np.isfinite(arr).all():
-            raise ValueError(f"{video_id}: {name} has non-finite values")
-    if n < 1:
-        raise ValueError(f"{video_id}: needs at least one frame")
+            row = np.argmax(~np.isfinite(arr).all(axis=1))
+            faults.append((np.searchsorted(np.cumsum(count), row, side="right"),
+                           f"{name} has non-finite values"))
+    if min(n) < 1:
+        faults.append((n.index(min(n)), "needs at least one frame"))
+    if faults:   # min keeps the first fault of the first video
+        v, message = min(faults, key=lambda fault: fault[0])
+        raise ValueError(f"{video_ids[v]}: {message}")
+    return n, stacked
 
 
 @dataclass
@@ -222,14 +236,34 @@ class VideoRecord:
     def __post_init__(self):
         if self.saliency_mask is not None:
             self.saliency_mask = np.asarray(self.saliency_mask, dtype=np.float64).reshape(-1)
-        check_frames(self.video_id, {kind: getattr(self, name) for kind, (name, _) in KINDS.items()
-                                     if getattr(self, name) is not None})
+        stack_frames([self.video_id], {kind: [a] for kind, (name, _) in KINDS.items()
+                                       if (a := getattr(self, name)) is not None})
         if self.label < 0:
             raise ValueError(f"{self.video_id}: negative label {self.label}")
 
     @property
     def num_frames(self) -> int:
         return self.light_features.shape[0]
+
+
+@dataclass
+class FeatureBlock:
+    """V videos with per-frame arrays of some kinds (their files, or a
+    training split's light rows and targets), each kind one array of all
+    their frame rows, video after video (``stack_frames``)."""
+
+    video_ids: list[str]
+    labels: list[int]
+    lengths: list[int]              # frame count of each video
+    arrays: dict[str, np.ndarray]   # kind -> (rows, width), or (rows,) for a mask
+
+    @property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.lengths) - self.lengths
+
+
+# Videos per block when a split is read as a stream of per-video views.
+READ_BLOCK = 16
 
 
 @dataclass
@@ -240,6 +274,7 @@ class ManifestEntry:
     guiding_path: str
     logits_path: str
     mask_path: str | None = None
+    line: int = 0                   # the manifest line that lists it
 
 
 @dataclass
@@ -247,35 +282,55 @@ class DatasetManifest:
     path: str
     num_classes: int
     entries: list[ManifestEntry] = field(default_factory=list)
-    dims: dict[str, int] = field(default_factory=dict)   # D_l, D_g, C of the first video
+    # each kind's width: C from the header, 1 for a mask, D_l and D_g from
+    # the first file of their kind read
+    dims: dict[str, int] = field(default_factory=dict)
 
-    def _files(self, entry: ManifestEntry, kinds: Iterable[str]) -> dict[str, np.ndarray]:
-        """The video's listed files of ``kinds``, each held to ``dims`` as read."""
-        arrays = {}
-        for kind in kinds:
-            path, key = getattr(entry, kind + "_path"), KINDS[kind][1]
-            if path is not None:
-                arr, width = read_feature_file(path), self.dims.get(key, 1)
-                if arr.shape[1] != width:
-                    raise FeatureFormatError(f"{path}: {kind} width {arr.shape[1]} disagrees "
-                                             f"with {key}={width} of manifest {self.path}")
-                arrays[kind] = arr.reshape(-1) if kind == "mask" else arr
-        return arrays
+    def _read(self, entry: ManifestEntry, kind: str, dtype: Any = np.float64) -> np.ndarray:
+        """The video's file of ``kind``, held to the split's width as it is read."""
+        path, key = getattr(entry, kind + "_path"), KINDS[kind][1]
+        try:
+            arr = read_feature_file(path, dtype)
+        except (FileNotFoundError, IsADirectoryError):
+            raise FeatureFormatError(
+                f"{self.path}:{entry.line}: missing {kind} file {path}") from None
+        width = self.dims.setdefault(key, arr.shape[1])
+        if arr.shape[1] != width:
+            raise FeatureFormatError(f"{path}: {kind} width {arr.shape[1]} disagrees "
+                                     f"with {key}={width} of manifest {self.path}")
+        return arr.reshape(-1) if kind == "mask" else arr
 
-    def videos(self, kinds: Iterable[str]) -> Iterator[SimpleNamespace]:
-        """Each video as it is drawn, opening only its files of ``kinds``, checked
-        as ``load_record`` checks them: its id, label and arrays under VideoRecord's
-        names (a mask None unless read), all the library's passes over records use."""
-        for e in self.entries:
-            arrays = self._files(e, kinds)
-            check_frames(e.video_id, arrays)
-            mask = arrays.pop("mask", None)
-            yield SimpleNamespace(video_id=e.video_id, label=e.label, saliency_mask=mask,
-                                  **{KINDS[kind][0]: a for kind, a in arrays.items()})
+    def read(self, kinds: Iterable[str],
+             entries: Sequence[ManifestEntry] | None = None) -> FeatureBlock:
+        """The videos of ``entries`` (all by default) with their files of
+        ``kinds`` as float32, each file opened once, in manifest order, and
+        no other; a video that lists no mask gets zeros."""
+        entries = self.entries if entries is None else entries
+        kinds = [kind for kind in KINDS if kind in kinds]
+        files: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
+        for e in entries:
+            for kind in kinds:
+                files[kind].append(self._read(e, kind, np.float32) if kind != "mask" or e.mask_path
+                                   else np.zeros(len(files[kinds[0]][-1]), np.float32))
+        ids = [e.video_id for e in entries]
+        return FeatureBlock(ids, [e.label for e in entries], *stack_frames(ids, files))
+
+    def views(self, kinds: Iterable[str]) -> Iterator[SimpleNamespace]:
+        """Each video as it is drawn, with its arrays of ``kinds`` as float64
+        under VideoRecord's names (a mask None unless read), READ_BLOCK
+        videos read at a time: what the library's per-video passes read."""
+        for first in range(0, len(self.entries), READ_BLOCK):
+            block = self.read(kinds, self.entries[first:first + READ_BLOCK])
+            for i, (start, n) in enumerate(zip(block.starts.tolist(), block.lengths)):
+                yield SimpleNamespace(video_id=block.video_ids[i], label=block.labels[i], **{
+                    "saliency_mask": None, **{KINDS[kind][0]: a[start:start + n].astype(np.float64)
+                                              for kind, a in block.arrays.items()}})
 
     def load_record(self, entry: ManifestEntry) -> VideoRecord:
-        """All of the video's files; VideoRecord checks them together."""
-        return VideoRecord(entry.video_id, entry.label, *self._files(entry, KINDS).values())
+        """All of the video's listed files; VideoRecord checks them together."""
+        return VideoRecord(entry.video_id, entry.label,
+                           *[self._read(entry, kind) for kind in KINDS
+                             if kind != "mask" or entry.mask_path is not None])
 
     def load_all(self) -> list[VideoRecord]:
         return [self.load_record(e) for e in self.entries]
@@ -292,10 +347,9 @@ def write_manifest(path: str, num_classes: int, entries: Sequence[ManifestEntry]
 
 
 def load_manifest(path: str) -> DatasetManifest:
-    """Parse and validate a manifest: header, labels, unique ids and that
-    every listed file exists. Only the first video's light, guiding and
-    logits headers are read here, for the split's widths (``dims``); each
-    file is checked against them when it is read. Errors name
+    """Parse and validate a manifest's text: header, fields, labels and
+    unique ids. No feature file is opened here: a missing one is reported,
+    naming ``path:line``, when a command reads its kind. Errors name
     ``path:line``, counting blank lines."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(lineno, ln.rstrip("\n")) for lineno, ln in enumerate(fh, start=1)
@@ -314,13 +368,8 @@ def load_manifest(path: str) -> DatasetManifest:
         raise FeatureFormatError(f"{path}: class count must be positive, got {num_classes}")
 
     base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p: str) -> str:
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    dims: dict[str, int] = {}
     for lineno, line in lines[1:]:
         fields = line.split("\t")
         if len(fields) not in (5, 6):
@@ -337,22 +386,12 @@ def load_manifest(path: str) -> DatasetManifest:
         if not 0 <= label < num_classes:
             raise FeatureFormatError(
                 f"{path}:{lineno}: label {label} out of range for C={num_classes}")
-        paths = [resolve(p) for p in fields[2:]]
-        for kind, p in zip(KINDS, paths):
-            if not os.path.isfile(p):
-                raise FeatureFormatError(f"{path}:{lineno}: missing {kind} file {p}")
-        if not dims:   # the split's widths, from the first video's headers only
-            for key, p in zip(("D_l", "D_g", "C"), paths):
-                with open(p, "rb") as fh:
-                    dims[key] = _feature_shape(p, fh.read(12), os.path.getsize(p))[1]
-            if dims["C"] != num_classes:
-                raise FeatureFormatError(
-                    f"{path}:{lineno}: logits width {dims['C']} != header C={num_classes}")
-        entries.append(ManifestEntry(video_id, label, *paths))
+        entries.append(ManifestEntry(video_id, label, *(os.path.join(base, p) for p in fields[2:]),
+                                     line=lineno))
     if not entries:
         raise FeatureFormatError(f"{path}: lists no videos")
     return DatasetManifest(path=os.path.abspath(path), num_classes=num_classes,
-                           entries=entries, dims=dims)
+                           entries=entries, dims={"C": num_classes, "width": 1})
 
 
 # ---------------------------------------------------------------------------

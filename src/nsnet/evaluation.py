@@ -15,7 +15,6 @@ without positives are excluded from the mean and reported as NaN in
 
 from __future__ import annotations
 
-import functools
 import math
 import zlib
 from dataclasses import dataclass
@@ -24,8 +23,8 @@ from typing import Iterable
 import numpy as np
 
 from .autodiff import softmax_values
-from .data import PresampleConfig, VideoRecord, finite_float, presample_indices, \
-    read_key_values
+from .data import FeatureBlock, PresampleConfig, VideoRecord, finite_float, \
+    presample_indices, read_key_values, stack_frames
 from .fusion import FusionConfig, recognize, select_frames
 from .model import SamplerModel
 
@@ -138,27 +137,30 @@ class ScoredVideos:
 
     @classmethod
     def from_records(cls, records: Iterable[VideoRecord], frames: int) -> ScoredVideos:
-        """The records pre-sampled (without shift) to ``frames`` frames each,
-        gathered in one pass over any iterable, so no record outlives its
-        own rows."""
-        cfg = PresampleConfig(frames=frames)
-        # without shift the indices depend on the frame count alone
-        indices = functools.cache(lambda n: presample_indices(n, cfg))
-
-        def observe(r: VideoRecord) -> tuple:
-            i = indices(len(r.light_features))
-            return (r.light_features[i], r.recognizer_logits[i],
-                    np.zeros(frames, dtype=bool) if r.saliency_mask is None
-                    else r.saliency_mask[i] > 0.5, r.label, r.video_id)
-
-        observed = list(map(observe, records))
-        if not observed:
+        """The records, drawn in one pass over any iterable (no record outlives
+        its draw), stacked into one block and gathered as a manifest's is."""
+        ids, labels, files = [], [], {"light": [], "logits": [], "mask": []}
+        for r in records:
+            ids.append(r.video_id)
+            labels.append(r.label)
+            files["light"].append(r.light_features)
+            files["logits"].append(r.recognizer_logits)
+            files["mask"].append(np.zeros(len(r.light_features)) if r.saliency_mask is None
+                                 else r.saliency_mask)
+        if not ids:
             raise ValueError("no videos to score")
-        light, logits, planted, labels, video_ids = zip(*observed)
-        probs = softmax_values(np.stack(logits))
-        return cls(light=np.stack(light), probs=probs, planted=np.stack(planted),
+        return cls.gather(FeatureBlock(ids, labels, *stack_frames(ids, files)), frames)
+
+    @classmethod
+    def gather(cls, block: FeatureBlock, frames: int) -> ScoredVideos:
+        """The block's videos pre-sampled (without shift) to ``frames`` frames
+        each: one pre-sampling call and one gather per kind, then float64."""
+        rows = block.starts[:, None] + presample_indices(block.lengths, PresampleConfig(frames))
+        probs = softmax_values(block.arrays["logits"][rows].astype(np.float64, copy=False))
+        return cls(light=block.arrays["light"][rows].astype(np.float64, copy=False),
+                   probs=probs, planted=block.arrays["mask"][rows] > 0.5,
                    ranking=np.argsort(-probs.max(axis=2), axis=1, kind="stable"),
-                   labels=np.array(labels), video_ids=list(video_ids))
+                   labels=np.array(block.labels), video_ids=block.video_ids)
 
     def score(self, selected: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The (..., V, C) video scores of stacked selections (..., V, K),

@@ -63,6 +63,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.ffn_dim is None:
             self.ffn_dim = self.input_dim
+        if min(self.input_dim, self.num_classes, self.max_frames,
+               self.encoder_layers, self.heads, self.ffn_dim) < 1:
+            raise ValueError("all size fields must be positive")
         if self.input_dim % self.heads != 0:
             raise ValueError(
                 f"input_dim {self.input_dim} not divisible by heads {self.heads}")
@@ -72,9 +75,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {rate}")
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if min(self.input_dim, self.num_classes, self.max_frames,
-               self.encoder_layers, self.heads, self.ffn_dim) < 1:
-            raise ValueError("all size fields must be positive")
 
     def to_text(self) -> str:
         return "\n".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)) + "\n"

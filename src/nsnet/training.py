@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from . import autodiff as ad
-from .data import PresampleConfig, VideoRecord, presample_indices, write_csv
+from .data import FeatureBlock, PresampleConfig, VideoRecord, presample_indices, write_csv
 from .evaluation import ScoredVideos, top1_accuracy
 from .fusion import FusionConfig, select_frames
 from .model import LossBreakdown, ModelConfig, SamplerModel, save_checkpoint, total_loss
@@ -120,44 +120,23 @@ class EpochMetrics:
     val_recall: float | None = None
 
 
-@dataclass
-class _FrameRows:
-    """A training split as flat per-frame arrays: each video's light rows
-    and frame targets, video after video in arrival order, plus its first
-    row, frame count, label and id."""
-
-    light: np.ndarray      # (frames of all videos, D_l)
-    targets: np.ndarray    # (frames of all videos, C+1)
-    starts: np.ndarray     # (V,)
-    lengths: np.ndarray    # (V,)
-    labels: np.ndarray     # (V,)
-    video_ids: list[str]
-
-    @classmethod
-    def from_records(cls, records: Iterable[VideoRecord], bank: PrototypeBank | None,
-                     ns_labels: bool, num_classes: int) -> _FrameRows:
-        """One pass: each record's targets are built as it streams past, and
-        only its light rows and target rows are kept."""
-        light, targets, labels, video_ids = [], [], [], []
-        for record in records:
-            light.append(record.light_features)
-            targets.append(ns_pseudo_label_matrix(
-                guiding_saliency_scores(record, bank) if ns_labels
-                else np.ones(len(record.light_features)), record.label, num_classes))
-            labels.append(record.label)
-            video_ids.append(record.video_id)
-        if not video_ids:
-            raise ValueError("no training videos")
-        lengths = np.array([len(rows) for rows in light])
-        return cls(np.concatenate(light), np.concatenate(targets),
-                   np.cumsum(lengths) - lengths, lengths, np.array(labels), video_ids)
-
-    def batch(self, videos: np.ndarray, observe: PresampleConfig,
-              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """The (B, T, D_l) observed features, their (B*T, C+1) targets and the
-        labels of ``videos``, gathered through one pre-sampling call."""
-        rows = self.starts[videos, None] + presample_indices(self.lengths[videos], observe, rng)
-        return self.light[rows], self.targets[rows.reshape(-1)], self.labels[videos].tolist()
+def _frame_rows(records: Iterable[VideoRecord], bank: PrototypeBank | None,
+                ns_labels: bool, num_classes: int) -> FeatureBlock:
+    """A training split as a block of two per-frame kinds, "light" rows and
+    "targets", built in one pass: each record's targets are built as it
+    streams past, and only its light rows and target rows are kept."""
+    ids, labels, light, targets = [], [], [], []
+    for record in records:
+        light.append(record.light_features)
+        targets.append(ns_pseudo_label_matrix(
+            guiding_saliency_scores(record, bank) if ns_labels
+            else np.ones(len(record.light_features)), record.label, num_classes))
+        labels.append(record.label)
+        ids.append(record.video_id)
+    if not ids:
+        raise ValueError("no training videos")
+    return FeatureBlock(ids, labels, [len(rows) for rows in light],
+                        {"light": np.concatenate(light), "targets": np.concatenate(targets)})
 
 
 @dataclass
@@ -205,7 +184,7 @@ def train(train_records: Iterable[VideoRecord],
           bank: PrototypeBank | None,
           model_cfg: ModelConfig,
           train_cfg: TrainConfig,
-          val_records: Iterable[VideoRecord] | None = None,
+          val_records: Iterable[VideoRecord] | ScoredVideos | None = None,
           out_dir: str | None = None) -> TrainResult:
     """Run the full schedule and keep the best checkpoint by validation top-1.
 
@@ -213,7 +192,8 @@ def train(train_records: Iterable[VideoRecord],
     needs no prototypes). The model's positional capacity must be the
     observation length, so a checkpoint carries it to ``eval`` and
     ``sample``. The settings are checked before the first record is drawn
-    from either iterable.
+    from either iterable. Validation videos may come gathered already, at
+    the observation length.
     """
     if train_cfg.ns_labels and bank is None:
         raise ValueError("pseudo labels need a prototype bank; pass ns_labels=False "
@@ -223,8 +203,9 @@ def train(train_records: Iterable[VideoRecord],
                          f"the observation length frames={train_cfg.frames}")
     observe = PresampleConfig(train_cfg.frames, train_cfg.shift_augment)
     validation = FusionConfig(train_cfg.fusion, train_cfg.ratio, train_cfg.validation_k)
-    split = _FrameRows.from_records(train_records, bank, train_cfg.ns_labels,
-                                    model_cfg.num_classes)
+    split = _frame_rows(train_records, bank, train_cfg.ns_labels, model_cfg.num_classes)
+    starts, lengths = split.starts, np.array(split.lengths)
+    light, targets = split.arrays["light"], split.arrays["targets"]
     # batches draw from the videos in video_id order, whatever order they came in
     by_id = np.array(sorted(range(len(split.video_ids)), key=split.video_ids.__getitem__))
     init_rng = substream(train_cfg.seed, "init")
@@ -236,8 +217,11 @@ def train(train_records: Iterable[VideoRecord],
                             momentum=train_cfg.momentum)
 
     # the validation set is observed the same way every epoch; gather it once
-    val_videos = ScoredVideos.from_records(val_records, train_cfg.frames) \
-        if val_records is not None else None
+    val_videos = val_records if val_records is None or isinstance(val_records, ScoredVideos) \
+        else ScoredVideos.from_records(val_records, train_cfg.frames)
+    if val_videos is not None and val_videos.planted.shape[1] != train_cfg.frames:
+        raise ValueError(f"validation videos are observed at {val_videos.planted.shape[1]} "
+                         f"frames, not frames={train_cfg.frames}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     last_path = os.path.join(out_dir, "last.nsc1") if out_dir else None
@@ -252,7 +236,10 @@ def train(train_records: Iterable[VideoRecord],
         seen = 0
         for start in range(0, len(order), train_cfg.batch_size):
             videos = order[start:start + train_cfg.batch_size]
-            parts = batch_loss(model, *split.batch(videos, observe, augment_rng),
+            # one pre-sampling call and one gather of rows for the batch
+            rows = starts[videos, None] + presample_indices(lengths[videos], observe, augment_rng)
+            parts = batch_loss(model, light[rows], targets[rows.reshape(-1)],
+                               [split.labels[v] for v in videos.tolist()],
                                train=True, rng=dropout_rng)
             values = np.array([float(parts.total.value), float(parts.frame.value),
                                float(parts.video_cls.value), float(parts.video_ns.value)])

@@ -363,22 +363,35 @@ def outputs(argv, out, capsys):
 
 
 class TestFaultsFoundOnRead:
-    """A manifest's widths come from its first video's headers; every other
-    file is checked as it is read, and a command opens only the kinds it
-    uses. A wrong width, a truncated file or a bad magic in the last video
-    ends a command that reads the file with exit 1, one `error:` line naming
-    the file, and no output; any other command writes what it writes on the
-    clean split."""
+    """Each file is checked as it is read, its width held to the first file
+    of its kind read, and a command opens only the kinds it uses. A wrong
+    width, a truncated file or a bad magic in the last video, or in the
+    first, ends a command that reads the file with exit 1, one `error:`
+    line naming the file, and no output; any other command writes what it
+    writes on the clean split."""
 
-    @pytest.mark.parametrize("kind, fault", [
-        ("light", "width"), ("guide", "width"), ("logits", "width"), ("mask", "width"),
-        ("light", "truncated"), ("mask", "truncated"), ("guide", "magic"),
-        ("logits", "magic")])
-    @pytest.mark.parametrize("command", ["eval", "sample", "prototypes", "train",
-                                         "train-val"])
+    FAULTS = [("light", "width"), ("guide", "width"), ("logits", "width"), ("mask", "width"),
+              ("light", "truncated"), ("mask", "truncated"), ("guide", "magic"),
+              ("logits", "magic")]
+    COMMANDS = ["eval", "sample", "prototypes", "train", "train-val"]
+
+    @pytest.mark.parametrize("kind, fault", FAULTS)
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_one_error_line(self, checkpoint, tmp_path, capsys, command, kind, fault):
+        self.check(checkpoint, tmp_path, capsys, command, kind, fault, "val_c001_v0000")
+
+    @pytest.mark.parametrize("kind, fault", FAULTS + [("guide", "truncated")])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_fault_in_the_first_video(self, checkpoint, tmp_path, capsys, command, kind,
+                                      fault):
+        """A light or guiding file that is wider than the rest sets its
+        kind's width, so the error names the next video's file."""
+        self.check(checkpoint, tmp_path, capsys, command, kind, fault, "val_c000_v0000")
+
+    @staticmethod
+    def check(checkpoint, tmp_path, capsys, command, kind, fault, video):
         path, manifest = checkpoint
-        feature = manifest.parent / "feats" / f"val_c001_v0000.{kind}.nsf"
+        feature = manifest.parent / "feats" / f"{video}.{kind}.nsf"
         blob = feature.read_bytes()
         out = tmp_path / "out"
         model = ["--checkpoint", str(path), "--manifest", str(manifest), "--out", str(out)]
@@ -391,9 +404,12 @@ class TestFaultsFoundOnRead:
                 "train-val": train + ["--train-manifest", str(manifest.parent / "train.nsm"),
                                       "--val-manifest", str(manifest)]}[command]
         clean = outputs(argv, out, capsys) if kind not in KINDS_READ[command] else None
+        named = feature
         if fault == "width":   # one more column, a well-formed file
             values = read_feature_file(str(feature))
             write_feature_file(str(feature), np.hstack([values, values[:, :1]]))
+            if video == "val_c000_v0000" and kind in ("light", "guide"):
+                named = feature.parent / f"val_c001_v0000.{kind}.nsf"
         else:
             feature.write_bytes(blob[:-1] if fault == "truncated" else b"NSF0" + blob[4:])
         if clean is not None:
@@ -401,7 +417,7 @@ class TestFaultsFoundOnRead:
             assert outputs(argv, out, capsys) == clean
             return
         error = assert_one_error_line(*run(argv, capsys)[::2])
-        assert error.startswith(f"error: {feature}: "), error
+        assert error.startswith(f"error: {named}: "), error
         if fault == "width":
             assert f"of manifest {manifest}" in error, error
         assert not out.exists()
@@ -438,9 +454,38 @@ class TestNonFiniteFeatures:
         assert not (tmp_path / "out.csv").exists()
 
 
+class TestMissingFiles:
+    """A listed file is looked for only when a command reads its kind."""
+
+    def test_missing_guiding_file_leaves_the_frontier(self, checkpoint, tmp_path, capsys):
+        path, manifest = checkpoint
+        out = tmp_path / "frontier.csv"
+        argv = ["eval", "--checkpoint", str(path), "--manifest", str(manifest),
+                "--k-list", "1,2", "--out", str(out)]
+        clean = outputs(argv, out, capsys)
+        assert clean[0] == 0 and clean[3], clean[2]
+        (manifest.parent / "feats" / "val_c000_v0000.guide.nsf").unlink()
+        assert outputs(argv, out, capsys) == clean
+
+    def test_missing_val_light_file_ends_train(self, checkpoint, tmp_path, capsys):
+        _, manifest = checkpoint
+        light = manifest.parent / "feats" / "val_c001_v0000.light.nsf"
+        light.unlink()
+        out = tmp_path / "run"
+        error = assert_one_error_line(*run([
+            "train", "--train-manifest", str(manifest.parent / "train.nsm"),
+            "--val-manifest", str(manifest), "--out-dir", str(out), "--ns-labels", "false",
+            "--frames", "2", "--heads", "1", "--epochs", "1", "--lr-decay-epochs", ""],
+            capsys)[::2])
+        assert error == f"error: {manifest}:3: missing light file {light}"
+        assert not out.exists()
+
+
 class TestReadsByKind:
     """Each command reads each video's files of the kinds it uses once, and
-    never opens another: the feature reads of a run, by split and kind."""
+    never opens another (`eval` and `sample` no guiding file, not even a
+    header): the feature reads of a run, by split and kind, all through
+    `read_feature_file`, and every feature file opened."""
 
     @pytest.mark.parametrize("command, train_kinds, val_kinds", [
         ("prototypes", ("guide", "logits"), ()),
@@ -468,20 +513,30 @@ class TestReadsByKind:
                 "train-ns": [*train, "--prototypes", str(protos)],
                 "eval": ["eval", *scored, "--k-list", "1,2"],
                 "sample": ["sample", *scored, "--k", "2"]}[command]
-        reads = Counter()
+        reads, opens = Counter(), Counter()
 
-        def counted(path):   # feats/<split>_c<class>_v<video>.<kind>.nsf
+        def split_kind(path):   # feats/<split>_c<class>_v<video>.<kind>.nsf
             video, kind, _ = os.path.basename(path).split(".")
-            reads[video.split("_")[0], kind] += 1
-            return read_feature_file(path)
+            return video.split("_")[0], kind
 
-        monkeypatch.setattr(nsnet.data, "read_feature_file", counted)
-        code, _, err = run(argv, capsys)
-        assert code == 0, err
+        def counted(path, *dtype):
+            reads[split_kind(path)] += 1
+            return read_feature_file(path, *dtype)
+
+        def counted_open(file, *args, **kwargs):
+            if os.path.basename(os.path.dirname(file)) == "feats":
+                opens[split_kind(file)] += 1
+            return open(file, *args, **kwargs)
+
         videos = {split: len(load_manifest(str(data / f"{split}.nsm")).entries)
                   for split in ("train", "val")}
-        assert reads == Counter({**{("train", kind): videos["train"] for kind in train_kinds},
-                                 **{("val", kind): videos["val"] for kind in val_kinds}})
+        monkeypatch.setattr(nsnet.data, "read_feature_file", counted)
+        monkeypatch.setattr(nsnet.data, "open", counted_open, raising=False)
+        code, _, err = run(argv, capsys)
+        assert code == 0, err
+        expected = Counter({**{("train", kind): videos["train"] for kind in train_kinds},
+                            **{("val", kind): videos["val"] for kind in val_kinds}})
+        assert reads == expected and opens == expected
 
 
 class TestArgumentErrors:
@@ -552,9 +607,9 @@ class TestSettingsBeforeReads:
         """Every feature file read from here on, the prototype bank's too."""
         reads = []
 
-        def counted(path):
+        def counted(path, *dtype):
             reads.append(path)
-            return read_feature_file(path)
+            return read_feature_file(path, *dtype)
 
         for module in (nsnet.data, nsnet.supervision):
             monkeypatch.setattr(module, "read_feature_file", counted)
@@ -568,6 +623,7 @@ class TestSettingsBeforeReads:
         ("prototypes", ["--epsilon", "0"], "epsilon_percent must be in (0, 100], got 0.0"),
         ("train", ["--ratio", "1.5"], "ratio must be in [0, 1], got 1.5"),
         ("train", ["--heads", "5"], "input_dim 8 not divisible by heads 5"),
+        ("train", ["--heads", "0"], "all size fields must be positive"),
         ("train", ["--dropout-cls", "1.0"], "dropout_cls must be in [0, 1), got 1.0"),
         ("train", ["--gamma", "-1"], "gamma must be finite and >= 0, got -1.0"),
         ("train", ["--frames", "4", "--k", "5"], "k=5 out of range for 4 observation frames"),
@@ -577,7 +633,8 @@ class TestSettingsBeforeReads:
         ("train-ns", ["--frames", "4", "--k", "5"],
          "k=5 out of range for 4 observation frames"),
     ], ids=["eval-k-list", "eval-ratio", "eval-cost-table", "sample-k",
-            "prototypes-epsilon", "train-ratio", "train-heads", "train-dropout-cls",
+            "prototypes-epsilon", "train-ratio", "train-heads", "train-zero-heads",
+            "train-dropout-cls",
             "train-gamma", "train-k-above-frames", "train-momentum", "train-base-lr",
             "train-decay-factor", "train-ns-labels-k-above-frames"])
     def test_one_error_line_and_no_read(self, data, reads, tmp_path, capsys, command, extra,
@@ -603,7 +660,11 @@ class TestSettingsBeforeReads:
                 }[command] + [arg.format(costs=costs) for arg in extra]
         code, stdout, err = run(argv, capsys)
         assert message.format(costs=costs) in assert_one_error_line(code, err)
-        assert reads == [] and stdout == ""
+        # the light width the heads must split is the first light file's: `train`
+        # reads its first block of light files, and nothing else, before that check
+        opened = [e.light_path for e in load_manifest(str(data / "train.nsm")).entries] \
+            if extra == ["--heads", "5"] else []
+        assert reads == opened and stdout == ""
         assert not out.exists()
 
     def test_library_train_checks_the_capacity(self, data, reads, tmp_path):
@@ -667,10 +728,8 @@ class TestTrainFit:
         (["--classes", "3"], "prototypes", "C=2 but prototypes {other} has C=3"),
         (["--classes", "3"], "val_manifest", "C=2 but val_manifest {other} has C=3"),
         (["--light-dim", "4"], "val_manifest", "D_l=3 but val_manifest {other} has D_l=4"),
-        (["--guiding-dim", "4"], "val_manifest", "D_g=3 but val_manifest {other} has D_g=4"),
         (["--guiding-dim", "4"], "prototypes", "D_g=3 but prototypes {other} has D_g=4"),
-    ], ids=["prototype-classes", "val-classes", "val-light-width", "val-guiding-width",
-            "prototype-guiding-width"])
+    ], ids=["prototype-classes", "val-classes", "val-light-width", "prototype-guiding-width"])
     def test_one_error_line(self, tmp_path, capsys, flags, key, message):
         train_manifest, val_manifest, protos = self.synth(tmp_path / "data", capsys)
         _, other_val, other_protos = self.synth(tmp_path / "other", capsys, *flags)
@@ -689,6 +748,18 @@ class TestTrainFit:
                 "--val-manifest", str(val_manifest), "--prototypes", str(protos),
                 "--frames", "2", "--heads", "1", "--encoder-layers", "1",
                 "--epochs", "1", "--lr-decay-epochs", ""]
+
+    def test_val_guiding_width_is_never_read(self, tmp_path, capsys):
+        """Validation reads no guiding file, so its width is not held to the
+        train split's: widening every val guiding file changes nothing."""
+        train_manifest, val_manifest, protos = self.synth(tmp_path / "data", capsys)
+        argv = self.train_args(train_manifest, val_manifest, protos, tmp_path / "run")
+        clean = outputs(argv, tmp_path / "run", capsys)
+        assert clean[0] == 0 and clean[3], clean[2]
+        for entry in load_manifest(str(val_manifest)).entries:
+            values = read_feature_file(entry.guiding_path)
+            write_feature_file(entry.guiding_path, np.hstack([values, values]))
+        assert outputs(argv, tmp_path / "run", capsys) == clean
 
     def test_matching_files_train(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -257,10 +257,13 @@ class TestManifest:
         entries = [ManifestEntry("v0", 0, feat, feat, feat, None)]
         path = str(tmp_path / "m.nsm")
         write_manifest(path, 2, entries)
-        # break the referenced file path
+        # break the referenced file path: the manifest parses, the read fails
         Path(path).write_text(Path(path).read_text().replace("x.nsf", "gone.nsf"))
-        with pytest.raises(FeatureFormatError, match="missing"):
-            load_manifest(path)
+        manifest = load_manifest(path)
+        gone = str(tmp_path / "gone.nsf")
+        with pytest.raises(FeatureFormatError, match=re.escape(
+                f"{path}:2: missing light file {gone}")):
+            manifest.read(("light",))
 
     def test_duplicate_ids_rejected(self, tmp_path):
         feat = str(tmp_path / "x.nsf")
@@ -310,8 +313,8 @@ class TestManifest:
             load_manifest(path).load_all()
 
     def test_each_feature_file_is_opened_once(self, tmp_path, monkeypatch):
-        """Loading a split opens every feature file once; only the first
-        video's light, guiding and logits headers are read before that."""
+        """Loading a split opens every feature file once; parsing the
+        manifest opens none."""
         train, _ = generate_synthetic_dataset(
             str(tmp_path), num_classes=2, videos_per_class=3, num_frames=4,
             light_dim=3, guiding_dim=5, salient_fraction=0.5, noise_sigma=0.2, seed=2)
@@ -323,11 +326,60 @@ class TestManifest:
 
         monkeypatch.setattr(data, "open", counting_open, raising=False)
         assert len(load_manifest(train).load_all()) == 6
-        first = [f"feats/train_c000_v0000.{kind}.nsf" for kind in ("light", "guide", "logits")]
         expected = Counter({"train.nsm": 1} | {f"feats/{name}": 1
                                                 for name in os.listdir(tmp_path / "feats")})
-        expected.update(first)
         assert len(expected) == 1 + 6 * 4 and opened == expected
+
+
+class TestBlockFaults:
+    """A block's header faults are raised as each file is opened; its content
+    faults after every file is read, naming the first offending video in
+    manifest order with its first fault in kind order."""
+
+    @pytest.fixture
+    def split(self, tmp_path):
+        """Three 2-frame videos; ``split(faults)`` writes each video's light
+        and logits (file kind -> matrix overrides) and loads the manifest."""
+        def make(faults):
+            entries = []
+            for v in range(3):
+                paths = {kind: str(tmp_path / f"v{v}.{kind}.nsf") for kind in ("light", "logits")}
+                for kind, path in paths.items():
+                    write_feature_file(path, faults.get((v, kind), np.zeros((2, 3))))
+                entries.append(ManifestEntry(f"v{v}", 0, paths["light"], paths["light"],
+                                             paths["logits"]))
+            path = str(tmp_path / "m.nsm")
+            write_manifest(path, 3, entries)
+            return load_manifest(path)
+        return make
+
+    def test_first_video_in_order_is_named(self, split):
+        nan = np.zeros((2, 3))
+        nan[1, 2] = np.nan
+        manifest = split({(2, "light"): nan, (1, "logits"): np.full((2, 3), np.inf)})
+        with pytest.raises(ValueError, match="^v1: recognizer_logits has non-finite values$"):
+            manifest.read(("light", "logits"))
+
+    def test_kind_order_within_a_video(self, split):
+        nan = np.zeros((2, 3))
+        nan[0, 0] = np.nan
+        manifest = split({(1, "logits"): np.zeros((3, 3)), (1, "light"): nan,
+                          (2, "light"): np.zeros((1, 3))})
+        with pytest.raises(ValueError, match="^v1: light_features has non-finite values$"):
+            manifest.read(("light", "logits"))
+        manifest = split({(1, "logits"): np.zeros((3, 3)), (2, "light"): nan})
+        with pytest.raises(ValueError, match="^v1: recognizer_logits has 3 frames, expected 2$"):
+            manifest.read(("light", "logits"))
+
+    def test_header_fault_comes_first(self, split, tmp_path):
+        manifest = split({(0, "light"): np.full((2, 3), np.nan)})
+        logits = tmp_path / "v2.logits.nsf"
+        logits.write_bytes(logits.read_bytes()[:-1])
+        with pytest.raises(FeatureFormatError, match=f"^{re.escape(str(logits))}: truncated"):
+            manifest.read(("light", "logits"))
+        # without the truncated kind, the content fault is what is left
+        with pytest.raises(ValueError, match="^v0: light_features has non-finite values$"):
+            manifest.read(("light",))
 
 
 class TestVideoRecord:

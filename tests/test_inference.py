@@ -131,9 +131,9 @@ def test_sample_reads_one_block_ahead(tmp_path, capsys, monkeypatch):
     loaded, loaded_at_forward = [], []
     forward = SamplerModel.forward
 
-    def counted_read(path):
+    def counted_read(path, *dtype):
         loaded.append(path)
-        return read_feature_file(path)
+        return read_feature_file(path, *dtype)
 
     def counted_forward(self, *args, **kwargs):
         loaded_at_forward.append(len(loaded))

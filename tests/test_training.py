@@ -10,6 +10,7 @@ from nsnet import training
 from nsnet.cli import main
 from nsnet.data import PresampleConfig, VideoRecord, generate_synthetic_dataset, \
     load_manifest, presample, presample_indices
+from nsnet.evaluation import ScoredVideos
 from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig, SamplerModel
 from nsnet.supervision import build_prototypes, guiding_saliency_scores, \
@@ -142,6 +143,18 @@ class TestTrainLoop:
         assert lines[0] == "epoch,lr,loss,loss_f,loss_cls,loss_ns,val_top1,val_recall"
         assert len(lines) == 1 + 2
         assert 0 <= result.best_epoch < 2
+
+    def test_gathered_validation_videos_are_used_as_given(self, tmp_path):
+        """Validation videos gathered at the observation length score as their
+        records do; gathered at another length they are refused."""
+        train_records, val_records = tiny_dataset(tmp_path)
+        cfg = tiny_train_cfg(ns_labels=False, k=2)
+        runs = [train(train_records, None, tiny_model_cfg(), cfg, val_records=val).metrics
+                for val in (val_records, ScoredVideos.from_records(val_records, cfg.frames))]
+        assert runs[0] == runs[1]
+        with pytest.raises(ValueError, match="observed at 6 frames, not frames=4"):
+            train(train_records, None, tiny_model_cfg(), cfg,
+                  val_records=ScoredVideos.from_records(val_records, 6))
 
     def test_hard_label_baseline_needs_no_bank(self, tmp_path):
         train_records, _ = tiny_dataset(tmp_path)
