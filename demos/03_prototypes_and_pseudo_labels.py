@@ -20,22 +20,23 @@ train_m, _ = generate_synthetic_dataset(
     workdir, num_classes=4, videos_per_class=10, num_frames=20,
     light_dim=16, guiding_dim=16, salient_fraction=0.3, noise_sigma=0.25,
     seed=7)
-records = load_manifest(train_m).load_all()
-bank = build_prototypes(records, 4, epsilon_percent=30)
+manifest = load_manifest(train_m)
+bank = build_prototypes(manifest.blocks(("guiding", "logits")), 4, epsilon_percent=30)
 print(f"prototype bank: {bank.prototypes.shape} (epsilon {bank.epsilon_percent}%)")
 
+split = manifest.read(("guiding", "mask"))
 salient_g, background_g = [], []
-for record in records:
-    g = guiding_saliency_scores(record, bank)
-    mask = record.saliency_mask == 1.0
-    salient_g.extend(g[mask])
-    background_g.extend(g[~mask])
+for guiding, label, mask in zip(split.per_video("guiding"), split.labels,
+                                split.per_video("mask")):
+    g = guiding_saliency_scores(guiding, label, bank)
+    salient_g.extend(g[mask == 1.0])
+    background_g.extend(g[mask == 0.0])
 print(f"\nguiding score g, prototype route:")
 print(f"  planted salient frames: mean {np.mean(salient_g):.3f}")
 print(f"  background frames:      mean {np.mean(background_g):.3f}")
 
-record = records[0]
-g = guiding_saliency_scores(record, bank)
+record = manifest.load_record(manifest.entries[0])
+g = guiding_saliency_scores(record.guiding_features, record.label, bank)
 targets = ns_pseudo_label_matrix(g[:3], record.label, 4)
 print(f"\npseudo labels for the first 3 frames of {record.video_id} (label={record.label}):")
 for i, target in enumerate(targets):

@@ -19,16 +19,19 @@ train_m, val_m = generate_synthetic_dataset(
     workdir, num_classes=6, videos_per_class=20, num_frames=24,
     light_dim=16, guiding_dim=16, salient_fraction=0.25, noise_sigma=0.3,
     seed=11, val_videos_per_class=6)
-train_records = load_manifest(train_m).load_all()
-val_records = load_manifest(val_m).load_all()
-bank = build_prototypes(train_records, 6)
+train_manifest = load_manifest(train_m)
+bank = build_prototypes(train_manifest.blocks(("guiding", "logits")), 6)
 
 model_cfg = ModelConfig(input_dim=16, num_classes=6, max_frames=12, heads=4)
 train_cfg = TrainConfig(epochs=12, batch_size=12, base_lr=0.01, lr_decay_epochs=(),
                         seed=3, frames=12, shift_augment=True,
                         fusion="index_union", ratio=0.6, k=3)
+# validation and the comparison below observe the val split the same way
+val_videos = ScoredVideos.gather(load_manifest(val_m).read(ScoredVideos.kinds),
+                                 model_cfg.max_frames)
 print("training 12 epochs ...")
-result = train(train_records, bank, model_cfg, train_cfg, val_records=val_records)
+result = train(train_manifest.blocks(("light", "guiding")), bank, model_cfg, train_cfg,
+               val_videos=val_videos)
 for m in result.metrics:
     if m.epoch % 3 == 0 or m.epoch == len(result.metrics) - 1:
         print(f"  epoch {m.epoch:2d}: loss {m.loss:7.3f}  val top-1 {m.val_top1:.3f}"
@@ -36,7 +39,6 @@ for m in result.metrics:
 
 print("\nmethod comparison at K=3 (100-video budget arithmetic in GFLOPs):")
 validation = FusionConfig(train_cfg.fusion, train_cfg.ratio, train_cfg.validation_k)
-val_videos = ScoredVideos.from_records(val_records, model_cfg.max_frames)
 rows = run_comparison(val_videos, result.model, validation, [3], seed=3)
 print(f"  {'method':16s} {'top1':>6s} {'mAP':>6s} {'recall':>7s} {'gflops':>8s}")
 for row in rows:

@@ -10,6 +10,7 @@ from .autodiff import (
 )
 from .data import (
     DatasetManifest,
+    FeatureBlock,
     PresampleConfig,
     VideoRecord,
     generate_synthetic_dataset,
@@ -47,7 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Parameter", "SgdState", "Tensor", "backward", "finite_difference_check",
     "sgd_step",
-    "DatasetManifest", "PresampleConfig", "VideoRecord",
+    "DatasetManifest", "FeatureBlock", "PresampleConfig", "VideoRecord",
     "generate_synthetic_dataset", "load_manifest", "presample",
     "read_feature_file", "write_feature_file",
     "baseline_sample", "mean_average_precision", "run_comparison", "top1_accuracy",

@@ -33,7 +33,7 @@ from .data import PARSE_ANNOTATION, DatasetManifest, PresampleConfig, boolean, f
     read_key_values, write_csv
 from .evaluation import ScoredVideos, load_cost_table, run_comparison, sampler_gflops
 from .fusion import FUSION_MODES, SCORE_MODES, FusionConfig, fuse_scores, select_frames
-from .model import SALIENCY_BLOCK, ModelConfig, SamplerModel, load_checkpoint
+from .model import ModelConfig, SamplerModel, load_checkpoint
 from .supervision import build_prototypes, load_prototypes, save_prototypes
 from .training import TrainConfig, train
 
@@ -93,7 +93,7 @@ def cmd_synth(args) -> int:
 
 def cmd_prototypes(args) -> int:
     manifest = load_manifest(args.manifest)
-    bank = build_prototypes(manifest.views(("guiding", "logits")), manifest.num_classes,
+    bank = build_prototypes(manifest.blocks(("guiding", "logits")), manifest.num_classes,
                             args.epsilon)
     save_prototypes(bank, args.out)
     print(f"wrote {bank.num_classes}x{bank.prototypes.shape[1]} prototypes to {args.out}")
@@ -110,10 +110,6 @@ def cmd_train(args) -> int:
         return {f.name: settings[f.name] for f in fields(cls)
                 if f.name in settings and f.name not in _NOT_KEYS}
 
-    for key in ("frames", "k"):
-        if settings.get(key) is not None:
-            at_least("--" + key if getattr(args, key) is not None
-                     else f"{key} in {args.config}", settings[key], 1)
     train_cfg = TrainConfig(**owned(TrainConfig))
 
     if run["train_manifest"] is None or run["out_dir"] is None:
@@ -133,8 +129,9 @@ def cmd_train(args) -> int:
         if run["prototypes"] is None:
             raise ValueError("ns_labels=true requires a prototypes path")
         bank = load_prototypes(run["prototypes"])
-    videos = manifest.views(("light", "guiding") if train_cfg.ns_labels else ("light",))
-    first = next(videos)   # the first block: the split's widths
+    blocks = manifest.blocks(("light", "guiding") if train_cfg.ns_labels else ("light",))
+    # the first block gives the split's widths; only the pass holds it
+    blocks = itertools.chain([next(blocks)], blocks)
     model_cfg = ModelConfig(input_dim=manifest.dims["D_l"], **model_settings)
     val = val_manifest and ScoredVideos.gather(val_manifest.read(ScoredVideos.kinds),
                                                train_cfg.frames)
@@ -145,8 +142,7 @@ def cmd_train(args) -> int:
             if have != manifest.dims.get(dim, have):
                 raise ValueError(f"train_manifest {run['train_manifest']} has {dim}="
                                  f"{manifest.dims[dim]} but {key} {run[key]} has {dim}={have}")
-    result = train(itertools.chain([first], videos), bank, model_cfg, train_cfg,
-                   val_records=val, out_dir=run["out_dir"])
+    result = train(blocks, bank, model_cfg, train_cfg, val_videos=val, out_dir=run["out_dir"])
     last = result.metrics[-1]
     summary = f"trained {train_cfg.epochs} epochs, final loss {last.loss:.4f}"
     if last.val_top1 is not None:
@@ -179,8 +175,7 @@ def cmd_sample(args) -> int:
 
     def observed():
         """Each block the saliency pass draws, read and pre-sampled just before it."""
-        for start in range(0, len(manifest.entries), SALIENCY_BLOCK):
-            block = manifest.read(("light",), manifest.entries[start:start + SALIENCY_BLOCK])
+        for block in manifest.blocks(("light",)):
             check_fit(args, model, manifest)
             rows = block.starts[:, None] + presample_indices(block.lengths, pre)
             yield from block.arrays["light"][rows].astype(np.float64)

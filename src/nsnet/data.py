@@ -12,10 +12,13 @@ Two bit-exact formats:
 A command opens only the kinds of file it uses: ``prototypes`` guiding
 and logits, ``train`` light (plus guiding with pseudo labels), ``eval``
 and validation light, logits and mask, ``sample`` light. ``load_manifest``
-parses the text alone; a split's files are read in blocks, each file opened
-once and checked as it is read (magic, length, and a width held to the
-first file of its kind), then each kind's frame counts, finiteness and 0/1
-mask entries are checked once over the block.
+parses the text alone; a split's files are read as ``FeatureBlock``s, each
+file opened once and checked as it is read (magic, length, and a width held
+to the first file of its kind), then each kind's frame counts, finiteness
+and 0/1 mask entries are checked once over the block. ``prototypes``,
+``train`` and ``sample`` read blocks of ``BLOCK`` videos in manifest order.
+The per-video ``VideoRecord`` is kept for the library's one-video calls;
+``FeatureBlock.of`` stacks records into a block.
 
 Plus the one ``key=value`` reader (run configurations, checkpoint
 sidecars, cost tables, prototype ``.meta`` files) and its value parsers,
@@ -30,7 +33,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -257,13 +259,33 @@ class FeatureBlock:
     lengths: list[int]              # frame count of each video
     arrays: dict[str, np.ndarray]   # kind -> (rows, width), or (rows,) for a mask
 
+    @classmethod
+    def of(cls, records: Iterable[VideoRecord]) -> FeatureBlock:
+        """The records stacked into one block of every kind; a record
+        without a mask gets zeros."""
+        records = list(records)
+        if not records:
+            raise ValueError("no videos to score")
+        ids = [r.video_id for r in records]
+        return cls(ids, [r.label for r in records], *stack_frames(ids, {
+            kind: [np.zeros(r.num_frames) if (a := getattr(r, name)) is None else a
+                   for r in records] for kind, (name, _) in KINDS.items()}))
+
     @property
     def starts(self) -> np.ndarray:
         return np.cumsum(self.lengths) - self.lengths
 
+    def per_video(self, kind: str) -> Iterator[np.ndarray]:
+        """Each video's rows of ``kind`` as a float64 array of its own, cast
+        as it is drawn."""
+        for start, n in zip(self.starts.tolist(), self.lengths):
+            yield self.arrays[kind][start:start + n].astype(np.float64)
 
-# Videos per block when a split is read as a stream of per-video views.
-READ_BLOCK = 16
+
+# Videos per block: per read of a split by ``DatasetManifest.blocks`` and per
+# graph-free forward in ``SamplerModel.saliency``; enough to amortize the
+# per-call work, few enough to keep peak memory near that of a single video.
+BLOCK = 8
 
 
 @dataclass
@@ -315,16 +337,12 @@ class DatasetManifest:
         ids = [e.video_id for e in entries]
         return FeatureBlock(ids, [e.label for e in entries], *stack_frames(ids, files))
 
-    def views(self, kinds: Iterable[str]) -> Iterator[SimpleNamespace]:
-        """Each video as it is drawn, with its arrays of ``kinds`` as float64
-        under VideoRecord's names (a mask None unless read), READ_BLOCK
-        videos read at a time: what the library's per-video passes read."""
-        for first in range(0, len(self.entries), READ_BLOCK):
-            block = self.read(kinds, self.entries[first:first + READ_BLOCK])
-            for i, (start, n) in enumerate(zip(block.starts.tolist(), block.lengths)):
-                yield SimpleNamespace(video_id=block.video_ids[i], label=block.labels[i], **{
-                    "saliency_mask": None, **{KINDS[kind][0]: a[start:start + n].astype(np.float64)
-                                              for kind, a in block.arrays.items()}})
+    def blocks(self, kinds: Iterable[str]) -> Iterator[FeatureBlock]:
+        """``read`` over BLOCK videos at a time, in manifest order, each
+        block read as it is drawn."""
+        kinds = tuple(kinds)
+        for first in range(0, len(self.entries), BLOCK):
+            yield self.read(kinds, self.entries[first:first + BLOCK])
 
     def load_record(self, entry: ManifestEntry) -> VideoRecord:
         """All of the video's listed files; VideoRecord checks them together."""

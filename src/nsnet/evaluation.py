@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .autodiff import softmax_values
 from .data import FeatureBlock, PresampleConfig, VideoRecord, finite_float, \
-    presample_indices, read_key_values, stack_frames
+    presample_indices, read_key_values
 from .fusion import FusionConfig, recognize, select_frames
 from .model import SamplerModel
 
@@ -136,22 +135,6 @@ class ScoredVideos:
     kinds = ("light", "logits", "mask")   # the files a gather reads of each video
 
     @classmethod
-    def from_records(cls, records: Iterable[VideoRecord], frames: int) -> ScoredVideos:
-        """The records, drawn in one pass over any iterable (no record outlives
-        its draw), stacked into one block and gathered as a manifest's is."""
-        ids, labels, files = [], [], {"light": [], "logits": [], "mask": []}
-        for r in records:
-            ids.append(r.video_id)
-            labels.append(r.label)
-            files["light"].append(r.light_features)
-            files["logits"].append(r.recognizer_logits)
-            files["mask"].append(np.zeros(len(r.light_features)) if r.saliency_mask is None
-                                 else r.saliency_mask)
-        if not ids:
-            raise ValueError("no videos to score")
-        return cls.gather(FeatureBlock(ids, labels, *stack_frames(ids, files)), frames)
-
-    @classmethod
     def gather(cls, block: FeatureBlock, frames: int) -> ScoredVideos:
         """The block's videos pre-sampled (without shift) to ``frames`` frames
         each: one pre-sampling call and one gather per kind, then float64."""
@@ -224,7 +207,7 @@ def baseline_selection(videos: ScoredVideos, method: str, k: int,
 def baseline_sample(record: VideoRecord, method: str, k: int,
                     seed: int = 0) -> list[int]:
     """``baseline_selection`` for one video."""
-    return baseline_selection(ScoredVideos.from_records([record], record.num_frames),
+    return baseline_selection(ScoredVideos.gather(FeatureBlock.of([record]), record.num_frames),
                               method, k, seed)[0].tolist()
 
 

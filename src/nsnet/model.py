@@ -38,13 +38,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, softmax_values
-from .data import PARSE_ANNOTATION, atomic_write_bytes, atomic_write_text, read_key_values
+from .data import BLOCK, PARSE_ANNOTATION, atomic_write_bytes, atomic_write_text, \
+    read_key_values
 
 CHECKPOINT_MAGIC = b"NSC1"
-# Videos per graph-free forward in ``SamplerModel.saliency``: enough to
-# amortize the per-op dispatch, few enough to keep inference's peak memory
-# near that of a single video.
-SALIENCY_BLOCK = 8
 
 
 @dataclass
@@ -199,12 +196,12 @@ class SamplerModel:
     def saliency(self, videos: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Inference scores (s_f, s_v), each (B, T), for B videos' (T, D)
         features from any iterable: eval-mode forwards under ``no_grad`` over
-        blocks of at most SALIENCY_BLOCK videos, each block pulled from the
+        blocks of at most BLOCK videos, each block pulled from the
         iterable just before its forward."""
         videos = iter(videos)
         tracks = []
         with ad.no_grad():
-            while block := list(itertools.islice(videos, SALIENCY_BLOCK)):
+            while block := list(itertools.islice(videos, BLOCK)):
                 block = np.stack(block)
                 if block.ndim != 3:
                     raise ValueError(f"expected videos of (T, D) features, got {block.shape}")

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .autodiff import softmax_values
-from .data import VideoRecord, atomic_write_text, finite_float, read_feature_file, \
+from .data import FeatureBlock, atomic_write_text, finite_float, read_feature_file, \
     read_key_values, write_feature_file
 
 DEFAULT_EPSILON_PERCENT = 30.0
@@ -43,39 +43,43 @@ class PrototypeBank:
         return self.prototypes.shape[0]
 
 
-def _top_confident_frames(record: VideoRecord, epsilon_percent: float) -> np.ndarray:
-    """Indices of the frames pooled into this video's guiding feature.
+def _top_confident_frames(logits: np.ndarray, label: int, epsilon_percent: float) -> np.ndarray:
+    """Indices of the frames pooled into a video's guiding feature, from its
+    (N, C) recognizer logits.
 
     Confidence is the softmax probability of the true category. Frames whose
     argmax matches the label form the candidate pool; from it the top
     max(1, ceil(eps% * pool size)) by confidence are kept. A video with no
     correctly predicted frame falls back to ranking all frames.
     """
-    conf = softmax_values(record.recognizer_logits, axis=1)[:, record.label]
-    correct = np.flatnonzero(record.recognizer_logits.argmax(axis=1) == record.label)
+    conf = softmax_values(logits, axis=1)[:, label]
+    correct = np.flatnonzero(logits.argmax(axis=1) == label)
     pool = correct if correct.size > 0 else np.arange(len(conf))
     keep = max(1, math.ceil(epsilon_percent / 100.0 * pool.size))
     order = pool[np.argsort(-conf[pool], kind="stable")]
     return order[:keep]
 
 
-def build_prototypes(records: Iterable[VideoRecord], num_classes: int,
+def build_prototypes(blocks: Iterable[FeatureBlock], num_classes: int,
                      epsilon_percent: float = DEFAULT_EPSILON_PERCENT) -> PrototypeBank:
     """Average the per-video guiding features into per-category prototypes.
 
-    Videos weigh equally within their category. One pass over ``records``
-    keeps only each video's pooled feature; accumulation then runs in
-    video_id order, so the result is independent of input ordering.
+    Videos weigh equally within their category. One pass over ``blocks``
+    (with "guiding" and "logits") keeps only each video's pooled feature,
+    computed on its float64 rows; accumulation then runs in video_id order,
+    so the result is independent of input ordering.
     """
     if not 0 < epsilon_percent <= 100:
         raise ValueError(f"epsilon_percent must be in (0, 100], got {epsilon_percent}")
     pooled: list[tuple[str, int, np.ndarray]] = []
-    for record in records:
-        if record.label >= num_classes:
-            raise ValueError(f"{record.video_id}: label {record.label} >= C={num_classes}")
-        chosen = _top_confident_frames(record, epsilon_percent)
-        pooled.append((record.video_id, record.label,
-                       record.guiding_features[chosen].mean(axis=0)))
+    for block in blocks:
+        for video_id, label, guiding, logits in zip(block.video_ids, block.labels,
+                                                    block.per_video("guiding"),
+                                                    block.per_video("logits")):
+            if label >= num_classes:
+                raise ValueError(f"{video_id}: label {label} >= C={num_classes}")
+            chosen = _top_confident_frames(logits, label, epsilon_percent)
+            pooled.append((video_id, label, guiding[chosen].mean(axis=0)))
     sums: dict[int, np.ndarray] = {}
     counts = np.zeros(num_classes, dtype=np.int64)
     for _, label, video_feature in sorted(pooled, key=lambda p: p[0]):
@@ -104,15 +108,14 @@ def scores_from_distances(distances: np.ndarray, label: int) -> np.ndarray:
     return softmax_values(-distances, axis=1)[:, label]
 
 
-def guiding_saliency_scores(record: VideoRecord, bank: PrototypeBank) -> np.ndarray:
-    """Per-frame guiding saliency g in [0, 1] from prototype distances."""
-    if record.guiding_features.shape[1] != bank.prototypes.shape[1]:
-        raise ValueError(
-            f"{record.video_id}: guiding width {record.guiding_features.shape[1]} "
-            f"does not match prototype width {bank.prototypes.shape[1]}")
-    distances = np.linalg.norm(
-        record.guiding_features[:, None, :] - bank.prototypes[None, :, :], axis=2)
-    return scores_from_distances(distances, record.label)
+def guiding_saliency_scores(guiding: np.ndarray, label: int, bank: PrototypeBank) -> np.ndarray:
+    """Per-frame guiding saliency g in [0, 1] of a video's (N, D_g) guiding
+    features from prototype distances."""
+    if guiding.shape[1] != bank.prototypes.shape[1]:
+        raise ValueError(f"guiding width {guiding.shape[1]} does not match "
+                         f"prototype width {bank.prototypes.shape[1]}")
+    distances = np.linalg.norm(guiding[:, None, :] - bank.prototypes[None, :, :], axis=2)
+    return scores_from_distances(distances, label)
 
 
 def ns_pseudo_label_matrix(g: np.ndarray, label: int, num_classes: int) -> np.ndarray:

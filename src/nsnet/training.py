@@ -5,11 +5,11 @@ shuffle, augment, dropout), so (seed, config, data) fixes the entire
 trajectory bit-exactly. Guiding scores depend only on the frozen
 prototypes and the recognizer features of the original frames, so each
 video's frame targets (pseudo labels, or plain video labels with
-ns_labels=False) are built once on its original frames, as its record
-streams past. The split then keeps only two flat per-frame arrays, the
-light rows and the target rows, never guiding features, logits or masks;
-a batch is one pre-sampling call over its videos' frame counts and one
-gather of rows.
+ns_labels=False) are built once on its original frames, from its float64
+rows, as its block is drawn. The split then keeps only two flat per-frame
+arrays, the light rows and the target rows, never a block, guiding
+features, logits or masks; a batch is one pre-sampling call over its
+videos' frame counts and one gather of rows.
 """
 
 from __future__ import annotations
@@ -120,19 +120,21 @@ class EpochMetrics:
     val_recall: float | None = None
 
 
-def _frame_rows(records: Iterable[VideoRecord], bank: PrototypeBank | None,
+def _frame_rows(blocks: Iterable[FeatureBlock], bank: PrototypeBank | None,
                 ns_labels: bool, num_classes: int) -> FeatureBlock:
     """A training split as a block of two per-frame kinds, "light" rows and
-    "targets", built in one pass: each record's targets are built as it
-    streams past, and only its light rows and target rows are kept."""
+    "targets", built in one pass: each video's targets are built as its
+    block is drawn, and only the light rows and target rows are kept."""
     ids, labels, light, targets = [], [], [], []
-    for record in records:
-        light.append(record.light_features)
-        targets.append(ns_pseudo_label_matrix(
-            guiding_saliency_scores(record, bank) if ns_labels
-            else np.ones(len(record.light_features)), record.label, num_classes))
-        labels.append(record.label)
-        ids.append(record.video_id)
+    for block in blocks:
+        scores = (guiding_saliency_scores(guiding, label, bank) for guiding, label
+                  in zip(block.per_video("guiding"), block.labels)) if ns_labels \
+            else map(np.ones, block.lengths)
+        targets += [ns_pseudo_label_matrix(g, label, num_classes)
+                    for g, label in zip(scores, block.labels)]
+        light += block.per_video("light")
+        ids += block.video_ids
+        labels += block.labels
     if not ids:
         raise ValueError("no training videos")
     return FeatureBlock(ids, labels, [len(rows) for rows in light],
@@ -151,8 +153,8 @@ def evaluate_epoch(model: SamplerModel, records: Iterable[VideoRecord], k: int,
                    frames: int | None = None) -> tuple[float, float | None]:
     """Top-1 through the full selection path, plus mean recall of planted
     salient frames when masks exist."""
-    videos = ScoredVideos.from_records(
-        records, frames if frames is not None else model.config.max_frames)
+    videos = ScoredVideos.gather(FeatureBlock.of(records),
+                                 frames if frames is not None else model.config.max_frames)
     return _score_selection(videos, model.saliency(videos.light),
                             FusionConfig(k=k) if fusion_cfg is None else replace(fusion_cfg, k=k))
 
@@ -180,20 +182,20 @@ def _check_saliency(s_f: np.ndarray, s_v: np.ndarray, ids: list[str], epoch: int
                            f"{ids[int(np.argmin(finite))]}")
 
 
-def train(train_records: Iterable[VideoRecord],
+def train(train_blocks: Iterable[FeatureBlock],
           bank: PrototypeBank | None,
           model_cfg: ModelConfig,
           train_cfg: TrainConfig,
-          val_records: Iterable[VideoRecord] | ScoredVideos | None = None,
+          val_videos: ScoredVideos | None = None,
           out_dir: str | None = None) -> TrainResult:
     """Run the full schedule and keep the best checkpoint by validation top-1.
 
     ``bank`` may be None only with ns_labels=False (the hard-label baseline
     needs no prototypes). The model's positional capacity must be the
     observation length, so a checkpoint carries it to ``eval`` and
-    ``sample``. The settings are checked before the first record is drawn
-    from either iterable. Validation videos may come gathered already, at
-    the observation length.
+    ``sample``. ``train_blocks`` hold "light" (and "guiding" with
+    ns_labels); the settings are checked before the first block is drawn.
+    Validation videos are gathered at the observation length.
     """
     if train_cfg.ns_labels and bank is None:
         raise ValueError("pseudo labels need a prototype bank; pass ns_labels=False "
@@ -203,7 +205,7 @@ def train(train_records: Iterable[VideoRecord],
                          f"the observation length frames={train_cfg.frames}")
     observe = PresampleConfig(train_cfg.frames, train_cfg.shift_augment)
     validation = FusionConfig(train_cfg.fusion, train_cfg.ratio, train_cfg.validation_k)
-    split = _frame_rows(train_records, bank, train_cfg.ns_labels, model_cfg.num_classes)
+    split = _frame_rows(train_blocks, bank, train_cfg.ns_labels, model_cfg.num_classes)
     starts, lengths = split.starts, np.array(split.lengths)
     light, targets = split.arrays["light"], split.arrays["targets"]
     # batches draw from the videos in video_id order, whatever order they came in
@@ -216,9 +218,6 @@ def train(train_records: Iterable[VideoRecord],
     optimizer = ad.SgdState(learning_rate=train_cfg.base_lr,
                             momentum=train_cfg.momentum)
 
-    # the validation set is observed the same way every epoch; gather it once
-    val_videos = val_records if val_records is None or isinstance(val_records, ScoredVideos) \
-        else ScoredVideos.from_records(val_records, train_cfg.frames)
     if val_videos is not None and val_videos.planted.shape[1] != train_cfg.frames:
         raise ValueError(f"validation videos are observed at {val_videos.planted.shape[1]} "
                          f"frames, not frames={train_cfg.frames}")

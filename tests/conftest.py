@@ -13,6 +13,7 @@ import time
 import pytest
 
 from nsnet.data import generate_synthetic_dataset, load_manifest
+from nsnet.evaluation import ScoredVideos
 from nsnet.model import ModelConfig
 from nsnet.supervision import build_prototypes
 from nsnet.training import TrainConfig, train
@@ -60,14 +61,14 @@ def bench_data(tmp_path_factory):
         salient_fraction=BENCH["salient_fraction"],
         noise_sigma=BENCH["noise_sigma"], seed=BENCH["data_seed"],
         val_videos_per_class=BENCH["val_videos_per_class"])
-    train_records = load_manifest(train_m).load_all()
-    val_records = load_manifest(val_m).load_all()
-    bank = build_prototypes(train_records, BENCH["num_classes"])
+    train_manifest, val_manifest = load_manifest(train_m), load_manifest(val_m)
+    bank = build_prototypes(train_manifest.blocks(("guiding", "logits")), BENCH["num_classes"])
     return {
         "train_manifest": train_m,
         "val_manifest": val_m,
-        "train_records": train_records,
-        "val_records": val_records,
+        "train_blocks": [train_manifest.read(("light", "guiding"))],
+        "val_records": val_manifest.load_all(),
+        "val_videos": ScoredVideos.gather(val_manifest.read(ScoredVideos.kinds), BENCH["frames"]),
         "bank": bank,
         "seconds": time.perf_counter() - started,
     }
@@ -77,8 +78,8 @@ def bench_data(tmp_path_factory):
 def bench_ns_run(bench_data, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("bench_ns_run")
     started = time.perf_counter()
-    result = train(bench_data["train_records"], bench_data["bank"], bench_model_config(),
-                   bench_train_config(), val_records=bench_data["val_records"],
+    result = train(bench_data["train_blocks"], bench_data["bank"], bench_model_config(),
+                   bench_train_config(), val_videos=bench_data["val_videos"],
                    out_dir=str(out_dir))
     return {"result": result, "out_dir": str(out_dir),
             "seconds": time.perf_counter() - started}
@@ -87,7 +88,7 @@ def bench_ns_run(bench_data, tmp_path_factory):
 @pytest.fixture(scope="session")
 def bench_baseline_run(bench_data):
     started = time.perf_counter()
-    result = train(bench_data["train_records"], None,
+    result = train(bench_data["train_blocks"], None,
                    bench_model_config(gamma=0.0), bench_train_config(ns_labels=False),
-                   val_records=bench_data["val_records"])
+                   val_videos=bench_data["val_videos"])
     return {"result": result, "seconds": time.perf_counter() - started}

@@ -13,7 +13,7 @@ from test_evaluation import average_precision_oracle
 from test_supervision import assert_pseudo_label_rows_valid
 
 from nsnet.cli import main as cli_main
-from nsnet.data import generate_synthetic_dataset, load_manifest
+from nsnet.data import FeatureBlock, generate_synthetic_dataset, load_manifest
 from nsnet.evaluation import ScoredVideos, mean_average_precision, run_comparison
 from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig, SamplerModel, load_checkpoint
@@ -99,10 +99,10 @@ def test_criterion_4_supervision_invariants(tmp_path, capsys):
         light_dim=16, guiding_dim=16, salient_fraction=0.25, noise_sigma=0.0,
         seed=401)
     records = load_manifest(train_m).load_all()
-    bank = build_prototypes(records, 6)
+    bank = build_prototypes([FeatureBlock.of(records)], 6)
     ranked = True
     for record in records:
-        g = guiding_saliency_scores(record, bank)
+        g = guiding_saliency_scores(record.guiding_features, record.label, bank)
         salient = record.saliency_mask == 1.0
         ranked &= bool(g[salient].min() > g[~salient].max())
     elapsed = time.perf_counter() - started
@@ -122,8 +122,7 @@ def test_criterion_5_synthetic_recovery(bench_data, bench_ns_run,
     base_model = bench_baseline_run["result"].model
     _, base_recall = evaluate_epoch(base_model, bench_data["val_records"], k,
                                     fusion, frames=BENCH["frames"])
-    val_videos = ScoredVideos.from_records(bench_data["val_records"], best.config.max_frames)
-    rows = run_comparison(val_videos, best, fusion, [k], seed=BENCH["train_seed"])
+    rows = run_comparison(bench_data["val_videos"], best, fusion, [k], seed=BENCH["train_seed"])
     uniform = next(r for r in rows if r.method == "uniform")
     elapsed = bench_data["seconds"] + bench_ns_run["seconds"] \
         + bench_baseline_run["seconds"]
@@ -160,7 +159,7 @@ def test_criterion_6_metric_oracles(bench_data, capsys):
     model = SamplerModel(bench_model_config(), np.random.default_rng(601))
     t = BENCH["frames"]
     records = bench_data["val_records"][:50]
-    rows = run_comparison(ScoredVideos.from_records(records, model.config.max_frames), model,
+    rows = run_comparison(ScoredVideos.gather(FeatureBlock.of(records), t), model,
                           FusionConfig("index_union", 0.6, t), [2, t], seed=0)
     by = {(r.method, r.k): r for r in rows}
     dense_invariant = by[("dense", 2)].top1 == by[("dense", t)].top1
@@ -176,9 +175,9 @@ def test_criterion_6_metric_oracles(bench_data, capsys):
 
 def test_criterion_7_determinism(bench_ns_run, bench_data, tmp_path_factory, capsys):
     rerun_dir = tmp_path_factory.mktemp("bench_ns_rerun")
-    train(bench_data["train_records"], bench_data["bank"],
+    train(bench_data["train_blocks"], bench_data["bank"],
           bench_model_config(), bench_train_config(),
-          val_records=bench_data["val_records"], out_dir=str(rerun_dir))
+          val_videos=bench_data["val_videos"], out_dir=str(rerun_dir))
     identical = True
     for name in ("last.nsc1", "best.nsc1", "metrics.csv"):
         first = Path(bench_ns_run["out_dir"], name).read_bytes()

@@ -541,17 +541,18 @@ class TestReadsByKind:
 
 class TestArgumentErrors:
     """A zero or negative size, or a malformed K list, ends the command with
-    exit 1 and one `error:` line naming the flag (or run-file key) that set
-    it; 0 is never read as "unset"."""
+    exit 1 and one `error:` line naming the flag that set it, or for a
+    `train` setting its key, as `TrainConfig` does; 0 is never read as
+    "unset"."""
 
     @pytest.mark.parametrize("command, extra, flag", [
         ("eval", ["--k-list", "2,x"], "--k-list: must be an integer, got 'x'"),
         ("eval", ["--k-list", ""], "--k-list: must be an integer, got ''"),
         ("eval", ["--k-list", "2,0"], "--k-list: K must be >= 1, got 0"),
         ("sample", ["--k", "0"], "--k must be >= 1, got 0"),
-        ("train", ["--k", "0"], "--k must be >= 1, got 0"),
-        ("train", ["--frames", "0"], "--frames must be >= 1, got 0"),
-        ("train", ["--config", "{config}"], "k in {config} must be >= 1, got 0"),
+        ("train", ["--k", "0"], "k must be >= 1, got 0"),
+        ("train", ["--frames", "0"], "frames must be >= 1, got 0"),
+        ("train", ["--config", "{config}"], "k must be >= 1, got 0"),
         ("flops", ["--frames", "-2"], "--frames must be >= 0, got -2"),
         ("flops", ["--k", "-1"], "--k must be >= 0, got -1"),
         ("eval", ["--seed", "-1"], "--seed must be >= 0, got -1"),
@@ -856,10 +857,10 @@ class TestHeapPolicy:
 
     def test_train_leaves_the_allocator_alone(self, tiny_tree, calls):
         data, _ = tiny_tree
-        records = load_manifest(str(data / "train.nsm")).load_all()
+        blocks = load_manifest(str(data / "train.nsm")).blocks(("light",))
         keep_heap.cache_clear()
         calls.clear()
-        train(records, None, ModelConfig(input_dim=8, num_classes=2, max_frames=6,
+        train(blocks, None, ModelConfig(input_dim=8, num_classes=2, max_frames=6,
                                          encoder_layers=1, heads=1),
               TrainConfig(epochs=1, lr_decay_epochs=(), frames=6, ns_labels=False))
         assert calls == []
@@ -929,7 +930,7 @@ def test_run_config_parsing(tiny_tree, tmp_path, capsys, monkeypatch):
                         "# comment line\nratio=0.4\n")
     seen = {}
 
-    def capture(records, bank, model_cfg, train_cfg, **kwargs):
+    def capture(blocks, bank, model_cfg, train_cfg, **kwargs):
         seen.update(model=model_cfg, train=train_cfg)
         raise RuntimeError("configuration captured")
 

@@ -12,6 +12,9 @@ import pytest
 
 from nsnet import data
 from nsnet.data import (
+    BLOCK,
+    KINDS,
+    FeatureBlock,
     FeatureFormatError,
     ManifestEntry,
     PresampleConfig,
@@ -380,6 +383,57 @@ class TestBlockFaults:
         # without the truncated kind, the content fault is what is left
         with pytest.raises(ValueError, match="^v0: light_features has non-finite values$"):
             manifest.read(("light",))
+
+
+class TestBlocks:
+    """``FeatureBlock.of`` stacks records as ``read`` stacks their files, and
+    ``blocks`` is ``read`` over BLOCK videos at a time, in manifest order."""
+
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        """19 videos of 1 to 4 frames over 3 classes, every third without a
+        mask."""
+        rng = np.random.default_rng(3)
+        entries = []
+        for v in range(19):
+            n, paths = 1 + v % 4, []
+            for kind, width in (("light", 3), ("guide", 2), ("logits", 3), ("mask", 1)):
+                paths.append(str(tmp_path / f"v{v:02d}.{kind}.nsf"))
+                write_feature_file(paths[-1], rng.integers(0, 2, (n, 1)) if kind == "mask"
+                                   else rng.standard_normal((n, width)))
+            entries.append(ManifestEntry(f"v{v:02d}", v % 3, *paths[:3],
+                                         None if v % 3 == 0 else paths[3]))
+        write_manifest(str(tmp_path / "m.nsm"), 3, entries)
+        return load_manifest(str(tmp_path / "m.nsm"))
+
+    def test_of_records_equals_read(self, manifest):
+        block, read = FeatureBlock.of(manifest.load_all()), manifest.read(KINDS)
+        assert (block.video_ids, block.labels, block.lengths) == \
+            (read.video_ids, read.labels, read.lengths)
+        assert list(block.arrays) == list(read.arrays) == list(KINDS)
+        for kind, arr in read.arrays.items():
+            assert arr.dtype == np.float32 and block.arrays[kind].dtype == np.float64
+            np.testing.assert_array_equal(block.arrays[kind], arr.astype(np.float64))
+
+    def test_record_without_mask_gets_zero_rows(self):
+        records = [VideoRecord(f"v{i}", i, np.ones((n, 2)), np.ones((n, 2)), np.ones((n, 3)), mask)
+                   for i, (n, mask) in enumerate([(2, [1, 1]), (3, None), (1, [1])])]
+        block = FeatureBlock.of(records)
+        assert block.lengths == [2, 3, 1]
+        np.testing.assert_array_equal(block.arrays["mask"], [1, 1, 0, 0, 0, 1])
+
+    def test_blocks_concatenate_to_read(self, manifest):
+        kinds = ("light", "mask")
+        blocks, read = list(manifest.blocks(kinds)), manifest.read(kinds)
+        assert BLOCK == 8 and [len(b.video_ids) for b in blocks] == [8, 8, 3]
+        assert len(blocks) == math.ceil(len(manifest.entries) / BLOCK)
+        assert sum((b.video_ids for b in blocks), []) == read.video_ids \
+            == [e.video_id for e in manifest.entries]
+        assert sum((b.labels for b in blocks), []) == read.labels
+        assert sum((b.lengths for b in blocks), []) == read.lengths
+        for kind in kinds:
+            np.testing.assert_array_equal(np.concatenate([b.arrays[kind] for b in blocks]),
+                                          read.arrays[kind])
 
 
 class TestVideoRecord:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nsnet.autodiff import softmax_values
-from nsnet.data import PresampleConfig, VideoRecord, presample
+from nsnet.data import FeatureBlock, PresampleConfig, VideoRecord, presample
 from nsnet.evaluation import (
     BASELINE_METHODS,
     DEFAULT_COST_TABLE,
@@ -223,9 +223,9 @@ class TestSalientRecall:
     @staticmethod
     def recall(selected, *masks, t=4):
         """``ScoredVideos.score``'s recall over videos carrying ``masks``."""
-        videos = ScoredVideos.from_records([
+        videos = ScoredVideos.gather(FeatureBlock.of([
             VideoRecord(f"v{i}", 0, np.zeros((t, 2)), np.zeros((t, 2)), np.zeros((t, 3)), mask)
-            for i, mask in enumerate(masks)], t)
+            for i, mask in enumerate(masks)]), t)
         return videos.score(np.array(selected))[1]
 
     def test_perfect_ranking_recall(self):
@@ -348,7 +348,7 @@ def test_run_comparison_equals_per_video_loop(t, mode):
     records, model = mixed_records(t), model_for(t)
     k_list = [1, 3, t]
     observed = [presample(r, PresampleConfig(frames=t)) for r in records]
-    videos = ScoredVideos.from_records(observed, t)
+    videos = ScoredVideos.gather(FeatureBlock.of(observed), t)
     labels = np.array([r.label for r in observed])
     expected = []
     for k in k_list:
@@ -357,7 +357,7 @@ def test_run_comparison_equals_per_video_loop(t, mode):
             assert np.array_equal(videos.score(np.array(selections))[0], scores)
             expected.append((method, k, top1_accuracy(scores, labels),
                              mean_average_precision(scores, labels).mean, recall))
-    rows = run_comparison(ScoredVideos.from_records(records, t), model,
+    rows = run_comparison(ScoredVideos.gather(FeatureBlock.of(records), t), model,
                           FusionConfig(mode, RATIO, 1), k_list, seed=5)
     # gflops is budget arithmetic, independent of the scoring
     assert [astuple(row)[:5] for row in rows] == expected
@@ -415,7 +415,7 @@ def test_run_comparison_on_uneven_classes(t, mode):
             scores, recall = reference_scores(observed, selections)
             expected.append((method, k, float(np.mean(scores.argmax(axis=1) == labels)),
                              map_oracle(scores, labels), recall))
-    rows = run_comparison(ScoredVideos.from_records(records, t), model,
+    rows = run_comparison(ScoredVideos.gather(FeatureBlock.of(records), t), model,
                           FusionConfig(mode, RATIO, 1), k_list, seed=5)
     assert [astuple(row)[:5] for row in rows] == expected
     per_class = mean_average_precision(scores, labels).per_class
@@ -424,7 +424,7 @@ def test_run_comparison_on_uneven_classes(t, mode):
 
 def test_baseline_rows_do_not_depend_on_the_fusion_mode():
     t = 16
-    videos, model = ScoredVideos.from_records(mixed_records(t), t), model_for(t)
+    videos, model = ScoredVideos.gather(FeatureBlock.of(mixed_records(t)), t), model_for(t)
     runs = [[row for row in run_comparison(videos, model, FusionConfig(mode, RATIO, 1),
                                            [1, 4, t], seed=3) if row.method != "nsnet"]
             for mode in FUSION_MODES]
@@ -432,10 +432,10 @@ def test_baseline_rows_do_not_depend_on_the_fusion_mode():
     assert all(run == runs[0] for run in runs[1:])
 
 
-@pytest.mark.parametrize("entry", ["from_records", "saliency", "evaluate_epoch"])
+@pytest.mark.parametrize("entry", ["block_of", "saliency", "evaluate_epoch"])
 def test_no_videos_to_score_is_named(entry):
     model = model_for(6)
-    score = {"from_records": lambda: ScoredVideos.from_records(iter([]), 6),
+    score = {"block_of": lambda: FeatureBlock.of(iter([])),
              "saliency": lambda: model.saliency(iter([])),
              "evaluate_epoch": lambda: evaluate_epoch(model, [], 1)}[entry]
     with pytest.raises(ValueError, match="^no videos to score$"):

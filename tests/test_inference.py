@@ -3,8 +3,8 @@
 ``per_video_saliency`` is that path, kept as the reference: one
 graph-building eval forward per video, then ``fsm_saliency`` and
 ``vgm_saliency`` on its outputs. Every inference consumer must run one
-forward per block of ``SALIENCY_BLOCK`` videos, not one per video (or per
-video and K).
+forward per block of ``BLOCK`` videos, not one per video (or per video
+and K).
 
 The blocked pass does the same arithmetic per row as the reference, yet a
 video's rows sit at offset b*T in the block, and OpenBLAS's matrix-vector
@@ -22,14 +22,15 @@ import pytest
 
 from test_fusion import oracle_select
 
+import nsnet
 import nsnet.data
 from nsnet.cli import main
-from nsnet.data import PresampleConfig, VideoRecord, generate_synthetic_dataset, \
-    load_manifest, presample, read_feature_file
+from nsnet.data import BLOCK, FeatureBlock, PresampleConfig, VideoRecord, \
+    generate_synthetic_dataset, load_manifest, presample, read_feature_file
 from nsnet.evaluation import ScoredVideos, run_comparison
 from nsnet.fusion import FUSION_MODES, SCORE_MODES, FusionConfig
-from nsnet.model import SALIENCY_BLOCK, ModelConfig, SamplerModel, fsm_saliency, \
-    load_checkpoint, save_checkpoint, vgm_saliency
+from nsnet.model import ModelConfig, SamplerModel, fsm_saliency, load_checkpoint, \
+    save_checkpoint, vgm_saliency
 from nsnet.training import evaluate_epoch
 
 T, D, C = 16, 8, 3
@@ -87,12 +88,12 @@ def test_saliency_rejects_one_unstacked_video():
         make_model().saliency(np.zeros((T, D)))
 
 
-VIDEOS = 2 * SALIENCY_BLOCK + 1
-MAX_FORWARDS = math.ceil(VIDEOS / SALIENCY_BLOCK)
+VIDEOS = 2 * BLOCK + 1
+MAX_FORWARDS = math.ceil(VIDEOS / BLOCK)
 
 
 def test_run_comparison_forwards_once_per_block(count_forwards):
-    run_comparison(ScoredVideos.from_records(make_records(VIDEOS), T), make_model(),
+    run_comparison(ScoredVideos.gather(FeatureBlock.of(make_records(VIDEOS)), T), make_model(),
                    FusionConfig("index_union", 0.6, 2), [1, 2, 4, T])
     assert 0 < len(count_forwards) <= MAX_FORWARDS
 
@@ -114,12 +115,12 @@ def test_sample_command_forwards_once_per_block(tmp_path, capsys, count_forwards
     assert main(["sample", "--checkpoint", checkpoint, "--manifest", manifest,
                  "--k", "2", "--out", str(out)]) == 0, capsys.readouterr().err
     assert len(out.read_text().splitlines()) == 1 + videos * T
-    assert 0 < len(count_forwards) <= math.ceil(videos / SALIENCY_BLOCK)
+    assert 0 < len(count_forwards) <= math.ceil(videos / BLOCK)
 
 
 def test_sample_reads_one_block_ahead(tmp_path, capsys, monkeypatch):
     """`sample` streams: before each forward it has read at most the
-    SALIENCY_BLOCK videos that forward scores, one light file each, so its
+    BLOCK videos that forward scores, one light file each, so its
     memory does not grow with the manifest."""
     manifest, _ = generate_synthetic_dataset(
         str(tmp_path), num_classes=C, videos_per_class=math.ceil(VIDEOS / C),
@@ -144,8 +145,8 @@ def test_sample_reads_one_block_ahead(tmp_path, capsys, monkeypatch):
     assert main(["sample", "--checkpoint", checkpoint, "--manifest", manifest,
                  "--k", "2", "--out", str(tmp_path / "saliency.csv")]) == 0, \
         capsys.readouterr().err
-    blocks = math.ceil(videos / SALIENCY_BLOCK)
-    assert loaded_at_forward == [min(videos, (i + 1) * SALIENCY_BLOCK) for i in range(blocks)]
+    blocks = math.ceil(videos / BLOCK)
+    assert loaded_at_forward == [min(videos, (i + 1) * BLOCK) for i in range(blocks)]
     assert len(loaded) == videos and all(path.endswith(".light.nsf") for path in loaded)
 
 
@@ -176,3 +177,34 @@ def test_sample_csv_equals_per_video_reference(tmp_path, capsys, mode):
             fused = repr(fuse(f, v)) if mode in SCORE_MODES else ""
             lines.append(f"{record.video_id},{i},{f!r},{v!r},{fused},{int(i in chosen)}")
     assert out.read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_one_video_requests_equal_evaluate_epoch(tmp_path, mode):
+    """One video per request, through the package's per-video names only:
+    ``load_record``, ``presample``, one (T, D) forward, ``fsm_saliency``
+    and ``vgm_saliency``, ``select_frames`` on the (T,) pair, then
+    ``recognize_video``. Over splits of 8, 16 and 40 frames the requests'
+    top-1 and planted-frame recall equal ``evaluate_epoch`` on the same
+    records."""
+    entries = []
+    for frames in (8, 16, 40):
+        path, _ = generate_synthetic_dataset(
+            str(tmp_path / str(frames)), num_classes=C, videos_per_class=2, num_frames=frames,
+            light_dim=D, guiding_dim=D, salient_fraction=0.25, noise_sigma=0.2, seed=frames)
+        manifest = nsnet.load_manifest(path)
+        entries += [(manifest, entry) for entry in manifest.entries]
+    model, cfg = make_model(5), nsnet.FusionConfig(mode, 0.6, 4)
+    correct, recalls = [], []
+    for manifest, entry in entries:
+        observed = nsnet.presample(manifest.load_record(entry), nsnet.PresampleConfig(frames=T))
+        out = model.forward(observed.light_features, train=False)
+        selected = nsnet.select_frames(nsnet.fsm_saliency(out.fsm_logits.value),
+                                       nsnet.vgm_saliency(out.attn.value), cfg)
+        correct.append(int(np.argmax(nsnet.recognize_video(observed, selected))) == entry.label)
+        planted = set(np.flatnonzero(observed.saliency_mask).tolist())
+        if planted:
+            recalls.append(len(planted.intersection(selected)) / len(planted))
+    records = [manifest.load_record(entry) for manifest, entry in entries]
+    assert nsnet.evaluate_epoch(model, records, cfg.k, cfg, frames=T) == \
+        (float(np.mean(correct)), float(np.mean(recalls)))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsnet.data import VideoRecord, generate_synthetic_dataset, load_manifest
+from nsnet.data import FeatureBlock, VideoRecord, generate_synthetic_dataset, load_manifest
 from nsnet.supervision import (
     PrototypeBank,
     build_prototypes,
@@ -42,13 +42,23 @@ def _record(label, guide, logits, vid="v"):
     return VideoRecord(vid, label, np.zeros((n, 2)), guide, logits)
 
 
+def blocks(records, size=2):
+    """The records as blocks of ``size`` videos, the last one shorter."""
+    return [FeatureBlock.of(records[i:i + size]) for i in range(0, len(records), size)]
+
+
+def scores(record, bank):
+    """The record's guiding saliency scores."""
+    return guiding_saliency_scores(record.guiding_features, record.label, bank)
+
+
 class TestBuildPrototypes:
     def test_constant_video_gives_its_feature(self):
         feature = np.array([1.0, 2.0, 3.0])
         guide = np.tile(feature, (5, 1))
         logits = np.tile([5.0, 0.0], (5, 1))  # all frames predicted class 0
-        bank = build_prototypes([_record(0, guide, logits, "a"),
-                                 _record(1, guide + 1, logits[:, ::-1].copy(), "b")], 2)
+        bank = build_prototypes(blocks([_record(0, guide, logits, "a"),
+                                        _record(1, guide + 1, logits[:, ::-1].copy(), "b")]), 2)
         np.testing.assert_allclose(bank.prototypes[0], feature, atol=1e-12)
         np.testing.assert_allclose(bank.prototypes[1], feature + 1, atol=1e-12)
 
@@ -60,8 +70,8 @@ class TestBuildPrototypes:
         logits[5:, 1] = 1.0                                   # wrong class
         guide = np.zeros((10, 1))
         guide[:, 0] = np.arange(10.0)
-        bank = build_prototypes([_record(0, guide, logits, "a"),
-                                 _record(1, guide, 1 - logits, "b")], 2)
+        bank = build_prototypes(blocks([_record(0, guide, logits, "a"),
+                                        _record(1, guide, 1 - logits, "b")]), 2)
         # top-2 by true-class confidence are frames 0 and 1 -> mean 0.5
         np.testing.assert_allclose(bank.prototypes[0], [0.5], atol=1e-12)
 
@@ -72,14 +82,14 @@ class TestBuildPrototypes:
         records = [_record(0, guide, logits, "a"),
                    _record(1, guide, np.roll(logits, 1, axis=1), "b"),
                    _record(2, guide, np.roll(logits, 2, axis=1), "c")]
-        bank = build_prototypes(records, 3, epsilon_percent=100)
+        bank = build_prototypes(blocks(records), 3, epsilon_percent=100)
         np.testing.assert_allclose(bank.prototypes[0], guide.mean(axis=0), atol=1e-12)
 
     def test_video_without_correct_frames_falls_back(self):
         logits = np.tile([0.0, 5.0], (4, 1))  # every frame predicted class 1
         guide = np.arange(8.0).reshape(4, 2)
-        bank = build_prototypes([_record(0, guide, logits, "a"),
-                                 _record(1, guide, logits, "b")], 2)
+        bank = build_prototypes(blocks([_record(0, guide, logits, "a"),
+                                        _record(1, guide, logits, "b")]), 2)
         # fallback: top ceil(0.3*4)=2 frames by class-0 confidence; softmax
         # confidence is identical across frames so the first two are kept
         np.testing.assert_allclose(bank.prototypes[0], guide[:2].mean(axis=0), atol=1e-12)
@@ -87,7 +97,7 @@ class TestBuildPrototypes:
     def test_missing_category_reported(self):
         logits = np.tile([1.0, 0.0, 0.0], (3, 1))
         with pytest.raises(ValueError, match=r"\[1, 2\]"):
-            build_prototypes([_record(0, np.zeros((3, 2)), logits)], 3)
+            build_prototypes(blocks([_record(0, np.zeros((3, 2)), logits)]), 3)
 
     def test_order_independent(self):
         rng = np.random.default_rng(4)
@@ -96,8 +106,8 @@ class TestBuildPrototypes:
             guide = rng.standard_normal((5, 3))
             logits = rng.standard_normal((5, 2))
             records.append(_record(i % 2, guide, logits, f"v{i}"))
-        a = build_prototypes(records, 2).prototypes
-        b = build_prototypes(records[::-1], 2).prototypes
+        a = build_prototypes(blocks(records), 2).prototypes
+        b = build_prototypes(blocks(records[::-1], 4), 2).prototypes
         np.testing.assert_array_equal(a, b)
 
 
@@ -105,8 +115,7 @@ class TestGuidingScores:
     def test_equidistant_two_classes(self):
         bank = PrototypeBank(np.array([[1.0, 0.0], [-1.0, 0.0]]))
         record = _record(0, np.array([[0.0, 5.0]]), np.zeros((1, 2)))
-        np.testing.assert_allclose(guiding_saliency_scores(record, bank), [0.5],
-                                   atol=1e-12)
+        np.testing.assert_allclose(scores(record, bank), [0.5], atol=1e-12)
 
     def test_reference_values_from_distances(self):
         g = scores_from_distances(np.array([[0.0, 10.0, 10.0]]), 0)
@@ -120,7 +129,7 @@ class TestGuidingScores:
         bank = PrototypeBank(np.zeros((2, 3)))
         record = _record(2, np.zeros((1, 3)), np.zeros((1, 2)))
         with pytest.raises(ValueError, match="label 2"):
-            guiding_saliency_scores(record, bank)
+            scores(record, bank)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(8)
@@ -129,8 +138,8 @@ class TestGuidingScores:
         guide = rng.standard_normal((9, 6))
         record = _record(2, guide, np.zeros((9, 4)))
         rotated = _record(2, guide @ q, np.zeros((9, 4)))
-        g = guiding_saliency_scores(record, PrototypeBank(protos))
-        g_rot = guiding_saliency_scores(rotated, PrototypeBank(protos @ q))
+        g = scores(record, PrototypeBank(protos))
+        g_rot = scores(rotated, PrototypeBank(protos @ q))
         np.testing.assert_allclose(g, g_rot, atol=1e-9)
 
     def test_monotone_in_true_class_distance(self):
@@ -150,9 +159,9 @@ class TestGuidingScores:
             light_dim=8, guiding_dim=8, salient_fraction=0.25, noise_sigma=0.0,
             seed=21)
         records = load_manifest(train).load_all()
-        bank = build_prototypes(records, 4)
+        bank = build_prototypes(blocks(records), 4)
         for record in records:
-            g = guiding_saliency_scores(record, bank)
+            g = scores(record, bank)
             salient = record.saliency_mask == 1.0
             assert g[salient].min() > g[~salient].max()
             assert g.max() - g[salient].min() <= 1e-6

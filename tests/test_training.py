@@ -8,8 +8,8 @@ import pytest
 
 from nsnet import training
 from nsnet.cli import main
-from nsnet.data import PresampleConfig, VideoRecord, generate_synthetic_dataset, \
-    load_manifest, presample, presample_indices
+from nsnet.data import KINDS, DatasetManifest, FeatureBlock, PresampleConfig, VideoRecord, \
+    generate_synthetic_dataset, load_manifest, presample, presample_indices
 from nsnet.evaluation import ScoredVideos
 from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig, SamplerModel
@@ -90,9 +90,12 @@ def tiny_dataset(tmp_path, seed=1, classes=3, train_videos=4, val_videos=2,
         num_frames=frames, light_dim=dim, guiding_dim=dim,
         salient_fraction=0.5, noise_sigma=0.2, seed=seed,
         val_videos_per_class=val_videos)
-    train_records = load_manifest(train_m).load_all()
-    val_records = load_manifest(val_m).load_all()
-    return train_records, val_records
+    return load_manifest(train_m).read(KINDS), gathered(load_manifest(val_m).load_all())
+
+
+def gathered(records, frames=4):
+    """The records gathered as validation sees them, at ``frames`` frames."""
+    return ScoredVideos.gather(FeatureBlock.of(records), frames)
 
 
 def tiny_model_cfg(classes=3, dim=8, frames=4, **overrides):
@@ -112,31 +115,31 @@ def tiny_train_cfg(**overrides):
 
 class TestTrainLoop:
     def test_zero_lr_leaves_parameters_untouched(self, tmp_path):
-        train_records, _ = tiny_dataset(tmp_path)
-        bank = build_prototypes(train_records, 3)
+        block, _ = tiny_dataset(tmp_path)
+        bank = build_prototypes([block], 3)
         cfg = tiny_train_cfg(epochs=1, base_lr=0.0, lr_decay_epochs=())
-        result = train(train_records, bank, tiny_model_cfg(), cfg)
+        result = train([block], bank, tiny_model_cfg(), cfg)
         reference = SamplerModel(tiny_model_cfg(), substream(cfg.seed, "init"))
         for (name, p), (_, q) in zip(result.model.params.items(),
                                      reference.params.items()):
             np.testing.assert_array_equal(p.value, q.value, err_msg=name)
 
     def test_same_seed_same_metrics(self, tmp_path):
-        train_records, val_records = tiny_dataset(tmp_path)
-        bank = build_prototypes(train_records, 3)
+        block, val_videos = tiny_dataset(tmp_path)
+        bank = build_prototypes([block], 3)
         runs = []
         for _ in range(2):
-            result = train(train_records, bank, tiny_model_cfg(), tiny_train_cfg(k=2),
-                           val_records=val_records)
+            result = train([block], bank, tiny_model_cfg(), tiny_train_cfg(k=2),
+                           val_videos=val_videos)
             runs.append(result.metrics)
         assert runs[0] == runs[1]
 
     def test_checkpoints_and_metrics_written(self, tmp_path):
-        train_records, val_records = tiny_dataset(tmp_path / "data")
-        bank = build_prototypes(train_records, 3)
+        block, val_videos = tiny_dataset(tmp_path / "data")
+        bank = build_prototypes([block], 3)
         out = tmp_path / "run"
-        result = train(train_records, bank, tiny_model_cfg(), tiny_train_cfg(k=2),
-                       val_records=val_records, out_dir=str(out))
+        result = train([block], bank, tiny_model_cfg(), tiny_train_cfg(k=2),
+                       val_videos=val_videos, out_dir=str(out))
         assert (out / "last.nsc1").exists()
         assert (out / "best.nsc1").exists()
         lines = (out / "metrics.csv").read_text().strip().splitlines()
@@ -145,21 +148,23 @@ class TestTrainLoop:
         assert 0 <= result.best_epoch < 2
 
     def test_gathered_validation_videos_are_used_as_given(self, tmp_path):
-        """Validation videos gathered at the observation length score as their
-        records do; gathered at another length they are refused."""
-        train_records, val_records = tiny_dataset(tmp_path)
+        """Validation scores the videos gathered at the observation length as
+        ``evaluate_epoch`` scores their records; gathered at another length
+        they are refused."""
+        block, val_videos = tiny_dataset(tmp_path)
+        val_records = load_manifest(str(tmp_path / "val.nsm")).load_all()
         cfg = tiny_train_cfg(ns_labels=False, k=2)
-        runs = [train(train_records, None, tiny_model_cfg(), cfg, val_records=val).metrics
-                for val in (val_records, ScoredVideos.from_records(val_records, cfg.frames))]
-        assert runs[0] == runs[1]
+        result = train([block], None, tiny_model_cfg(), cfg, val_videos=val_videos)
+        last = result.metrics[-1]
+        assert (last.val_top1, last.val_recall) == \
+            evaluate_epoch(result.model, val_records, 2, frames=cfg.frames)
         with pytest.raises(ValueError, match="observed at 6 frames, not frames=4"):
-            train(train_records, None, tiny_model_cfg(), cfg,
-                  val_records=ScoredVideos.from_records(val_records, 6))
+            train([block], None, tiny_model_cfg(), cfg, val_videos=gathered(val_records, 6))
 
     def test_hard_label_baseline_needs_no_bank(self, tmp_path):
-        train_records, _ = tiny_dataset(tmp_path)
+        block, _ = tiny_dataset(tmp_path)
         cfg = tiny_train_cfg(ns_labels=False, epochs=1, lr_decay_epochs=())
-        result = train(train_records, None, tiny_model_cfg(gamma=0.0), cfg)
+        result = train([block], None, tiny_model_cfg(gamma=0.0), cfg)
         assert len(result.metrics) == cfg.epochs
 
     def test_k_above_frames_rejected_before_any_epoch(self):
@@ -172,7 +177,7 @@ class TestTrainLoop:
     ])
     def test_validation_selects_through_the_fusion_config(self, tmp_path, monkeypatch,
                                                           fusion_cfg, expected):
-        train_records, val_records = tiny_dataset(tmp_path)
+        block, val_videos = tiny_dataset(tmp_path)
         seen, honest = [], training._score_selection
 
         def score(videos, saliency, cfg):
@@ -182,25 +187,25 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "_score_selection", score)
         fields = {} if fusion_cfg is None else \
             dict(fusion=fusion_cfg.mode, ratio=fusion_cfg.ratio, k=fusion_cfg.k)
-        train(train_records, None, tiny_model_cfg(), tiny_train_cfg(ns_labels=False, **fields),
-              val_records=val_records)
+        train([block], None, tiny_model_cfg(), tiny_train_cfg(ns_labels=False, **fields),
+              val_videos=val_videos)
         assert seen == [expected] * 2
 
     def test_ns_labels_require_bank(self, tmp_path):
-        train_records, _ = tiny_dataset(tmp_path)
+        block, _ = tiny_dataset(tmp_path)
         with pytest.raises(ValueError, match="prototype bank"):
-            train(train_records, None, tiny_model_cfg(), tiny_train_cfg())
+            train([block], None, tiny_model_cfg(), tiny_train_cfg())
 
     # the injected inf makes numpy warn on its way to the loss
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_nonfinite_loss_aborts_with_batch_ids(self, tmp_path):
-        train_records, _ = tiny_dataset(tmp_path)
-        bank = build_prototypes(train_records, 3)
+        block, _ = tiny_dataset(tmp_path)
+        bank = build_prototypes([block], 3)
         cfg = tiny_train_cfg(epochs=1, base_lr=1e6, lr_decay_epochs=())
         # poison the data instead of waiting for divergence
-        train_records[0].light_features[0, 0] = np.inf
+        block.arrays["light"][0, 0] = np.inf
         with pytest.raises(RuntimeError, match="non-finite loss"):
-            train(train_records, bank, tiny_model_cfg(), cfg)
+            train([block], bank, tiny_model_cfg(), cfg)
 
 
 def break_saliency(monkeypatch, case, epoch, video):
@@ -233,13 +238,13 @@ class TestSaliencyInvariants:
 
     @pytest.mark.parametrize("case, message", INVARIANT_CASES)
     def test_train_raises(self, tmp_path, monkeypatch, case, message):
-        train_records, val_records = tiny_dataset(tmp_path)
+        block, val_videos = tiny_dataset(tmp_path)
         passes = break_saliency(monkeypatch, case, epoch=1, video=4)
         with pytest.raises(RuntimeError) as excinfo:
-            train(train_records, build_prototypes(train_records, 3), tiny_model_cfg(),
-                  tiny_train_cfg(k=2), val_records=val_records)
-        assert message.format(video=val_records[4].video_id) in str(excinfo.value)
-        assert passes == [len(val_records)] * 2   # no forward besides validation's
+            train([block], build_prototypes([block], 3), tiny_model_cfg(),
+                  tiny_train_cfg(k=2), val_videos=val_videos)
+        assert message.format(video=val_videos.video_ids[4]) in str(excinfo.value)
+        assert passes == [len(val_videos.video_ids)] * 2   # no forward besides validation's
 
     @pytest.mark.parametrize("case, message", INVARIANT_CASES)
     def test_cli_prints_one_error_line(self, tmp_path, monkeypatch, capsys, case, message):
@@ -259,17 +264,19 @@ class TestSaliencyInvariants:
 
 class TestPseudoLabelCache:
     def test_gathered_cache_equals_fresh_computation(self, tmp_path):
-        train_records, _ = tiny_dataset(tmp_path, frames=9)
-        bank = build_prototypes(train_records, 3)
+        block, _ = tiny_dataset(tmp_path, frames=9)
+        bank = build_prototypes([block], 3)
         cfg = PresampleConfig(frames=4, shift_augment=True)
+        train_records = load_manifest(str(tmp_path / "train.nsm")).load_all()
         for seed, record in enumerate(train_records[:6]):
-            g_full = guiding_saliency_scores(record, bank)
+            g_full = guiding_saliency_scores(record.guiding_features, record.label, bank)
             indices = presample_indices(record.num_frames, cfg, np.random.default_rng(seed))
             observed = presample(record, cfg, np.random.default_rng(seed))
             cached = ns_pseudo_label_matrix(g_full, record.label, 3)[indices]
             per_step = ns_pseudo_label_matrix(g_full[indices], record.label, 3)
             fresh = ns_pseudo_label_matrix(
-                guiding_saliency_scores(observed, bank), record.label, 3)
+                guiding_saliency_scores(observed.guiding_features, record.label, bank),
+                record.label, 3)
             assert cached.tobytes() == per_step.tobytes()
             np.testing.assert_allclose(cached, fresh, atol=1e-12)
 
@@ -278,7 +285,7 @@ class TestPseudoLabelCache:
         """A video's frame targets depend only on its frozen g (all ones
         for the hard-label baseline): one build per video per run, however
         many epochs gather from them."""
-        train_records, _ = tiny_dataset(tmp_path)
+        block, _ = tiny_dataset(tmp_path)
         built = []
 
         def counted(g, label, num_classes):
@@ -286,72 +293,110 @@ class TestPseudoLabelCache:
             return ns_pseudo_label_matrix(g, label, num_classes)
 
         monkeypatch.setattr(training, "ns_pseudo_label_matrix", counted)
-        bank = build_prototypes(train_records, 3) if ns_labels else None
-        train(train_records, bank, tiny_model_cfg(), tiny_train_cfg(ns_labels=ns_labels))
-        assert built == [(r.num_frames,) for r in train_records]
+        bank = build_prototypes([block], 3) if ns_labels else None
+        train([block], bank, tiny_model_cfg(), tiny_train_cfg(ns_labels=ns_labels))
+        assert built == [(n,) for n in block.lengths]
 
 
-class RecordTracker:
-    """Hands out fresh copies of records one at a time and counts how many
-    copies, and how many of their guiding and logits arrays, are alive."""
+class BlockTracker:
+    """Hands out fresh copies of blocks one at a time and counts how many
+    copies, and how many of their arrays, are alive, also at each draw."""
 
     def __init__(self):
-        self.records = self.arrays = 0
-        self.alive_at_draw: list[int] = []
+        self.blocks = self.arrays = 0
+        self.alive_at_draw: list[tuple[int, int]] = []
 
     def _gone(self, kind: str) -> None:
         setattr(self, kind, getattr(self, kind) - 1)
 
-    def stream(self, records):
-        for r in records:
-            self.alive_at_draw.append(self.records)
-            guiding, logits = r.guiding_features.copy(), r.recognizer_logits.copy()
-            copy = VideoRecord(r.video_id, r.label, r.light_features.copy(), guiding, logits,
-                               None if r.saliency_mask is None else r.saliency_mask.copy())
-            self.records += 1
-            self.arrays += 2
-            weakref.finalize(copy, self._gone, "records")
-            weakref.finalize(guiding, self._gone, "arrays")
-            weakref.finalize(logits, self._gone, "arrays")
+    def stream(self, blocks):
+        for b in blocks:
+            self.alive_at_draw.append((self.blocks, self.arrays))
+            arrays = {kind: a.copy() for kind, a in b.arrays.items()}
+            copy = FeatureBlock(list(b.video_ids), list(b.labels), list(b.lengths), arrays)
+            self.blocks += 1
+            self.arrays += len(arrays)
+            weakref.finalize(copy, self._gone, "blocks")
+            for a in arrays.values():
+                weakref.finalize(a, self._gone, "arrays")
             yield copy
 
 
+def small_blocks(tmp_path, kinds, size=5):
+    """The tiny train split as blocks of ``size`` videos (the last shorter)."""
+    manifest = load_manifest(str(tmp_path / "train.nsm"))
+    return [manifest.read(kinds, manifest.entries[i:i + size])
+            for i in range(0, len(manifest.entries), size)]
+
+
 class TestStreaming:
-    """``build_prototypes`` and ``train`` read their records in one pass and
-    keep none of them, nor their guiding features or logits."""
+    """``build_prototypes`` and ``train`` draw each block once, as they
+    reach it, and keep neither a block nor any of its arrays (guiding
+    features, logits, light rows)."""
 
     def test_build_prototypes_keeps_no_record(self, tmp_path):
-        train_records, _ = tiny_dataset(tmp_path)
-        tracker = RecordTracker()
-        bank = build_prototypes(tracker.stream(train_records), 3)
-        assert len(tracker.alive_at_draw) == len(train_records)
-        assert max(tracker.alive_at_draw) <= 2
-        assert tracker.records == tracker.arrays == 0
-        np.testing.assert_array_equal(bank.prototypes,
-                                      build_prototypes(train_records, 3).prototypes)
+        block, _ = tiny_dataset(tmp_path)
+        blocks, tracker = small_blocks(tmp_path, ("guiding", "logits")), BlockTracker()
+        bank = build_prototypes(tracker.stream(blocks), 3)
+        assert len(tracker.alive_at_draw) == len(blocks) == 3
+        # at each draw only the last block drawn, and its two arrays, are alive
+        assert all(b <= 1 and a <= 2 for b, a in tracker.alive_at_draw)
+        assert tracker.blocks == tracker.arrays == 0
+        np.testing.assert_array_equal(bank.prototypes, build_prototypes([block], 3).prototypes)
 
     @pytest.mark.parametrize("ns_labels", [True, False])
     def test_train_keeps_no_record(self, tmp_path, monkeypatch, ns_labels):
-        train_records, val_records = tiny_dataset(tmp_path)
-        bank = build_prototypes(train_records, 3) if ns_labels else None
-        tracker, at_first_step, honest = RecordTracker(), [], training.batch_loss
+        block, _ = tiny_dataset(tmp_path)
+        bank = build_prototypes([block], 3) if ns_labels else None
+        blocks = small_blocks(tmp_path, ("light", "guiding") if ns_labels else ("light",))
+        tracker, at_first_step, honest = BlockTracker(), [], training.batch_loss
 
         def counted(*args, **kwargs):
             if not at_first_step:
-                at_first_step.append((tracker.records, tracker.arrays))
+                at_first_step.append((tracker.blocks, tracker.arrays))
             return honest(*args, **kwargs)
 
         monkeypatch.setattr(training, "batch_loss", counted)
-        train(tracker.stream(train_records), bank, tiny_model_cfg(),
-              tiny_train_cfg(ns_labels=ns_labels, epochs=1, lr_decay_epochs=()),
-              val_records=tracker.stream(val_records))
-        assert len(tracker.alive_at_draw) == len(train_records) + len(val_records)
-        assert max(tracker.alive_at_draw) <= 2
+        cfg = tiny_train_cfg(ns_labels=ns_labels, epochs=1, lr_decay_epochs=())
+        streamed = train(tracker.stream(blocks), bank, tiny_model_cfg(), cfg)
+        assert len(tracker.alive_at_draw) == len(blocks) == 3
+        kinds = len(blocks[0].arrays)   # at each draw only the last block drawn is alive
+        assert all(b <= 1 and a <= kinds for b, a in tracker.alive_at_draw)
+        assert at_first_step == [(0, 0)]
+        assert streamed.metrics == train([block], bank, tiny_model_cfg(), cfg).metrics
+
+    @pytest.mark.parametrize("ns_labels", [True, False])
+    def test_train_command_keeps_no_block(self, tmp_path, monkeypatch, capsys, ns_labels):
+        """`nsnet train` holds no block of the split once training starts,
+        the first one included, which it reads early for the widths."""
+        tiny_dataset(tmp_path)
+        tracker, at_first_step = BlockTracker(), []
+        honest_blocks, honest_loss = DatasetManifest.blocks, training.batch_loss
+
+        def counted(*args, **kwargs):
+            if not at_first_step:
+                at_first_step.append((tracker.blocks, tracker.arrays))
+            return honest_loss(*args, **kwargs)
+
+        monkeypatch.setattr(DatasetManifest, "blocks",
+                            lambda self, kinds: tracker.stream(honest_blocks(self, kinds)))
+        monkeypatch.setattr(training, "batch_loss", counted)
+        protos = ["--prototypes", str(tmp_path / "protos.nsf")] if ns_labels else []
+        if ns_labels:
+            assert main(["prototypes", "--manifest", str(tmp_path / "train.nsm"),
+                         "--out", protos[1]]) == 0
+        tracker.alive_at_draw.clear()
+        assert main(["train", "--train-manifest", str(tmp_path / "train.nsm"), *protos,
+                     "--ns-labels", str(ns_labels), "--out-dir", str(tmp_path / "run"),
+                     "--frames", "4", "--heads", "1", "--encoder-layers", "1",
+                     "--epochs", "1", "--lr-decay-epochs", ""]) == 0, capsys.readouterr().err
+        assert len(tracker.alive_at_draw) == 2   # 12 videos in blocks of 8
         assert at_first_step == [(0, 0)]
 
     def test_mixed_lengths_are_order_independent(self, tmp_path):
         """Videos shorter than, equal to and longer than T go through one
-        batch path, and the records' arrival order changes no byte."""
+        batch path, and the videos' arrival order and blocking change no
+        byte."""
         rng = np.random.default_rng(21)
         records = []
         for i in range(12):
@@ -359,15 +404,16 @@ class TestStreaming:
             records.append(VideoRecord(f"v{i:02d}", i % 3, rng.standard_normal((n, 8)),
                                        rng.standard_normal((n, 8)),
                                        rng.standard_normal((n, 3))))
-        val_records = records[::4]
-        bank = build_prototypes(records, 3)
+        val_videos = gathered(records[::4])
+        bank = build_prototypes([FeatureBlock.of(records)], 3)
         shuffled = [records[i] for i in np.random.default_rng(2).permutation(len(records))]
         assert [r.video_id for r in shuffled] != [r.video_id for r in records]
         artifacts = []
         for name, arrival in (("manifest", records), ("shuffled", shuffled)):
             out = tmp_path / name
-            train(arrival, bank, tiny_model_cfg(), tiny_train_cfg(k=2),
-                  val_records=val_records, out_dir=str(out))
+            blocks = [FeatureBlock.of(arrival[i:i + 5]) for i in range(0, len(arrival), 5)]
+            train(blocks, bank, tiny_model_cfg(), tiny_train_cfg(k=2),
+                  val_videos=val_videos, out_dir=str(out))
             artifacts.append([(out / f).read_bytes() for f in ("last.nsc1", "metrics.csv")])
         assert artifacts[0] == artifacts[1]
 
