@@ -171,16 +171,12 @@ def cmd_sample(args) -> int:
     fusion_cfg = FusionConfig(args.fusion, args.ratio, at_least("--k", args.k, 1))
     model, manifest = load_checkpoint(args.checkpoint), load_manifest(args.manifest)
     check_fit(args, model, manifest, [fusion_cfg.k])
-    pre = PresampleConfig(model.config.max_frames)
-
-    def observed():
-        """Each block the saliency pass draws, read and pre-sampled just before it."""
-        for block in manifest.blocks(("light",)):
-            check_fit(args, model, manifest)
-            rows = block.starts[:, None] + presample_indices(block.lengths, pre)
-            yield from block.arrays["light"][rows].astype(np.float64)
-
-    s_f, s_v = model.saliency(observed())
+    pre, tracks = PresampleConfig(model.config.max_frames), []
+    for block in manifest.blocks(("light",)):
+        check_fit(args, model, manifest)
+        rows = block.starts[:, None] + presample_indices(block.lengths, pre)
+        tracks.append(model.saliency(block.arrays["light"][rows]))
+    s_f, s_v = map(np.concatenate, zip(*tracks))
     chosen = np.zeros(s_f.shape, dtype=bool)
     np.put_along_axis(chosen, select_frames(s_f, s_v, fusion_cfg), True, axis=1)
     fused = fuse_scores(s_f, s_v, args.fusion, args.ratio).tolist() \

@@ -18,7 +18,8 @@ to the first file of its kind), then each kind's frame counts, finiteness
 and 0/1 mask entries are checked once over the block. ``prototypes``,
 ``train`` and ``sample`` read blocks of ``BLOCK`` videos in manifest order.
 The per-video ``VideoRecord`` is kept for the library's one-video calls;
-``FeatureBlock.of`` stacks records into a block.
+``FeatureBlock.of`` stacks records into a block. Feature rows stay float32,
+as stored, until the arithmetic that needs float64 casts them.
 
 Plus the one ``key=value`` reader (run configurations, checkpoint
 sidecars, cost tables, prototype ``.meta`` files) and its value parsers,
@@ -29,6 +30,7 @@ providing per-frame logits.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import struct
@@ -127,6 +129,19 @@ PARSE_ANNOTATION = {"int": integer, "int | None": optional_integer, "float": fin
                     "bool": boolean, "tuple[int, ...]": integer_list, "str": str}
 
 
+def read_lines(path: str) -> list[str]:
+    """A UTF-8 text file's lines, split as a text-mode read splits them; a
+    byte that is not UTF-8 raises a ValueError naming ``path:line``."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return io.StringIO(blob.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        line = len(io.StringIO(blob[:exc.start].decode("utf-8") + "?", newline=None).readlines())
+        raise ValueError(f"{path}:{line}: not UTF-8 text: can't decode byte "
+                         f"{blob[exc.start]:#04x}: {exc.reason}") from None
+
+
 def read_key_values(path: str, parsers: dict[str, Callable[[str], Any]],
                     what: str) -> dict[str, Any]:
     """The keys a file of ``key=value`` lines sets, each value parsed by its
@@ -134,22 +149,21 @@ def read_key_values(path: str, parsers: dict[str, Callable[[str], Any]],
     skipped. An unknown (``what``) or repeated key or a rejected value
     raises a ValueError naming ``path:line``."""
     values: dict[str, Any] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, text = (part.strip() for part in line.partition("="))
-            where = f"{path}:{lineno}"
-            if not sep or key not in parsers:
-                raise ValueError(f"{where}: unknown {what} {key!r}; "
-                                 f"expected one of {', '.join(parsers)}")
-            if key in values:
-                raise ValueError(f"{where}: duplicate key {key!r}")
-            try:
-                values[key] = parsers[key](text)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {key} {exc}") from None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, text = (part.strip() for part in line.partition("="))
+        where = f"{path}:{lineno}"
+        if not sep or key not in parsers:
+            raise ValueError(f"{where}: unknown {what} {key!r}; "
+                             f"expected one of {', '.join(parsers)}")
+        if key in values:
+            raise ValueError(f"{where}: duplicate key {key!r}")
+        try:
+            values[key] = parsers[key](text)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {key} {exc}") from None
     return values
 
 
@@ -169,11 +183,10 @@ def write_feature_file(path: str, matrix: np.ndarray) -> None:
     atomic_write_bytes(path, payload)
 
 
-def read_feature_file(path: str, dtype: Any = np.float64) -> np.ndarray:
-    """An NSF1 file's (N, D) values as ``dtype`` (float64 is an exact embedding
-    of the f32 payload; float32 is a read-only view of the bytes read), once
-    its magic, dims and exact byte length are checked. Every feature file is
-    opened here, once per read."""
+def read_feature_file(path: str) -> np.ndarray:
+    """An NSF1 file's (N, D) float32 values, a read-only view of the bytes
+    read, once its magic, dims and exact byte length are checked. Every
+    feature file is opened here, once per read."""
     with open(path, "rb", buffering=0) as fh:   # unbuffered: no BufferedReader around it
         blob = fh.readall()
     if len(blob) < 12 or blob[:4] != FEATURE_MAGIC:
@@ -182,7 +195,7 @@ def read_feature_file(path: str, dtype: Any = np.float64) -> np.ndarray:
     if len(blob) != 12 + 4 * n * d:
         raise FeatureFormatError(f"{path}: truncated or oversized payload, expected "
                                  f"{12 + 4 * n * d} bytes, got {len(blob)}")
-    return np.frombuffer(blob, dtype="<f4", offset=12).astype(dtype, copy=False).reshape(n, d)
+    return np.frombuffer(blob, dtype="<f4", offset=12).reshape(n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +288,9 @@ class FeatureBlock:
     def starts(self) -> np.ndarray:
         return np.cumsum(self.lengths) - self.lengths
 
-    def per_video(self, kind: str) -> Iterator[np.ndarray]:
-        """Each video's rows of ``kind`` as a float64 array of its own, cast
-        as it is drawn."""
-        for start, n in zip(self.starts.tolist(), self.lengths):
-            yield self.arrays[kind][start:start + n].astype(np.float64)
+    def per_video(self, kind: str) -> list[np.ndarray]:
+        """Each video's rows of ``kind``, a view of the block's array."""
+        return np.split(self.arrays[kind], self.starts[1:])
 
 
 # Videos per block: per read of a split by ``DatasetManifest.blocks`` and per
@@ -308,11 +319,11 @@ class DatasetManifest:
     # the first file of their kind read
     dims: dict[str, int] = field(default_factory=dict)
 
-    def _read(self, entry: ManifestEntry, kind: str, dtype: Any = np.float64) -> np.ndarray:
+    def _read(self, entry: ManifestEntry, kind: str) -> np.ndarray:
         """The video's file of ``kind``, held to the split's width as it is read."""
         path, key = getattr(entry, kind + "_path"), KINDS[kind][1]
         try:
-            arr = read_feature_file(path, dtype)
+            arr = read_feature_file(path)
         except (FileNotFoundError, IsADirectoryError):
             raise FeatureFormatError(
                 f"{self.path}:{entry.line}: missing {kind} file {path}") from None
@@ -332,7 +343,7 @@ class DatasetManifest:
         files: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
         for e in entries:
             for kind in kinds:
-                files[kind].append(self._read(e, kind, np.float32) if kind != "mask" or e.mask_path
+                files[kind].append(self._read(e, kind) if kind != "mask" or e.mask_path
                                    else np.zeros(len(files[kinds[0]][-1]), np.float32))
         ids = [e.video_id for e in entries]
         return FeatureBlock(ids, [e.label for e in entries], *stack_frames(ids, files))
@@ -369,9 +380,8 @@ def load_manifest(path: str) -> DatasetManifest:
     unique ids. No feature file is opened here: a missing one is reported,
     naming ``path:line``, when a command reads its kind. Errors name
     ``path:line``, counting blank lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, ln.rstrip("\n")) for lineno, ln in enumerate(fh, start=1)
-                 if ln.strip()]
+    lines = [(lineno, ln.rstrip("\n")) for lineno, ln in enumerate(read_lines(path), start=1)
+             if ln.strip()]
     first = lines[0][1] if lines else ""
     if not first.startswith(MANIFEST_MAGIC + " "):
         raise FeatureFormatError(f"{path}: missing '{MANIFEST_MAGIC} C=<int>' header")

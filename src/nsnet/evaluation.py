@@ -137,10 +137,10 @@ class ScoredVideos:
     @classmethod
     def gather(cls, block: FeatureBlock, frames: int) -> ScoredVideos:
         """The block's videos pre-sampled (without shift) to ``frames`` frames
-        each: one pre-sampling call and one gather per kind, then float64."""
+        each: one pre-sampling call and one gather per kind; light stays float32."""
         rows = block.starts[:, None] + presample_indices(block.lengths, PresampleConfig(frames))
-        probs = softmax_values(block.arrays["logits"][rows].astype(np.float64, copy=False))
-        return cls(light=block.arrays["light"][rows].astype(np.float64, copy=False),
+        probs = softmax_values(block.arrays["logits"][rows])
+        return cls(light=block.arrays["light"][rows],
                    probs=probs, planted=block.arrays["mask"][rows] > 0.5,
                    ranking=np.argsort(-probs.max(axis=2), axis=1, kind="stable"),
                    labels=np.array(block.labels), video_ids=block.video_ids)

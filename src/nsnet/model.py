@@ -1,12 +1,12 @@
 """The frame sampler network and its losses.
 
-Every parameter is declared once, in ``parameter_table``: an ordered list
-of (name, initial value) pairs whose order is both the NSC1 order and the
-order of the initial draws. ``SamplerModel.params`` maps each name to its
-``Parameter``, and ``SamplerModel.forward`` builds the whole graph from the
-autodiff ops. Three parts share one encoding pass over a (T, D) video or a
-stacked (B, T, D) batch, carried as (B*T, D) rows, each encoder layer one
-graph node:
+Every parameter is declared once, in ``parameter_table``: an ordered map
+of name to shape whose order is both the NSC1 order and the order of the
+initial draws (``initial_value``). ``SamplerModel.params`` maps each name
+to its ``Parameter``, and ``SamplerModel.forward`` builds the whole graph
+from the autodiff ops. Three parts share one encoding pass over a (T, D)
+video or a stacked (B, T, D) batch, carried as (B*T, D) rows, each encoder
+layer one graph node:
 
 * feature embedding: learnable positional embedding plus a pre-norm
   transformer encoder over the per-frame lightweight features;
@@ -28,11 +28,10 @@ sidecar of ``key=value`` lines, parsed as data.
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from dataclasses import MISSING, dataclass, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,31 +100,30 @@ class ForwardOutput:
     nonsalient_logits: Tensor  # (B, C+1)
 
 
-def parameter_table(config: ModelConfig,
-                    rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
-    """Every parameter's name and initial value, in NSC1 checkpoint order;
-    the weights are drawn from ``rng`` in that same order."""
+def parameter_table(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape by name, in NSC1 checkpoint order."""
     d, f, c1 = config.input_dim, config.ffn_dim, config.num_classes + 1
-
-    def uniform(fan_in, *shape):
-        bound = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    table = [("pos_embedding", rng.normal(0.0, 0.02, size=(config.max_frames, d)))]
+    table = {"pos_embedding": (config.max_frames, d)}
     for i in range(config.encoder_layers):
-        table += [(f"enc{i}.{name}", value) for name, value in (
-            ("ln1_gain", np.ones(d)), ("ln1_bias", np.zeros(d)),
-            ("wq", uniform(d, d, d)), ("bq", np.zeros(d)),
-            ("wk", uniform(d, d, d)), ("bk", np.zeros(d)),
-            ("wv", uniform(d, d, d)), ("bv", np.zeros(d)),
-            ("wo", uniform(d, d, d)), ("bo", np.zeros(d)),
-            ("ln2_gain", np.ones(d)), ("ln2_bias", np.zeros(d)),
-            ("w1", uniform(d, d, f)), ("b1", np.zeros(f)),
-            ("w2", uniform(f, f, d)), ("b2", np.zeros(d)))]
-    return table + [
-        ("fsm.w", uniform(d, d, c1)), ("fsm.b", np.zeros(c1)),
-        ("vgm.attn_w", uniform(d, d, 1)), ("vgm.attn_b", np.zeros(1)),
-        ("vgm.cls_w", uniform(d, d, c1)), ("vgm.cls_b", np.zeros(c1))]
+        table.update((f"enc{i}.{name}", shape) for name, shape in (
+            ("ln1_gain", (d,)), ("ln1_bias", (d,)),
+            ("wq", (d, d)), ("bq", (d,)), ("wk", (d, d)), ("bk", (d,)),
+            ("wv", (d, d)), ("bv", (d,)), ("wo", (d, d)), ("bo", (d,)),
+            ("ln2_gain", (d,)), ("ln2_bias", (d,)),
+            ("w1", (d, f)), ("b1", (f,)), ("w2", (f, d)), ("b2", (d,))))
+    return table | {"fsm.w": (d, c1), "fsm.b": (c1,), "vgm.attn_w": (d, 1),
+                    "vgm.attn_b": (1,), "vgm.cls_w": (d, c1), "vgm.cls_b": (c1,)}
+
+
+def initial_value(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """N(0, 0.02^2) draws for the positional embedding, U(+-1/sqrt(rows)) for a
+    weight matrix, ones for a layer-norm gain and zeros for any other vector."""
+    if name == "pos_embedding":
+        return rng.normal(0.0, 0.02, size=shape)
+    if len(shape) == 2:
+        bound = 1.0 / math.sqrt(shape[0])
+        return rng.uniform(-bound, bound, size=shape)
+    return np.ones(shape) if name.endswith("_gain") else np.zeros(shape)
 
 
 class SamplerModel:
@@ -134,8 +132,8 @@ class SamplerModel:
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
-        self.params = {name: Parameter(name, value)
-                       for name, value in parameter_table(config, rng)}
+        self.params = {name: Parameter(name, initial_value(name, shape, rng))
+                       for name, shape in parameter_table(config).items()}
 
     def forward(self, features: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardOutput:
@@ -193,26 +191,23 @@ class SamplerModel:
         return ForwardOutput(encoded=h, fsm_logits=fsm_logits, attn=attn,
                              salient_logits=salient, nonsalient_logits=nonsalient)
 
-    def saliency(self, videos: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Inference scores (s_f, s_v), each (B, T), for B videos' (T, D)
-        features from any iterable: eval-mode forwards under ``no_grad`` over
-        blocks of at most BLOCK videos, each block pulled from the
-        iterable just before its forward."""
-        videos = iter(videos)
+    def saliency(self, light: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Inference scores (s_f, s_v), each (B, T), for B videos' (B, T, D)
+        features: eval-mode forwards under ``no_grad`` over slices of at
+        most BLOCK videos."""
+        shape = np.shape(light)
+        if len(shape) != 3:
+            raise ValueError(f"expected videos of (T, D) features, got {shape}")
+        if shape[0] == 0:
+            raise ValueError("no videos to score")
+        t, c1 = shape[1], self.config.num_classes + 1
         tracks = []
         with ad.no_grad():
-            while block := list(itertools.islice(videos, BLOCK)):
-                block = np.stack(block)
-                if block.ndim != 3:
-                    raise ValueError(f"expected videos of (T, D) features, got {block.shape}")
-                n, t, _ = block.shape
-                out = self.forward(block)
-                tracks.append((fsm_saliency(out.fsm_logits.value.reshape(n, t, -1)),
-                               vgm_saliency(out.attn.value.reshape(n, t, 1))))
-        if not tracks:
-            raise ValueError("no videos to score")
-        s_f, s_v = zip(*tracks)
-        return np.concatenate(s_f), np.concatenate(s_v)
+            for i in range(0, len(light), BLOCK):
+                out = self.forward(light[i:i + BLOCK])
+                tracks.append((fsm_saliency(out.fsm_logits.value.reshape(-1, t, c1)),
+                               vgm_saliency(out.attn.value.reshape(-1, t, 1))))
+        return tuple(map(np.concatenate, zip(*tracks)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +250,7 @@ def total_loss(output: ForwardOutput, frame_targets: np.ndarray,
 def fsm_saliency(fsm_logits: np.ndarray) -> np.ndarray:
     """(..., T, C+1) frame logits to (..., T) scores: max softmax confidence
     over the real categories, then a softmax along the time axis."""
-    logits = np.asarray(fsm_logits, dtype=np.float64)
-    probs = softmax_values(logits, axis=-1)
+    probs = softmax_values(fsm_logits, axis=-1)
     confidence = probs[..., :-1].max(axis=-1)
     return softmax_values(confidence, axis=-1)
 
@@ -291,8 +285,11 @@ def save_checkpoint(model: SamplerModel, path: str) -> None:
 
 def load_checkpoint(path: str) -> SamplerModel:
     """Read an NSC1 checkpoint and its ``.cfg`` sidecar. Any truncated,
-    malformed or mismatched content raises ValueError naming the file."""
-    model = SamplerModel(ModelConfig.from_file(path + ".cfg"), np.random.default_rng(0))
+    malformed or mismatched content raises ValueError naming the file; each
+    parameter's shape is checked against the sidecar's before its values
+    are read, and nothing is drawn."""
+    config = ModelConfig.from_file(path + ".cfg")
+    expected = parameter_table(config)
     with open(path, "rb") as fh:
         blob = fh.read()
     offset = 0
@@ -308,7 +305,6 @@ def load_checkpoint(path: str) -> SamplerModel:
     if take(4, "magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad magic, not an NSC1 checkpoint")
     (count,) = struct.unpack("<I", take(4, "parameter count"))
-    expected = model.params
     loaded: dict[str, np.ndarray] = {}
     for index in range(count):
         (name_len,) = struct.unpack("<H", take(2, f"parameter {index} name length"))
@@ -322,19 +318,18 @@ def load_checkpoint(path: str) -> SamplerModel:
             raise ValueError(f"{path}: duplicate parameter {name!r}")
         (rank,) = struct.unpack("<I", take(4, f"{name!r} rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"{name!r} dims"))
-        size = math.prod(dims)
-        values = np.frombuffer(take(4 * size, f"{name!r} values"), dtype="<f4")
+        if dims != expected[name]:
+            raise ValueError(f"{path}: parameter {name!r} has shape {dims}, "
+                             f"expected {expected[name]}")
+        values = np.frombuffer(take(4 * math.prod(dims), f"{name!r} values"), dtype="<f4")
         if not np.isfinite(values).all():
             raise ValueError(f"{path}: parameter {name!r} has non-finite values")
         loaded[name] = values.astype(np.float64).reshape(dims)
     if offset != len(blob):
         raise ValueError(f"{path}: trailing bytes after {count} parameters")
-    for name, p in expected.items():
-        if name not in loaded:
-            raise ValueError(f"{path}: checkpoint is missing parameter {name!r}")
-        if loaded[name].shape != p.value.shape:
-            raise ValueError(
-                f"{path}: parameter {name!r} has shape {loaded[name].shape}, "
-                f"expected {p.value.shape}")
-        p.value = loaded[name]
+    missing = [name for name in expected if name not in loaded]
+    if missing:
+        raise ValueError(f"{path}: checkpoint is missing parameter {missing[0]!r}")
+    model = SamplerModel.__new__(SamplerModel)   # the loaded values, no initial draw
+    model.config, model.params = config, {name: Parameter(name, loaded[name]) for name in expected}
     return model

@@ -66,8 +66,8 @@ def build_prototypes(blocks: Iterable[FeatureBlock], num_classes: int,
 
     Videos weigh equally within their category. One pass over ``blocks``
     (with "guiding" and "logits") keeps only each video's pooled feature,
-    computed on its float64 rows; accumulation then runs in video_id order,
-    so the result is independent of input ordering.
+    a float64 mean of its float32 rows; accumulation then runs in video_id
+    order, so the result is independent of input ordering.
     """
     if not 0 < epsilon_percent <= 100:
         raise ValueError(f"epsilon_percent must be in (0, 100], got {epsilon_percent}")
@@ -79,14 +79,11 @@ def build_prototypes(blocks: Iterable[FeatureBlock], num_classes: int,
             if label >= num_classes:
                 raise ValueError(f"{video_id}: label {label} >= C={num_classes}")
             chosen = _top_confident_frames(logits, label, epsilon_percent)
-            pooled.append((video_id, label, guiding[chosen].mean(axis=0)))
+            pooled.append((video_id, label, guiding[chosen].mean(axis=0, dtype=np.float64)))
     sums: dict[int, np.ndarray] = {}
     counts = np.zeros(num_classes, dtype=np.int64)
     for _, label, video_feature in sorted(pooled, key=lambda p: p[0]):
-        if label in sums:
-            sums[label] += video_feature
-        else:
-            sums[label] = video_feature
+        sums[label] = sums[label] + video_feature if label in sums else video_feature
         counts[label] += 1
     missing = np.flatnonzero(counts == 0)
     if missing.size > 0:

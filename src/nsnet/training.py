@@ -5,11 +5,11 @@ shuffle, augment, dropout), so (seed, config, data) fixes the entire
 trajectory bit-exactly. Guiding scores depend only on the frozen
 prototypes and the recognizer features of the original frames, so each
 video's frame targets (pseudo labels, or plain video labels with
-ns_labels=False) are built once on its original frames, from its float64
-rows, as its block is drawn. The split then keeps only two flat per-frame
-arrays, the light rows and the target rows, never a block, guiding
-features, logits or masks; a batch is one pre-sampling call over its
-videos' frame counts and one gather of rows.
+ns_labels=False) are built once on its original frames, as its block is
+drawn. The split then keeps only two flat per-frame arrays, the float32
+light rows and the target rows, never a block, guiding features, logits or
+masks; a batch is one pre-sampling call over its videos' frame counts and
+one gather of rows, cast to float64 by the forward.
 """
 
 from __future__ import annotations
@@ -122,9 +122,9 @@ class EpochMetrics:
 
 def _frame_rows(blocks: Iterable[FeatureBlock], bank: PrototypeBank | None,
                 ns_labels: bool, num_classes: int) -> FeatureBlock:
-    """A training split as a block of two per-frame kinds, "light" rows and
-    "targets", built in one pass: each video's targets are built as its
-    block is drawn, and only the light rows and target rows are kept."""
+    """A training split as a block of two per-frame kinds, float32 "light"
+    rows and "targets", built in one pass: each video's targets are built
+    as its block is drawn, and only the light rows and target rows are kept."""
     ids, labels, light, targets = [], [], [], []
     for block in blocks:
         scores = (guiding_saliency_scores(guiding, label, bank) for guiding, label
@@ -132,12 +132,12 @@ def _frame_rows(blocks: Iterable[FeatureBlock], bank: PrototypeBank | None,
             else map(np.ones, block.lengths)
         targets += [ns_pseudo_label_matrix(g, label, num_classes)
                     for g, label in zip(scores, block.labels)]
-        light += block.per_video("light")
+        light.append(block.arrays["light"].copy())   # a copy: no block array is kept
         ids += block.video_ids
         labels += block.labels
     if not ids:
         raise ValueError("no training videos")
-    return FeatureBlock(ids, labels, [len(rows) for rows in light],
+    return FeatureBlock(ids, labels, [len(rows) for rows in targets],
                         {"light": np.concatenate(light), "targets": np.concatenate(targets)})
 
 

@@ -250,6 +250,19 @@ class TestCheckpointBoundary:
         assert f"{sidecar}:{lineno}: {'' if key is None else key + ' '}" in line, line
         assert message in line, line
 
+    @pytest.mark.parametrize("key, value, shape", [
+        ("input_dim", 1000000, "(2, 1000000)"), ("max_frames", 1000000000, "(1000000000, 3)")])
+    def test_sidecar_sizes_the_file_lacks(self, checkpoint, tmp_path, capsys, key, value, shape):
+        """A sidecar whose sizes no machine could allocate is checked
+        against the checkpoint's shapes before anything of its size is."""
+        path, manifest = checkpoint
+        sidecar = tmp_path / "model.nsc1.cfg"
+        sidecar.write_text("".join(f"{key}={value}\n" if line.startswith(key + "=") else line
+                                   for line in sidecar.read_text().splitlines(keepends=True)))
+        code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
+        line = assert_one_error_line(code, err)
+        assert f"{path}: parameter 'pos_embedding' has shape (2, 3), expected {shape}" in line
+
     def test_sidecar_ffn_dim_none_loads(self, checkpoint, tmp_path, capsys):
         path, manifest = checkpoint
         sidecar = tmp_path / "model.nsc1.cfg"
@@ -280,6 +293,38 @@ class TestCheckpointBoundary:
         code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
         line = assert_one_error_line(code, err)
         assert "missing model configuration keys ['input_dim']" in line, line
+
+
+class TestNonUtf8Text:
+    """A byte that is not UTF-8 in any text input ends the command with one
+    `error:` line naming the file and the line that holds it."""
+
+    @pytest.mark.parametrize("reader", ["run configuration", "manifest", "checkpoint sidecar",
+                                        "cost table", "prototype metadata"])
+    def test_one_error_line_names_the_line(self, checkpoint, tmp_path, capsys, reader):
+        path, manifest = checkpoint
+        train_manifest, protos = manifest.parent / "train.nsm", tmp_path / "protos.nsf"
+        assert run(["prototypes", "--manifest", str(train_manifest), "--out", str(protos)],
+                   capsys)[0] == 0
+        scored = ["--checkpoint", str(path), "--manifest", str(manifest),
+                  "--out", str(tmp_path / "x.csv")]
+        config, costs = tmp_path / "run.cfg", tmp_path / "costs.txt"
+        text, argv = {
+            "run configuration": (config, ["train", "--config", str(config)]),
+            "manifest": (manifest, ["eval", *scored, "--k-list", "1"]),
+            "checkpoint sidecar": (tmp_path / "model.nsc1.cfg", ["sample", *scored, "--k", "1"]),
+            "cost table": (costs, ["flops", "--k", "1", "--frames", "2",
+                                   "--cost-table", str(costs)]),
+            "prototype metadata": (tmp_path / "protos.nsf.meta",
+                                   ["train", "--train-manifest", str(train_manifest),
+                                    "--prototypes", str(protos),
+                                    "--out-dir", str(tmp_path / "run")]),
+        }[reader]
+        # the byte on line 2, after the file's first line (or a comment)
+        lines = text.read_bytes().splitlines(keepends=True) if text.exists() else [b"# new\n"]
+        text.write_bytes(b"".join(lines[:1] + [b"# \xff\n"] + lines[1:]))
+        line = assert_one_error_line(*run(argv, capsys)[::2])
+        assert f"{text}:2: not UTF-8 text: can't decode byte 0xff" in line, line
 
 
 class TestEmptyManifest:
@@ -441,7 +486,7 @@ class TestNonFiniteFeatures:
         argv += ["--k-list", "2"] if command == "eval" else ["--k", "2"]
         clean = outputs(argv, tmp_path / "out.csv", capsys) \
             if kind not in KINDS_READ[command] else None
-        values = read_feature_file(str(feature))
+        values = read_feature_file(str(feature)).copy()   # the read is a read-only view
         values[-1, -1] = np.inf if kind == "logits" else np.nan
         write_feature_file(str(feature), values)
         if clean is not None:

@@ -28,7 +28,7 @@ from nsnet.data import (
     write_manifest,
 )
 from nsnet.cli import load_run_config
-from nsnet.evaluation import load_cost_table
+from nsnet.evaluation import ScoredVideos, load_cost_table
 from nsnet.model import ModelConfig
 from nsnet.supervision import load_prototypes
 
@@ -76,8 +76,8 @@ class TestFeatureFileLayout:
         path = str(tmp_path / "m.nsf")
         write_feature_file(path, matrix)
         back = read_feature_file(path)
-        assert back.dtype == np.float64
-        np.testing.assert_array_equal(back, matrix.astype(np.float32).astype(np.float64))
+        assert back.dtype == np.float32 and not back.flags.writeable
+        np.testing.assert_array_equal(back, matrix.astype(np.float32))
         write_feature_file(str(tmp_path / "m2.nsf"), back)
         assert Path(path).read_bytes() == (tmp_path / "m2.nsf").read_bytes()
 
@@ -412,8 +412,12 @@ class TestBlocks:
             (read.video_ids, read.labels, read.lengths)
         assert list(block.arrays) == list(read.arrays) == list(KINDS)
         for kind, arr in read.arrays.items():
-            assert arr.dtype == np.float32 and block.arrays[kind].dtype == np.float64
-            np.testing.assert_array_equal(block.arrays[kind], arr.astype(np.float64))
+            # a record holds its files as read, all but the mask it casts
+            assert arr.dtype == np.float32
+            assert block.arrays[kind].dtype == (np.float64 if kind == "mask" else np.float32)
+            np.testing.assert_array_equal(block.arrays[kind], arr)
+        # the sampler's input rows stay float32 until the forward casts them
+        assert ScoredVideos.gather(block, 4).light.dtype == np.float32
 
     def test_record_without_mask_gets_zero_rows(self):
         records = [VideoRecord(f"v{i}", i, np.ones((n, 2)), np.ones((n, 2)), np.ones((n, 3)), mask)
@@ -434,6 +438,11 @@ class TestBlocks:
         for kind in kinds:
             np.testing.assert_array_equal(np.concatenate([b.arrays[kind] for b in blocks]),
                                           read.arrays[kind])
+            # each video's rows are a float32 view of the block's array, not a copy
+            rows = list(read.per_video(kind))
+            assert [len(r) for r in rows] == read.lengths
+            assert all(r.dtype == np.float32 and np.shares_memory(r, read.arrays[kind])
+                       for r in rows)
 
 
 class TestVideoRecord:

@@ -436,7 +436,7 @@ def test_baseline_rows_do_not_depend_on_the_fusion_mode():
 def test_no_videos_to_score_is_named(entry):
     model = model_for(6)
     score = {"block_of": lambda: FeatureBlock.of(iter([])),
-             "saliency": lambda: model.saliency(iter([])),
+             "saliency": lambda: model.saliency(np.zeros((0, 6, D), np.float32)),
              "evaluate_epoch": lambda: evaluate_epoch(model, [], 1)}[entry]
     with pytest.raises(ValueError, match="^no videos to score$"):
         score()

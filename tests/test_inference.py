@@ -76,11 +76,15 @@ def count_forwards(monkeypatch):
 def test_saliency_equals_per_video_forwards(videos, frames, rtol):
     model = make_model()
     features = np.random.default_rng(videos).standard_normal((videos, frames, D))
-    s_f, s_v = model.saliency(list(features))
+    s_f, s_v = model.saliency(features)
     ref_f, ref_v = per_video_saliency(model, features)
     assert s_f.shape == s_v.shape == (videos, frames)
     np.testing.assert_allclose(s_f, ref_f, rtol=rtol, atol=0.0)
     np.testing.assert_allclose(s_v, ref_v, rtol=rtol, atol=0.0)
+    # float32 rows, as read from a feature file, score as their exact float64 cast
+    narrow = features.astype(np.float32)
+    for got, want in zip(model.saliency(narrow), model.saliency(narrow.astype(np.float64))):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_saliency_rejects_one_unstacked_video():

@@ -351,10 +351,10 @@ class TestStreaming:
         blocks = small_blocks(tmp_path, ("light", "guiding") if ns_labels else ("light",))
         tracker, at_first_step, honest = BlockTracker(), [], training.batch_loss
 
-        def counted(*args, **kwargs):
-            if not at_first_step:
-                at_first_step.append((tracker.blocks, tracker.arrays))
-            return honest(*args, **kwargs)
+        def counted(model, features, *args, **kwargs):
+            if not at_first_step:   # the split's light rows are kept as read, float32
+                at_first_step.append((tracker.blocks, tracker.arrays, features.dtype))
+            return honest(model, features, *args, **kwargs)
 
         monkeypatch.setattr(training, "batch_loss", counted)
         cfg = tiny_train_cfg(ns_labels=ns_labels, epochs=1, lr_decay_epochs=())
@@ -362,7 +362,7 @@ class TestStreaming:
         assert len(tracker.alive_at_draw) == len(blocks) == 3
         kinds = len(blocks[0].arrays)   # at each draw only the last block drawn is alive
         assert all(b <= 1 and a <= kinds for b, a in tracker.alive_at_draw)
-        assert at_first_step == [(0, 0)]
+        assert at_first_step == [(0, 0, np.float32)]
         assert streamed.metrics == train([block], bank, tiny_model_cfg(), cfg).metrics
 
     @pytest.mark.parametrize("ns_labels", [True, False])
