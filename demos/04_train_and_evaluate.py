@@ -8,7 +8,7 @@ suite runs (fewer videos, fewer epochs) so it finishes in ~15 seconds.
 import tempfile
 
 from nsnet.data import generate_synthetic_dataset, load_manifest
-from nsnet.evaluation import ScoredVideos, run_comparison
+from nsnet.evaluation import DEFAULT_COST_TABLE, ScoredVideos, run_comparison
 from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig
 from nsnet.supervision import build_prototypes
@@ -31,7 +31,7 @@ val_videos = ScoredVideos.gather(load_manifest(val_m).read(ScoredVideos.kinds),
                                  model_cfg.max_frames)
 print("training 12 epochs ...")
 result = train(train_manifest.blocks(("light", "guiding")), bank, model_cfg, train_cfg,
-               val_videos=val_videos)
+               out_dir=f"{workdir}/run", val_videos=val_videos)
 for m in result.metrics:
     if m.epoch % 3 == 0 or m.epoch == len(result.metrics) - 1:
         print(f"  epoch {m.epoch:2d}: loss {m.loss:7.3f}  val top-1 {m.val_top1:.3f}"
@@ -39,7 +39,7 @@ for m in result.metrics:
 
 print("\nmethod comparison at K=3 (100-video budget arithmetic in GFLOPs):")
 validation = FusionConfig(train_cfg.fusion, train_cfg.ratio, train_cfg.validation_k)
-rows = run_comparison(val_videos, result.model, validation, [3], seed=3)
+rows = run_comparison(val_videos, result.model, validation, [3], DEFAULT_COST_TABLE, seed=3)
 print(f"  {'method':16s} {'top1':>6s} {'mAP':>6s} {'recall':>7s} {'gflops':>8s}")
 for row in rows:
     print(f"  {row.method:16s} {row.top1:6.3f} {row.map_score:6.3f} "

@@ -242,10 +242,10 @@ def softmax_values(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def log_softmax_values(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def log_softmax_values(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray,
@@ -280,17 +280,17 @@ def _layer_norm_backward(g: np.ndarray, gain: Tensor, bias: Tensor,
     return (gxhat - mean_g - xhat * mean_gx) * inv
 
 
-def l1_normalize(a: Tensor, batch: int = 1, floor: float = NORM_FLOOR) -> Tensor:
+def l1_normalize(a: Tensor, batch: int) -> Tensor:
     """Each video's block of a (B*T, 1) column divided by its own sum, the
-    denominator floored; used for attention weights."""
+    denominator floored at NORM_FLOOR; used for attention weights."""
     cols = a.value.reshape(batch, -1)
     sums = cols.sum(axis=1, keepdims=True)
-    denom = np.maximum(sums, floor)
+    denom = np.maximum(sums, NORM_FLOOR)
 
     def backprop(g):
         g = g.reshape(batch, -1)
         # a denominator pinned to the floor constant passes no sum term
-        through = np.where(sums < floor, 0.0,
+        through = np.where(sums < NORM_FLOOR, 0.0,
                            (g * cols).sum(axis=1, keepdims=True) / (denom * denom))
         a._accumulate((g / denom - through).reshape(a.shape))
 
@@ -562,15 +562,14 @@ class GradientCheckReport:
 def finite_difference_check(parameters: Sequence[Parameter],
                             loss_fn: Callable[[], Tensor],
                             step: float = 1e-5,
-                            tolerance: float = 1e-4,
-                            floor: float = 1e-6) -> GradientCheckReport:
+                            tolerance: float = 1e-4) -> GradientCheckReport:
     """Compare backward gradients against central finite differences.
 
     ``loss_fn`` must rebuild the forward graph on every call and be
     deterministic (this is probed by evaluating it twice up front).
     Relative error per entry is |analytic - numeric| / max(|analytic|,
-    |numeric|, floor); the report passes iff the max over all entries of
-    all parameters is below ``tolerance``.
+    |numeric|, floor), the floor 1e-6; the report passes iff the max over
+    all entries of all parameters is below ``tolerance``.
 
     The difference quotient carries roundoff of order eps * |loss| / step,
     so entries below that resolution (the zero-gradient directions a loss
@@ -586,7 +585,7 @@ def finite_difference_check(parameters: Sequence[Parameter],
             f"loss_fn is not deterministic ({probe_a!r} vs {probe_b!r}); "
             "disable dropout before gradient checking")
     resolution = 8.0 * np.finfo(np.float64).eps * max(1.0, abs(probe_a)) / step
-    floor = max(floor, resolution / tolerance)
+    floor = max(1e-6, resolution / tolerance)
 
     loss = loss_fn()
     backward(loss)

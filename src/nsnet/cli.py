@@ -34,7 +34,8 @@ from .data import PARSE_ANNOTATION, DatasetManifest, PresampleConfig, boolean, f
 from .evaluation import ScoredVideos, load_cost_table, run_comparison, sampler_gflops
 from .fusion import FUSION_MODES, SCORE_MODES, FusionConfig, fuse_scores, select_frames
 from .model import ModelConfig, SamplerModel, load_checkpoint
-from .supervision import build_prototypes, load_prototypes, save_prototypes
+from .supervision import DEFAULT_EPSILON_PERCENT, build_prototypes, load_prototypes, \
+    save_prototypes
 from .training import TrainConfig, train
 
 
@@ -73,20 +74,10 @@ def load_run_config(path: str) -> dict:
 
 def cmd_synth(args) -> int:
     at_least("--seed", args.seed, 0)
-    train_path, val_path = generate_synthetic_dataset(
-        out_dir=args.out_dir,
-        num_classes=args.classes,
-        videos_per_class=args.videos_per_class,
-        num_frames=args.frames,
-        light_dim=args.light_dim,
-        guiding_dim=args.guiding_dim,
-        salient_fraction=args.salient_fraction,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed,
-        val_videos_per_class=args.val_videos_per_class,
-    )
-    total = args.classes * (args.videos_per_class + args.val_videos_per_class)
-    print(f"wrote {total} videos ({args.classes} classes) under {args.out_dir}: "
+    settings = {key: value for key, value in vars(args).items() if key not in ("command", "func")}
+    train_path, val_path = generate_synthetic_dataset(**settings)
+    total = args.num_classes * (args.videos_per_class + args.val_videos_per_class)
+    print(f"wrote {total} videos ({args.num_classes} classes) under {args.out_dir}: "
           f"{train_path}" + (f", {val_path}" if val_path else ""))
     return 0
 
@@ -249,12 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("synth", "generate a synthetic dataset with planted saliency")
     p.add_argument("--out-dir", required=True, help="output directory")
-    p.add_argument("--classes", type=int, default=10, help="category count")
+    p.add_argument("--classes", dest="num_classes", type=int, default=10, help="category count")
     p.add_argument("--videos-per-class", type=int, default=40,
                    help="training videos per category")
     p.add_argument("--val-videos-per-class", type=int, default=10,
                    help="validation videos per category (0: no val split)")
-    p.add_argument("--frames", type=int, default=32, help="original frames per video")
+    p.add_argument("--frames", dest="num_frames", type=int, default=32,
+                   help="original frames per video")
     p.add_argument("--light-dim", type=int, default=32, help="sampler feature width")
     p.add_argument("--guiding-dim", type=int, default=32,
                    help="recognizer feature width")
@@ -267,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("prototypes", "build per-category prototypes from a manifest")
     p.add_argument("--manifest", required=True, help="training manifest (NSM1)")
-    p.add_argument("--epsilon", type=finite_float, default=30.0,
+    p.add_argument("--epsilon", type=finite_float, default=DEFAULT_EPSILON_PERCENT,
                    help="percent of confident frames pooled per video")
     p.add_argument("--out", required=True, help="prototype output path (NSF1)")
     p.set_defaults(func=cmd_prototypes)

@@ -488,10 +488,10 @@ def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _distinct_unit_vector(rng: np.random.Generator, dim: int,
-                          existing: list[np.ndarray], max_cos: float = 0.9) -> np.ndarray:
+                          existing: list[np.ndarray]) -> np.ndarray:
     for _ in range(1000):
         v = _unit_vector(rng, dim)
-        if all(abs(float(v @ e)) <= max_cos for e in existing):
+        if all(abs(float(v @ e)) <= 0.9 for e in existing):
             return v
     raise RuntimeError(f"could not draw a distinct unit vector in dimension {dim}")
 

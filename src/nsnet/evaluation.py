@@ -172,8 +172,7 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def baseline_selection(videos: ScoredVideos, method: str, k: int,
-                       seed: int = 0) -> np.ndarray:
+def baseline_selection(videos: ScoredVideos, method: str, k: int, seed: int) -> np.ndarray:
     """uniform: segment centers; random: seeded K-subset (sorted); dense:
     every frame; topk_confidence: K highest max-softmax recognizer rows.
     uniform and dense return one row shared by every video.
@@ -228,8 +227,7 @@ class ComparisonRow:
 
 def run_comparison(videos: ScoredVideos, model: SamplerModel,
                    fusion_cfg: FusionConfig, k_list: list[int],
-                   costs: dict[str, float] | None = None,
-                   seed: int = 0) -> list[ComparisonRow]:
+                   costs: dict[str, float], seed: int) -> list[ComparisonRow]:
     """Evaluate the sampler and every baseline at each K on the gathered videos.
 
     The budget charges the recognizer for the frames it actually sees:
@@ -237,12 +235,11 @@ def run_comparison(videos: ScoredVideos, model: SamplerModel,
     random, and all T frames for dense and confidence top-K (which must
     score every frame before discarding any).
     """
-    costs = dict(DEFAULT_COST_TABLE) if costs is None else costs
     t = videos.planted.shape[1]
     s_f, s_v = model.saliency(videos.light)
     per_k = ("nsnet", "uniform", "random", "topk_confidence")
     # dense sees every frame whatever K is: its row is scored once, first
-    scored = [videos.score(baseline_selection(videos, "dense", t)[None])]
+    scored = [videos.score(baseline_selection(videos, "dense", t, seed)[None])]
     for k in k_list:
         selections = [select_frames(s_f, s_v, FusionConfig(fusion_cfg.mode, fusion_cfg.ratio, k)),
                       *(baseline_selection(videos, method, k, seed) for method in per_k[1:])]

@@ -56,8 +56,7 @@ def rank_descending(scores: np.ndarray) -> np.ndarray:
     return (-scores).argsort(axis=-1, kind="stable")
 
 
-def fuse_scores(s_f: np.ndarray, s_v: np.ndarray, mode: str,
-                ratio: float = 0.6) -> np.ndarray:
+def fuse_scores(s_f: np.ndarray, s_v: np.ndarray, mode: str, ratio: float) -> np.ndarray:
     s_f = np.asarray(s_f, dtype=np.float64)
     s_v = np.asarray(s_v, dtype=np.float64)
     if s_f.shape != s_v.shape:

@@ -289,7 +289,6 @@ def load_checkpoint(path: str) -> SamplerModel:
     parameter's shape is checked against the sidecar's before its values
     are read, and nothing is drawn."""
     config = ModelConfig.from_file(path + ".cfg")
-    expected = parameter_table(config)
     with open(path, "rb") as fh:
         blob = fh.read()
     offset = 0
@@ -305,6 +304,12 @@ def load_checkpoint(path: str) -> SamplerModel:
     if take(4, "magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad magic, not an NSC1 checkpoint")
     (count,) = struct.unpack("<I", take(4, "parameter count"))
+    # the table is built only as large as the file declares or its bytes hold (6+ each)
+    needed = 16 * config.encoder_layers + 7
+    if needed > max(count, (len(blob) - offset) // 6):
+        raise ValueError(f"{path}: the sidecar's {config.encoder_layers} encoder layers need "
+                         f"{needed} parameters, the checkpoint has {count} in {len(blob)} bytes")
+    expected = parameter_table(config)
     loaded: dict[str, np.ndarray] = {}
     for index in range(count):
         (name_len,) = struct.unpack("<H", take(2, f"parameter {index} name length"))

@@ -100,12 +100,11 @@ def batch_loss(model: SamplerModel, features: np.ndarray, frame_targets: np.ndar
 
 
 def gradient_check(model: SamplerModel, features: np.ndarray, frame_targets: np.ndarray,
-                   labels: list[int], step: float = 1e-5, tolerance: float = 1e-4):
+                   labels: list[int], **check) -> ad.GradientCheckReport:
     """Full-model finite-difference check on the training loss (dropout off)."""
     return ad.finite_difference_check(
-        model.params.values(),
-        lambda: batch_loss(model, features, frame_targets, labels).total,
-        step=step, tolerance=tolerance)
+        model.params.values(), lambda: batch_loss(model, features, frame_targets, labels).total,
+        **check)
 
 
 @dataclass
@@ -149,14 +148,11 @@ class TrainResult:
 
 
 def evaluate_epoch(model: SamplerModel, records: Iterable[VideoRecord], k: int,
-                   fusion_cfg: FusionConfig | None = None,
-                   frames: int | None = None) -> tuple[float, float | None]:
-    """Top-1 through the full selection path, plus mean recall of planted
-    salient frames when masks exist."""
-    videos = ScoredVideos.gather(FeatureBlock.of(records),
-                                 frames if frames is not None else model.config.max_frames)
-    return _score_selection(videos, model.saliency(videos.light),
-                            FusionConfig(k=k) if fusion_cfg is None else replace(fusion_cfg, k=k))
+                   fusion_cfg: FusionConfig, frames: int) -> tuple[float, float | None]:
+    """Top-1 through the full selection path at ``k`` frames of ``frames``,
+    plus mean recall of planted salient frames when masks exist."""
+    videos = ScoredVideos.gather(FeatureBlock.of(records), frames)
+    return _score_selection(videos, model.saliency(videos.light), replace(fusion_cfg, k=k))
 
 
 def _score_selection(videos: ScoredVideos, saliency: tuple[np.ndarray, np.ndarray],
@@ -186,9 +182,11 @@ def train(train_blocks: Iterable[FeatureBlock],
           bank: PrototypeBank | None,
           model_cfg: ModelConfig,
           train_cfg: TrainConfig,
-          val_videos: ScoredVideos | None = None,
-          out_dir: str | None = None) -> TrainResult:
-    """Run the full schedule and keep the best checkpoint by validation top-1.
+          out_dir: str,
+          val_videos: ScoredVideos | None = None) -> TrainResult:
+    """Run the full schedule, writing under ``out_dir`` ``last.nsc1`` and
+    ``metrics.csv`` each epoch and ``best.nsc1`` at each new best validation
+    top-1 (without validation, mean loss).
 
     ``bank`` may be None only with ns_labels=False (the hard-label baseline
     needs no prototypes). The model's positional capacity must be the
@@ -221,13 +219,10 @@ def train(train_blocks: Iterable[FeatureBlock],
     if val_videos is not None and val_videos.planted.shape[1] != train_cfg.frames:
         raise ValueError(f"validation videos are observed at {val_videos.planted.shape[1]} "
                          f"frames, not frames={train_cfg.frames}")
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    last_path = os.path.join(out_dir, "last.nsc1") if out_dir else None
-    best_path = os.path.join(out_dir, "best.nsc1") if out_dir else None
+    os.makedirs(out_dir, exist_ok=True)
 
     metrics: list[EpochMetrics] = []
-    best_epoch, best_top1 = 0, -1.0
+    best_epoch, best_top1 = 0, -np.inf
     for epoch in range(train_cfg.epochs):
         optimizer.learning_rate = lr_at_epoch(train_cfg, epoch)
         order = by_id[shuffle_rng.permutation(len(by_id))]
@@ -258,14 +253,11 @@ def train(train_blocks: Iterable[FeatureBlock],
             val_top1, val_recall = _score_selection(val_videos, saliency, validation)
         metrics.append(EpochMetrics(epoch, optimizer.learning_rate, *means,
                                     val_top1, val_recall))
-        if last_path is not None:
-            save_checkpoint(model, last_path)
+        save_checkpoint(model, os.path.join(out_dir, "last.nsc1"))
         criterion = val_top1 if val_top1 is not None else -float(means[0])
         if criterion > best_top1:
             best_top1, best_epoch = criterion, epoch
-            if best_path is not None:
-                save_checkpoint(model, best_path)
-        if out_dir is not None:
-            write_csv(os.path.join(out_dir, "metrics.csv"),
-                      [f.name for f in fields(EpochMetrics)], map(astuple, metrics))
+            save_checkpoint(model, os.path.join(out_dir, "best.nsc1"))
+        write_csv(os.path.join(out_dir, "metrics.csv"),
+                  [f.name for f in fields(EpochMetrics)], map(astuple, metrics))
     return TrainResult(model, metrics, best_epoch)

@@ -86,9 +86,11 @@ def bench_ns_run(bench_data, tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def bench_baseline_run(bench_data):
+def bench_baseline_run(bench_data, tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("bench_baseline_run")
     started = time.perf_counter()
     result = train(bench_data["train_blocks"], None,
                    bench_model_config(gamma=0.0), bench_train_config(ns_labels=False),
-                   val_videos=bench_data["val_videos"])
-    return {"result": result, "seconds": time.perf_counter() - started}
+                   val_videos=bench_data["val_videos"], out_dir=str(out_dir))
+    return {"result": result, "out_dir": str(out_dir),
+            "seconds": time.perf_counter() - started}

@@ -14,7 +14,8 @@ from test_supervision import assert_pseudo_label_rows_valid
 
 from nsnet.cli import main as cli_main
 from nsnet.data import FeatureBlock, generate_synthetic_dataset, load_manifest
-from nsnet.evaluation import ScoredVideos, mean_average_precision, run_comparison
+from nsnet.evaluation import DEFAULT_COST_TABLE, ScoredVideos, mean_average_precision, \
+    run_comparison
 from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig, SamplerModel, load_checkpoint
 from nsnet.supervision import build_prototypes, guiding_saliency_scores
@@ -122,7 +123,8 @@ def test_criterion_5_synthetic_recovery(bench_data, bench_ns_run,
     base_model = bench_baseline_run["result"].model
     _, base_recall = evaluate_epoch(base_model, bench_data["val_records"], k,
                                     fusion, frames=BENCH["frames"])
-    rows = run_comparison(bench_data["val_videos"], best, fusion, [k], seed=BENCH["train_seed"])
+    rows = run_comparison(bench_data["val_videos"], best, fusion, [k], DEFAULT_COST_TABLE,
+                          seed=BENCH["train_seed"])
     uniform = next(r for r in rows if r.method == "uniform")
     elapsed = bench_data["seconds"] + bench_ns_run["seconds"] \
         + bench_baseline_run["seconds"]
@@ -160,7 +162,8 @@ def test_criterion_6_metric_oracles(bench_data, capsys):
     t = BENCH["frames"]
     records = bench_data["val_records"][:50]
     rows = run_comparison(ScoredVideos.gather(FeatureBlock.of(records), t), model,
-                          FusionConfig("index_union", 0.6, t), [2, t], seed=0)
+                          FusionConfig("index_union", 0.6, t), [2, t], DEFAULT_COST_TABLE,
+                          seed=0)
     by = {(r.method, r.k): r for r in rows}
     dense_invariant = by[("dense", 2)].top1 == by[("dense", t)].top1
     full_budget = {by[(m, t)].top1 for m in ("nsnet", "uniform", "dense")}

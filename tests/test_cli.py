@@ -2,6 +2,7 @@
 
 import ctypes
 import errno
+import inspect
 import os
 import shutil
 from collections import Counter
@@ -13,9 +14,11 @@ import pytest
 
 import nsnet.cli
 import nsnet.data
+import nsnet.model
 import nsnet.supervision
 from nsnet.cli import RUN_KEYS, TRAIN_KEYS, build_parser, keep_heap, main
-from nsnet.data import load_manifest, read_feature_file, write_feature_file
+from nsnet.data import generate_synthetic_dataset, load_manifest, read_feature_file, \
+    write_feature_file
 from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig, SamplerModel, save_checkpoint
 from nsnet.training import TrainConfig, train
@@ -61,6 +64,31 @@ class TestFlopsCommand:
 
 
 class TestSynthCommand:
+    def test_flags_are_the_generator_parameters(self, tmp_path, capsys):
+        """Each flag's value reaches ``generate_synthetic_dataset`` under its
+        parameter name: with every flag off its default, the command writes
+        the bytes the library call with those values writes."""
+        flags = [("--classes", "num_classes", 3), ("--videos-per-class", "videos_per_class", 2),
+                 ("--val-videos-per-class", "val_videos_per_class", 1),
+                 ("--frames", "num_frames", 5), ("--light-dim", "light_dim", 6),
+                 ("--guiding-dim", "guiding_dim", 7),
+                 ("--salient-fraction", "salient_fraction", 0.4),
+                 ("--noise-sigma", "noise_sigma", 0.1), ("--seed", "seed", 11)]
+        values = {name: value for _, name, value in flags}
+        argv = ["synth", *(x for flag, _, value in flags for x in (flag, str(value)))]
+        parsed = vars(build_parser().parse_args(argv + ["--out-dir", str(tmp_path / "cli")]))
+        defaults = vars(build_parser().parse_args(["synth", "--out-dir", "unused"]))
+        assert set(inspect.signature(generate_synthetic_dataset).parameters) == \
+            set(parsed) - {"command", "func"}
+        assert all(parsed[key] == v != defaults[key] for key, v in values.items())
+        assert run(argv + ["--out-dir", str(tmp_path / "cli")], capsys)[0] == 0
+        generate_synthetic_dataset(str(tmp_path / "lib"), **values)
+        files = [sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+                 for root in (tmp_path / "cli", tmp_path / "lib")]
+        assert files[0] == files[1] and files[0]
+        for name in files[0]:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
     def test_rejects_bad_fraction(self, tmp_path, capsys):
         code, _, err = run(["synth", "--out-dir", str(tmp_path / "x"),
                             "--salient-fraction", "1.5"], capsys)
@@ -262,6 +290,26 @@ class TestCheckpointBoundary:
         code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
         line = assert_one_error_line(code, err)
         assert f"{path}: parameter 'pos_embedding' has shape (2, 3), expected {shape}" in line
+
+    @pytest.mark.parametrize("layers, message", [
+        (100000000, "the sidecar's 100000000 encoder layers need 1600000007 parameters, "
+                    "the checkpoint has 23 in {size} bytes"),
+        (2, "checkpoint is missing parameter 'enc1.ln1_gain'")])
+    def test_sidecar_layers_the_file_lacks(self, checkpoint, tmp_path, capsys, monkeypatch,
+                                           layers, message):
+        """The parameter table grows with the sidecar's encoder_layers: it is
+        checked against the checkpoint's count and bytes before it is built,
+        and a table the file could hold still names the first missing entry."""
+        path, manifest = checkpoint
+        honest = nsnet.model.parameter_table
+        monkeypatch.setattr(nsnet.model, "parameter_table", lambda config: pytest.fail(
+            "table built") if config.encoder_layers > 2 else honest(config))
+        sidecar = tmp_path / "model.nsc1.cfg"
+        sidecar.write_text(sidecar.read_text().replace("encoder_layers=1\n",
+                                                       f"encoder_layers={layers}\n"))
+        code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
+        line = assert_one_error_line(code, err)
+        assert f"{path}: {message.format(size=path.stat().st_size)}" in line, line
 
     def test_sidecar_ffn_dim_none_loads(self, checkpoint, tmp_path, capsys):
         path, manifest = checkpoint
@@ -900,14 +948,15 @@ class TestHeapPolicy:
                      "unloadable": unloadable}[library])
         assert run(["flops", "--k", "5", "--frames", "16"], capsys) == (0, "25.99\n", "")
 
-    def test_train_leaves_the_allocator_alone(self, tiny_tree, calls):
+    def test_train_leaves_the_allocator_alone(self, tiny_tree, calls, tmp_path):
         data, _ = tiny_tree
         blocks = load_manifest(str(data / "train.nsm")).blocks(("light",))
         keep_heap.cache_clear()
         calls.clear()
         train(blocks, None, ModelConfig(input_dim=8, num_classes=2, max_frames=6,
                                          encoder_layers=1, heads=1),
-              TrainConfig(epochs=1, lr_decay_epochs=(), frames=6, ns_labels=False))
+              TrainConfig(epochs=1, lr_decay_epochs=(), frames=6, ns_labels=False),
+              out_dir=str(tmp_path / "library_run"))
         assert calls == []
 
 

@@ -358,7 +358,7 @@ def test_run_comparison_equals_per_video_loop(t, mode):
             expected.append((method, k, top1_accuracy(scores, labels),
                              mean_average_precision(scores, labels).mean, recall))
     rows = run_comparison(ScoredVideos.gather(FeatureBlock.of(records), t), model,
-                          FusionConfig(mode, RATIO, 1), k_list, seed=5)
+                          FusionConfig(mode, RATIO, 1), k_list, DEFAULT_COST_TABLE, seed=5)
     # gflops is budget arithmetic, independent of the scoring
     assert [astuple(row)[:5] for row in rows] == expected
     assert any(row[4] is not None for row in expected)
@@ -416,7 +416,7 @@ def test_run_comparison_on_uneven_classes(t, mode):
             expected.append((method, k, float(np.mean(scores.argmax(axis=1) == labels)),
                              map_oracle(scores, labels), recall))
     rows = run_comparison(ScoredVideos.gather(FeatureBlock.of(records), t), model,
-                          FusionConfig(mode, RATIO, 1), k_list, seed=5)
+                          FusionConfig(mode, RATIO, 1), k_list, DEFAULT_COST_TABLE, seed=5)
     assert [astuple(row)[:5] for row in rows] == expected
     per_class = mean_average_precision(scores, labels).per_class
     assert np.isnan(per_class[4]) and not np.isnan(per_class[:4]).any()
@@ -426,7 +426,8 @@ def test_baseline_rows_do_not_depend_on_the_fusion_mode():
     t = 16
     videos, model = ScoredVideos.gather(FeatureBlock.of(mixed_records(t)), t), model_for(t)
     runs = [[row for row in run_comparison(videos, model, FusionConfig(mode, RATIO, 1),
-                                           [1, 4, t], seed=3) if row.method != "nsnet"]
+                                           [1, 4, t], DEFAULT_COST_TABLE, seed=3)
+             if row.method != "nsnet"]
             for mode in FUSION_MODES]
     assert len(runs[0]) == 4 * 3
     assert all(run == runs[0] for run in runs[1:])
@@ -437,7 +438,7 @@ def test_no_videos_to_score_is_named(entry):
     model = model_for(6)
     score = {"block_of": lambda: FeatureBlock.of(iter([])),
              "saliency": lambda: model.saliency(np.zeros((0, 6, D), np.float32)),
-             "evaluate_epoch": lambda: evaluate_epoch(model, [], 1)}[entry]
+             "evaluate_epoch": lambda: evaluate_epoch(model, [], 1, FusionConfig(), 6)}[entry]
     with pytest.raises(ValueError, match="^no videos to score$"):
         score()
 

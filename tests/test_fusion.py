@@ -151,13 +151,13 @@ class TestWorkedExamples:
 
     def test_score_mul_identity(self):
         s_f = np.array([0.2, 0.5, 0.3])
-        fused = fuse_scores(s_f, np.ones(3), "score_mul")
+        fused = fuse_scores(s_f, np.ones(3), "score_mul", 0.6)
         np.testing.assert_array_equal(fused, s_f)
 
     def test_score_max_dominates(self):
         rng = np.random.default_rng(1)
         a, b = rng.random(10), rng.random(10)
-        fused = fuse_scores(a, b, "score_max")
+        fused = fuse_scores(a, b, "score_max", 0.6)
         assert np.all(fused >= a) and np.all(fused >= b)
 
     def test_intersect_full_overlap(self):

@@ -27,7 +27,7 @@ import nsnet.data
 from nsnet.cli import main
 from nsnet.data import BLOCK, FeatureBlock, PresampleConfig, VideoRecord, \
     generate_synthetic_dataset, load_manifest, presample, read_feature_file
-from nsnet.evaluation import ScoredVideos, run_comparison
+from nsnet.evaluation import DEFAULT_COST_TABLE, ScoredVideos, run_comparison
 from nsnet.fusion import FUSION_MODES, SCORE_MODES, FusionConfig
 from nsnet.model import ModelConfig, SamplerModel, fsm_saliency, load_checkpoint, \
     save_checkpoint, vgm_saliency
@@ -98,12 +98,12 @@ MAX_FORWARDS = math.ceil(VIDEOS / BLOCK)
 
 def test_run_comparison_forwards_once_per_block(count_forwards):
     run_comparison(ScoredVideos.gather(FeatureBlock.of(make_records(VIDEOS)), T), make_model(),
-                   FusionConfig("index_union", 0.6, 2), [1, 2, 4, T])
+                   FusionConfig("index_union", 0.6, 2), [1, 2, 4, T], DEFAULT_COST_TABLE, 0)
     assert 0 < len(count_forwards) <= MAX_FORWARDS
 
 
 def test_evaluate_epoch_forwards_once_per_block(count_forwards):
-    evaluate_epoch(make_model(), make_records(VIDEOS), 2)
+    evaluate_epoch(make_model(), make_records(VIDEOS), 2, FusionConfig(), T)
     assert 0 < len(count_forwards) <= MAX_FORWARDS
 
 

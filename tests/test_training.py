@@ -12,7 +12,7 @@ from nsnet.data import KINDS, DatasetManifest, FeatureBlock, PresampleConfig, Vi
     generate_synthetic_dataset, load_manifest, presample, presample_indices
 from nsnet.evaluation import ScoredVideos
 from nsnet.fusion import FusionConfig
-from nsnet.model import ModelConfig, SamplerModel
+from nsnet.model import ModelConfig, SamplerModel, load_checkpoint
 from nsnet.supervision import build_prototypes, guiding_saliency_scores, \
     ns_pseudo_label_matrix
 from nsnet.training import (
@@ -118,7 +118,7 @@ class TestTrainLoop:
         block, _ = tiny_dataset(tmp_path)
         bank = build_prototypes([block], 3)
         cfg = tiny_train_cfg(epochs=1, base_lr=0.0, lr_decay_epochs=())
-        result = train([block], bank, tiny_model_cfg(), cfg)
+        result = train([block], bank, tiny_model_cfg(), cfg, out_dir=str(tmp_path / "run"))
         reference = SamplerModel(tiny_model_cfg(), substream(cfg.seed, "init"))
         for (name, p), (_, q) in zip(result.model.params.items(),
                                      reference.params.items()):
@@ -130,7 +130,7 @@ class TestTrainLoop:
         runs = []
         for _ in range(2):
             result = train([block], bank, tiny_model_cfg(), tiny_train_cfg(k=2),
-                           val_videos=val_videos)
+                           val_videos=val_videos, out_dir=str(tmp_path / "run"))
             runs.append(result.metrics)
         assert runs[0] == runs[1]
 
@@ -147,6 +147,24 @@ class TestTrainLoop:
         assert len(lines) == 1 + 2
         assert 0 <= result.best_epoch < 2
 
+    def test_library_run_writes_its_artifacts(self, tmp_path):
+        """Without validation too, a library ``train`` leaves both checkpoints
+        and the metrics of every epoch in ``out_dir``; best is the lowest loss."""
+        block, _ = tiny_dataset(tmp_path / "data")
+        out = tmp_path / "run"
+        result = train([block], None, tiny_model_cfg(), tiny_train_cfg(ns_labels=False),
+                       out_dir=str(out))
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["best.nsc1", "best.nsc1.cfg", "last.nsc1", "last.nsc1.cfg", "metrics.csv"]
+        last = load_checkpoint(str(out / "last.nsc1"))
+        for name, p in result.model.params.items():   # float32 on disk
+            np.testing.assert_array_equal(last.params[name].value, p.value.astype(np.float32))
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+        assert all(line.endswith(",,") for line in lines[1:])   # no val_top1, val_recall
+        losses = [m.loss for m in result.metrics]
+        assert result.best_epoch == losses.index(min(losses))
+
     def test_gathered_validation_videos_are_used_as_given(self, tmp_path):
         """Validation scores the videos gathered at the observation length as
         ``evaluate_epoch`` scores their records; gathered at another length
@@ -154,17 +172,18 @@ class TestTrainLoop:
         block, val_videos = tiny_dataset(tmp_path)
         val_records = load_manifest(str(tmp_path / "val.nsm")).load_all()
         cfg = tiny_train_cfg(ns_labels=False, k=2)
-        result = train([block], None, tiny_model_cfg(), cfg, val_videos=val_videos)
+        result = train([block], None, tiny_model_cfg(), cfg, val_videos=val_videos, out_dir=str(tmp_path / "run"))
         last = result.metrics[-1]
         assert (last.val_top1, last.val_recall) == \
-            evaluate_epoch(result.model, val_records, 2, frames=cfg.frames)
+            evaluate_epoch(result.model, val_records, 2, FusionConfig(), frames=cfg.frames)
         with pytest.raises(ValueError, match="observed at 6 frames, not frames=4"):
-            train([block], None, tiny_model_cfg(), cfg, val_videos=gathered(val_records, 6))
+            train([block], None, tiny_model_cfg(), cfg, val_videos=gathered(val_records, 6),
+                  out_dir=str(tmp_path / "run"))
 
     def test_hard_label_baseline_needs_no_bank(self, tmp_path):
         block, _ = tiny_dataset(tmp_path)
         cfg = tiny_train_cfg(ns_labels=False, epochs=1, lr_decay_epochs=())
-        result = train([block], None, tiny_model_cfg(gamma=0.0), cfg)
+        result = train([block], None, tiny_model_cfg(gamma=0.0), cfg, out_dir=str(tmp_path / "run"))
         assert len(result.metrics) == cfg.epochs
 
     def test_k_above_frames_rejected_before_any_epoch(self):
@@ -188,13 +207,13 @@ class TestTrainLoop:
         fields = {} if fusion_cfg is None else \
             dict(fusion=fusion_cfg.mode, ratio=fusion_cfg.ratio, k=fusion_cfg.k)
         train([block], None, tiny_model_cfg(), tiny_train_cfg(ns_labels=False, **fields),
-              val_videos=val_videos)
+              val_videos=val_videos, out_dir=str(tmp_path / "run"))
         assert seen == [expected] * 2
 
     def test_ns_labels_require_bank(self, tmp_path):
         block, _ = tiny_dataset(tmp_path)
         with pytest.raises(ValueError, match="prototype bank"):
-            train([block], None, tiny_model_cfg(), tiny_train_cfg())
+            train([block], None, tiny_model_cfg(), tiny_train_cfg(), out_dir=str(tmp_path / "run"))
 
     # the injected inf makes numpy warn on its way to the loss
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -205,7 +224,7 @@ class TestTrainLoop:
         # poison the data instead of waiting for divergence
         block.arrays["light"][0, 0] = np.inf
         with pytest.raises(RuntimeError, match="non-finite loss"):
-            train([block], bank, tiny_model_cfg(), cfg)
+            train([block], bank, tiny_model_cfg(), cfg, out_dir=str(tmp_path / "run"))
 
 
 def break_saliency(monkeypatch, case, epoch, video):
@@ -242,7 +261,7 @@ class TestSaliencyInvariants:
         passes = break_saliency(monkeypatch, case, epoch=1, video=4)
         with pytest.raises(RuntimeError) as excinfo:
             train([block], build_prototypes([block], 3), tiny_model_cfg(),
-                  tiny_train_cfg(k=2), val_videos=val_videos)
+                  tiny_train_cfg(k=2), val_videos=val_videos, out_dir=str(tmp_path / "run"))
         assert message.format(video=val_videos.video_ids[4]) in str(excinfo.value)
         assert passes == [len(val_videos.video_ids)] * 2   # no forward besides validation's
 
@@ -294,7 +313,7 @@ class TestPseudoLabelCache:
 
         monkeypatch.setattr(training, "ns_pseudo_label_matrix", counted)
         bank = build_prototypes([block], 3) if ns_labels else None
-        train([block], bank, tiny_model_cfg(), tiny_train_cfg(ns_labels=ns_labels))
+        train([block], bank, tiny_model_cfg(), tiny_train_cfg(ns_labels=ns_labels), out_dir=str(tmp_path / "run"))
         assert built == [(n,) for n in block.lengths]
 
 
@@ -358,12 +377,12 @@ class TestStreaming:
 
         monkeypatch.setattr(training, "batch_loss", counted)
         cfg = tiny_train_cfg(ns_labels=ns_labels, epochs=1, lr_decay_epochs=())
-        streamed = train(tracker.stream(blocks), bank, tiny_model_cfg(), cfg)
+        streamed = train(tracker.stream(blocks), bank, tiny_model_cfg(), cfg, out_dir=str(tmp_path / "run"))
         assert len(tracker.alive_at_draw) == len(blocks) == 3
         kinds = len(blocks[0].arrays)   # at each draw only the last block drawn is alive
         assert all(b <= 1 and a <= kinds for b, a in tracker.alive_at_draw)
         assert at_first_step == [(0, 0, np.float32)]
-        assert streamed.metrics == train([block], bank, tiny_model_cfg(), cfg).metrics
+        assert streamed.metrics == train([block], bank, tiny_model_cfg(), cfg, out_dir=str(tmp_path / "run")).metrics
 
     @pytest.mark.parametrize("ns_labels", [True, False])
     def test_train_command_keeps_no_block(self, tmp_path, monkeypatch, capsys, ns_labels):
@@ -417,9 +436,9 @@ class TestStreaming:
             artifacts.append([(out / f).read_bytes() for f in ("last.nsc1", "metrics.csv")])
         assert artifacts[0] == artifacts[1]
 
-    def test_no_training_videos_rejected(self):
+    def test_no_training_videos_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no training videos"):
-            train(iter([]), None, tiny_model_cfg(), tiny_train_cfg(ns_labels=False))
+            train(iter([]), None, tiny_model_cfg(), tiny_train_cfg(ns_labels=False), out_dir=str(tmp_path / "run"))
 
 
 class TestGradientCheckOnModel:
@@ -455,14 +474,14 @@ class TestEvaluateEpoch:
         records = self._random_records(240, classes, 4, seed=12)
         model = SamplerModel(tiny_model_cfg(classes=classes, dim=8, frames=4),
                              np.random.default_rng(0))
-        top1, _ = evaluate_epoch(model, records, k=2, frames=4)
+        top1, _ = evaluate_epoch(model, records, 2, FusionConfig(), frames=4)
         assert abs(top1 - 1 / classes) <= 0.05
 
     def test_k_equals_t_gives_full_recall(self):
         records = self._random_records(10, 3, 4, seed=13)
         model = SamplerModel(tiny_model_cfg(classes=3, dim=8, frames=4),
                              np.random.default_rng(1))
-        _, recall = evaluate_epoch(model, records, k=4, frames=4)
+        _, recall = evaluate_epoch(model, records, 4, FusionConfig(), frames=4)
         assert recall == 1.0
 
     def test_batch_loss_rejects_empty(self):
