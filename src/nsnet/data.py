@@ -264,8 +264,8 @@ class VideoRecord:
 @dataclass
 class FeatureBlock:
     """V videos with per-frame arrays of some kinds (their files, or a
-    training split's light rows and targets), each kind one array of all
-    their frame rows, video after video (``stack_frames``)."""
+    training split's light rows and guiding saliency g), each kind one array
+    of all their frame rows, video after video (``stack_frames``)."""
 
     video_ids: list[str]
     labels: list[int]

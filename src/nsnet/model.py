@@ -29,8 +29,9 @@ sidecar of ``key=value`` lines, parsed as data.
 from __future__ import annotations
 
 import math
+import re
 import struct
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -304,12 +305,12 @@ def load_checkpoint(path: str) -> SamplerModel:
     if take(4, "magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad magic, not an NSC1 checkpoint")
     (count,) = struct.unpack("<I", take(4, "parameter count"))
-    # the table is built only as large as the file declares or its bytes hold (6+ each)
+    # no more entries than the file declares or its bytes hold (6+ each)
     needed = 16 * config.encoder_layers + 7
     if needed > max(count, (len(blob) - offset) // 6):
         raise ValueError(f"{path}: the sidecar's {config.encoder_layers} encoder layers need "
                          f"{needed} parameters, the checkpoint has {count} in {len(blob)} bytes")
-    expected = parameter_table(config)
+    layer = parameter_table(replace(config, encoder_layers=1))   # enc0 shapes every layer
     loaded: dict[str, np.ndarray] = {}
     for index in range(count):
         (name_len,) = struct.unpack("<H", take(2, f"parameter {index} name length"))
@@ -317,21 +318,23 @@ def load_checkpoint(path: str) -> SamplerModel:
             name = take(name_len, f"parameter {index} name").decode("utf-8")
         except UnicodeDecodeError:
             raise ValueError(f"{path}: parameter {index} name is not UTF-8") from None
-        if name not in expected:
+        m = re.fullmatch(r"enc([1-9][0-9]{0,9})(\..*)", name)
+        shape = layer.get("enc0" + m[2] if m and int(m[1]) < config.encoder_layers else name)
+        if shape is None:
             raise ValueError(f"{path}: unexpected parameter {name!r}")
         if name in loaded:
             raise ValueError(f"{path}: duplicate parameter {name!r}")
         (rank,) = struct.unpack("<I", take(4, f"{name!r} rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"{name!r} dims"))
-        if dims != expected[name]:
-            raise ValueError(f"{path}: parameter {name!r} has shape {dims}, "
-                             f"expected {expected[name]}")
+        if dims != shape:
+            raise ValueError(f"{path}: parameter {name!r} has shape {dims}, expected {shape}")
         values = np.frombuffer(take(4 * math.prod(dims), f"{name!r} values"), dtype="<f4")
         if not np.isfinite(values).all():
             raise ValueError(f"{path}: parameter {name!r} has non-finite values")
         loaded[name] = values.astype(np.float64).reshape(dims)
     if offset != len(blob):
         raise ValueError(f"{path}: trailing bytes after {count} parameters")
+    expected = parameter_table(config)   # now known to be no larger than the file
     missing = [name for name in expected if name not in loaded]
     if missing:
         raise ValueError(f"{path}: checkpoint is missing parameter {missing[0]!r}")

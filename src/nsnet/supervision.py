@@ -115,17 +115,17 @@ def guiding_saliency_scores(guiding: np.ndarray, label: int, bank: PrototypeBank
     return scores_from_distances(distances, label)
 
 
-def ns_pseudo_label_matrix(g: np.ndarray, label: int, num_classes: int) -> np.ndarray:
-    """(T, C+1) targets: g at the video category, 1 - g at the non-salient slot.
-    g = 1 everywhere gives the plain video labels of the hard-label baseline."""
+def ns_pseudo_label_matrix(g: np.ndarray, label: int | np.ndarray, num_classes: int) -> np.ndarray:
+    """(T, C+1) targets: g at the category ``label`` (one for every row, or one per
+    row), 1 - g at the non-salient slot; g = 1 gives the hard-label baseline's rows."""
     g = np.asarray(g, dtype=np.float64).reshape(-1)
     if g.min() < -1e-9 or g.max() > 1.0 + 1e-9:
         raise ValueError(f"guiding scores outside [0, 1]: min {g.min()}, max {g.max()}")
-    if not 0 <= label < num_classes:
-        raise ValueError(f"label {label} out of range for C={num_classes}")
+    if (bad := np.extract((label < 0) | (label >= num_classes), label)).size:
+        raise ValueError(f"label {bad[0]} out of range for C={num_classes}")
     g = np.clip(g, 0.0, 1.0)
     targets = np.zeros((g.shape[0], num_classes + 1))
-    targets[:, label] = g
+    targets[np.arange(g.shape[0]), np.broadcast_to(label, g.shape)] = g
     targets[:, num_classes] = 1.0 - g
     return targets
 

@@ -4,12 +4,11 @@ All randomness flows from one seed through named substreams (init,
 shuffle, augment, dropout), so (seed, config, data) fixes the entire
 trajectory bit-exactly. Guiding scores depend only on the frozen
 prototypes and the recognizer features of the original frames, so each
-video's frame targets (pseudo labels, or plain video labels with
-ns_labels=False) are built once on its original frames, as its block is
-drawn. The split then keeps only two flat per-frame arrays, the float32
-light rows and the target rows, never a block, guiding features, logits or
-masks; a batch is one pre-sampling call over its videos' frame counts and
-one gather of rows, cast to float64 by the forward.
+video's guiding saliency g (ones with ns_labels=False) is computed once, as
+its block is drawn. The split keeps only two flat per-frame arrays, the float32
+light rows and g, never a block, guiding features, logits, masks or targets; a
+batch is one pre-sampling call over its videos' frame counts, one gather of
+rows (cast to float64 by the forward) and its (B*T, C+1) targets from its g.
 """
 
 from __future__ import annotations
@@ -120,24 +119,22 @@ class EpochMetrics:
 
 
 def _frame_rows(blocks: Iterable[FeatureBlock], bank: PrototypeBank | None,
-                ns_labels: bool, num_classes: int) -> FeatureBlock:
+                ns_labels: bool) -> FeatureBlock:
     """A training split as a block of two per-frame kinds, float32 "light"
-    rows and "targets", built in one pass: each video's targets are built
-    as its block is drawn, and only the light rows and target rows are kept."""
-    ids, labels, light, targets = [], [], [], []
+    rows and float64 guiding saliency "g" (ones without ns_labels), built in
+    one pass: each video's g is computed as its block is drawn."""
+    ids, labels, light, scores = [], [], [], []
     for block in blocks:
-        scores = (guiding_saliency_scores(guiding, label, bank) for guiding, label
-                  in zip(block.per_video("guiding"), block.labels)) if ns_labels \
+        scores += [guiding_saliency_scores(guiding, label, bank) for guiding, label
+                   in zip(block.per_video("guiding"), block.labels)] if ns_labels \
             else map(np.ones, block.lengths)
-        targets += [ns_pseudo_label_matrix(g, label, num_classes)
-                    for g, label in zip(scores, block.labels)]
         light.append(block.arrays["light"].copy())   # a copy: no block array is kept
         ids += block.video_ids
         labels += block.labels
     if not ids:
         raise ValueError("no training videos")
-    return FeatureBlock(ids, labels, [len(rows) for rows in targets],
-                        {"light": np.concatenate(light), "targets": np.concatenate(targets)})
+    return FeatureBlock(ids, labels, [len(g) for g in scores],
+                        {"light": np.concatenate(light), "g": np.concatenate(scores)})
 
 
 @dataclass
@@ -203,9 +200,9 @@ def train(train_blocks: Iterable[FeatureBlock],
                          f"the observation length frames={train_cfg.frames}")
     observe = PresampleConfig(train_cfg.frames, train_cfg.shift_augment)
     validation = FusionConfig(train_cfg.fusion, train_cfg.ratio, train_cfg.validation_k)
-    split = _frame_rows(train_blocks, bank, train_cfg.ns_labels, model_cfg.num_classes)
-    starts, lengths = split.starts, np.array(split.lengths)
-    light, targets = split.arrays["light"], split.arrays["targets"]
+    split = _frame_rows(train_blocks, bank, train_cfg.ns_labels)
+    starts, lengths, labels = split.starts, np.array(split.lengths), np.array(split.labels)
+    light, g = split.arrays["light"], split.arrays["g"]
     # batches draw from the videos in video_id order, whatever order they came in
     by_id = np.array(sorted(range(len(split.video_ids)), key=split.video_ids.__getitem__))
     init_rng = substream(train_cfg.seed, "init")
@@ -232,9 +229,9 @@ def train(train_blocks: Iterable[FeatureBlock],
             videos = order[start:start + train_cfg.batch_size]
             # one pre-sampling call and one gather of rows for the batch
             rows = starts[videos, None] + presample_indices(lengths[videos], observe, augment_rng)
-            parts = batch_loss(model, light[rows], targets[rows.reshape(-1)],
-                               [split.labels[v] for v in videos.tolist()],
-                               train=True, rng=dropout_rng)
+            parts = batch_loss(model, light[rows], ns_pseudo_label_matrix(
+                g[rows], np.repeat(labels[videos], observe.frames), model_cfg.num_classes),
+                labels[videos].tolist(), train=True, rng=dropout_rng)
             values = np.array([float(parts.total.value), float(parts.frame.value),
                                float(parts.video_cls.value), float(parts.video_ns.value)])
             if not np.all(np.isfinite(values)):

@@ -291,19 +291,30 @@ class TestCheckpointBoundary:
         line = assert_one_error_line(code, err)
         assert f"{path}: parameter 'pos_embedding' has shape (2, 3), expected {shape}" in line
 
-    @pytest.mark.parametrize("layers, message", [
-        (100000000, "the sidecar's 100000000 encoder layers need 1600000007 parameters, "
-                    "the checkpoint has 23 in {size} bytes"),
-        (2, "checkpoint is missing parameter 'enc1.ln1_gain'")])
+    @pytest.mark.parametrize("layers, count, message", [
+        pytest.param(layers, count, message, id=f"{layers}-{message}")
+        for layers, count, message in [
+            (100000000, None, "the sidecar's 100000000 encoder layers need 1600000007 "
+                              "parameters, the checkpoint has 23 in {size} bytes"),
+            (2, None, "checkpoint is missing parameter 'enc1.ln1_gain'"),
+            # a header that declares 2**32 - 1 entries sizes nothing
+            (100000000, 0xFFFFFFFF, "truncated checkpoint: parameter 23 name length needs "
+                                    "2 bytes at offset {size}, file has {size}")]])
     def test_sidecar_layers_the_file_lacks(self, checkpoint, tmp_path, capsys, monkeypatch,
-                                           layers, message):
-        """The parameter table grows with the sidecar's encoder_layers: it is
-        checked against the checkpoint's count and bytes before it is built,
-        and a table the file could hold still names the first missing entry."""
+                                           layers, count, message):
+        """The parameter table grows with the sidecar's encoder_layers: the
+        file's names are checked against one layer's table, and the whole
+        table is built only once the file has shown it holds that many
+        entries; a table the file could hold still names the first missing
+        entry."""
         path, manifest = checkpoint
         honest = nsnet.model.parameter_table
         monkeypatch.setattr(nsnet.model, "parameter_table", lambda config: pytest.fail(
             "table built") if config.encoder_layers > 2 else honest(config))
+        if count is not None:
+            blob = bytearray(path.read_bytes())
+            blob[4:8] = count.to_bytes(4, "little")
+            path.write_bytes(bytes(blob))
         sidecar = tmp_path / "model.nsc1.cfg"
         sidecar.write_text(sidecar.read_text().replace("encoder_layers=1\n",
                                                        f"encoder_layers={layers}\n"))

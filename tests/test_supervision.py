@@ -196,6 +196,17 @@ class TestPseudoLabels:
         np.testing.assert_array_equal(matrix[:, 2], 1.0)
         np.testing.assert_array_equal(matrix.sum(axis=1), 1.0)
 
+    def test_one_label_per_row(self):
+        """Per-row labels give, bit for bit, each row of its own label's matrix."""
+        g, labels = np.random.default_rng(3).random(7), np.array([0, 2, 2, 1, 0, 3, 1])
+        rows = ns_pseudo_label_matrix(g, labels, 4)
+        own = [ns_pseudo_label_matrix(g[i:i + 1], int(label), 4) for i, label in enumerate(labels)]
+        assert rows.tobytes() == np.concatenate(own).tobytes()
+        with pytest.raises(ValueError, match=r"^label 4 out of range for C=4$"):
+            ns_pseudo_label_matrix(g, np.array([0, 2, 4, 1, -1, 3, 1]), 4)
+        with pytest.raises(ValueError, match=r"^label -1 out of range for C=4$"):
+            ns_pseudo_label_matrix(g, -1, 4)
+
 
 class TestPersistence:
     def test_round_trip_with_sidecar(self, tmp_path):

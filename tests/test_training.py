@@ -13,7 +13,7 @@ from nsnet.data import KINDS, DatasetManifest, FeatureBlock, PresampleConfig, Vi
 from nsnet.evaluation import ScoredVideos
 from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig, SamplerModel, load_checkpoint
-from nsnet.supervision import build_prototypes, guiding_saliency_scores, \
+from nsnet.supervision import PrototypeBank, build_prototypes, guiding_saliency_scores, \
     ns_pseudo_label_matrix
 from nsnet.training import (
     TrainConfig,
@@ -300,21 +300,73 @@ class TestPseudoLabelCache:
             np.testing.assert_allclose(cached, fresh, atol=1e-12)
 
     @pytest.mark.parametrize("ns_labels", [True, False])
-    def test_targets_built_once_per_video(self, tmp_path, monkeypatch, ns_labels):
-        """A video's frame targets depend only on its frozen g (all ones
-        for the hard-label baseline): one build per video per run, however
-        many epochs gather from them."""
+    def test_guiding_scores_once_per_video(self, tmp_path, monkeypatch, ns_labels):
+        """A video's g depends only on the frozen prototypes and its
+        original frames (all ones for the hard-label baseline): computed
+        once per video per run, however many epochs gather from it."""
         block, _ = tiny_dataset(tmp_path)
-        built = []
+        computed, honest = [], training.guiding_saliency_scores
 
-        def counted(g, label, num_classes):
-            built.append(np.shape(g))
-            return ns_pseudo_label_matrix(g, label, num_classes)
+        def counted(guiding, label, bank):
+            computed.append(len(guiding))
+            return honest(guiding, label, bank)
 
-        monkeypatch.setattr(training, "ns_pseudo_label_matrix", counted)
+        monkeypatch.setattr(training, "guiding_saliency_scores", counted)
         bank = build_prototypes([block], 3) if ns_labels else None
-        train([block], bank, tiny_model_cfg(), tiny_train_cfg(ns_labels=ns_labels), out_dir=str(tmp_path / "run"))
-        assert built == [(n,) for n in block.lengths]
+        cfg = tiny_train_cfg(ns_labels=ns_labels, epochs=3)
+        train([block], bank, tiny_model_cfg(), cfg, out_dir=str(tmp_path / "run"))
+        assert computed == (block.lengths if ns_labels else [])
+
+    @pytest.mark.parametrize("ns_labels", [True, False])
+    def test_batch_targets_are_each_videos_own_rows(self, tmp_path, monkeypatch, ns_labels):
+        """Each batch's (B*T, C+1) frame targets are, bit for bit, the rows
+        its gathered frames have in their own video's pseudo-label matrix:
+        mixed labels in one batch, videos tiled (N < T) and shifted (N > T)."""
+        rng = np.random.default_rng(4)
+        lengths, labels = [2, 9, 4, 3, 7, 12], [0, 2, 1, 2, 0, 1]
+        # light column 0 names each row's video and frame: 100 * video + frame
+        light = rng.standard_normal((sum(lengths), 8)).astype(np.float32)
+        light[:, 0] = np.concatenate([100 * v + np.arange(n) for v, n in enumerate(lengths)])
+        guiding = rng.standard_normal((sum(lengths), 5)).astype(np.float32)
+        block = FeatureBlock([f"v{v}" for v in range(len(lengths))], labels, lengths,
+                             {"light": light, "guiding": guiding})
+        bank = PrototypeBank(rng.standard_normal((3, 5))) if ns_labels else None
+        own = [ns_pseudo_label_matrix(
+            guiding_saliency_scores(g, label, bank) if ns_labels else np.ones(len(g)), label, 3)
+            for g, label in zip(block.per_video("guiding"), labels)]
+        batches, honest = [], training.batch_loss
+
+        def recorded(model, features, frame_targets, batch_labels, **kwargs):
+            batches.append((features[..., 0].astype(int), frame_targets, list(batch_labels)))
+            return honest(model, features, frame_targets, batch_labels, **kwargs)
+
+        monkeypatch.setattr(training, "batch_loss", recorded)
+        cfg = tiny_train_cfg(ns_labels=ns_labels, epochs=3, base_lr=0.0, frames=6,
+                             batch_size=len(lengths), lr_decay_epochs=())
+        train([block], bank, tiny_model_cfg(frames=6), cfg, out_dir=str(tmp_path / "run"))
+        picks = []
+        for names, targets, batch_labels in batches:
+            videos, at = names // 100, names % 100
+            assert batch_labels == [labels[v] for v in videos[:, 0]]
+            assert len(set(batch_labels)) == 3
+            expected = np.concatenate([own[v][f] for v, f in zip(videos[:, 0], at)])
+            assert targets.tobytes() == expected.tobytes()
+            picks.append({int(v): tuple(f.tolist()) for v, f in zip(videos[:, 0], at)})
+        assert all(sorted(set(batch[0])) == [0, 1] for batch in picks)   # N=2 < T=6, tiled
+        assert len({batch[5] for batch in picks}) > 1   # N=12 > T=6, shifted
+
+    def test_split_size_does_not_grow_with_classes(self):
+        """The split keeps one g per frame, not a (C+1)-wide target row."""
+        rng = np.random.default_rng(6)
+        lengths = [5, 3, 8]
+        block = FeatureBlock(["a", "b", "c"], [0, 1, 0], lengths, {
+            "light": rng.standard_normal((16, 4)).astype(np.float32),
+            "guiding": rng.standard_normal((16, 2)).astype(np.float32)})
+        for ns_labels in (True, False):
+            sizes = [sum(a.nbytes for a in training._frame_rows(
+                [block], PrototypeBank(rng.standard_normal((c, 2))), ns_labels).arrays.values())
+                for c in (2, 40)]
+            assert sizes[0] == sizes[1] == 16 * (4 * 4 + 8)
 
 
 class BlockTracker:
