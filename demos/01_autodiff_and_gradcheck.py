@@ -40,6 +40,5 @@ features, targets = [], []
 for label in labels:
     features.append(rng.standard_normal((4, 8)))
     targets.append(ns_pseudo_label_matrix(rng.random(4), label, 3))
-report = gradient_check(model, np.stack(features), np.concatenate(targets), labels,
-                        step=1e-5, tolerance=1e-4)
+report = gradient_check(model, np.stack(features), np.concatenate(targets), labels, tolerance=1e-4)
 print(report)

@@ -234,12 +234,12 @@ def dropout(a: Tensor, rate: float, noise: np.ndarray | None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def softmax_values(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax on a plain array (max-subtracted)."""
+def softmax_values(x: np.ndarray) -> np.ndarray:
+    """Stable softmax over the last axis of a plain array (max-subtracted)."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=axis, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax_values(x: np.ndarray) -> np.ndarray:
@@ -428,7 +428,7 @@ def encoder_block(h: Tensor, params: Sequence[Tensor], batch: int, heads: int) -
 
 def _check_distribution(target: np.ndarray, what: str) -> np.ndarray:
     target = np.asarray(target, dtype=np.float64)
-    if target.min() < -1e-12:
+    if not target.min() >= -1e-12:
         raise ValueError(f"{what}: negative entry {target.min()}")
     sums = target.sum(axis=-1)
     if np.max(np.abs(sums - 1.0)) > 1e-9:
@@ -501,7 +501,7 @@ class SgdState:
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
@@ -559,9 +559,11 @@ class GradientCheckReport:
         return "\n".join(lines)
 
 
+FINITE_DIFFERENCE_STEP = 1e-5
+
+
 def finite_difference_check(parameters: Sequence[Parameter],
                             loss_fn: Callable[[], Tensor],
-                            step: float = 1e-5,
                             tolerance: float = 1e-4) -> GradientCheckReport:
     """Compare backward gradients against central finite differences.
 
@@ -571,11 +573,12 @@ def finite_difference_check(parameters: Sequence[Parameter],
     |numeric|, floor), the floor 1e-6; the report passes iff the max over
     all entries of all parameters is below ``tolerance``.
 
-    The difference quotient carries roundoff of order eps * |loss| / step,
-    so entries below that resolution (the zero-gradient directions a loss
-    does not see) would divide oracle noise by ~0. The floor is therefore
-    raised to resolution / tolerance when needed: such entries are compared
-    on the absolute scale the oracle can actually certify, never relatively.
+    The difference quotient over ``FINITE_DIFFERENCE_STEP`` carries roundoff
+    of order eps * |loss| / step, so entries below that resolution (the
+    zero-gradient directions a loss does not see) would divide oracle noise
+    by ~0. The floor is therefore raised to resolution / tolerance when
+    needed: such entries are compared on the absolute scale the oracle can
+    actually certify, never relatively.
     """
     parameters = list(parameters)
     probe_a = float(loss_fn().value)
@@ -584,7 +587,7 @@ def finite_difference_check(parameters: Sequence[Parameter],
         raise ValueError(
             f"loss_fn is not deterministic ({probe_a!r} vs {probe_b!r}); "
             "disable dropout before gradient checking")
-    resolution = 8.0 * np.finfo(np.float64).eps * max(1.0, abs(probe_a)) / step
+    resolution = 8.0 * np.finfo(float).eps * max(1.0, abs(probe_a)) / FINITE_DIFFERENCE_STEP
     floor = max(1e-6, resolution / tolerance)
 
     loss = loss_fn()
@@ -598,12 +601,12 @@ def finite_difference_check(parameters: Sequence[Parameter],
         num = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FINITE_DIFFERENCE_STEP
             up = float(loss_fn().value)
-            flat[i] = orig - step
+            flat[i] = orig - FINITE_DIFFERENCE_STEP
             down = float(loss_fn().value)
             flat[i] = orig
-            num[i] = (up - down) / (2.0 * step)
+            num[i] = (up - down) / (2.0 * FINITE_DIFFERENCE_STEP)
         ana = analytic[p.name].reshape(-1)
         denom = np.maximum(np.maximum(np.abs(ana), np.abs(num)), floor)
         rel = np.abs(ana - num) / denom

@@ -522,7 +522,7 @@ def generate_synthetic_dataset(out_dir: str,
         raise ValueError(f"salient_fraction must be in (0, 1], got {salient_fraction}")
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
-    if noise_sigma < 0:
+    if not noise_sigma >= 0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     if min(videos_per_class, num_frames, light_dim, guiding_dim) < 1:
         raise ValueError("videos_per_class, num_frames and dims must be >= 1")

@@ -10,7 +10,8 @@ budget arithmetic is reproducible without any real backbone.
 mAP is single-label: per category, videos are ranked by that category's
 score and AP averages the precision at each positive's rank; categories
 without positives are excluded from the mean and reported as NaN in
-``per_class``.
+``per_class``. mAP and top-1 take (..., V, C) scores and score each
+(V, C) stack on its own, so one call covers every row of a sweep.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .autodiff import softmax_values
 from .data import FeatureBlock, PresampleConfig, VideoRecord, finite_float, \
     presample_indices, read_key_values
-from .fusion import FusionConfig, recognize, select_frames
+from .fusion import FusionConfig, rank_descending, recognize, select_frames
 from .model import SamplerModel
 
 BASELINE_METHODS = ("uniform", "random", "dense", "topk_confidence")
@@ -70,35 +71,30 @@ def load_cost_table(path: str | None) -> dict[str, float]:
 
 @dataclass
 class MapResult:
-    per_class: np.ndarray       # AP per category, nan where no positives
-    mean: float
+    per_class: np.ndarray       # (..., C) AP per category, nan where no positives
+    mean: float | np.ndarray    # (...); a float for one (V, C) stack
 
 
 def mean_average_precision(scores: np.ndarray, labels: np.ndarray) -> MapResult:
-    """Single-label mAP over (V, C) scores; ties keep video order."""
+    """Single-label mAP of (..., V, C) scores against the (V,) labels, each
+    (V, C) stack ranked and rounded on its own; ties keep video order."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if scores.ndim != 2 or scores.shape[0] != labels.shape[0]:
+    if scores.ndim < 2 or labels.shape != scores.shape[-2:-1]:
         raise ValueError(f"scores {scores.shape} vs labels {labels.shape}")
-    per_class, means = _average_precisions(scores[None], labels)
-    return MapResult(per_class[0], float(means[0]))
-
-
-def _average_precisions(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (R, C) per-class APs and the (R,) mAPs of R stacked (V, C) score
-    rows against one set of labels, each row rounded as if alone."""
-    r, v, c = scores.shape
+    *stacks, v, c = scores.shape
+    rows = scores.reshape(-1, v, c)
     # (R, C, V): row c marks class c's positives in its descending score order
-    hits = (labels[np.argsort(-scores, axis=1, kind="stable")] == np.arange(c)).transpose(0, 2, 1)
+    hits = (labels[np.argsort(-rows, axis=1, kind="stable")] == np.arange(c)).transpose(0, 2, 1)
     # the precision at each positive's rank, class by class, in rank order;
-    # every score row has the same positives, so the same layout
-    precision = (np.cumsum(hits, axis=2) / np.arange(1, v + 1))[hits].reshape(r, -1)
+    # every stack has the same positives, so the same layout
+    precision = (np.cumsum(hits, axis=2) / np.arange(1, v + 1))[hits].reshape(len(rows), -1)
     counts = hits[0].sum(axis=1)
     valid = counts > 0
     if not valid.any():
         raise ValueError("no class has a positive video; mAP undefined")
     starts = np.cumsum(counts) - counts
-    per_class = np.full((r, c), np.nan)
+    per_class = np.full((len(rows), c), np.nan)
     # each class's precisions are averaged as one contiguous run, as a
     # per-class mean would, so the summation order is the same
     for n in set(counts[valid].tolist()):
@@ -107,16 +103,20 @@ def _average_precisions(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
         # contiguously, so numpy sums it pairwise as it does a lone row
         per_class[:, classes] = np.take(precision, starts[classes, None] + np.arange(n),
                                         axis=1).mean(axis=2)
-    return per_class, np.compress(valid, per_class, axis=1).mean(axis=1)
+    per_class = per_class.reshape(*stacks, c)
+    means = np.compress(valid, per_class, axis=-1).mean(axis=-1)
+    return MapResult(per_class, means if stacks else float(means))
 
 
-def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of videos whose argmax score equals the label."""
+def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
+    """Fraction of videos whose argmax score equals the label, for each
+    (V, C) stack of (..., V, C) scores: (...), a float for one stack."""
     predictions = np.asarray(predictions, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if predictions.shape[0] != labels.shape[0]:
+    if predictions.ndim < 2 or labels.shape != predictions.shape[-2:-1]:
         raise ValueError(f"predictions {predictions.shape} vs labels {labels.shape}")
-    return float((predictions.argmax(axis=1) == labels).mean())
+    top1 = (predictions.argmax(axis=-1) == labels).mean(axis=-1)
+    return top1 if predictions.ndim > 2 else float(top1)
 
 
 @dataclass
@@ -142,7 +142,7 @@ class ScoredVideos:
         probs = softmax_values(block.arrays["logits"][rows])
         return cls(light=block.arrays["light"][rows],
                    probs=probs, planted=block.arrays["mask"][rows] > 0.5,
-                   ranking=np.argsort(-probs.max(axis=2), axis=1, kind="stable"),
+                   ranking=rank_descending(probs.max(axis=2)),
                    labels=np.array(block.labels), video_ids=block.video_ids)
 
     def score(self, selected: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -247,8 +247,8 @@ def run_comparison(videos: ScoredVideos, model: SamplerModel,
     scores = np.concatenate([s for s, _ in scored])
     recalls = None if scored[0][1] is None else np.concatenate([r for _, r in scored])
     # one top-1 and one mAP pass over every distinct (method, K) row
-    top1 = (scores.argmax(axis=2) == videos.labels).mean(axis=1)
-    maps = _average_precisions(scores, videos.labels)[1]
+    top1 = top1_accuracy(scores, videos.labels)
+    maps = mean_average_precision(scores, videos.labels).mean
 
     rows = []
     for i, k in enumerate(k_list):

@@ -251,9 +251,9 @@ def total_loss(output: ForwardOutput, frame_targets: np.ndarray,
 def fsm_saliency(fsm_logits: np.ndarray) -> np.ndarray:
     """(..., T, C+1) frame logits to (..., T) scores: max softmax confidence
     over the real categories, then a softmax along the time axis."""
-    probs = softmax_values(fsm_logits, axis=-1)
+    probs = softmax_values(fsm_logits)
     confidence = probs[..., :-1].max(axis=-1)
-    return softmax_values(confidence, axis=-1)
+    return softmax_values(confidence)
 
 
 def vgm_saliency(attn: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 from .autodiff import softmax_values
 from .data import FeatureBlock, atomic_write_text, finite_float, read_feature_file, \
     read_key_values, write_feature_file
+from .fusion import rank_descending
 
 DEFAULT_EPSILON_PERCENT = 30.0
 
@@ -52,12 +53,11 @@ def _top_confident_frames(logits: np.ndarray, label: int, epsilon_percent: float
     max(1, ceil(eps% * pool size)) by confidence are kept. A video with no
     correctly predicted frame falls back to ranking all frames.
     """
-    conf = softmax_values(logits, axis=1)[:, label]
+    conf = softmax_values(logits)[:, label]
     correct = np.flatnonzero(logits.argmax(axis=1) == label)
     pool = correct if correct.size > 0 else np.arange(len(conf))
     keep = max(1, math.ceil(epsilon_percent / 100.0 * pool.size))
-    order = pool[np.argsort(-conf[pool], kind="stable")]
-    return order[:keep]
+    return pool[rank_descending(conf[pool])][:keep]
 
 
 def build_prototypes(blocks: Iterable[FeatureBlock], num_classes: int,
@@ -93,33 +93,25 @@ def build_prototypes(blocks: Iterable[FeatureBlock], num_classes: int,
     return PrototypeBank(prototypes, epsilon_percent)
 
 
-def scores_from_distances(distances: np.ndarray, label: int) -> np.ndarray:
-    """softmax over categories of the negated distances, taken at ``label``.
-
-    Negation makes nearer prototypes score higher; monotonicity in the
-    true-category distance holds row by row.
-    """
-    distances = np.asarray(distances, dtype=np.float64)
-    if not 0 <= label < distances.shape[1]:
-        raise ValueError(f"label {label} out of range for {distances.shape[1]} categories")
-    return softmax_values(-distances, axis=1)[:, label]
-
-
 def guiding_saliency_scores(guiding: np.ndarray, label: int, bank: PrototypeBank) -> np.ndarray:
     """Per-frame guiding saliency g in [0, 1] of a video's (N, D_g) guiding
-    features from prototype distances."""
+    features: the softmax over categories of the negated distances to the
+    prototypes, taken at ``label``. Negation makes nearer prototypes score
+    higher; g is monotone in the distance to the true category's prototype."""
     if guiding.shape[1] != bank.prototypes.shape[1]:
         raise ValueError(f"guiding width {guiding.shape[1]} does not match "
                          f"prototype width {bank.prototypes.shape[1]}")
+    if not 0 <= label < bank.num_classes:
+        raise ValueError(f"label {label} out of range for {bank.num_classes} categories")
     distances = np.linalg.norm(guiding[:, None, :] - bank.prototypes[None, :, :], axis=2)
-    return scores_from_distances(distances, label)
+    return softmax_values(-distances)[:, label]
 
 
 def ns_pseudo_label_matrix(g: np.ndarray, label: int | np.ndarray, num_classes: int) -> np.ndarray:
     """(T, C+1) targets: g at the category ``label`` (one for every row, or one per
     row), 1 - g at the non-salient slot; g = 1 gives the hard-label baseline's rows."""
     g = np.asarray(g, dtype=np.float64).reshape(-1)
-    if g.min() < -1e-9 or g.max() > 1.0 + 1e-9:
+    if not (g.min() >= -1e-9 and g.max() <= 1.0 + 1e-9):
         raise ValueError(f"guiding scores outside [0, 1]: min {g.min()}, max {g.max()}")
     if (bad := np.extract((label < 0) | (label >= num_classes), label)).size:
         raise ValueError(f"label {bad[0]} out of range for C={num_classes}")

@@ -60,7 +60,7 @@ class TrainConfig:
         if any(not 0 <= e < self.epochs for e in decays):
             raise ValueError(
                 f"lr_decay_epochs {decays} must lie in [0, {self.epochs})")
-        if self.decay_factor < 0:
+        if not self.decay_factor >= 0:
             raise ValueError(f"decay_factor must be >= 0, got {self.decay_factor}")
         self.lr_decay_epochs = decays
         # the rules of the optimizer, observation and validation train() builds

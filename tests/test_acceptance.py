@@ -54,7 +54,7 @@ def test_criterion_2_gradient_fidelity(capsys):
         features.append(rng.standard_normal((8, 16)))
         targets.append(ns_pseudo_label_matrix(g, label, 4))
     result = gradient_check(model, np.stack(features), np.concatenate(targets), list(labels),
-                            step=1e-5, tolerance=1e-4)
+                            tolerance=1e-4)
     elapsed = time.perf_counter() - started
     with capsys.disabled():
         report(2, "gradient fidelity", result.passed and elapsed < 120.0,

@@ -80,7 +80,7 @@ class TestLinear:
         def loss_fn():
             return soft_cross_entropy_rows(linear(x, w, b), targets)
 
-        report = finite_difference_check([x, w, b], loss_fn, step=1e-5, tolerance=1e-6)
+        report = finite_difference_check([x, w, b], loss_fn, tolerance=1e-6)
         assert report.passed, str(report)
 
     def test_shape_error_names_all_three_shapes(self):
@@ -321,7 +321,7 @@ class TestFusedCrossEntropy:
         targets = rng.dirichlet(np.ones(4), size=5)
         report = finite_difference_check(
             [logits], lambda: ad.mul_const(soft_cross_entropy_rows(logits, targets), 0.7),
-            step=1e-5, tolerance=1e-6)
+            tolerance=1e-6)
         assert report.passed, str(report)
 
     def test_builds_one_node(self, monkeypatch):
@@ -422,7 +422,7 @@ class TestFiniteDifferenceCheck:
             logits = linear(constant(x), w, b)
             return soft_cross_entropy_rows(logits, target)
 
-        report = finite_difference_check([w, b], loss_fn, step=1e-5, tolerance=1e-6)
+        report = finite_difference_check([w, b], loss_fn, tolerance=1e-6)
         assert report.passed, str(report)
 
     def test_zero_parameter_model(self):

@@ -9,6 +9,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from nsnet import evaluation
 from nsnet.autodiff import softmax_values
 from nsnet.data import FeatureBlock, PresampleConfig, VideoRecord, presample
 from nsnet.evaluation import (
@@ -183,6 +184,53 @@ class TestTop1:
         assert top1_accuracy(scores, labels) == 0.5
 
 
+def stacked_draws(seed, draws=120):
+    """(R, V, C) score stacks and their (V,) labels: integer scores (ties in
+    every class) every other draw, classes without a positive every third."""
+    rng = np.random.default_rng(seed)
+    for draw in range(draws):
+        r, v, c = int(rng.integers(1, 7)), int(rng.integers(1, 60)), int(rng.integers(1, 9))
+        labels = rng.integers(0, max(1, c // 2) if draw % 3 == 0 else c, size=v)
+        yield (rng.integers(0, 3, size=(r, v, c)).astype(float) if draw % 2
+               else rng.random((r, v, c))), labels
+
+
+class TestStackedScores:
+    def test_stacked_map_equals_one_call_per_stack(self):
+        for scores, labels in stacked_draws(5):
+            result = mean_average_precision(scores, labels)
+            alone = [mean_average_precision(stack, labels) for stack in scores]
+            assert result.per_class.tobytes() == np.stack([a.per_class for a in alone]).tobytes()
+            assert result.mean.tobytes() == np.array([a.mean for a in alone]).tobytes()
+
+    def test_stacked_top1_equals_one_call_per_stack(self):
+        for scores, labels in stacked_draws(6):
+            alone = [top1_accuracy(stack, labels) for stack in scores]
+            assert top1_accuracy(scores, labels).tobytes() == np.array(alone).tobytes()
+
+    def test_leading_axes_keep_their_shape(self):
+        scores, labels = next(stacked_draws(7))
+        grid = np.stack([scores, scores[::-1]])    # (2, R, V, C)
+        result = mean_average_precision(grid, labels)
+        assert result.per_class.shape == grid.shape[:2] + grid.shape[3:]
+        assert result.mean.tobytes() == np.stack(
+            [mean_average_precision(half, labels).mean for half in grid]).tobytes()
+        assert top1_accuracy(grid, labels).tobytes() == np.stack(
+            [top1_accuracy(half, labels) for half in grid]).tobytes()
+
+    def test_one_stack_gives_floats(self):
+        scores, labels = next(stacked_draws(8))
+        assert type(mean_average_precision(scores[0], labels).mean) is float
+        assert type(top1_accuracy(scores[0], labels)) is float
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 3), (2, 4, 3)],
+                             ids=["no-class-axis", "four-videos", "stacked-four-videos"])
+    def test_video_axis_must_match_the_labels(self, shape):
+        for metric in (mean_average_precision, top1_accuracy):
+            with pytest.raises(ValueError, match=re.escape(f"{shape} vs labels (5,)")):
+                metric(np.zeros(shape), np.zeros(5, dtype=int))
+
+
 def _record(n=10, c=3, seed=0, mask=None):
     rng = np.random.default_rng(seed)
     return VideoRecord("v", 0, rng.standard_normal((n, 2)),
@@ -289,7 +337,7 @@ def reference_baseline(record, method, k, seed):
         return [int(math.floor((i + 0.5) * t / k)) for i in range(k)]
     if method == "random":
         return reference_random(record.video_id, t, k, seed)
-    confidence = softmax_values(record.recognizer_logits, axis=1).max(axis=1)
+    confidence = softmax_values(record.recognizer_logits).max(axis=1)
     return np.argsort(-confidence, kind="stable")[:k].tolist()
 
 
@@ -308,7 +356,7 @@ def reference_scores(observed, selections):
     recalls = []
     for i, (record, selected) in enumerate(zip(observed, selections)):
         indices = np.asarray(selected, dtype=np.int64)
-        scores[i] = softmax_values(record.recognizer_logits[indices], axis=1).mean(axis=0)
+        scores[i] = softmax_values(record.recognizer_logits[indices]).mean(axis=0)
         recall = reference_recall(selected, record.saliency_mask)
         if recall is not None:
             recalls.append(recall)
@@ -420,6 +468,21 @@ def test_run_comparison_on_uneven_classes(t, mode):
     assert [astuple(row)[:5] for row in rows] == expected
     per_class = mean_average_precision(scores, labels).per_class
     assert np.isnan(per_class[4]) and not np.isnan(per_class[:4]).any()
+
+
+def test_run_comparison_scores_through_one_call_per_metric(monkeypatch):
+    t = 16
+    videos, model = ScoredVideos.gather(FeatureBlock.of(mixed_records(t)), t), model_for(t)
+    expected = run_comparison(videos, model, FusionConfig(), [1, 4, t], DEFAULT_COST_TABLE, 3)
+    calls = {"mean_average_precision": 0, "top1_accuracy": 0}
+    for name in calls:
+        def counted(*args, _metric=getattr(evaluation, name), _name=name):
+            calls[_name] += 1
+            return _metric(*args)
+        monkeypatch.setattr(evaluation, name, counted)
+    rows = run_comparison(videos, model, FusionConfig(), [1, 4, t], DEFAULT_COST_TABLE, 3)
+    assert calls == {"mean_average_precision": 1, "top1_accuracy": 1}
+    assert rows == expected
 
 
 def test_baseline_rows_do_not_depend_on_the_fusion_mode():

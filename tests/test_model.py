@@ -300,8 +300,7 @@ class TestTotalLoss:
             out = model.forward(features)
             return total_loss(out, targets, [1], model.config).total
 
-        report = finite_difference_check(model.params.values(), loss_fn,
-                                         step=1e-5, tolerance=1e-5)
+        report = finite_difference_check(model.params.values(), loss_fn, tolerance=1e-5)
         assert report.passed, str(report)
 
 

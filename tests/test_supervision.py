@@ -14,7 +14,6 @@ from nsnet.supervision import (
     load_prototypes,
     ns_pseudo_label_matrix,
     save_prototypes,
-    scores_from_distances,
 )
 
 
@@ -50,6 +49,13 @@ def blocks(records, size=2):
 def scores(record, bank):
     """The record's guiding saliency scores."""
     return guiding_saliency_scores(record.guiding_features, record.label, bank)
+
+
+def scores_at_distances(distances, label):
+    """g of one frame at the origin with prototype i at d_i * e_i, so the
+    frame lies d_i from prototype i."""
+    bank = PrototypeBank(np.diag(distances))
+    return guiding_saliency_scores(np.zeros((1, len(distances))), label, bank)
 
 
 class TestBuildPrototypes:
@@ -118,10 +124,10 @@ class TestGuidingScores:
         np.testing.assert_allclose(scores(record, bank), [0.5], atol=1e-12)
 
     def test_reference_values_from_distances(self):
-        g = scores_from_distances(np.array([[0.0, 10.0, 10.0]]), 0)
+        g = scores_at_distances([0.0, 10.0, 10.0], 0)
         np.testing.assert_allclose(g, [1.0 / (1.0 + 2 * math.exp(-10))], atol=1e-12)
         assert abs(g[0] - 0.999909) < 1e-6
-        g = scores_from_distances(np.array([[10.0, 0.0]]), 0)
+        g = scores_at_distances([10.0, 0.0], 0)
         np.testing.assert_allclose(g, [math.exp(-10) / (math.exp(-10) + 1)], atol=1e-15)
         assert abs(g[0] - 4.54e-5) < 1e-7
 
@@ -147,11 +153,11 @@ class TestGuidingScores:
         for _ in range(200):
             c = int(rng.integers(2, 6))
             label = int(rng.integers(c))
-            dists = rng.uniform(0, 5, size=(1, c))
-            g = scores_from_distances(dists, label)[0]
+            dists = rng.uniform(0, 5, size=c)
+            g = scores_at_distances(dists, label)[0]
             closer = dists.copy()
-            closer[0, label] -= rng.uniform(0, closer[0, label] + 1e-9)
-            assert scores_from_distances(closer, label)[0] >= g - 1e-12
+            closer[label] -= rng.uniform(0, closer[label] + 1e-9)
+            assert scores_at_distances(closer, label)[0] >= g - 1e-12
 
     def test_zero_noise_salient_frames_outrank_background(self, tmp_path):
         train, _ = generate_synthetic_dataset(

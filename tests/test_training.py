@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nsnet import training
+from nsnet import autodiff as ad, training
 from nsnet.cli import main
 from nsnet.data import KINDS, DatasetManifest, FeatureBlock, PresampleConfig, VideoRecord, \
     generate_synthetic_dataset, load_manifest, presample, presample_indices
@@ -81,6 +81,29 @@ class TestLrSchedule:
     def test_zero_decay_factor_is_valid(self):
         cfg = TrainConfig(epochs=4, lr_decay_epochs=(2,), decay_factor=0.0)
         assert [lr_at_epoch(cfg, e) for e in range(4)] == [0.01, 0.01, 0.0, 0.0]
+
+
+# each check a training run depends on, written so that NaN, which compares
+# false with everything, fails it too
+@pytest.mark.parametrize("check, message", [
+    (lambda out: ns_pseudo_label_matrix(np.array([np.nan, 0.5]), 0, 2),
+     "guiding scores outside [0, 1]: min nan, max nan"),
+    (lambda out: ad.soft_cross_entropy_rows(
+        ad.Tensor(np.zeros((2, 3))), np.array([[np.nan, 0.0, np.nan], [0.5, 0.0, 0.5]])),
+     "soft_cross_entropy_rows targets: negative entry nan"),
+    (lambda out: ad.SgdState(np.nan), "learning_rate must be >= 0, got nan"),
+    (lambda out: TrainConfig(base_lr=np.nan), "learning_rate must be >= 0, got nan"),
+    (lambda out: TrainConfig(decay_factor=np.nan), "decay_factor must be >= 0, got nan"),
+    (lambda out: generate_synthetic_dataset(out, 2, 1, 4, 2, 2, 0.5, np.nan, 0),
+     "noise_sigma must be >= 0, got nan"),
+], ids=["pseudo-labels", "soft-targets", "sgd-state", "base-lr", "decay-factor",
+        "noise-sigma"])
+def test_nan_fails_each_range_check(check, message, tmp_path):
+    out = tmp_path / "data"
+    with pytest.raises(ValueError) as excinfo:
+        check(str(out))
+    assert message in str(excinfo.value)
+    assert not out.exists()
 
 
 def tiny_dataset(tmp_path, seed=1, classes=3, train_videos=4, val_videos=2,
