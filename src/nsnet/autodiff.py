@@ -501,7 +501,7 @@ class SgdState:
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.learning_rate >= 0:
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")

@@ -192,10 +192,9 @@ def cmd_eval(args) -> int:
     costs = load_cost_table(args.cost_table)
     model, manifest = load_checkpoint(args.checkpoint), load_manifest(args.manifest)
     check_fit(args, model, manifest, k_list)
-    block = manifest.read(ScoredVideos.kinds)
+    videos = ScoredVideos.gather(manifest.read(ScoredVideos.kinds), model.config.max_frames)
     check_fit(args, model, manifest)
-    rows = run_comparison(ScoredVideos.gather(block, model.config.max_frames), model,
-                          fusion_cfg, k_list, costs=costs, seed=args.seed)
+    rows = run_comparison(videos, model, fusion_cfg, k_list, costs=costs, seed=args.seed)
     write_csv(args.out, ["method", "K", "top1", "mAP", "recall", "gflops"],
               map(astuple, rows))
     print(f"wrote {len(rows)} method/K rows to {args.out}")
@@ -222,9 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Saliency-supervised frame sampling over precomputed features.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    class DefaultsHelp(argparse.ArgumentDefaultsHelpFormatter):   # only where one exists
+        def _get_help_string(self, action):
+            return action.help if action.default is None else super()._get_help_string(action)
+
     def add_parser(name, help_text, *parents):
-        return sub.add_parser(name, help=help_text, parents=parents,
-                              formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        return sub.add_parser(name, help=help_text, parents=parents, formatter_class=DefaultsHelp)
 
     # the flags `eval` and `sample` share, and the cost table of `eval` and `flops`
     scored = argparse.ArgumentParser(add_help=False)

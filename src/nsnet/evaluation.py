@@ -206,8 +206,8 @@ def baseline_selection(videos: ScoredVideos, method: str, k: int, seed: int) -> 
 def baseline_sample(record: VideoRecord, method: str, k: int,
                     seed: int = 0) -> list[int]:
     """``baseline_selection`` for one video."""
-    return baseline_selection(ScoredVideos.gather(FeatureBlock.of([record]), record.num_frames),
-                              method, k, seed)[0].tolist()
+    videos = ScoredVideos.gather(FeatureBlock.of([record], ScoredVideos.kinds), record.num_frames)
+    return baseline_selection(videos, method, k, seed)[0].tolist()
 
 
 # ---------------------------------------------------------------------------

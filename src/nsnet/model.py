@@ -4,21 +4,20 @@ Every parameter is declared once, in ``parameter_table``: an ordered map
 of name to shape whose order is both the NSC1 order and the order of the
 initial draws (``initial_value``). ``SamplerModel.params`` maps each name
 to its ``Parameter``, and ``SamplerModel.forward`` builds the whole graph
-from the autodiff ops. Three parts share one encoding pass over a (T, D)
-video or a stacked (B, T, D) batch, carried as (B*T, D) rows, each encoder
-layer one graph node:
+from the autodiff ops over a (T, D) video or a stacked (B, T, D) batch,
+carried as (B*T, D) rows, each encoder layer one graph node. Inference
+(``saliency``) builds only the trunk, the first three parts:
 
 * feature embedding: learnable positional embedding plus a pre-norm
   transformer encoder over the per-frame lightweight features;
-* frame scrutinize head: a (C+1)-way linear classifier per frame, trained
+* frame scrutinize logits: a (C+1)-way linear classifier per frame, trained
   on non-saliency-suppression pseudo labels; its saliency score is the max
   softmax confidence over the C real categories, softmax-normalized along
   the time axis;
-* video glimpse head: sigmoid + L1-normalized temporal attention, whose
-  weights pool a salient video representation (attention) and a
-  complementary non-salient one ((1 - a_i)/T); both go through a shared
-  (C+1)-way classifier with dual targets (video category vs. the
-  non-salient category).
+* video glimpse attention: sigmoid + L1-normalized temporal weights a_i;
+* training heads: the attention pools a salient video representation and
+  (1 - a_i)/T a complementary non-salient one, both through a shared
+  (C+1)-way classifier with dual targets (video vs. non-salient category).
 
 Checkpoints use the NSC1 container: magic ``NSC1`` | u32 parameter count |
 per parameter u16 name length, name bytes, u32 rank, u32 dims..., IEEE-754
@@ -136,13 +135,13 @@ class SamplerModel:
         self.params = {name: Parameter(name, initial_value(name, shape, rng))
                        for name, shape in parameter_table(config).items()}
 
-    def forward(self, features: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None) -> ForwardOutput:
-        """One graph over (T, D) features or a stacked (B, T, D) batch.
+    def _trunk(self, features: np.ndarray, train: bool, rng: np.random.Generator | None
+               ) -> tuple[Tensor, Tensor, Tensor, dict[str, np.ndarray]]:
+        """The trunk: encoded rows, frame logits and attention, and the draws.
 
         Train mode draws uniforms for each active dropout site per video, in
         the order pos, fsm, attn, salient, nonsalient, so the random stream
-        does not depend on the batching."""
+        depends neither on the batching nor on whether the heads are built."""
         cfg, p = self.config, self.params
         x = np.asarray(features, dtype=np.float64)
         x = x[None] if x.ndim == 2 else x
@@ -174,11 +173,23 @@ class SamplerModel:
         for i in range(0, len(layers), 16):
             h = ad.encoder_block(h, layers[i:i + 16], b, cfg.heads)
 
-        # video glimpse: attention over each video's frames pools a salient
-        # representation and its complement with weights (1 - a_i)/T
+        # video glimpse attention over each video's frames
         raw = ad.linear(ad.dropout(h, cfg.dropout_attn, noise.get("attn")),
                         p["vgm.attn_w"], p["vgm.attn_b"])
         attn = ad.l1_normalize(ad.sigmoid(raw), b)
+        # frame scrutinize: a (C+1)-way classifier per frame
+        fsm_logits = ad.linear(ad.dropout(h, cfg.dropout_cls, noise.get("fsm")),
+                               p["fsm.w"], p["fsm.b"])
+        return h, fsm_logits, attn, noise
+
+    def forward(self, features: np.ndarray, train: bool = False,
+                rng: np.random.Generator | None = None) -> ForwardOutput:
+        """One graph over (T, D) features or a stacked (B, T, D) batch: the
+        trunk, then the training heads."""
+        cfg, p = self.config, self.params
+        h, fsm_logits, attn, noise = self._trunk(features, train, rng)
+        t = np.shape(features)[-2]
+        b = len(attn.value) // t
         salient = ad.attention_pool(h, attn, b)
         nonsalient = ad.attention_pool(h, (1.0 - attn) * (1.0 / t), b)
         cls_w, cls_b = p["vgm.cls_w"], p["vgm.cls_b"]
@@ -186,16 +197,13 @@ class SamplerModel:
                             cls_w, cls_b)
         nonsalient = ad.linear(ad.dropout(nonsalient, cfg.dropout_cls, noise.get("nonsalient")),
                                cls_w, cls_b)
-        # frame scrutinize: a (C+1)-way classifier per frame
-        fsm_logits = ad.linear(ad.dropout(h, cfg.dropout_cls, noise.get("fsm")),
-                               p["fsm.w"], p["fsm.b"])
         return ForwardOutput(encoded=h, fsm_logits=fsm_logits, attn=attn,
                              salient_logits=salient, nonsalient_logits=nonsalient)
 
     def saliency(self, light: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Inference scores (s_f, s_v), each (B, T), for B videos' (B, T, D)
-        features: eval-mode forwards under ``no_grad`` over slices of at
-        most BLOCK videos."""
+        features: one eval-mode trunk pass under ``no_grad`` per slice of at
+        most BLOCK videos, no training head built."""
         shape = np.shape(light)
         if len(shape) != 3:
             raise ValueError(f"expected videos of (T, D) features, got {shape}")
@@ -205,9 +213,9 @@ class SamplerModel:
         tracks = []
         with ad.no_grad():
             for i in range(0, len(light), BLOCK):
-                out = self.forward(light[i:i + BLOCK])
-                tracks.append((fsm_saliency(out.fsm_logits.value.reshape(-1, t, c1)),
-                               vgm_saliency(out.attn.value.reshape(-1, t, 1))))
+                _, fsm_logits, attn, _ = self._trunk(light[i:i + BLOCK], False, None)
+                tracks.append((fsm_saliency(fsm_logits.value.reshape(-1, t, c1)),
+                               attn.value.reshape(-1, t)))
         return tuple(map(np.concatenate, zip(*tracks)))
 
 
@@ -258,8 +266,8 @@ def fsm_saliency(fsm_logits: np.ndarray) -> np.ndarray:
 
 def vgm_saliency(attn: np.ndarray) -> np.ndarray:
     """(..., T, 1) attention columns to (..., T) scores: the attention
-    weights are the scores; kept as a named step so both granularities feed
-    fusion the same way."""
+    weights are the scores, which ``SamplerModel.saliency`` reads directly;
+    kept as a named step for one-video callers."""
     attn = np.asarray(attn, dtype=np.float64)
     if attn.ndim < 2 or attn.shape[-1] != 1:
         raise ValueError(f"expected (..., T, 1) attention, got shape {attn.shape}")

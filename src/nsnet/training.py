@@ -60,7 +60,7 @@ class TrainConfig:
         if any(not 0 <= e < self.epochs for e in decays):
             raise ValueError(
                 f"lr_decay_epochs {decays} must lie in [0, {self.epochs})")
-        if not self.decay_factor >= 0:
+        if not (np.isfinite(self.decay_factor) and self.decay_factor >= 0):
             raise ValueError(f"decay_factor must be >= 0, got {self.decay_factor}")
         self.lr_decay_epochs = decays
         # the rules of the optimizer, observation and validation train() builds
@@ -148,7 +148,7 @@ def evaluate_epoch(model: SamplerModel, records: Iterable[VideoRecord], k: int,
                    fusion_cfg: FusionConfig, frames: int) -> tuple[float, float | None]:
     """Top-1 through the full selection path at ``k`` frames of ``frames``,
     plus mean recall of planted salient frames when masks exist."""
-    videos = ScoredVideos.gather(FeatureBlock.of(records), frames)
+    videos = ScoredVideos.gather(FeatureBlock.of(records, ScoredVideos.kinds), frames)
     return _score_selection(videos, model.saliency(videos.light), replace(fusion_cfg, k=k))
 
 

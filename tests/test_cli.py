@@ -1025,6 +1025,18 @@ class TestHelp:
         assert excinfo.value.code == 0
         assert "--" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["sample", "eval"])
+    def test_defaults_shown_only_where_they_exist(self, command, capsys):
+        """A required flag shows no default, and the cost table's default
+        is its own words, once; the others show theirs."""
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default: None)" not in text
+        assert text.count("(default: built-in table)") == (command == "eval")
+        assert f"(default: {FusionConfig.mode})" in text
+        assert f"(default: {FusionConfig.ratio})" in text
+
 
 def test_run_config_parsing(tiny_tree, tmp_path, capsys, monkeypatch):
     data, protos = tiny_tree

@@ -407,10 +407,13 @@ class TestBlocks:
         return load_manifest(str(tmp_path / "m.nsm"))
 
     def test_of_records_equals_read(self, manifest):
-        block, read = FeatureBlock.of(manifest.load_all()), manifest.read(KINDS)
+        block, read = FeatureBlock.of(manifest.load_all(), KINDS), manifest.read(KINDS)
         assert (block.video_ids, block.labels, block.lengths) == \
             (read.video_ids, read.labels, read.lengths)
         assert list(block.arrays) == list(read.arrays) == list(KINDS)
+        # and only the kinds asked for, as evaluate_epoch's gather asks
+        assert list(FeatureBlock.of(manifest.load_all(), ScoredVideos.kinds).arrays) == \
+            list(ScoredVideos.kinds)
         for kind, arr in read.arrays.items():
             # a record holds its files as read, all but the mask it casts
             assert arr.dtype == np.float32
@@ -422,15 +425,17 @@ class TestBlocks:
     def test_record_without_mask_gets_zero_rows(self):
         records = [VideoRecord(f"v{i}", i, np.ones((n, 2)), np.ones((n, 2)), np.ones((n, 3)), mask)
                    for i, (n, mask) in enumerate([(2, [1, 1]), (3, None), (1, [1])])]
-        block = FeatureBlock.of(records)
+        block = FeatureBlock.of(records, KINDS)
         assert block.lengths == [2, 3, 1]
         np.testing.assert_array_equal(block.arrays["mask"], [1, 1, 0, 0, 0, 1])
 
     def test_blocks_concatenate_to_read(self, manifest):
         kinds = ("light", "mask")
         blocks, read = list(manifest.blocks(kinds)), manifest.read(kinds)
-        assert BLOCK == 8 and [len(b.video_ids) for b in blocks] == [8, 8, 3]
-        assert len(blocks) == math.ceil(len(manifest.entries) / BLOCK)
+        videos = len(manifest.entries)
+        assert [len(b.video_ids) for b in blocks] == \
+            [min(BLOCK, videos - first) for first in range(0, videos, BLOCK)]
+        assert len(blocks) == math.ceil(videos / BLOCK) > 1   # some video starts a new block
         assert sum((b.video_ids for b in blocks), []) == read.video_ids \
             == [e.video_id for e in manifest.entries]
         assert sum((b.labels for b in blocks), []) == read.labels

@@ -3,8 +3,8 @@
 ``per_video_saliency`` is that path, kept as the reference: one
 graph-building eval forward per video, then ``fsm_saliency`` and
 ``vgm_saliency`` on its outputs. Every inference consumer must run one
-forward per block of ``BLOCK`` videos, not one per video (or per video
-and K).
+pass of the trunk (``SamplerModel._trunk``) per block of ``BLOCK`` videos,
+not one per video (or per video and K), and no training head.
 
 The blocked pass does the same arithmetic per row as the reference, yet a
 video's rows sit at offset b*T in the block, and OpenBLAS's matrix-vector
@@ -23,6 +23,7 @@ import pytest
 from test_fusion import oracle_select
 
 import nsnet
+import nsnet.autodiff
 import nsnet.data
 from nsnet.cli import main
 from nsnet.data import BLOCK, FeatureBlock, PresampleConfig, VideoRecord, \
@@ -58,21 +59,21 @@ def make_records(count, seed=1):
 
 
 @pytest.fixture
-def count_forwards(monkeypatch):
-    """Counts SamplerModel.forward calls from here on."""
+def count_trunk_passes(monkeypatch):
+    """Counts trunk passes, SamplerModel._trunk calls, from here on."""
     calls = []
-    original = SamplerModel.forward
+    original = SamplerModel._trunk
 
     def counted(self, *args, **kwargs):
         calls.append(1)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(SamplerModel, "forward", counted)
+    monkeypatch.setattr(SamplerModel, "_trunk", counted)
     return calls
 
 
 @pytest.mark.parametrize("frames, rtol", [(T, 0.0), (6, 1e-14)])
-@pytest.mark.parametrize("videos", [1, 8, 9, 17])
+@pytest.mark.parametrize("videos", [1, 8, 9, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
 def test_saliency_equals_per_video_forwards(videos, frames, rtol):
     model = make_model()
     features = np.random.default_rng(videos).standard_normal((videos, frames, D))
@@ -92,22 +93,54 @@ def test_saliency_rejects_one_unstacked_video():
         make_model().saliency(np.zeros((T, D)))
 
 
+def test_saliency_pools_no_glimpse_logits(monkeypatch):
+    """Inference builds no training head: no attention pool, which only the
+    salient and non-salient glimpse logits use."""
+    pools = []
+    original = nsnet.autodiff.attention_pool
+
+    def counted(*args):
+        pools.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(nsnet.autodiff, "attention_pool", counted)
+    model, features = make_model(), np.random.default_rng(0).standard_normal((3, T, D))
+    model.saliency(features)
+    assert pools == []
+    model.forward(features)
+    assert len(pools) == 2
+
+
+def test_trunk_equals_forwards_trunk_in_train_mode():
+    """With one seed, the trunk alone draws what ``forward`` draws and
+    builds its first outputs bit for bit, dropout on every site."""
+    model, features = make_model(), np.random.default_rng(0).standard_normal((3, T, D))
+    rngs = np.random.default_rng(9), np.random.default_rng(9)
+    out, trunk = model.forward(features, True, rngs[0]), model._trunk(features, True, rngs[1])
+    for name, tensor in zip(("encoded", "fsm_logits", "attn"), trunk):
+        np.testing.assert_array_equal(getattr(out, name).value, tensor.value)
+    assert rngs[0].random() == rngs[1].random()
+    # the draws took effect: eval mode builds other logits
+    assert not np.array_equal(model._trunk(features, False, None)[1].value, trunk[1].value)
+
+
 VIDEOS = 2 * BLOCK + 1
 MAX_FORWARDS = math.ceil(VIDEOS / BLOCK)
 
 
-def test_run_comparison_forwards_once_per_block(count_forwards):
-    run_comparison(ScoredVideos.gather(FeatureBlock.of(make_records(VIDEOS)), T), make_model(),
-                   FusionConfig("index_union", 0.6, 2), [1, 2, 4, T], DEFAULT_COST_TABLE, 0)
-    assert 0 < len(count_forwards) <= MAX_FORWARDS
+def test_run_comparison_forwards_once_per_block(count_trunk_passes):
+    videos = ScoredVideos.gather(FeatureBlock.of(make_records(VIDEOS), ScoredVideos.kinds), T)
+    run_comparison(videos, make_model(), FusionConfig("index_union", 0.6, 2), [1, 2, 4, T],
+                   DEFAULT_COST_TABLE, 0)
+    assert 0 < len(count_trunk_passes) <= MAX_FORWARDS
 
 
-def test_evaluate_epoch_forwards_once_per_block(count_forwards):
+def test_evaluate_epoch_forwards_once_per_block(count_trunk_passes):
     evaluate_epoch(make_model(), make_records(VIDEOS), 2, FusionConfig(), T)
-    assert 0 < len(count_forwards) <= MAX_FORWARDS
+    assert 0 < len(count_trunk_passes) <= MAX_FORWARDS
 
 
-def test_sample_command_forwards_once_per_block(tmp_path, capsys, count_forwards):
+def test_sample_command_forwards_once_per_block(tmp_path, capsys, count_trunk_passes):
     manifest, _ = generate_synthetic_dataset(
         str(tmp_path), num_classes=C, videos_per_class=math.ceil(VIDEOS / C),
         num_frames=T, light_dim=D, guiding_dim=D, salient_fraction=0.5,
@@ -119,13 +152,13 @@ def test_sample_command_forwards_once_per_block(tmp_path, capsys, count_forwards
     assert main(["sample", "--checkpoint", checkpoint, "--manifest", manifest,
                  "--k", "2", "--out", str(out)]) == 0, capsys.readouterr().err
     assert len(out.read_text().splitlines()) == 1 + videos * T
-    assert 0 < len(count_forwards) <= math.ceil(videos / BLOCK)
+    assert 0 < len(count_trunk_passes) <= math.ceil(videos / BLOCK)
 
 
 def test_sample_reads_one_block_ahead(tmp_path, capsys, monkeypatch):
-    """`sample` streams: before each forward it has read at most the
-    BLOCK videos that forward scores, one light file each, so its
-    memory does not grow with the manifest."""
+    """`sample` streams: before each trunk pass it has read at most the
+    BLOCK videos that pass scores, one light file each, so its memory
+    does not grow with the manifest."""
     manifest, _ = generate_synthetic_dataset(
         str(tmp_path), num_classes=C, videos_per_class=math.ceil(VIDEOS / C),
         num_frames=T, light_dim=D, guiding_dim=D, salient_fraction=0.5,
@@ -134,18 +167,18 @@ def test_sample_reads_one_block_ahead(tmp_path, capsys, monkeypatch):
     checkpoint = str(tmp_path / "model.nsc1")
     save_checkpoint(make_model(), checkpoint)
     loaded, loaded_at_forward = [], []
-    forward = SamplerModel.forward
+    trunk = SamplerModel._trunk
 
     def counted_read(path, *dtype):
         loaded.append(path)
         return read_feature_file(path, *dtype)
 
-    def counted_forward(self, *args, **kwargs):
+    def counted_trunk(self, *args, **kwargs):
         loaded_at_forward.append(len(loaded))
-        return forward(self, *args, **kwargs)
+        return trunk(self, *args, **kwargs)
 
     monkeypatch.setattr(nsnet.data, "read_feature_file", counted_read)
-    monkeypatch.setattr(SamplerModel, "forward", counted_forward)
+    monkeypatch.setattr(SamplerModel, "_trunk", counted_trunk)
     assert main(["sample", "--checkpoint", checkpoint, "--manifest", manifest,
                  "--k", "2", "--out", str(tmp_path / "saliency.csv")]) == 0, \
         capsys.readouterr().err

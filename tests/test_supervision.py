@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsnet.data import FeatureBlock, VideoRecord, generate_synthetic_dataset, load_manifest
+from nsnet.data import KINDS, FeatureBlock, VideoRecord, generate_synthetic_dataset, load_manifest
 from nsnet.supervision import (
     PrototypeBank,
     build_prototypes,
@@ -43,7 +43,7 @@ def _record(label, guide, logits, vid="v"):
 
 def blocks(records, size=2):
     """The records as blocks of ``size`` videos, the last one shorter."""
-    return [FeatureBlock.of(records[i:i + size]) for i in range(0, len(records), size)]
+    return [FeatureBlock.of(records[i:i + size], KINDS) for i in range(0, len(records), size)]
 
 
 def scores(record, bank):

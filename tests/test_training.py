@@ -1,5 +1,6 @@
 """Training loop, schedule and determinism tests (desk-scale configs)."""
 
+import math
 import weakref
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 
 from nsnet import autodiff as ad, training
 from nsnet.cli import main
-from nsnet.data import KINDS, DatasetManifest, FeatureBlock, PresampleConfig, VideoRecord, \
+from nsnet.data import BLOCK, KINDS, DatasetManifest, FeatureBlock, PresampleConfig, VideoRecord, \
     generate_synthetic_dataset, load_manifest, presample, presample_indices
 from nsnet.evaluation import ScoredVideos
 from nsnet.fusion import FusionConfig
@@ -84,7 +85,8 @@ class TestLrSchedule:
 
 
 # each check a training run depends on, written so that NaN, which compares
-# false with everything, fails it too
+# false with everything, fails it too, and so does infinity where a bound
+# has no upper end
 @pytest.mark.parametrize("check, message", [
     (lambda out: ns_pseudo_label_matrix(np.array([np.nan, 0.5]), 0, 2),
      "guiding scores outside [0, 1]: min nan, max nan"),
@@ -92,12 +94,17 @@ class TestLrSchedule:
         ad.Tensor(np.zeros((2, 3))), np.array([[np.nan, 0.0, np.nan], [0.5, 0.0, 0.5]])),
      "soft_cross_entropy_rows targets: negative entry nan"),
     (lambda out: ad.SgdState(np.nan), "learning_rate must be >= 0, got nan"),
+    (lambda out: ad.SgdState(np.inf), "learning_rate must be >= 0, got inf"),
     (lambda out: TrainConfig(base_lr=np.nan), "learning_rate must be >= 0, got nan"),
+    (lambda out: TrainConfig(base_lr=np.inf), "learning_rate must be >= 0, got inf"),
     (lambda out: TrainConfig(decay_factor=np.nan), "decay_factor must be >= 0, got nan"),
+    (lambda out: TrainConfig(decay_factor=np.inf), "decay_factor must be >= 0, got inf"),
     (lambda out: generate_synthetic_dataset(out, 2, 1, 4, 2, 2, 0.5, np.nan, 0),
      "noise_sigma must be >= 0, got nan"),
-], ids=["pseudo-labels", "soft-targets", "sgd-state", "base-lr", "decay-factor",
-        "noise-sigma"])
+    (lambda out: generate_synthetic_dataset(out, 2, 1, 4, 2, 2, 0.5, np.inf, 0),
+     "noise_sigma must be >= 0, got inf"),
+], ids=["pseudo-labels", "soft-targets", "sgd-state", "sgd-state-inf", "base-lr",
+        "base-lr-inf", "decay-factor", "decay-factor-inf", "noise-sigma", "noise-sigma-inf"])
 def test_nan_fails_each_range_check(check, message, tmp_path):
     out = tmp_path / "data"
     with pytest.raises(ValueError) as excinfo:
@@ -118,7 +125,7 @@ def tiny_dataset(tmp_path, seed=1, classes=3, train_videos=4, val_videos=2,
 
 def gathered(records, frames=4):
     """The records gathered as validation sees them, at ``frames`` frames."""
-    return ScoredVideos.gather(FeatureBlock.of(records), frames)
+    return ScoredVideos.gather(FeatureBlock.of(records, ScoredVideos.kinds), frames)
 
 
 def tiny_model_cfg(classes=3, dim=8, frames=4, **overrides):
@@ -463,7 +470,7 @@ class TestStreaming:
     def test_train_command_keeps_no_block(self, tmp_path, monkeypatch, capsys, ns_labels):
         """`nsnet train` holds no block of the split once training starts,
         the first one included, which it reads early for the widths."""
-        tiny_dataset(tmp_path)
+        tiny_dataset(tmp_path, train_videos=6)
         tracker, at_first_step = BlockTracker(), []
         honest_blocks, honest_loss = DatasetManifest.blocks, training.batch_loss
 
@@ -484,7 +491,7 @@ class TestStreaming:
                      "--ns-labels", str(ns_labels), "--out-dir", str(tmp_path / "run"),
                      "--frames", "4", "--heads", "1", "--encoder-layers", "1",
                      "--epochs", "1", "--lr-decay-epochs", ""]) == 0, capsys.readouterr().err
-        assert len(tracker.alive_at_draw) == 2   # 12 videos in blocks of 8
+        assert len(tracker.alive_at_draw) == math.ceil(18 / BLOCK) == 2   # 18 videos
         assert at_first_step == [(0, 0)]
 
     def test_mixed_lengths_are_order_independent(self, tmp_path):
@@ -499,13 +506,14 @@ class TestStreaming:
                                        rng.standard_normal((n, 8)),
                                        rng.standard_normal((n, 3))))
         val_videos = gathered(records[::4])
-        bank = build_prototypes([FeatureBlock.of(records)], 3)
+        bank = build_prototypes([FeatureBlock.of(records, KINDS)], 3)
         shuffled = [records[i] for i in np.random.default_rng(2).permutation(len(records))]
         assert [r.video_id for r in shuffled] != [r.video_id for r in records]
         artifacts = []
         for name, arrival in (("manifest", records), ("shuffled", shuffled)):
             out = tmp_path / name
-            blocks = [FeatureBlock.of(arrival[i:i + 5]) for i in range(0, len(arrival), 5)]
+            blocks = [FeatureBlock.of(arrival[i:i + 5], KINDS)
+                      for i in range(0, len(arrival), 5)]
             train(blocks, bank, tiny_model_cfg(), tiny_train_cfg(k=2),
                   val_videos=val_videos, out_dir=str(out))
             artifacts.append([(out / f).read_bytes() for f in ("last.nsc1", "metrics.csv")])
