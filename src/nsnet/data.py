@@ -18,7 +18,7 @@ to the first file of its kind), then each kind's frame counts, finiteness
 and 0/1 mask entries are checked once over the block. ``prototypes``,
 ``train`` and ``sample`` read blocks of ``BLOCK`` videos in manifest order.
 The per-video ``VideoRecord`` is kept for the library's one-video calls;
-``FeatureBlock.of(records, kinds)`` stacks them. Feature rows stay float32,
+``FeatureBlock.of`` stacks their scored kinds. Feature rows stay float32,
 as stored, until the arithmetic that needs float64 casts them.
 
 Plus the one ``key=value`` reader (run configurations, checkpoint
@@ -206,6 +206,7 @@ def read_feature_file(path: str) -> np.ndarray:
 # A video's files in manifest order: kind -> (VideoRecord field, dims key of its width).
 KINDS = {"light": ("light_features", "D_l"), "guiding": ("guiding_features", "D_g"),
          "logits": ("recognizer_logits", "C"), "mask": ("saliency_mask", "width")}
+SCORED_KINDS = ("light", "logits", "mask")   # the files a scored video is gathered from
 
 
 def stack_frames(video_ids: Sequence[str], files: dict[str, list[np.ndarray]]
@@ -273,16 +274,16 @@ class FeatureBlock:
     arrays: dict[str, np.ndarray]   # kind -> (rows, width), or (rows,) for a mask
 
     @classmethod
-    def of(cls, records: Iterable[VideoRecord], kinds: Iterable[str]) -> FeatureBlock:
-        """The records' arrays of ``kinds`` stacked into one block, as ``read``
+    def of(cls, records: Iterable[VideoRecord]) -> FeatureBlock:
+        """The records' SCORED_KINDS stacked into one block, as ``read``
         stacks their files; a record without a mask gets zeros."""
         records = list(records)
         if not records:
             raise ValueError("no videos to score")
         ids = [r.video_id for r in records]
         return cls(ids, [r.label for r in records], *stack_frames(ids, {
-            kind: [np.zeros(r.num_frames) if (a := getattr(r, name)) is None else a
-                   for r in records] for kind, (name, _) in KINDS.items() if kind in kinds}))
+            kind: [np.zeros(r.num_frames) if (a := getattr(r, KINDS[kind][0])) is None else a
+                   for r in records] for kind in SCORED_KINDS}))
 
     @property
     def starts(self) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import softmax_values
-from .data import FeatureBlock, PresampleConfig, VideoRecord, finite_float, \
+from .data import SCORED_KINDS, FeatureBlock, PresampleConfig, VideoRecord, finite_float, \
     presample_indices, read_key_values
 from .fusion import FusionConfig, rank_descending, recognize, select_frames
 from .model import SamplerModel
@@ -132,7 +132,7 @@ class ScoredVideos:
     labels: np.ndarray     # (V,)
     video_ids: list[str]
 
-    kinds = ("light", "logits", "mask")   # the files a gather reads of each video
+    kinds = SCORED_KINDS
 
     @classmethod
     def gather(cls, block: FeatureBlock, frames: int) -> ScoredVideos:
@@ -206,8 +206,8 @@ def baseline_selection(videos: ScoredVideos, method: str, k: int, seed: int) -> 
 def baseline_sample(record: VideoRecord, method: str, k: int,
                     seed: int = 0) -> list[int]:
     """``baseline_selection`` for one video."""
-    videos = ScoredVideos.gather(FeatureBlock.of([record], ScoredVideos.kinds), record.num_frames)
-    return baseline_selection(videos, method, k, seed)[0].tolist()
+    return baseline_selection(ScoredVideos.gather(FeatureBlock.of([record]), record.num_frames),
+                              method, k, seed)[0].tolist()
 
 
 # ---------------------------------------------------------------------------

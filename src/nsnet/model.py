@@ -136,8 +136,9 @@ class SamplerModel:
                        for name, shape in parameter_table(config).items()}
 
     def _trunk(self, features: np.ndarray, train: bool, rng: np.random.Generator | None
-               ) -> tuple[Tensor, Tensor, Tensor, dict[str, np.ndarray]]:
-        """The trunk: encoded rows, frame logits and attention, and the draws.
+               ) -> tuple[Tensor, Tensor, Tensor, dict[str, np.ndarray], tuple[int, int]]:
+        """The trunk: encoded rows, frame logits and attention, the draws,
+        and the batch's (B, T).
 
         Train mode draws uniforms for each active dropout site per video, in
         the order pos, fsm, attn, salient, nonsalient, so the random stream
@@ -180,16 +181,14 @@ class SamplerModel:
         # frame scrutinize: a (C+1)-way classifier per frame
         fsm_logits = ad.linear(ad.dropout(h, cfg.dropout_cls, noise.get("fsm")),
                                p["fsm.w"], p["fsm.b"])
-        return h, fsm_logits, attn, noise
+        return h, fsm_logits, attn, noise, (b, t)
 
     def forward(self, features: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardOutput:
         """One graph over (T, D) features or a stacked (B, T, D) batch: the
         trunk, then the training heads."""
         cfg, p = self.config, self.params
-        h, fsm_logits, attn, noise = self._trunk(features, train, rng)
-        t = np.shape(features)[-2]
-        b = len(attn.value) // t
+        h, fsm_logits, attn, noise, (b, t) = self._trunk(features, train, rng)
         salient = ad.attention_pool(h, attn, b)
         nonsalient = ad.attention_pool(h, (1.0 - attn) * (1.0 / t), b)
         cls_w, cls_b = p["vgm.cls_w"], p["vgm.cls_b"]
@@ -213,9 +212,9 @@ class SamplerModel:
         tracks = []
         with ad.no_grad():
             for i in range(0, len(light), BLOCK):
-                _, fsm_logits, attn, _ = self._trunk(light[i:i + BLOCK], False, None)
+                _, fsm_logits, attn, _, _ = self._trunk(light[i:i + BLOCK], False, None)
                 tracks.append((fsm_saliency(fsm_logits.value.reshape(-1, t, c1)),
-                               attn.value.reshape(-1, t)))
+                               vgm_saliency(attn.value.reshape(-1, t, 1))))
         return tuple(map(np.concatenate, zip(*tracks)))
 
 
@@ -266,8 +265,8 @@ def fsm_saliency(fsm_logits: np.ndarray) -> np.ndarray:
 
 def vgm_saliency(attn: np.ndarray) -> np.ndarray:
     """(..., T, 1) attention columns to (..., T) scores: the attention
-    weights are the scores, which ``SamplerModel.saliency`` reads directly;
-    kept as a named step for one-video callers."""
+    weights are the scores; kept as a named step so both granularities feed
+    fusion the same way."""
     attn = np.asarray(attn, dtype=np.float64)
     if attn.ndim < 2 or attn.shape[-1] != 1:
         raise ValueError(f"expected (..., T, 1) attention, got shape {attn.shape}")

@@ -148,7 +148,7 @@ def evaluate_epoch(model: SamplerModel, records: Iterable[VideoRecord], k: int,
                    fusion_cfg: FusionConfig, frames: int) -> tuple[float, float | None]:
     """Top-1 through the full selection path at ``k`` frames of ``frames``,
     plus mean recall of planted salient frames when masks exist."""
-    videos = ScoredVideos.gather(FeatureBlock.of(records, ScoredVideos.kinds), frames)
+    videos = ScoredVideos.gather(FeatureBlock.of(records), frames)
     return _score_selection(videos, model.saliency(videos.light), replace(fusion_cfg, k=k))
 
 

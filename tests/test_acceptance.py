@@ -100,7 +100,7 @@ def test_criterion_4_supervision_invariants(tmp_path, capsys):
         light_dim=16, guiding_dim=16, salient_fraction=0.25, noise_sigma=0.0,
         seed=401)
     records = load_manifest(train_m).load_all()
-    bank = build_prototypes([FeatureBlock.of(records, ("guiding", "logits"))], 6)
+    bank = build_prototypes([load_manifest(train_m).read(("guiding", "logits"))], 6)
     ranked = True
     for record in records:
         g = guiding_saliency_scores(record.guiding_features, record.label, bank)
@@ -161,9 +161,9 @@ def test_criterion_6_metric_oracles(bench_data, capsys):
     model = SamplerModel(bench_model_config(), np.random.default_rng(601))
     t = BENCH["frames"]
     records = bench_data["val_records"][:50]
-    videos = ScoredVideos.gather(FeatureBlock.of(records, ScoredVideos.kinds), t)
-    rows = run_comparison(videos, model, FusionConfig("index_union", 0.6, t), [2, t],
-                          DEFAULT_COST_TABLE, seed=0)
+    rows = run_comparison(ScoredVideos.gather(FeatureBlock.of(records), t), model,
+                          FusionConfig("index_union", 0.6, t), [2, t], DEFAULT_COST_TABLE,
+                          seed=0)
     by = {(r.method, r.k): r for r in rows}
     dense_invariant = by[("dense", 2)].top1 == by[("dense", t)].top1
     full_budget = {by[(m, t)].top1 for m in ("nsnet", "uniform", "dense")}

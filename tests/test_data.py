@@ -13,7 +13,7 @@ import pytest
 from nsnet import data
 from nsnet.data import (
     BLOCK,
-    KINDS,
+    SCORED_KINDS,
     FeatureBlock,
     FeatureFormatError,
     ManifestEntry,
@@ -407,13 +407,12 @@ class TestBlocks:
         return load_manifest(str(tmp_path / "m.nsm"))
 
     def test_of_records_equals_read(self, manifest):
-        block, read = FeatureBlock.of(manifest.load_all(), KINDS), manifest.read(KINDS)
+        block, read = FeatureBlock.of(manifest.load_all()), manifest.read(SCORED_KINDS)
         assert (block.video_ids, block.labels, block.lengths) == \
             (read.video_ids, read.labels, read.lengths)
-        assert list(block.arrays) == list(read.arrays) == list(KINDS)
-        # and only the kinds asked for, as evaluate_epoch's gather asks
-        assert list(FeatureBlock.of(manifest.load_all(), ScoredVideos.kinds).arrays) == \
-            list(ScoredVideos.kinds)
+        # the kinds a gather reads, and no guiding features
+        assert list(block.arrays) == list(read.arrays) == list(SCORED_KINDS) \
+            == list(ScoredVideos.kinds)
         for kind, arr in read.arrays.items():
             # a record holds its files as read, all but the mask it casts
             assert arr.dtype == np.float32
@@ -425,7 +424,7 @@ class TestBlocks:
     def test_record_without_mask_gets_zero_rows(self):
         records = [VideoRecord(f"v{i}", i, np.ones((n, 2)), np.ones((n, 2)), np.ones((n, 3)), mask)
                    for i, (n, mask) in enumerate([(2, [1, 1]), (3, None), (1, [1])])]
-        block = FeatureBlock.of(records, KINDS)
+        block = FeatureBlock.of(records)
         assert block.lengths == [2, 3, 1]
         np.testing.assert_array_equal(block.arrays["mask"], [1, 1, 0, 0, 0, 1])
 

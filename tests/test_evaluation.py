@@ -273,7 +273,7 @@ class TestSalientRecall:
         """``ScoredVideos.score``'s recall over videos carrying ``masks``."""
         videos = ScoredVideos.gather(FeatureBlock.of([
             VideoRecord(f"v{i}", 0, np.zeros((t, 2)), np.zeros((t, 2)), np.zeros((t, 3)), mask)
-            for i, mask in enumerate(masks)], ScoredVideos.kinds), t)
+            for i, mask in enumerate(masks)]), t)
         return videos.score(np.array(selected))[1]
 
     def test_perfect_ranking_recall(self):
@@ -385,11 +385,6 @@ def mixed_records(t, seed=0):
     return records
 
 
-def gathered(records, t):
-    """The records as ``run_comparison`` scores them, at ``t`` frames."""
-    return ScoredVideos.gather(FeatureBlock.of(records, ScoredVideos.kinds), t)
-
-
 def model_for(t):
     cfg = ModelConfig(input_dim=D, num_classes=C, max_frames=t, encoder_layers=1, heads=2)
     return SamplerModel(cfg, np.random.default_rng(t))
@@ -401,7 +396,7 @@ def test_run_comparison_equals_per_video_loop(t, mode):
     records, model = mixed_records(t), model_for(t)
     k_list = [1, 3, t]
     observed = [presample(r, PresampleConfig(frames=t)) for r in records]
-    videos = gathered(observed, t)
+    videos = ScoredVideos.gather(FeatureBlock.of(observed), t)
     labels = np.array([r.label for r in observed])
     expected = []
     for k in k_list:
@@ -410,7 +405,7 @@ def test_run_comparison_equals_per_video_loop(t, mode):
             assert np.array_equal(videos.score(np.array(selections))[0], scores)
             expected.append((method, k, top1_accuracy(scores, labels),
                              mean_average_precision(scores, labels).mean, recall))
-    rows = run_comparison(gathered(records, t), model,
+    rows = run_comparison(ScoredVideos.gather(FeatureBlock.of(records), t), model,
                           FusionConfig(mode, RATIO, 1), k_list, DEFAULT_COST_TABLE, seed=5)
     # gflops is budget arithmetic, independent of the scoring
     assert [astuple(row)[:5] for row in rows] == expected
@@ -468,7 +463,7 @@ def test_run_comparison_on_uneven_classes(t, mode):
             scores, recall = reference_scores(observed, selections)
             expected.append((method, k, float(np.mean(scores.argmax(axis=1) == labels)),
                              map_oracle(scores, labels), recall))
-    rows = run_comparison(gathered(records, t), model,
+    rows = run_comparison(ScoredVideos.gather(FeatureBlock.of(records), t), model,
                           FusionConfig(mode, RATIO, 1), k_list, DEFAULT_COST_TABLE, seed=5)
     assert [astuple(row)[:5] for row in rows] == expected
     per_class = mean_average_precision(scores, labels).per_class
@@ -477,7 +472,7 @@ def test_run_comparison_on_uneven_classes(t, mode):
 
 def test_run_comparison_scores_through_one_call_per_metric(monkeypatch):
     t = 16
-    videos, model = gathered(mixed_records(t), t), model_for(t)
+    videos, model = ScoredVideos.gather(FeatureBlock.of(mixed_records(t)), t), model_for(t)
     expected = run_comparison(videos, model, FusionConfig(), [1, 4, t], DEFAULT_COST_TABLE, 3)
     calls = {"mean_average_precision": 0, "top1_accuracy": 0}
     for name in calls:
@@ -492,7 +487,7 @@ def test_run_comparison_scores_through_one_call_per_metric(monkeypatch):
 
 def test_baseline_rows_do_not_depend_on_the_fusion_mode():
     t = 16
-    videos, model = gathered(mixed_records(t), t), model_for(t)
+    videos, model = ScoredVideos.gather(FeatureBlock.of(mixed_records(t)), t), model_for(t)
     runs = [[row for row in run_comparison(videos, model, FusionConfig(mode, RATIO, 1),
                                            [1, 4, t], DEFAULT_COST_TABLE, seed=3)
              if row.method != "nsnet"]
@@ -504,7 +499,7 @@ def test_baseline_rows_do_not_depend_on_the_fusion_mode():
 @pytest.mark.parametrize("entry", ["block_of", "saliency", "evaluate_epoch"])
 def test_no_videos_to_score_is_named(entry):
     model = model_for(6)
-    score = {"block_of": lambda: FeatureBlock.of(iter([]), ScoredVideos.kinds),
+    score = {"block_of": lambda: FeatureBlock.of(iter([])),
              "saliency": lambda: model.saliency(np.zeros((0, 6, D), np.float32)),
              "evaluate_epoch": lambda: evaluate_epoch(model, [], 1, FusionConfig(), 6)}[entry]
     with pytest.raises(ValueError, match="^no videos to score$"):

@@ -129,9 +129,8 @@ MAX_FORWARDS = math.ceil(VIDEOS / BLOCK)
 
 
 def test_run_comparison_forwards_once_per_block(count_trunk_passes):
-    videos = ScoredVideos.gather(FeatureBlock.of(make_records(VIDEOS), ScoredVideos.kinds), T)
-    run_comparison(videos, make_model(), FusionConfig("index_union", 0.6, 2), [1, 2, 4, T],
-                   DEFAULT_COST_TABLE, 0)
+    run_comparison(ScoredVideos.gather(FeatureBlock.of(make_records(VIDEOS)), T), make_model(),
+                   FusionConfig("index_union", 0.6, 2), [1, 2, 4, T], DEFAULT_COST_TABLE, 0)
     assert 0 < len(count_trunk_passes) <= MAX_FORWARDS
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsnet.data import KINDS, FeatureBlock, VideoRecord, generate_synthetic_dataset, load_manifest
+from nsnet.data import KINDS, FeatureBlock, VideoRecord, generate_synthetic_dataset, load_manifest, \
+    stack_frames
 from nsnet.supervision import (
     PrototypeBank,
     build_prototypes,
@@ -41,9 +42,17 @@ def _record(label, guide, logits, vid="v"):
     return VideoRecord(vid, label, np.zeros((n, 2)), guide, logits)
 
 
+def stacked(records, kinds=("guiding", "logits")):
+    """The records' rows of ``kinds`` as one block, as ``read`` stacks their
+    files (guiding and logits: what ``build_prototypes`` reads)."""
+    ids = [r.video_id for r in records]
+    return FeatureBlock(ids, [r.label for r in records], *stack_frames(
+        ids, {kind: [getattr(r, KINDS[kind][0]) for r in records] for kind in kinds}))
+
+
 def blocks(records, size=2):
     """The records as blocks of ``size`` videos, the last one shorter."""
-    return [FeatureBlock.of(records[i:i + size], KINDS) for i in range(0, len(records), size)]
+    return [stacked(records[i:i + size]) for i in range(0, len(records), size)]
 
 
 def scores(record, bank):

@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from test_supervision import stacked
+
 from nsnet import autodiff as ad, training
 from nsnet.cli import main
 from nsnet.data import BLOCK, KINDS, DatasetManifest, FeatureBlock, PresampleConfig, VideoRecord, \
@@ -125,7 +127,7 @@ def tiny_dataset(tmp_path, seed=1, classes=3, train_videos=4, val_videos=2,
 
 def gathered(records, frames=4):
     """The records gathered as validation sees them, at ``frames`` frames."""
-    return ScoredVideos.gather(FeatureBlock.of(records, ScoredVideos.kinds), frames)
+    return ScoredVideos.gather(FeatureBlock.of(records), frames)
 
 
 def tiny_model_cfg(classes=3, dim=8, frames=4, **overrides):
@@ -506,13 +508,13 @@ class TestStreaming:
                                        rng.standard_normal((n, 8)),
                                        rng.standard_normal((n, 3))))
         val_videos = gathered(records[::4])
-        bank = build_prototypes([FeatureBlock.of(records, KINDS)], 3)
+        bank = build_prototypes([stacked(records)], 3)
         shuffled = [records[i] for i in np.random.default_rng(2).permutation(len(records))]
         assert [r.video_id for r in shuffled] != [r.video_id for r in records]
         artifacts = []
         for name, arrival in (("manifest", records), ("shuffled", shuffled)):
             out = tmp_path / name
-            blocks = [FeatureBlock.of(arrival[i:i + 5], KINDS)
+            blocks = [stacked(arrival[i:i + 5], ("light", "guiding"))
                       for i in range(0, len(arrival), 5)]
             train(blocks, bank, tiny_model_cfg(), tiny_train_cfg(k=2),
                   val_videos=val_videos, out_dir=str(out))
