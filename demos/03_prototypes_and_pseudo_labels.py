@@ -21,8 +21,9 @@ train_m, _ = generate_synthetic_dataset(
     light_dim=16, guiding_dim=16, salient_fraction=0.3, noise_sigma=0.25,
     seed=7)
 manifest = load_manifest(train_m)
-bank = build_prototypes(manifest.blocks(("guiding", "logits")), 4, epsilon_percent=30)
-print(f"prototype bank: {bank.prototypes.shape} (epsilon {bank.epsilon_percent}%)")
+epsilon = 30
+bank = build_prototypes(manifest.blocks(("guiding", "logits")), 4, epsilon_percent=epsilon)
+print(f"prototype bank: {bank.prototypes.shape} (epsilon {epsilon}%)")
 
 split = manifest.read(("guiding", "mask"))
 salient_g, background_g = [], []

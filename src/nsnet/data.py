@@ -22,10 +22,9 @@ The per-video ``VideoRecord`` is kept for the library's one-video calls;
 as stored, until the arithmetic that needs float64 casts them.
 
 Plus the one ``key=value`` reader (run configurations, checkpoint
-sidecars, cost tables, prototype ``.meta`` files) and its value parsers,
-temporal pre-sampling and a synthetic generator that plants per-frame
-saliency ground truth, with an analytic nearest-centroid recognizer
-providing per-frame logits.
+sidecars, cost tables) and its value parsers, temporal pre-sampling and
+a synthetic generator that plants per-frame saliency ground truth, with
+an analytic nearest-centroid recognizer providing per-frame logits.
 """
 
 from __future__ import annotations

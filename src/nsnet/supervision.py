@@ -11,15 +11,13 @@ off-topic frames act as negative samples instead of noisy positives.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .autodiff import softmax_values
-from .data import FeatureBlock, atomic_write_text, finite_float, read_feature_file, \
-    read_key_values, write_feature_file
+from .data import FeatureBlock, read_feature_file, write_feature_file
 from .fusion import rank_descending
 
 DEFAULT_EPSILON_PERCENT = 30.0
@@ -30,7 +28,6 @@ class PrototypeBank:
     """Per-category prototype vectors in recognizer (guiding) feature space."""
 
     prototypes: np.ndarray  # (C, D_g)
-    epsilon_percent: float = DEFAULT_EPSILON_PERCENT
 
     def __post_init__(self):
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
@@ -90,7 +87,7 @@ def build_prototypes(blocks: Iterable[FeatureBlock], num_classes: int,
         raise ValueError(f"no videos for categories {missing.tolist()}; "
                          "cannot build prototypes")
     prototypes = np.stack([sums[c] / counts[c] for c in range(num_classes)])
-    return PrototypeBank(prototypes, epsilon_percent)
+    return PrototypeBank(prototypes)
 
 
 def guiding_saliency_scores(guiding: np.ndarray, label: int, bank: PrototypeBank) -> np.ndarray:
@@ -123,19 +120,14 @@ def ns_pseudo_label_matrix(g: np.ndarray, label: int | np.ndarray, num_classes: 
 
 
 # ---------------------------------------------------------------------------
-# Persistence: prototypes as an NSF1 matrix plus a small text sidecar
+# Persistence: a bank is its (C, D_g) NSF1 matrix, nothing beside it
 # ---------------------------------------------------------------------------
 
 
 def save_prototypes(bank: PrototypeBank, path: str) -> None:
     write_feature_file(path, bank.prototypes)
-    atomic_write_text(path + ".meta", f"epsilon_percent={bank.epsilon_percent!r}\n")
 
 
 def load_prototypes(path: str) -> PrototypeBank:
-    """The bank at ``path``; an older ``.meta``'s ``manifest_sha256`` is ignored."""
-    prototypes = read_feature_file(path)
-    meta = path + ".meta"
-    values = read_key_values(meta, {"epsilon_percent": finite_float, "manifest_sha256": str},
-                             "prototype metadata key") if os.path.exists(meta) else {}
-    return PrototypeBank(prototypes, values.get("epsilon_percent", DEFAULT_EPSILON_PERCENT))
+    """The bank stored at ``path``; no file beside it is read."""
+    return PrototypeBank(read_feature_file(path))

@@ -359,12 +359,9 @@ class TestNonUtf8Text:
     `error:` line naming the file and the line that holds it."""
 
     @pytest.mark.parametrize("reader", ["run configuration", "manifest", "checkpoint sidecar",
-                                        "cost table", "prototype metadata"])
+                                        "cost table"])
     def test_one_error_line_names_the_line(self, checkpoint, tmp_path, capsys, reader):
         path, manifest = checkpoint
-        train_manifest, protos = manifest.parent / "train.nsm", tmp_path / "protos.nsf"
-        assert run(["prototypes", "--manifest", str(train_manifest), "--out", str(protos)],
-                   capsys)[0] == 0
         scored = ["--checkpoint", str(path), "--manifest", str(manifest),
                   "--out", str(tmp_path / "x.csv")]
         config, costs = tmp_path / "run.cfg", tmp_path / "costs.txt"
@@ -374,10 +371,6 @@ class TestNonUtf8Text:
             "checkpoint sidecar": (tmp_path / "model.nsc1.cfg", ["sample", *scored, "--k", "1"]),
             "cost table": (costs, ["flops", "--k", "1", "--frames", "2",
                                    "--cost-table", str(costs)]),
-            "prototype metadata": (tmp_path / "protos.nsf.meta",
-                                   ["train", "--train-manifest", str(train_manifest),
-                                    "--prototypes", str(protos),
-                                    "--out-dir", str(tmp_path / "run")]),
         }[reader]
         # the byte on line 2, after the file's first line (or a comment)
         lines = text.read_bytes().splitlines(keepends=True) if text.exists() else [b"# new\n"]
@@ -556,6 +549,26 @@ class TestNonFiniteFeatures:
         line = assert_one_error_line(code, err)
         assert f"{video}: {name} has non-finite values" in line, line
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestPrototypeFile:
+    """A prototype bank is its one NSF1 file: `prototypes` writes nothing
+    beside it and `train` reads nothing beside it."""
+
+    @staticmethod
+    def train_argv(data, protos, out):
+        return ["train", "--train-manifest", str(data / "train.nsm"), "--prototypes", str(protos),
+                "--out-dir", str(out), "--epochs", "1", "--lr-decay-epochs", ""]
+
+    def test_a_stale_meta_is_ignored(self, tiny_tree, tmp_path, capsys):
+        data, protos = tiny_tree
+        assert [p.name for p in tmp_path.glob("protos*")] == ["protos.nsf"]
+        argv = self.train_argv(data, protos, tmp_path / "run")
+        clean = outputs(argv, tmp_path / "run", capsys)
+        # as an older version might have left it, malformed
+        (tmp_path / "protos.nsf.meta").write_bytes(b"epsilon_percent=thirty\n\xff\n")
+        assert clean[0] == 0 and clean[3], clean[2]
+        assert outputs(argv, tmp_path / "run", capsys) == clean
 
 
 class TestMissingFiles:
@@ -1089,8 +1102,8 @@ class TestTrainKeys:
 
 
 class TestKeyValueFiles:
-    """A bad line in a cost table, a run configuration or a prototype `.meta`
-    file ends the command with exit 1 and one `error:` line naming path:line."""
+    """A bad line in a cost table or a run configuration ends the command
+    with exit 1 and one `error:` line naming path:line."""
 
     BAD_LINES = [("nonsense=1", "unknown"), ("{key}=abc", "{key} must be"),
                  ("{key}=nan", "{key} must be"), ("{key}=-inf", "{key} must be")]
@@ -1112,17 +1125,3 @@ class TestKeyValueFiles:
         config.write_text("seed=1\n" + line.format(key=key) + "\n")
         error = assert_one_error_line(*run(["train", "--config", str(config)], capsys)[::2])
         assert f"{config}:2: " in error and message.format(key=key) in error, error
-
-    @pytest.mark.parametrize("line, message",
-                             BAD_LINES + [("manifest_sha256=1", "duplicate")])
-    def test_prototype_meta(self, tiny_tree, tmp_path, capsys, line, message):
-        data, protos = tiny_tree
-        meta = tmp_path / "protos.nsf.meta"
-        meta.write_text("manifest_sha256=0\n" + line.format(key="epsilon_percent") + "\n")
-        code, _, err = run(["train", "--train-manifest", str(data / "train.nsm"),
-                            "--prototypes", str(protos), "--out-dir", str(tmp_path / "run"),
-                            "--epochs", "1", "--lr-decay-epochs", ""], capsys)
-        error = assert_one_error_line(code, err)
-        assert f"{meta}:2: " in error, error
-        assert message.format(key="epsilon_percent") in error, error
-        assert not (tmp_path / "run").exists()

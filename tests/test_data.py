@@ -30,7 +30,6 @@ from nsnet.data import (
 from nsnet.cli import load_run_config
 from nsnet.evaluation import ScoredVideos, load_cost_table
 from nsnet.model import ModelConfig
-from nsnet.supervision import load_prototypes
 
 
 @pytest.fixture(params=[0o022, 0o027], ids=["umask022", "umask027"])
@@ -469,12 +468,6 @@ class TestVideoRecord:
             VideoRecord("vid7", 0, features, features, features, [1.0, bad, 0.0])
 
 
-def _load_prototype_meta(meta_path):
-    features = meta_path[:-len(".meta")]
-    write_feature_file(features, np.ones((2, 3)))
-    return load_prototypes(features)
-
-
 # reader, file name, valid lines, a key whose value "abc" fails, float keys
 KEY_VALUE_READERS = {
     "run configuration": (load_run_config, "run.cfg", ["seed=1", "epochs=3"], "epochs",
@@ -484,9 +477,6 @@ KEY_VALUE_READERS = {
                                        heads=2).to_text().splitlines(),
                            "heads", ["gamma", "dropout_cls"]),
     "cost table": (load_cost_table, "costs.txt", ["encoder=0.5"], "vgm", ["vgm", "fsm"]),
-    "prototype metadata": (_load_prototype_meta, "protos.nsf.meta",
-                           ["manifest_sha256=0", "epsilon_percent=30.0"], "epsilon_percent",
-                           ["epsilon_percent"]),
 }
 
 

@@ -1,7 +1,6 @@
 """Tests for prototypes, guiding scores and pseudo labels."""
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,13 +224,14 @@ class TestPseudoLabels:
 
 class TestPersistence:
     def test_round_trip_with_sidecar(self, tmp_path):
+        """The bank is one file; a malformed ``.meta`` an older version
+        might have left beside it is not read."""
         rng = np.random.default_rng(2)
-        bank = PrototypeBank(rng.standard_normal((3, 5)), epsilon_percent=25.0)
-        path = str(tmp_path / "protos.nsf")
-        save_prototypes(bank, path)
-        loaded = load_prototypes(path)
-        assert loaded.epsilon_percent == 25.0
+        bank = PrototypeBank(rng.standard_normal((3, 5)))
+        path = tmp_path / "protos.nsf"
+        save_prototypes(bank, str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["protos.nsf"]
+        (tmp_path / "protos.nsf.meta").write_bytes(b"epsilon_percent=thirty\n\xff\n")
         np.testing.assert_array_equal(
-            loaded.prototypes, bank.prototypes.astype(np.float32).astype(np.float64))
-        meta = Path(path + ".meta").read_text()
-        assert "manifest_sha256" not in meta
+            load_prototypes(str(path)).prototypes,
+            bank.prototypes.astype(np.float32).astype(np.float64))
