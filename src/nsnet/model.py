@@ -93,7 +93,6 @@ class ForwardOutput:
     gradient graph unless built under ``no_grad``; frame rows are
     video-major."""
 
-    encoded: Tensor            # (B*T, D)
     fsm_logits: Tensor         # (B*T, C+1)
     attn: Tensor               # (B*T, 1), nonnegative, sums to 1 per video
     salient_logits: Tensor     # (B, C+1)
@@ -196,8 +195,8 @@ class SamplerModel:
                             cls_w, cls_b)
         nonsalient = ad.linear(ad.dropout(nonsalient, cfg.dropout_cls, noise.get("nonsalient")),
                                cls_w, cls_b)
-        return ForwardOutput(encoded=h, fsm_logits=fsm_logits, attn=attn,
-                             salient_logits=salient, nonsalient_logits=nonsalient)
+        return ForwardOutput(fsm_logits=fsm_logits, attn=attn, salient_logits=salient,
+                             nonsalient_logits=nonsalient)
 
     def saliency(self, light: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Inference scores (s_f, s_v), each (B, T), for B videos' (B, T, D)

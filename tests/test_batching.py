@@ -90,16 +90,21 @@ def test_stacked_forward_equals_per_video_forwards(train):
     model = make_model()
     batch = make_batch()
     rng_batched, rng_loop = rng_pair(train)
-    out = model.forward(np.stack([e.features for e in batch]), train=train,
-                        rng=rng_batched)
-    assert out.encoded.shape == (B * T, D)
+    trunk_batched, trunk_loop = rng_pair(train)
+    features = np.stack([e.features for e in batch])
+    out = model.forward(features, train=train, rng=rng_batched)
+    encoded = model._trunk(features, train, trunk_batched)[0]
+    assert encoded.shape == (B * T, D)
     assert out.fsm_logits.shape == (B * T, C + 1)
     assert out.attn.shape == (B * T, 1)
     assert out.salient_logits.shape == (B, C + 1)
     for i, example in enumerate(batch):
         ref = per_video_forward(model, example.features, train, rng_loop)
         rows = slice(i * T, (i + 1) * T)
-        for name in ("encoded", "fsm_logits", "attn"):
+        np.testing.assert_allclose(encoded.value[rows],
+                                   model._trunk(example.features, train, trunk_loop)[0].value,
+                                   rtol=0, atol=ATOL, err_msg=f"video {i} encoded")
+        for name in ("fsm_logits", "attn"):
             np.testing.assert_allclose(getattr(out, name).value[rows],
                                        getattr(ref, name).value, rtol=0, atol=ATOL,
                                        err_msg=f"video {i} {name}")

@@ -113,11 +113,11 @@ def test_saliency_pools_no_glimpse_logits(monkeypatch):
 
 def test_trunk_equals_forwards_trunk_in_train_mode():
     """With one seed, the trunk alone draws what ``forward`` draws and
-    builds its first outputs bit for bit, dropout on every site."""
+    builds its frame logits and attention bit for bit, dropout on every site."""
     model, features = make_model(), np.random.default_rng(0).standard_normal((3, T, D))
     rngs = np.random.default_rng(9), np.random.default_rng(9)
     out, trunk = model.forward(features, True, rngs[0]), model._trunk(features, True, rngs[1])
-    for name, tensor in zip(("encoded", "fsm_logits", "attn"), trunk):
+    for name, tensor in zip(("fsm_logits", "attn"), trunk[1:]):
         np.testing.assert_array_equal(getattr(out, name).value, tensor.value)
     assert rngs[0].random() == rngs[1].random()
     # the draws took effect: eval mode builds other logits

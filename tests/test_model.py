@@ -38,8 +38,8 @@ class TestEncode:
         model = make_model()
         rng = np.random.default_rng(1)
         for t in range(1, 7):
-            out = model.forward(rng.standard_normal((t, 8)))
-            assert out.encoded.shape == (t, 8)
+            encoded = model._trunk(rng.standard_normal((t, 8)), False, None)[0]
+            assert encoded.shape == (t, 8)
 
     def test_capacity_error(self):
         model = make_model()
@@ -51,8 +51,7 @@ class TestEncode:
         for p in model.params.values():
             p.value = np.zeros_like(p.value)
         x = np.random.default_rng(2).standard_normal((4, 8))
-        out = model.forward(x)
-        np.testing.assert_allclose(out.encoded.value, x, atol=1e-12)
+        np.testing.assert_allclose(model._trunk(x, False, None)[0].value, x, atol=1e-12)
 
     def test_eval_mode_is_deterministic(self):
         model = make_model(dropout_pos_enc=0.2, dropout_cls=0.9, dropout_attn=0.2)
@@ -198,7 +197,7 @@ class TestVgm:
         model = make_model(seed=4)
         x = np.random.default_rng(10).standard_normal((2, 5, 8))
         out = model.forward(x)
-        encoded = out.encoded.value.reshape(2, 5, 8)
+        encoded = model._trunk(x, False, None)[0].value.reshape(2, 5, 8)
         attn = out.attn.value.reshape(2, 5)
         w, b = model.params["vgm.cls_w"].value, model.params["vgm.cls_b"].value
         salient = np.einsum("vt,vtd->vd", attn, encoded)
@@ -221,8 +220,7 @@ class TestVgm:
     def video_loss(salient, nonsalient, label, gamma):
         """The video half of total_loss, L_cls + gamma * L_ns, for one video
         with the given head logits."""
-        out = ForwardOutput(encoded=constant(np.zeros((1, 8))),
-                            fsm_logits=constant(np.zeros((1, 4))),
+        out = ForwardOutput(fsm_logits=constant(np.zeros((1, 4))),
                             attn=constant(np.ones((1, 1))),
                             salient_logits=constant(salient),
                             nonsalient_logits=constant(nonsalient))
@@ -352,7 +350,7 @@ class TestParameterTable:
         loss = total_loss(out, np.full((16 * 16, 11), 1 / 11), [v % 10 for v in range(16)], cfg)
         assert self.graph_nodes([loss.total]) == 29
         out = model.forward(x)
-        assert self.graph_nodes([out.encoded, out.fsm_logits, out.attn, out.salient_logits,
+        assert self.graph_nodes([out.fsm_logits, out.attn, out.salient_logits,
                                  out.nonsalient_logits]) == 15
 
 
