@@ -103,7 +103,7 @@ def cmd_train(args) -> int:
 
     train_cfg = TrainConfig(**owned(TrainConfig))
 
-    if run["train_manifest"] is None or run["out_dir"] is None:
+    if run["train_manifest"] is None or not run["out_dir"]:
         raise ValueError("train needs at least train_manifest and out_dir "
                          "(config keys or flags)")
     for key in ("train_manifest", "val_manifest", "prototypes"):
@@ -184,6 +184,9 @@ def cmd_sample(args) -> int:
 def cmd_eval(args) -> int:
     try:
         k_list = [at_least("K", integer(k), 1) for k in args.k_list.split(",")]
+        for i, k in enumerate(k_list):
+            if k in k_list[:i]:
+                raise ValueError(f"repeated K {k}")
     except ValueError as exc:
         raise ValueError(f"--k-list: {exc}") from None
     if at_least("--seed", args.seed, 0) >= 2 ** 64:

@@ -130,4 +130,8 @@ def save_prototypes(bank: PrototypeBank, path: str) -> None:
 
 def load_prototypes(path: str) -> PrototypeBank:
     """The bank stored at ``path``; no file beside it is read."""
-    return PrototypeBank(read_feature_file(path))
+    prototypes = read_feature_file(path)
+    try:
+        return PrototypeBank(prototypes)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -63,7 +63,8 @@ class TrainConfig:
         if not (np.isfinite(self.decay_factor) and self.decay_factor >= 0):
             raise ValueError(f"decay_factor must be >= 0, got {self.decay_factor}")
         self.lr_decay_epochs = decays
-        # the rules of the optimizer, observation and validation train() builds
+        # the rules of the seed, optimizer, observation and validation train() builds
+        substream(self.seed, "init")
         ad.SgdState(self.base_lr, self.momentum)
         PresampleConfig(self.frames, self.shift_augment)
         k = self.validation_k

@@ -570,6 +570,16 @@ class TestPrototypeFile:
         assert clean[0] == 0 and clean[3], clean[2]
         assert outputs(argv, tmp_path / "run", capsys) == clean
 
+    def test_non_finite_entry_names_the_file(self, tiny_tree, tmp_path, capsys):
+        data, protos = tiny_tree
+        values = read_feature_file(str(protos)).copy()   # the read is a read-only view
+        values[1, 2] = np.nan
+        write_feature_file(str(protos), values)
+        code, _, err = run(self.train_argv(data, protos, tmp_path / "run"), capsys)
+        line = assert_one_error_line(code, err)
+        assert f"{protos}: prototypes contain non-finite values" in line, line
+        assert not (tmp_path / "run").exists()
+
 
 class TestMissingFiles:
     """A listed file is looked for only when a command reads its kind."""
@@ -735,6 +745,7 @@ class TestSettingsBeforeReads:
 
     @pytest.mark.parametrize("command, extra, message", [
         ("eval", ["--k-list", "2,40"], "k=40 out of range for 16 observation frames"),
+        ("eval", ["--k-list", "2,4,2"], "--k-list: repeated K 2"),
         ("eval", ["--ratio", "1.5"], "ratio must be in [0, 1], got 1.5"),
         ("eval", ["--cost-table", "{costs}"], "{costs}:1: vgm must be >= 0, got '-1'"),
         ("sample", ["--k", "40"], "k=40 out of range for 16 observation frames"),
@@ -748,13 +759,16 @@ class TestSettingsBeforeReads:
         ("train", ["--momentum", "1.0"], "momentum must be in [0, 1), got 1.0"),
         ("train", ["--base-lr", "-1"], "learning_rate must be >= 0, got -1.0"),
         ("train", ["--decay-factor", "-1"], "decay_factor must be >= 0, got -1.0"),
+        ("train", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("train", ["--out-dir", ""], "train needs at least train_manifest and out_dir"),
         ("train-ns", ["--frames", "4", "--k", "5"],
          "k=5 out of range for 4 observation frames"),
-    ], ids=["eval-k-list", "eval-ratio", "eval-cost-table", "sample-k",
+    ], ids=["eval-k-list", "eval-repeated-k", "eval-ratio", "eval-cost-table", "sample-k",
             "prototypes-epsilon", "train-ratio", "train-heads", "train-zero-heads",
             "train-dropout-cls",
             "train-gamma", "train-k-above-frames", "train-momentum", "train-base-lr",
-            "train-decay-factor", "train-ns-labels-k-above-frames"])
+            "train-decay-factor", "train-seed", "train-empty-out-dir",
+            "train-ns-labels-k-above-frames"])
     def test_one_error_line_and_no_read(self, data, reads, tmp_path, capsys, command, extra,
                                         message):
         checkpoint = tmp_path / "model.nsc1"

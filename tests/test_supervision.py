@@ -1,12 +1,13 @@
 """Tests for prototypes, guiding scores and pseudo labels."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from nsnet.data import KINDS, FeatureBlock, VideoRecord, generate_synthetic_dataset, load_manifest, \
-    stack_frames
+    stack_frames, write_feature_file
 from nsnet.supervision import (
     PrototypeBank,
     build_prototypes,
@@ -235,3 +236,11 @@ class TestPersistence:
         np.testing.assert_array_equal(
             load_prototypes(str(path)).prototypes,
             bank.prototypes.astype(np.float32).astype(np.float64))
+
+    def test_non_finite_entry_names_the_file(self, tmp_path):
+        path = str(tmp_path / "protos.nsf")
+        write_feature_file(path, np.array([[0.0, np.nan], [1.0, 2.0]]))
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: prototypes contain non-finite values$"):
+            load_prototypes(path)
+        with pytest.raises(ValueError, match="^prototypes contain non-finite values$"):
+            PrototypeBank(np.array([[0.0, np.nan]]))

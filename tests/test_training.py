@@ -64,7 +64,8 @@ class TestLrSchedule:
         (dict(fusion="score_sum"), "unknown fusion mode 'score_sum'"),
         (dict(ratio=1.5), "ratio must be in [0, 1], got 1.5"),
         (dict(k=0), "k must be >= 1, got 0"),
-    ], ids=["decay-factor", "momentum", "base-lr", "frames", "fusion", "ratio", "k"])
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+    ], ids=["decay-factor", "momentum", "base-lr", "frames", "fusion", "ratio", "k", "seed"])
     def test_each_setting_checked_at_construction(self, settings, message):
         with pytest.raises(ValueError) as excinfo:
             TrainConfig(**settings)
