@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 
-from nsnet.data import generate_synthetic_dataset, load_manifest, presample, \
+from nsnet.data import generate_synthetic_dataset, load_manifest, presample_indices, \
     PresampleConfig
 
 workdir = tempfile.mkdtemp(prefix="nsnet_demo_")
@@ -20,20 +20,19 @@ train_m, val_m = generate_synthetic_dataset(
     seed=42, val_videos_per_class=2)
 print(f"wrote manifests:\n  {train_m}\n  {val_m}")
 
-manifest = load_manifest(train_m)
-records = manifest.load_all()
-record = records[0]
-print(f"\nfirst record: {record.video_id} label={record.label} "
-      f"frames={record.num_frames}")
-print(f"planted salient frames: {np.flatnonzero(record.saliency_mask).tolist()}")
+split = load_manifest(train_m).read(("logits", "mask"))
+masks = split.per_video("mask")
+print(f"\nfirst video: {split.video_ids[0]} label={split.labels[0]} "
+      f"frames={split.lengths[0]}")
+print(f"planted salient frames: {np.flatnonzero(masks[0]).tolist()}")
 
 correct = 0
-for r in records:
-    salient = r.saliency_mask == 1.0
-    correct += int(np.all(r.recognizer_logits[salient].argmax(axis=1) == r.label))
+for label, logits, mask in zip(split.labels, split.per_video("logits"), masks):
+    salient = mask == 1.0
+    correct += int(np.all(logits[salient].argmax(axis=1) == label))
 print(f"\noracle recognizer gets every salient frame right in "
-      f"{correct}/{len(records)} videos (noise 0.2)")
+      f"{correct}/{len(split.video_ids)} videos (noise 0.2)")
 
-observed = presample(record, PresampleConfig(frames=8))
+observed = presample_indices(split.lengths[0], PresampleConfig(frames=8))
 print(f"\npre-sampled to 8 observation frames; "
-      f"{int(observed.saliency_mask.sum())} planted frames remain in view")
+      f"{int(masks[0][observed].sum())} planted frames remain in view")

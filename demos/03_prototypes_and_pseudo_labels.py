@@ -19,7 +19,7 @@ workdir = tempfile.mkdtemp(prefix="nsnet_demo_")
 train_m, _ = generate_synthetic_dataset(
     workdir, num_classes=4, videos_per_class=10, num_frames=20,
     light_dim=16, guiding_dim=16, salient_fraction=0.3, noise_sigma=0.25,
-    seed=7)
+    seed=7, val_videos_per_class=0)
 manifest = load_manifest(train_m)
 epsilon = 30
 bank = build_prototypes(manifest.blocks(("guiding", "logits")), 4, epsilon_percent=epsilon)
@@ -36,10 +36,10 @@ print(f"\nguiding score g, prototype route:")
 print(f"  planted salient frames: mean {np.mean(salient_g):.3f}")
 print(f"  background frames:      mean {np.mean(background_g):.3f}")
 
-record = manifest.load_record(manifest.entries[0])
-g = guiding_saliency_scores(record.guiding_features, record.label, bank)
-targets = ns_pseudo_label_matrix(g[:3], record.label, 4)
-print(f"\npseudo labels for the first 3 frames of {record.video_id} (label={record.label}):")
+label, mask = split.labels[0], split.per_video("mask")[0]
+g = guiding_saliency_scores(split.per_video("guiding")[0], label, bank)
+targets = ns_pseudo_label_matrix(g[:3], label, 4)
+print(f"\npseudo labels for the first 3 frames of {split.video_ids[0]} (label={label}):")
 for i, target in enumerate(targets):
-    tag = "salient" if record.saliency_mask[i] else "background"
+    tag = "salient" if mask[i] else "background"
     print(f"  frame {i} ({tag:10s}): target {np.round(target, 3)}  (g = {g[i]:.3f})")

@@ -16,8 +16,8 @@ print("frame-head scores:   ", s_f)
 print("glimpse-head scores: ", s_v)
 print(f"\nselections at K=3 (ratio 0.6 where it applies):")
 for mode in FUSION_MODES:
-    chosen = select_frames(s_f, s_v, FusionConfig(mode=mode, ratio=0.6, k=3))
-    print(f"  {mode:16s} -> {chosen}")
+    chosen = select_frames(s_f[None], s_v[None], FusionConfig(mode=mode, ratio=0.6, k=3))[0]
+    print(f"  {mode:16s} -> {chosen.tolist()}")
 
 print("\nper-video GFLOPs with the default cost table "
       f"({', '.join(f'{k}={v}' for k, v in DEFAULT_COST_TABLE.items())}):")

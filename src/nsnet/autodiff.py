@@ -497,7 +497,7 @@ class SgdState:
     """Momentum-SGD state: one velocity buffer per parameter name."""
 
     learning_rate: float
-    momentum: float = 0.9
+    momentum: float
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):

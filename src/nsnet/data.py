@@ -17,9 +17,9 @@ file opened once and checked as it is read (magic, length, and a width held
 to the first file of its kind), then each kind's frame counts, finiteness
 and 0/1 mask entries are checked once over the block. ``prototypes``,
 ``train`` and ``sample`` read blocks of ``BLOCK`` videos in manifest order.
-The per-video ``VideoRecord`` is kept for the library's one-video calls;
-``FeatureBlock.of`` stacks their scored kinds. Feature rows stay float32,
-as stored, until the arithmetic that needs float64 casts them.
+The one-video ``VideoRecord`` (light, logits and mask: ``load_record`` reads
+no guiding file) is kept for the benchmark's requests. Feature rows stay
+float32, as stored, until the arithmetic that needs float64 casts them.
 
 Plus the one ``key=value`` reader (run configurations, checkpoint
 sidecars, cost tables) and its value parsers, temporal pre-sampling and
@@ -202,7 +202,7 @@ def read_feature_file(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# A video's files in manifest order: kind -> (VideoRecord field, dims key of its width).
+# A video's files in manifest order: kind -> (name in messages, dims key of its width).
 KINDS = {"light": ("light_features", "D_l"), "guiding": ("guiding_features", "D_g"),
          "logits": ("recognizer_logits", "C"), "mask": ("saliency_mask", "width")}
 SCORED_KINDS = ("light", "logits", "mask")   # the files a scored video is gathered from
@@ -244,15 +244,14 @@ class VideoRecord:
     video_id: str
     label: int
     light_features: np.ndarray      # (N, D_l) sampler input features
-    guiding_features: np.ndarray    # (N, D_g) recognizer penultimate features
     recognizer_logits: np.ndarray   # (N, C)
     saliency_mask: np.ndarray | None = None  # (N,) of {0,1}, synthetic only
 
     def __post_init__(self):
         if self.saliency_mask is not None:
             self.saliency_mask = np.asarray(self.saliency_mask, dtype=np.float64).reshape(-1)
-        stack_frames([self.video_id], {kind: [a] for kind, (name, _) in KINDS.items()
-                                       if (a := getattr(self, name)) is not None})
+        stack_frames([self.video_id], {kind: [a] for kind in SCORED_KINDS
+                                       if (a := getattr(self, KINDS[kind][0])) is not None})
         if self.label < 0:
             raise ValueError(f"{self.video_id}: negative label {self.label}")
 
@@ -356,9 +355,9 @@ class DatasetManifest:
             yield self.read(kinds, self.entries[first:first + BLOCK])
 
     def load_record(self, entry: ManifestEntry) -> VideoRecord:
-        """All of the video's listed files; VideoRecord checks them together."""
+        """The video's listed SCORED_KINDS files; VideoRecord checks them together."""
         return VideoRecord(entry.video_id, entry.label,
-                           *[self._read(entry, kind) for kind in KINDS
+                           *[self._read(entry, kind) for kind in SCORED_KINDS
                              if kind != "mask" or entry.mask_path is not None])
 
     def load_all(self) -> list[VideoRecord]:
@@ -465,15 +464,14 @@ def presample_indices(num_frames: int | np.ndarray, cfg: PresampleConfig,
     return idx.reshape(counts.shape + (t,))
 
 
-def presample(record: VideoRecord, cfg: PresampleConfig,
-              rng: np.random.Generator | None = None) -> VideoRecord:
-    """The record at the observation length; one that already has exactly
-    ``cfg.frames`` frames and no shift to draw is returned as it is."""
+def presample(record: VideoRecord, cfg: PresampleConfig) -> VideoRecord:
+    """The record at the observation length, without shift; one that already
+    has exactly ``cfg.frames`` frames is returned as it is."""
     if record.num_frames == cfg.frames and not cfg.shift_augment:
         return record
-    i = presample_indices(record.num_frames, cfg, rng)
+    i = presample_indices(record.num_frames, cfg)
     return VideoRecord(record.video_id, record.label, record.light_features[i],
-                       record.guiding_features[i], record.recognizer_logits[i],
+                       record.recognizer_logits[i],
                        None if record.saliency_mask is None else record.saliency_mask[i])
 
 
@@ -505,7 +503,7 @@ def generate_synthetic_dataset(out_dir: str,
                                salient_fraction: float,
                                noise_sigma: float,
                                seed: int,
-                               val_videos_per_class: int = 0) -> tuple[str, str | None]:
+                               val_videos_per_class: int) -> tuple[str, str | None]:
     """Plant a recoverable saliency structure and write it to disk.
 
     Per class, unit-norm centroids are drawn in both feature spaces. Each

@@ -16,7 +16,6 @@ without positives are excluded from the mean and reported as NaN in
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 
@@ -173,9 +172,9 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 
 def baseline_selection(videos: ScoredVideos, method: str, k: int, seed: int) -> np.ndarray:
-    """uniform: segment centers; random: seeded K-subset (sorted); dense:
-    every frame; topk_confidence: K highest max-softmax recognizer rows.
-    uniform and dense return one row shared by every video.
+    """uniform: segment centers (``presample_indices``); random: seeded K-subset
+    (sorted); dense: every frame; topk_confidence: K highest max-softmax
+    recognizer rows. uniform and dense return one row shared by every video.
 
     random keys frame f by h = mix(seed + G), then h = mix((h ^ w) + G)
     for w = crc32(video id), k, f (wrapping uint64; mix: SplitMix64's
@@ -188,7 +187,7 @@ def baseline_selection(videos: ScoredVideos, method: str, k: int, seed: int) -> 
     if not 1 <= k <= t:
         raise ValueError(f"k={k} out of range for {t} frames")
     if method == "uniform":
-        return np.array([[math.floor((i + 0.5) * t / k) for i in range(k)]])
+        return presample_indices(t, PresampleConfig(k))[None]
     if method == "random":
         if not 0 <= seed < 2 ** 64:
             raise ValueError(f"seed must be in [0, 2**64), got {seed}")
@@ -203,11 +202,10 @@ def baseline_selection(videos: ScoredVideos, method: str, k: int, seed: int) -> 
                      f"choose one of {', '.join(BASELINE_METHODS)}")
 
 
-def baseline_sample(record: VideoRecord, method: str, k: int,
-                    seed: int = 0) -> list[int]:
-    """``baseline_selection`` for one video."""
+def baseline_sample(record: VideoRecord, method: str, k: int) -> list[int]:
+    """``baseline_selection`` for one video, random's at seed 0."""
     return baseline_selection(ScoredVideos.gather(FeatureBlock.of([record]), record.num_frames),
-                              method, k, seed)[0].tolist()
+                              method, k, 0)[0].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ training tests and the acceptance suite.
 
 import time
 
+import numpy as np
 import pytest
 
-from nsnet.data import generate_synthetic_dataset, load_manifest
+from nsnet.data import KINDS, FeatureBlock, generate_synthetic_dataset, load_manifest, \
+    stack_frames
 from nsnet.evaluation import ScoredVideos
 from nsnet.model import ModelConfig
 from nsnet.supervision import build_prototypes
@@ -34,6 +36,17 @@ BENCH = dict(
     batch_size=16,
     eval_k=4,
 )
+
+
+def feature_block(videos, kinds=None):
+    """The block ``DatasetManifest.read`` gives for files that hold these
+    videos' rows: each video a dict of "video_id", "label" and a per-frame
+    array of each kind (a mask's one value per frame); ``kinds`` defaults
+    to the first video's."""
+    kinds = [kind for kind in KINDS if kind in (kinds or videos[0])]
+    ids = [video["video_id"] for video in videos]
+    return FeatureBlock(ids, [video["label"] for video in videos], *stack_frames(
+        ids, {kind: [np.asarray(video[kind]) for video in videos] for kind in kinds}))
 
 
 def bench_model_config(gamma=0.2):
@@ -67,7 +80,6 @@ def bench_data(tmp_path_factory):
         "train_manifest": train_m,
         "val_manifest": val_m,
         "train_blocks": [train_manifest.read(("light", "guiding"))],
-        "val_records": val_manifest.load_all(),
         "val_videos": ScoredVideos.gather(val_manifest.read(ScoredVideos.kinds), BENCH["frames"]),
         "bank": bank,
         "seconds": time.perf_counter() - started,

@@ -13,13 +13,13 @@ from test_evaluation import average_precision_oracle
 from test_supervision import assert_pseudo_label_rows_valid
 
 from nsnet.cli import main as cli_main
-from nsnet.data import FeatureBlock, generate_synthetic_dataset, load_manifest
+from nsnet.data import generate_synthetic_dataset, load_manifest
 from nsnet.evaluation import DEFAULT_COST_TABLE, ScoredVideos, mean_average_precision, \
     run_comparison
 from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig, SamplerModel, load_checkpoint
 from nsnet.supervision import build_prototypes, guiding_saliency_scores
-from nsnet.training import evaluate_epoch, gradient_check, train
+from nsnet.training import gradient_check, train
 from nsnet.supervision import ns_pseudo_label_matrix
 
 
@@ -98,19 +98,21 @@ def test_criterion_4_supervision_invariants(tmp_path, capsys):
     train_m, _ = generate_synthetic_dataset(
         str(tmp_path), num_classes=6, videos_per_class=4, num_frames=16,
         light_dim=16, guiding_dim=16, salient_fraction=0.25, noise_sigma=0.0,
-        seed=401)
-    records = load_manifest(train_m).load_all()
-    bank = build_prototypes([load_manifest(train_m).read(("guiding", "logits"))], 6)
+        seed=401, val_videos_per_class=0)
+    manifest = load_manifest(train_m)
+    bank = build_prototypes([manifest.read(("guiding", "logits"))], 6)
+    split = manifest.read(("guiding", "mask"))
     ranked = True
-    for record in records:
-        g = guiding_saliency_scores(record.guiding_features, record.label, bank)
-        salient = record.saliency_mask == 1.0
+    for guiding, label, mask in zip(split.per_video("guiding"), split.labels,
+                                    split.per_video("mask")):
+        g = guiding_saliency_scores(guiding, label, bank)
+        salient = mask == 1.0
         ranked &= bool(g[salient].min() > g[~salient].max())
     elapsed = time.perf_counter() - started
     with capsys.disabled():
         report(4, "supervision invariants", ranked and elapsed < 60.0,
                f"1000 pseudo-label triples + zero-noise ranking over "
-               f"{len(records)} videos, {elapsed:.1f}s")
+               f"{len(split.video_ids)} videos, {elapsed:.1f}s")
 
 
 def test_criterion_5_synthetic_recovery(bench_data, bench_ns_run,
@@ -118,14 +120,13 @@ def test_criterion_5_synthetic_recovery(bench_data, bench_ns_run,
     k = BENCH["eval_k"]
     fusion = FusionConfig("index_union", 0.6, k)
     best = load_checkpoint(bench_ns_run["out_dir"] + "/best.nsc1")
-    ns_top1, ns_recall = evaluate_epoch(best, bench_data["val_records"], k,
-                                        fusion, frames=BENCH["frames"])
-    base_model = bench_baseline_run["result"].model
-    _, base_recall = evaluate_epoch(base_model, bench_data["val_records"], k,
-                                    fusion, frames=BENCH["frames"])
-    rows = run_comparison(bench_data["val_videos"], best, fusion, [k], DEFAULT_COST_TABLE,
-                          seed=BENCH["train_seed"])
-    uniform = next(r for r in rows if r.method == "uniform")
+    # one row per method at the one K: nsnet's is the sampler's top-1 and recall
+    rows, base_rows = ({row.method: row for row in run_comparison(
+        bench_data["val_videos"], model, fusion, [k], DEFAULT_COST_TABLE,
+        seed=BENCH["train_seed"])} for model in (best, bench_baseline_run["result"].model))
+    ns_top1, ns_recall, base_recall = rows["nsnet"].top1, rows["nsnet"].recall, \
+        base_rows["nsnet"].recall
+    uniform = rows["uniform"]
     elapsed = bench_data["seconds"] + bench_ns_run["seconds"] \
         + bench_baseline_run["seconds"]
     gap_recall = ns_recall - uniform.recall
@@ -160,8 +161,9 @@ def test_criterion_6_metric_oracles(bench_data, capsys):
     # boundary identities on a frozen model over the benchmark validation set
     model = SamplerModel(bench_model_config(), np.random.default_rng(601))
     t = BENCH["frames"]
-    records = bench_data["val_records"][:50]
-    rows = run_comparison(ScoredVideos.gather(FeatureBlock.of(records), t), model,
+    manifest = load_manifest(bench_data["val_manifest"])
+    block = manifest.read(ScoredVideos.kinds, manifest.entries[:50])
+    rows = run_comparison(ScoredVideos.gather(block, t), model,
                           FusionConfig("index_union", 0.6, t), [2, t], DEFAULT_COST_TABLE,
                           seed=0)
     by = {(r.method, r.k): r for r in rows}

@@ -407,7 +407,7 @@ class TestSgdStep:
     def test_requires_gradients(self):
         p = Parameter("w", np.array([1.0]))
         with pytest.raises(ValueError, match="no gradient"):
-            sgd_step([p], SgdState(learning_rate=0.1))
+            sgd_step([p], SgdState(learning_rate=0.1, momentum=0.9))
 
 
 class TestFiniteDifferenceCheck:

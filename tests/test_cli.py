@@ -763,12 +763,16 @@ class TestSettingsBeforeReads:
         ("train", ["--out-dir", ""], "train needs at least train_manifest and out_dir"),
         ("train-ns", ["--frames", "4", "--k", "5"],
          "k=5 out of range for 4 observation frames"),
+        ("prototypes", ["--out", ""], "--out must name a file, got ''"),
+        ("eval", ["--out", ""], "--out must name a file, got ''"),
+        ("sample", ["--out", ""], "--out must name a file, got ''"),
     ], ids=["eval-k-list", "eval-repeated-k", "eval-ratio", "eval-cost-table", "sample-k",
             "prototypes-epsilon", "train-ratio", "train-heads", "train-zero-heads",
             "train-dropout-cls",
             "train-gamma", "train-k-above-frames", "train-momentum", "train-base-lr",
             "train-decay-factor", "train-seed", "train-empty-out-dir",
-            "train-ns-labels-k-above-frames"])
+            "train-ns-labels-k-above-frames", "prototypes-empty-out", "eval-empty-out",
+            "sample-empty-out"])
     def test_one_error_line_and_no_read(self, data, reads, tmp_path, capsys, command, extra,
                                         message):
         checkpoint = tmp_path / "model.nsc1"
@@ -803,7 +807,7 @@ class TestSettingsBeforeReads:
         manifest = load_manifest(str(data / "train.nsm"))
         with pytest.raises(ValueError, match="max_frames=8 is not the observation length "
                                              "frames=16"):
-            train(map(manifest.load_record, manifest.entries), None,
+            train(manifest.blocks(("light",)), None,
                   ModelConfig(input_dim=8, num_classes=2, max_frames=8, heads=1),
                   TrainConfig(epochs=1, lr_decay_epochs=(), frames=16, ns_labels=False),
                   out_dir=str(tmp_path / "out"))

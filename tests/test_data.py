@@ -10,9 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import feature_block
+
 from nsnet import data
+from nsnet.autodiff import softmax_values
 from nsnet.data import (
     BLOCK,
+    KINDS,
     SCORED_KINDS,
     FeatureBlock,
     FeatureFormatError,
@@ -104,10 +108,9 @@ def _record_with_tagged_frames(n, c=3, seed=0):
     rng = np.random.default_rng(seed)
     tag = np.arange(float(n)).reshape(-1, 1)
     light = np.hstack([tag, rng.standard_normal((n, 2))])
-    guide = np.hstack([tag, rng.standard_normal((n, 3))])
     logits = np.hstack([tag, rng.standard_normal((n, c - 1))])
     mask = (np.arange(n) % 2).astype(np.float64)
-    return VideoRecord("tagged", 0, light, guide, logits, mask)
+    return VideoRecord("tagged", 0, light, logits, mask)
 
 
 class TestPresample:
@@ -171,7 +174,6 @@ class TestPresample:
         out = presample(record, PresampleConfig(frames=4))
         assert out.num_frames == 4
         tags = out.light_features[:, 0]
-        np.testing.assert_array_equal(out.guiding_features[:, 0], tags)
         np.testing.assert_array_equal(out.recognizer_logits[:, 0], tags)
         np.testing.assert_array_equal(out.saliency_mask, tags.astype(int) % 2)
 
@@ -186,36 +188,39 @@ class TestSyntheticDataset:
         train, _ = generate_synthetic_dataset(
             str(tmp_path), num_classes=3, videos_per_class=2, num_frames=10,
             light_dim=8, guiding_dim=8, salient_fraction=0.4, noise_sigma=0.0,
-            seed=5)
-        manifest = load_manifest(train)
-        for record in manifest.load_all():
-            salient = record.saliency_mask == 1.0
-            preds = record.recognizer_logits.argmax(axis=1)
-            assert np.all(preds[salient] == record.label)
+            seed=5, val_videos_per_class=0)
+        split = load_manifest(train).read(("guiding", "logits", "mask"))
+        for label, guiding, logits, mask in zip(split.labels, *map(split.per_video, (
+                "guiding", "logits", "mask"))):
+            salient = mask == 1.0
+            assert np.all(logits.argmax(axis=1)[salient] == label)
             # zero-noise salient guiding features sit exactly on the centroid
-            feats = record.guiding_features[salient]
+            feats = guiding[salient]
             assert np.allclose(feats, feats[0])
-            assert record.recognizer_logits[salient, record.label].max() == 0.0
+            assert logits[salient, label].max() == 0.0
 
     def test_full_salient_fraction(self, tmp_path):
         train, _ = generate_synthetic_dataset(
             str(tmp_path), num_classes=2, videos_per_class=1, num_frames=6,
             light_dim=4, guiding_dim=4, salient_fraction=1.0, noise_sigma=0.1,
-            seed=1)
-        for record in load_manifest(train).load_all():
-            np.testing.assert_array_equal(record.saliency_mask, np.ones(6))
+            seed=1, val_videos_per_class=0)
+        split = load_manifest(train).read(("mask",))
+        assert split.lengths == [6, 6]
+        np.testing.assert_array_equal(split.arrays["mask"], np.ones(12))
 
     def test_oracle_ranking_recall(self, tmp_path):
         train, _ = generate_synthetic_dataset(
             str(tmp_path), num_classes=10, videos_per_class=20, num_frames=16,
             light_dim=16, guiding_dim=16, salient_fraction=0.25, noise_sigma=0.1,
-            seed=11)
+            seed=11, val_videos_per_class=0)
         k = math.ceil(0.25 * 16)
         recalls = []
-        for record in load_manifest(train).load_all():
-            order = np.argsort(-record.recognizer_logits[:, record.label], kind="stable")
+        split = load_manifest(train).read(("logits", "mask"))
+        for label, logits, mask in zip(split.labels, split.per_video("logits"),
+                                       split.per_video("mask")):
+            order = np.argsort(-logits[:, label], kind="stable")
             chosen = set(order[:k].tolist())
-            planted = set(np.flatnonzero(record.saliency_mask).tolist())
+            planted = set(np.flatnonzero(mask).tolist())
             recalls.append(len(chosen & planted) / len(planted))
         assert np.mean(recalls) >= 0.95
 
@@ -234,9 +239,9 @@ class TestSyntheticDataset:
 
     def test_parameter_validation(self, tmp_path):
         with pytest.raises(ValueError, match="salient_fraction"):
-            generate_synthetic_dataset(str(tmp_path), 2, 1, 4, 4, 4, 1.5, 0.1, 0)
+            generate_synthetic_dataset(str(tmp_path), 2, 1, 4, 4, 4, 1.5, 0.1, 0, 0)
         with pytest.raises(ValueError, match="classes"):
-            generate_synthetic_dataset(str(tmp_path), 1, 1, 4, 4, 4, 0.5, 0.1, 0)
+            generate_synthetic_dataset(str(tmp_path), 1, 1, 4, 4, 4, 0.5, 0.1, 0, 0)
 
 
 class TestManifest:
@@ -248,9 +253,9 @@ class TestManifest:
         manifest = load_manifest(train)
         assert manifest.num_classes == 2
         assert len(manifest.entries) == 6
-        records = manifest.load_all()
-        assert all(r.light_features.shape == (4, 3) for r in records)
-        assert all(r.guiding_features.shape == (4, 5) for r in records)
+        split = manifest.read(("light", "guiding"))
+        assert split.lengths == [4] * 6
+        assert split.arrays["light"].shape == (24, 3) and split.arrays["guiding"].shape == (24, 5)
         assert len(load_manifest(val).entries) == 4
 
     def test_missing_file_detected(self, tmp_path):
@@ -307,19 +312,20 @@ class TestManifest:
         path = str(tmp_path / "m.nsm")
         write_manifest(path, 2, [ManifestEntry("v0", 0, feat, feat, feat, mask)])
         write_feature_file(mask, np.array([[1.0], [0.0]]))
-        np.testing.assert_array_equal(load_manifest(path).load_all()[0].saliency_mask,
+        np.testing.assert_array_equal(load_manifest(path).read(("mask",)).arrays["mask"],
                                       [1.0, 0.0])
         write_feature_file(mask, np.array([[1.0, 0.0]]))
         with pytest.raises(FeatureFormatError, match=re.escape(
                 f"{mask}: mask width 2 disagrees with width=1 of manifest {path}")):
-            load_manifest(path).load_all()
+            load_manifest(path).read(("mask",))
 
     def test_each_feature_file_is_opened_once(self, tmp_path, monkeypatch):
-        """Loading a split opens every feature file once; parsing the
-        manifest opens none."""
+        """Reading a split's every kind opens every feature file once; parsing
+        the manifest opens none."""
         train, _ = generate_synthetic_dataset(
             str(tmp_path), num_classes=2, videos_per_class=3, num_frames=4,
-            light_dim=3, guiding_dim=5, salient_fraction=0.5, noise_sigma=0.2, seed=2)
+            light_dim=3, guiding_dim=5, salient_fraction=0.5, noise_sigma=0.2, seed=2,
+            val_videos_per_class=0)
         opened = Counter()
 
         def counting_open(file, *args, **kwargs):
@@ -327,10 +333,32 @@ class TestManifest:
             return open(file, *args, **kwargs)
 
         monkeypatch.setattr(data, "open", counting_open, raising=False)
-        assert len(load_manifest(train).load_all()) == 6
+        assert len(load_manifest(train).read(KINDS).video_ids) == 6
         expected = Counter({"train.nsm": 1} | {f"feats/{name}": 1
                                                 for name in os.listdir(tmp_path / "feats")})
         assert len(expected) == 1 + 6 * 4 and opened == expected
+
+    def test_load_record_opens_the_scored_kinds(self, tmp_path, monkeypatch):
+        """One video's record reads its light, logits and mask files, each
+        once, and never its guiding file."""
+        train, _ = generate_synthetic_dataset(
+            str(tmp_path), num_classes=2, videos_per_class=1, num_frames=4,
+            light_dim=3, guiding_dim=5, salient_fraction=0.5, noise_sigma=0.2, seed=2,
+            val_videos_per_class=0)
+        manifest, reads = load_manifest(train), []
+
+        def counted(path):
+            reads.append(os.path.basename(path))
+            return read_feature_file(path)
+
+        monkeypatch.setattr(data, "read_feature_file", counted)
+        entry = manifest.entries[1]
+        record = manifest.load_record(entry)
+        assert reads == [f"{entry.video_id}.{kind}.nsf" for kind in ("light", "logits", "mask")]
+        block = manifest.read(SCORED_KINDS, [entry])
+        np.testing.assert_array_equal(record.light_features, block.arrays["light"])
+        np.testing.assert_array_equal(record.recognizer_logits, block.arrays["logits"])
+        np.testing.assert_array_equal(record.saliency_mask, block.arrays["mask"])
 
 
 class TestBlockFaults:
@@ -361,6 +389,9 @@ class TestBlockFaults:
         manifest = split({(2, "light"): nan, (1, "logits"): np.full((2, 3), np.inf)})
         with pytest.raises(ValueError, match="^v1: recognizer_logits has non-finite values$"):
             manifest.read(("light", "logits"))
+        # each video's guiding path is its light file
+        with pytest.raises(ValueError, match="^v2: guiding_features has non-finite values$"):
+            manifest.read(("guiding",))
 
     def test_kind_order_within_a_video(self, split):
         nan = np.zeros((2, 3))
@@ -421,11 +452,28 @@ class TestBlocks:
         assert ScoredVideos.gather(block, 4).light.dtype == np.float32
 
     def test_record_without_mask_gets_zero_rows(self):
-        records = [VideoRecord(f"v{i}", i, np.ones((n, 2)), np.ones((n, 2)), np.ones((n, 3)), mask)
+        records = [VideoRecord(f"v{i}", i, np.ones((n, 2)), np.ones((n, 3)), mask)
                    for i, (n, mask) in enumerate([(2, [1, 1]), (3, None), (1, [1])])]
         block = FeatureBlock.of(records)
         assert block.lengths == [2, 3, 1]
         np.testing.assert_array_equal(block.arrays["mask"], [1, 1, 0, 0, 0, 1])
+
+    def test_gather_keeps_the_kinds_aligned(self):
+        """Pre-sampling takes the same frames of every kind: each row's light
+        column 0 is its frame index, the mask marks odd frames, and the
+        probabilities are the softmax of that frame's logits."""
+        videos = []
+        for v, n in enumerate((2, 4, 11)):
+            tag = np.arange(float(n))[:, None]
+            videos.append(dict(video_id=f"v{v}", label=0, mask=tag[:, 0] % 2,
+                               light=np.hstack([tag, np.zeros((n, 2))]),
+                               logits=np.hstack([tag, -tag, np.zeros((n, 1))])))
+        gathered = ScoredVideos.gather(feature_block(videos), 4)
+        tags = gathered.light[:, :, 0]
+        np.testing.assert_array_equal(tags, [[0, 1, 0, 1], [0, 1, 2, 3], [1, 4, 6, 9]])
+        np.testing.assert_array_equal(gathered.planted, tags % 2 == 1)
+        np.testing.assert_array_equal(gathered.probs, softmax_values(
+            np.stack([tags, -tags, np.zeros_like(tags)], axis=2)))
 
     def test_blocks_concatenate_to_read(self, manifest):
         kinds = ("light", "mask")
@@ -446,15 +494,16 @@ class TestBlocks:
             assert [len(r) for r in rows] == read.lengths
             assert all(r.dtype == np.float32 and np.shares_memory(r, read.arrays[kind])
                        for r in rows)
+        # a video that lists no mask reads zero rows
+        assert not any(mask.any() for entry, mask in zip(manifest.entries, read.per_video("mask"))
+                       if entry.mask_path is None)
 
 
 class TestVideoRecord:
-    @pytest.mark.parametrize("name", ["light_features", "guiding_features",
-                                      "recognizer_logits"])
+    @pytest.mark.parametrize("name", ["light_features", "recognizer_logits"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, name, bad):
-        arrays = {"light_features": np.zeros((3, 2)), "guiding_features": np.zeros((3, 2)),
-                  "recognizer_logits": np.zeros((3, 4))}
+        arrays = {"light_features": np.zeros((3, 2)), "recognizer_logits": np.zeros((3, 4))}
         arrays[name][1, 0] = bad
         with pytest.raises(ValueError, match=f"vid7: {name} has non-finite values"):
             VideoRecord("vid7", 0, **arrays)
@@ -462,10 +511,10 @@ class TestVideoRecord:
     @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan, np.inf])
     def test_mask_entries_must_be_0_or_1(self, bad):
         features = np.zeros((3, 2))
-        mask = VideoRecord("vid7", 0, features, features, features, [-0.0, 1.0, 0.0])
+        mask = VideoRecord("vid7", 0, features, features, [-0.0, 1.0, 0.0])
         np.testing.assert_array_equal(mask.saliency_mask, [0.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="vid7: saliency_mask entries must be 0 or 1"):
-            VideoRecord("vid7", 0, features, features, features, [1.0, bad, 0.0])
+            VideoRecord("vid7", 0, features, features, [1.0, bad, 0.0])
 
 
 # reader, file name, valid lines, a key whose value "abc" fails, float keys
@@ -481,19 +530,24 @@ KEY_VALUE_READERS = {
 
 
 def _bad_key_value_files():
+    """Each case named by its reader and the rejected last line."""
+    def case(reader, lines, message):
+        return pytest.param(reader, lines, message, id=f"{reader}-{lines[-1]}")
+
     for reader, (_, _, lines, parsed, floats) in KEY_VALUE_READERS.items():
-        yield reader, lines + ["nonsense=1"], "unknown"
-        yield reader, lines + [lines[0]], "duplicate key"
+        yield case(reader, lines + ["nonsense=1"], "unknown")
+        yield case(reader, lines + [lines[0]], "duplicate key")
         for key, text in [(parsed, "abc")] + [(k, v) for k in floats
                                               for v in ("nan", "inf", "-inf", "1e999")]:
             kept = [line for line in lines if not line.startswith(key + "=")]
-            yield reader, kept + [f"{key}={text}"], f"{key} "
+            yield case(reader, kept + [f"{key}={text}"], f"{key} ")
     # values the run file's parsers reject where a Python literal would pass
     sidecar = KEY_VALUE_READERS["checkpoint sidecar"][2]
     for text in ("0x2", "True"):
-        yield ("checkpoint sidecar", [line for line in sidecar if not line.startswith("heads=")]
-               + [f"heads={text}"], f"heads must be an integer, got {text!r}")
-    yield "cost table", ["encoder=0.5", "vgm=-0.001"], "vgm must be >= 0, got '-0.001'"
+        yield case("checkpoint sidecar",
+                   [line for line in sidecar if not line.startswith("heads=")] + [f"heads={text}"],
+                   f"heads must be an integer, got {text!r}")
+    yield case("cost table", ["encoder=0.5", "vgm=-0.001"], "vgm must be >= 0, got '-0.001'")
 
 
 @pytest.mark.parametrize("reader, lines, message", list(_bad_key_value_files()))

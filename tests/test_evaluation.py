@@ -9,9 +9,12 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from conftest import feature_block
+
 from nsnet import evaluation
 from nsnet.autodiff import softmax_values
-from nsnet.data import FeatureBlock, PresampleConfig, VideoRecord, presample
+from nsnet.data import SCORED_KINDS, FeatureBlock, PresampleConfig, VideoRecord, presample, \
+    presample_indices
 from nsnet.evaluation import (
     BASELINE_METHODS,
     DEFAULT_COST_TABLE,
@@ -231,48 +234,50 @@ class TestStackedScores:
                 metric(np.zeros(shape), np.zeros(5, dtype=int))
 
 
-def _record(n=10, c=3, seed=0, mask=None):
+def _one_video(n=10, c=3, seed=0, logits=None):
+    """One video of ``n`` frames, gathered at ``n``."""
     rng = np.random.default_rng(seed)
-    return VideoRecord("v", 0, rng.standard_normal((n, 2)),
-                       rng.standard_normal((n, 2)),
-                       rng.standard_normal((n, c)), mask)
+    video = dict(video_id="v", label=0, light=rng.standard_normal((n, 2)), mask=np.zeros(n),
+                 logits=rng.standard_normal((n, c)) if logits is None else logits)
+    return ScoredVideos.gather(feature_block([video]), n)
 
 
 class TestBaselines:
     def test_dense(self):
-        assert baseline_sample(_record(6), "dense", 3) == [0, 1, 2, 3, 4, 5]
+        assert baseline_selection(_one_video(6), "dense", 3, 0).tolist() == [[0, 1, 2, 3, 4, 5]]
 
     def test_uniform_segment_centers(self):
-        assert baseline_sample(_record(10), "uniform", 5) == [1, 3, 5, 7, 9]
-        assert baseline_sample(_record(8), "uniform", 8) == list(range(8))
+        assert baseline_selection(_one_video(10), "uniform", 5, 0).tolist() == [[1, 3, 5, 7, 9]]
+        assert baseline_selection(_one_video(8), "uniform", 8, 0).tolist() == [list(range(8))]
 
     def test_random_is_seeded_sorted_subset(self):
-        record = _record(12)
-        a = baseline_sample(record, "random", 5, seed=3)
-        b = baseline_sample(record, "random", 5, seed=3)
+        videos = _one_video(12)
+        [a], [b] = (baseline_selection(videos, "random", 5, 3).tolist() for _ in range(2))
         assert a == b == sorted(set(a))
         assert len(a) == 5
-        c = baseline_sample(record, "random", 5, seed=4)
+        [c] = baseline_selection(videos, "random", 5, 4).tolist()
         assert all(0 <= i < 12 for i in c)
 
     def test_topk_confidence_prefers_peaked_rows(self):
         logits = np.zeros((5, 3))
         logits[2] = [8.0, 0.0, 0.0]   # most confident
         logits[4] = [0.0, 4.0, 0.0]
-        record = VideoRecord("v", 0, np.zeros((5, 2)), np.zeros((5, 2)), logits)
-        assert baseline_sample(record, "topk_confidence", 2) == [2, 4]
+        assert baseline_selection(_one_video(5, logits=logits), "topk_confidence", 2,
+                                  0).tolist() == [[2, 4]]
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown baseline"):
-            baseline_sample(_record(), "magic", 2)
+            baseline_selection(_one_video(), "magic", 2, 0)
 
 
 class TestSalientRecall:
     @staticmethod
     def recall(selected, *masks, t=4):
-        """``ScoredVideos.score``'s recall over videos carrying ``masks``."""
-        videos = ScoredVideos.gather(FeatureBlock.of([
-            VideoRecord(f"v{i}", 0, np.zeros((t, 2)), np.zeros((t, 2)), np.zeros((t, 3)), mask)
+        """``ScoredVideos.score``'s recall over videos carrying ``masks``
+        (None: a video that lists no mask, read as zeros)."""
+        videos = ScoredVideos.gather(feature_block([
+            dict(video_id=f"v{i}", label=0, light=np.zeros((t, 2)), logits=np.zeros((t, 3)),
+                 mask=np.zeros(t) if mask is None else mask)
             for i, mask in enumerate(masks)]), t)
         return videos.score(np.array(selected))[1]
 
@@ -299,10 +304,11 @@ class TestSalientRecall:
 # Batched scoring against the per-video loop
 # ---------------------------------------------------------------------------
 #
-# The reference below scores one video at a time: its baseline rows, the
-# softmax of its selected logit rows averaged, and its recall as a set
-# intersection. The (V, K) gathers of ``run_comparison`` and
-# ``evaluate_epoch`` must give the same numbers, compared with ==.
+# The reference below scores one video at a time, each pre-sampled on its
+# own: its baseline rows, the softmax of its selected logit rows averaged,
+# and its recall as a set intersection. The (V, K) gathers of
+# ``run_comparison`` (and of the one-video API's epoch scorer, pinned
+# below) must give the same numbers, compared with ==.
 
 RATIO = 0.6
 V, D, C = 14, 8, 3
@@ -329,21 +335,19 @@ def reference_random(video_id, t, k, seed):
     return sorted(sorted(range(t), key=keys.__getitem__)[:k])
 
 
-def reference_baseline(record, method, k, seed):
-    t = record.num_frames
+def reference_baseline(video, method, k, seed):
+    t = len(video["logits"])
     if method == "dense":
         return list(range(t))
     if method == "uniform":
         return [int(math.floor((i + 0.5) * t / k)) for i in range(k)]
     if method == "random":
-        return reference_random(record.video_id, t, k, seed)
-    confidence = softmax_values(record.recognizer_logits).max(axis=1)
+        return reference_random(video["video_id"], t, k, seed)
+    confidence = softmax_values(video["logits"]).max(axis=1)
     return np.argsort(-confidence, kind="stable")[:k].tolist()
 
 
 def reference_recall(selected, mask):
-    if mask is None:
-        return None
     planted = np.flatnonzero(np.asarray(mask) > 0.5)
     if planted.size == 0:
         return None
@@ -352,37 +356,50 @@ def reference_recall(selected, mask):
 
 def reference_scores(observed, selections):
     """The (V, C) scores and the mean recall, one video at a time."""
-    scores = np.zeros((len(observed), observed[0].recognizer_logits.shape[1]))
+    scores = np.zeros((len(observed), observed[0]["logits"].shape[1]))
     recalls = []
-    for i, (record, selected) in enumerate(zip(observed, selections)):
+    for i, (video, selected) in enumerate(zip(observed, selections)):
         indices = np.asarray(selected, dtype=np.int64)
-        scores[i] = softmax_values(record.recognizer_logits[indices]).mean(axis=0)
-        recall = reference_recall(selected, record.saliency_mask)
+        scores[i] = softmax_values(video["logits"][indices]).mean(axis=0)
+        recall = reference_recall(selected, video["mask"])
         if recall is not None:
             recalls.append(recall)
     return scores, (float(np.mean(recalls)) if recalls else None)
 
 
 def reference_selections(model, observed, mode, k, seed):
-    s_f, s_v = model.saliency([r.light_features for r in observed])
+    s_f, s_v = model.saliency([video["light"] for video in observed])
     cfg = FusionConfig(mode, RATIO, k)
     return {"nsnet": [select_frames(f, v, cfg) for f, v in zip(s_f, s_v)],
-            **{method: [reference_baseline(r, method, k, seed) for r in observed]
+            **{method: [reference_baseline(video, method, k, seed) for video in observed]
                for method in BASELINE_METHODS}}
 
 
-def mixed_records(t, seed=0):
-    """Videos of t and t + 5 original frames whose masks are absent, all
-    zero or planted, in turn. Integer logits make ties in confidence."""
+def mixed_videos(t, seed=0):
+    """Videos of t and t + 5 original frames whose masks are all zero, or
+    planted, two in three zero. Integer logits make ties in confidence."""
     rng = np.random.default_rng(seed)
-    records = []
+    videos = []
     for i in range(V):
         n = t + 5 * (i % 2)
-        mask = [None, np.zeros(n), (rng.random(n) < 0.4).astype(float)][i % 3]
-        records.append(VideoRecord(f"v{i:02d}", i % C, rng.standard_normal((n, D)),
-                                   rng.standard_normal((n, D)),
-                                   rng.integers(-2, 3, (n, C)).astype(float), mask))
-    return records
+        videos.append(dict(video_id=f"v{i:02d}", label=i % C, light=rng.standard_normal((n, D)),
+                           logits=rng.integers(-2, 3, (n, C)).astype(float),
+                           mask=(rng.random(n) < 0.4).astype(float) if i % 3 == 2
+                           else np.zeros(n)))
+    return videos
+
+
+def observe(videos, t):
+    """Each video pre-sampled to ``t`` frames on its own."""
+    return [{**video, **{kind: video[kind][presample_indices(len(video["light"]),
+                                                             PresampleConfig(t))]
+                         for kind in SCORED_KINDS}} for video in videos]
+
+
+def one_video_records(videos):
+    """The videos as the one-video API's records."""
+    return [VideoRecord(v["video_id"], v["label"], v["light"], v["logits"], v["mask"])
+            for v in videos]
 
 
 def model_for(t):
@@ -393,11 +410,11 @@ def model_for(t):
 @pytest.mark.parametrize("t", [6, 16])
 @pytest.mark.parametrize("mode", FUSION_MODES)
 def test_run_comparison_equals_per_video_loop(t, mode):
-    records, model = mixed_records(t), model_for(t)
+    mixed, model = mixed_videos(t), model_for(t)
     k_list = [1, 3, t]
-    observed = [presample(r, PresampleConfig(frames=t)) for r in records]
-    videos = ScoredVideos.gather(FeatureBlock.of(observed), t)
-    labels = np.array([r.label for r in observed])
+    observed = observe(mixed, t)
+    videos = ScoredVideos.gather(feature_block(mixed), t)
+    labels = np.array(videos.labels)
     expected = []
     for k in k_list:
         for method, selections in reference_selections(model, observed, mode, k, 5).items():
@@ -405,8 +422,8 @@ def test_run_comparison_equals_per_video_loop(t, mode):
             assert np.array_equal(videos.score(np.array(selections))[0], scores)
             expected.append((method, k, top1_accuracy(scores, labels),
                              mean_average_precision(scores, labels).mean, recall))
-    rows = run_comparison(ScoredVideos.gather(FeatureBlock.of(records), t), model,
-                          FusionConfig(mode, RATIO, 1), k_list, DEFAULT_COST_TABLE, seed=5)
+    rows = run_comparison(videos, model, FusionConfig(mode, RATIO, 1), k_list,
+                          DEFAULT_COST_TABLE, seed=5)
     # gflops is budget arithmetic, independent of the scoring
     assert [astuple(row)[:5] for row in rows] == expected
     assert any(row[4] is not None for row in expected)
@@ -415,9 +432,9 @@ def test_run_comparison_equals_per_video_loop(t, mode):
 @pytest.mark.parametrize("t", [6, 16])
 @pytest.mark.parametrize("mode", FUSION_MODES)
 def test_evaluate_epoch_equals_per_video_loop(t, mode):
-    records, model = mixed_records(t, seed=1), model_for(t)
-    observed = [presample(r, PresampleConfig(frames=t)) for r in records]
-    labels = np.array([r.label for r in observed])
+    videos, model = mixed_videos(t, seed=1), model_for(t)
+    records, observed = one_video_records(videos), observe(videos, t)
+    labels = np.array([video["label"] for video in videos])
     for k in (1, 3, t):
         selections = reference_selections(model, observed, mode, k, 0)["nsnet"]
         scores, recall = reference_scores(observed, selections)
@@ -430,12 +447,12 @@ def test_evaluate_epoch_equals_per_video_loop(t, mode):
 UNEVEN_LABELS = [3, 0, 3, 1, 3, 2, 3, 1, 3, 2, 3, 2, 3, 3]
 
 
-def uneven_records(t):
-    """``mixed_records`` over five classes whose positive counts differ."""
+def uneven_videos(t):
+    """``mixed_videos`` over five classes whose positive counts differ."""
     rng = np.random.default_rng(t)
-    return [VideoRecord(r.video_id, label, r.light_features, r.guiding_features,
-                        rng.integers(-2, 3, (r.num_frames, 5)).astype(float), r.saliency_mask)
-            for r, label in zip(mixed_records(t, seed=2), UNEVEN_LABELS, strict=True)]
+    return [{**video, "label": label,
+             "logits": rng.integers(-2, 3, (len(video["light"]), 5)).astype(float)}
+            for video, label in zip(mixed_videos(t, seed=2), UNEVEN_LABELS, strict=True)]
 
 
 def map_oracle(scores, labels):
@@ -453,9 +470,9 @@ def map_oracle(scores, labels):
 @pytest.mark.parametrize("t", [6, 16])
 @pytest.mark.parametrize("mode", FUSION_MODES)
 def test_run_comparison_on_uneven_classes(t, mode):
-    records, model = uneven_records(t), model_for(t)
+    videos, model = uneven_videos(t), model_for(t)
     k_list = [1, 3, t]
-    observed = [presample(r, PresampleConfig(frames=t)) for r in records]
+    observed = observe(videos, t)
     labels = np.array(UNEVEN_LABELS)
     expected = []
     for k in k_list:
@@ -463,7 +480,7 @@ def test_run_comparison_on_uneven_classes(t, mode):
             scores, recall = reference_scores(observed, selections)
             expected.append((method, k, float(np.mean(scores.argmax(axis=1) == labels)),
                              map_oracle(scores, labels), recall))
-    rows = run_comparison(ScoredVideos.gather(FeatureBlock.of(records), t), model,
+    rows = run_comparison(ScoredVideos.gather(feature_block(videos), t), model,
                           FusionConfig(mode, RATIO, 1), k_list, DEFAULT_COST_TABLE, seed=5)
     assert [astuple(row)[:5] for row in rows] == expected
     per_class = mean_average_precision(scores, labels).per_class
@@ -472,7 +489,7 @@ def test_run_comparison_on_uneven_classes(t, mode):
 
 def test_run_comparison_scores_through_one_call_per_metric(monkeypatch):
     t = 16
-    videos, model = ScoredVideos.gather(FeatureBlock.of(mixed_records(t)), t), model_for(t)
+    videos, model = ScoredVideos.gather(feature_block(mixed_videos(t)), t), model_for(t)
     expected = run_comparison(videos, model, FusionConfig(), [1, 4, t], DEFAULT_COST_TABLE, 3)
     calls = {"mean_average_precision": 0, "top1_accuracy": 0}
     for name in calls:
@@ -487,7 +504,7 @@ def test_run_comparison_scores_through_one_call_per_metric(monkeypatch):
 
 def test_baseline_rows_do_not_depend_on_the_fusion_mode():
     t = 16
-    videos, model = ScoredVideos.gather(FeatureBlock.of(mixed_records(t)), t), model_for(t)
+    videos, model = ScoredVideos.gather(feature_block(mixed_videos(t)), t), model_for(t)
     runs = [[row for row in run_comparison(videos, model, FusionConfig(mode, RATIO, 1),
                                            [1, 4, t], DEFAULT_COST_TABLE, seed=3)
              if row.method != "nsnet"]
@@ -569,9 +586,10 @@ class TestRandomContract:
 
 
 def test_baseline_sample_is_the_one_video_row():
-    records = [presample(r, PresampleConfig(frames=6)) for r in mixed_records(6)]
+    videos = mixed_videos(6)
+    records = [presample(r, PresampleConfig(frames=6)) for r in one_video_records(videos)]
     for method in BASELINE_METHODS:
         for k in (1, 3, 6):
-            for record in records:
-                assert baseline_sample(record, method, k, seed=2) == \
-                    reference_baseline(record, method, k, 2)
+            for record, video in zip(records, observe(videos, 6)):
+                assert baseline_sample(record, method, k) == \
+                    reference_baseline(video, method, k, 0)

@@ -11,8 +11,10 @@ import itertools
 import numpy as np
 import pytest
 
+from nsnet.autodiff import softmax_values
 from nsnet.data import VideoRecord, generate_synthetic_dataset, load_manifest
-from nsnet.fusion import FUSION_MODES, FusionConfig, fuse_scores, recognize_video, \
+from nsnet.evaluation import ScoredVideos
+from nsnet.fusion import FUSION_MODES, FusionConfig, fuse_scores, recognize, recognize_video, \
     select_frames
 
 
@@ -339,30 +341,36 @@ class TestMatrixSelection:
 class TestProfileAndRecognition:
     def _record(self, logits):
         n = logits.shape[0]
-        return VideoRecord("r", 0, np.zeros((n, 2)), np.zeros((n, 2)), logits)
+        return VideoRecord("r", 0, np.zeros((n, 2)), logits)
 
     def test_single_frame_recognition(self):
         logits = np.array([[2.0, 1.0, 0.0], [0.0, 5.0, 0.0]])
-        record = self._record(logits)
-        probs = recognize_video(record, [0])
+        probs = recognize(softmax_values(logits)[None], np.array([[0]]))
         expected = np.exp(logits[0]) / np.exp(logits[0]).sum()
-        np.testing.assert_allclose(probs, expected, atol=1e-12)
+        np.testing.assert_allclose(probs, [expected], atol=1e-12)
 
     def test_identical_frames_average_to_single(self):
-        logits = np.tile([1.0, 3.0, -1.0], (4, 1))
-        record = self._record(logits)
-        np.testing.assert_allclose(recognize_video(record, [0, 1, 2, 3]),
-                                   recognize_video(record, [2]), atol=1e-15)
+        probs = softmax_values(np.tile([1.0, 3.0, -1.0], (4, 1)))[None]
+        np.testing.assert_allclose(recognize(probs, np.array([[0, 1, 2, 3]])),
+                                   recognize(probs, np.array([[2]])), atol=1e-15)
 
     def test_zero_noise_synthetic_salient_frames_recognized(self, tmp_path):
         train, _ = generate_synthetic_dataset(
             str(tmp_path), num_classes=4, videos_per_class=2, num_frames=8,
             light_dim=6, guiding_dim=6, salient_fraction=0.5, noise_sigma=0.0,
-            seed=10)
-        for record in load_manifest(train).load_all():
-            salient = np.flatnonzero(record.saliency_mask).tolist()
-            probs = recognize_video(record, salient)
-            assert int(np.argmax(probs)) == record.label
+            seed=10, val_videos_per_class=0)
+        videos = ScoredVideos.gather(load_manifest(train).read(ScoredVideos.kinds), 8)
+        # every video has its 4 planted frames, in frame order
+        salient = np.nonzero(videos.planted)[1].reshape(len(videos.labels), 4)
+        scores, recall = videos.score(salient)
+        np.testing.assert_array_equal(scores.argmax(axis=1), videos.labels)
+        assert recall == 1.0
+
+    def test_one_video_recognition_is_its_row(self):
+        logits = np.random.default_rng(0).standard_normal((5, 3))
+        np.testing.assert_array_equal(recognize_video(self._record(logits), [4, 0, 2]),
+                                      recognize(softmax_values(logits)[None],
+                                                np.array([[4, 0, 2]]))[0])
 
     def test_empty_selection_rejected(self):
         record = self._record(np.zeros((2, 3)))

@@ -1,8 +1,8 @@
 """The graph-free saliency pass against the per-video forward it replaced.
 
 ``per_video_saliency`` is that path, kept as the reference: one
-graph-building eval forward per video, then ``fsm_saliency`` and
-``vgm_saliency`` on its outputs. Every inference consumer must run one
+graph-building eval forward per video, then the one-video API's
+``fsm_saliency`` and ``vgm_saliency`` on its outputs. Every inference consumer must run one
 pass of the trunk (``SamplerModel._trunk``) per block of ``BLOCK`` videos,
 not one per video (or per video and K), and no training head.
 
@@ -20,14 +20,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import feature_block
 from test_fusion import oracle_select
 
 import nsnet
 import nsnet.autodiff
 import nsnet.data
 from nsnet.cli import main
-from nsnet.data import BLOCK, FeatureBlock, PresampleConfig, VideoRecord, \
-    generate_synthetic_dataset, load_manifest, presample, read_feature_file
+from nsnet.data import BLOCK, PresampleConfig, VideoRecord, generate_synthetic_dataset, \
+    load_manifest, presample_indices, read_feature_file
 from nsnet.evaluation import DEFAULT_COST_TABLE, ScoredVideos, run_comparison
 from nsnet.fusion import FUSION_MODES, SCORE_MODES, FusionConfig
 from nsnet.model import ModelConfig, SamplerModel, fsm_saliency, load_checkpoint, \
@@ -50,11 +51,10 @@ def per_video_saliency(model, features):
     return np.stack([f for f, _ in rows]), np.stack([v for _, v in rows])
 
 
-def make_records(count, seed=1):
+def make_videos(count, seed=1):
     rng = np.random.default_rng(seed)
-    return [VideoRecord(f"v{i:03d}", i % C, rng.standard_normal((T, D)),
-                        rng.standard_normal((T, D)), rng.standard_normal((T, C)),
-                        (rng.random(T) < 0.5).astype(float))
+    return [dict(video_id=f"v{i:03d}", label=i % C, light=rng.standard_normal((T, D)),
+                 logits=rng.standard_normal((T, C)), mask=(rng.random(T) < 0.5).astype(float))
             for i in range(count)]
 
 
@@ -129,13 +129,15 @@ MAX_FORWARDS = math.ceil(VIDEOS / BLOCK)
 
 
 def test_run_comparison_forwards_once_per_block(count_trunk_passes):
-    run_comparison(ScoredVideos.gather(FeatureBlock.of(make_records(VIDEOS)), T), make_model(),
+    run_comparison(ScoredVideos.gather(feature_block(make_videos(VIDEOS)), T), make_model(),
                    FusionConfig("index_union", 0.6, 2), [1, 2, 4, T], DEFAULT_COST_TABLE, 0)
     assert 0 < len(count_trunk_passes) <= MAX_FORWARDS
 
 
 def test_evaluate_epoch_forwards_once_per_block(count_trunk_passes):
-    evaluate_epoch(make_model(), make_records(VIDEOS), 2, FusionConfig(), T)
+    records = [VideoRecord(v["video_id"], v["label"], v["light"], v["logits"], v["mask"])
+               for v in make_videos(VIDEOS)]
+    evaluate_epoch(make_model(), records, 2, FusionConfig(), T)
     assert 0 < len(count_trunk_passes) <= MAX_FORWARDS
 
 
@@ -143,7 +145,7 @@ def test_sample_command_forwards_once_per_block(tmp_path, capsys, count_trunk_pa
     manifest, _ = generate_synthetic_dataset(
         str(tmp_path), num_classes=C, videos_per_class=math.ceil(VIDEOS / C),
         num_frames=T, light_dim=D, guiding_dim=D, salient_fraction=0.5,
-        noise_sigma=0.2, seed=3)
+        noise_sigma=0.2, seed=3, val_videos_per_class=0)
     videos = len(load_manifest(manifest).entries)
     checkpoint = str(tmp_path / "model.nsc1")
     save_checkpoint(make_model(), checkpoint)
@@ -161,7 +163,7 @@ def test_sample_reads_one_block_ahead(tmp_path, capsys, monkeypatch):
     manifest, _ = generate_synthetic_dataset(
         str(tmp_path), num_classes=C, videos_per_class=math.ceil(VIDEOS / C),
         num_frames=T, light_dim=D, guiding_dim=D, salient_fraction=0.5,
-        noise_sigma=0.2, seed=3)
+        noise_sigma=0.2, seed=3, val_videos_per_class=0)
     videos = len(load_manifest(manifest).entries)
     checkpoint = str(tmp_path / "model.nsc1")
     save_checkpoint(make_model(), checkpoint)
@@ -188,12 +190,13 @@ def test_sample_reads_one_block_ahead(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("mode", FUSION_MODES)
 def test_sample_csv_equals_per_video_reference(tmp_path, capsys, mode):
-    """Each video's rows written one video at a time: its own forward, the
-    oracle's selection and the fused value of each frame (empty for the
+    """Each video's rows written one video at a time: its own saliency pass,
+    the oracle's selection and the fused value of each frame (empty for the
     index modes). Videos of 21 frames are pre-sampled to T."""
     manifest, _ = generate_synthetic_dataset(
         str(tmp_path), num_classes=C, videos_per_class=4, num_frames=21,
-        light_dim=D, guiding_dim=D, salient_fraction=0.5, noise_sigma=0.2, seed=4)
+        light_dim=D, guiding_dim=D, salient_fraction=0.5, noise_sigma=0.2, seed=4,
+        val_videos_per_class=0)
     checkpoint = str(tmp_path / "model.nsc1")
     save_checkpoint(make_model(2), checkpoint)
     out = tmp_path / "saliency.csv"
@@ -204,14 +207,14 @@ def test_sample_csv_equals_per_video_reference(tmp_path, capsys, mode):
     fuse = {"score_add": lambda a, b: 0.3 * a + (1 - 0.3) * b,
             "score_mul": lambda a, b: a * b, "score_max": max}.get(mode)
     lines = ["video_id,frame,s_f,s_v,fused,selected"]
-    for record in load_manifest(manifest).load_all():
-        observed = presample(record, PresampleConfig(frames=T))
-        s_f, s_v = (track[0].tolist()
-                    for track in per_video_saliency(model, [observed.light_features]))
+    split = load_manifest(manifest).read(("light",))
+    for video_id, light in zip(split.video_ids, split.per_video("light")):
+        observed = light[presample_indices(len(light), PresampleConfig(frames=T))]
+        s_f, s_v = (track[0].tolist() for track in model.saliency(observed[None]))
         chosen = oracle_select(s_f, s_v, mode, 5, 0.3)
         for i, (f, v) in enumerate(zip(s_f, s_v)):
             fused = repr(fuse(f, v)) if mode in SCORE_MODES else ""
-            lines.append(f"{record.video_id},{i},{f!r},{v!r},{fused},{int(i in chosen)}")
+            lines.append(f"{video_id},{i},{f!r},{v!r},{fused},{int(i in chosen)}")
     assert out.read_text() == "\n".join(lines) + "\n"
 
 
@@ -227,7 +230,8 @@ def test_one_video_requests_equal_evaluate_epoch(tmp_path, mode):
     for frames in (8, 16, 40):
         path, _ = generate_synthetic_dataset(
             str(tmp_path / str(frames)), num_classes=C, videos_per_class=2, num_frames=frames,
-            light_dim=D, guiding_dim=D, salient_fraction=0.25, noise_sigma=0.2, seed=frames)
+            light_dim=D, guiding_dim=D, salient_fraction=0.25, noise_sigma=0.2, seed=frames,
+            val_videos_per_class=0)
         manifest = nsnet.load_manifest(path)
         entries += [(manifest, entry) for entry in manifest.entries]
     model, cfg = make_model(5), nsnet.FusionConfig(mode, 0.6, 4)

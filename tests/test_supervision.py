@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from nsnet.data import KINDS, FeatureBlock, VideoRecord, generate_synthetic_dataset, load_manifest, \
-    stack_frames, write_feature_file
+from conftest import feature_block
+
+from nsnet.data import generate_synthetic_dataset, load_manifest, write_feature_file
 from nsnet.supervision import (
     PrototypeBank,
     build_prototypes,
@@ -37,27 +38,19 @@ def assert_pseudo_label_rows_valid(seed=400, draws=1000):
         assert not np.delete(matrix[:, :c], label, axis=1).any()
 
 
-def _record(label, guide, logits, vid="v"):
-    n = guide.shape[0]
-    return VideoRecord(vid, label, np.zeros((n, 2)), guide, logits)
+def _video(label, guide, logits, vid="v"):
+    """A video's guiding features and logits, what ``build_prototypes`` reads."""
+    return dict(video_id=vid, label=label, guiding=guide, logits=logits)
 
 
-def stacked(records, kinds=("guiding", "logits")):
-    """The records' rows of ``kinds`` as one block, as ``read`` stacks their
-    files (guiding and logits: what ``build_prototypes`` reads)."""
-    ids = [r.video_id for r in records]
-    return FeatureBlock(ids, [r.label for r in records], *stack_frames(
-        ids, {kind: [getattr(r, KINDS[kind][0]) for r in records] for kind in kinds}))
+def blocks(videos, size=2):
+    """The videos as blocks of ``size`` videos, the last one shorter."""
+    return [feature_block(videos[i:i + size]) for i in range(0, len(videos), size)]
 
 
-def blocks(records, size=2):
-    """The records as blocks of ``size`` videos, the last one shorter."""
-    return [stacked(records[i:i + size]) for i in range(0, len(records), size)]
-
-
-def scores(record, bank):
-    """The record's guiding saliency scores."""
-    return guiding_saliency_scores(record.guiding_features, record.label, bank)
+def scores(video, bank):
+    """The video's guiding saliency scores."""
+    return guiding_saliency_scores(video["guiding"], video["label"], bank)
 
 
 def scores_at_distances(distances, label):
@@ -72,8 +65,8 @@ class TestBuildPrototypes:
         feature = np.array([1.0, 2.0, 3.0])
         guide = np.tile(feature, (5, 1))
         logits = np.tile([5.0, 0.0], (5, 1))  # all frames predicted class 0
-        bank = build_prototypes(blocks([_record(0, guide, logits, "a"),
-                                        _record(1, guide + 1, logits[:, ::-1].copy(), "b")]), 2)
+        bank = build_prototypes(blocks([_video(0, guide, logits, "a"),
+                                        _video(1, guide + 1, logits[:, ::-1].copy(), "b")]), 2)
         np.testing.assert_allclose(bank.prototypes[0], feature, atol=1e-12)
         np.testing.assert_allclose(bank.prototypes[1], feature + 1, atol=1e-12)
 
@@ -85,8 +78,8 @@ class TestBuildPrototypes:
         logits[5:, 1] = 1.0                                   # wrong class
         guide = np.zeros((10, 1))
         guide[:, 0] = np.arange(10.0)
-        bank = build_prototypes(blocks([_record(0, guide, logits, "a"),
-                                        _record(1, guide, 1 - logits, "b")]), 2)
+        bank = build_prototypes(blocks([_video(0, guide, logits, "a"),
+                                        _video(1, guide, 1 - logits, "b")]), 2)
         # top-2 by true-class confidence are frames 0 and 1 -> mean 0.5
         np.testing.assert_allclose(bank.prototypes[0], [0.5], atol=1e-12)
 
@@ -94,17 +87,17 @@ class TestBuildPrototypes:
         rng = np.random.default_rng(0)
         guide = rng.standard_normal((6, 4))
         logits = np.tile([3.0, 0.0, 0.0], (6, 1))
-        records = [_record(0, guide, logits, "a"),
-                   _record(1, guide, np.roll(logits, 1, axis=1), "b"),
-                   _record(2, guide, np.roll(logits, 2, axis=1), "c")]
-        bank = build_prototypes(blocks(records), 3, epsilon_percent=100)
+        videos = [_video(0, guide, logits, "a"),
+                  _video(1, guide, np.roll(logits, 1, axis=1), "b"),
+                  _video(2, guide, np.roll(logits, 2, axis=1), "c")]
+        bank = build_prototypes(blocks(videos), 3, epsilon_percent=100)
         np.testing.assert_allclose(bank.prototypes[0], guide.mean(axis=0), atol=1e-12)
 
     def test_video_without_correct_frames_falls_back(self):
         logits = np.tile([0.0, 5.0], (4, 1))  # every frame predicted class 1
         guide = np.arange(8.0).reshape(4, 2)
-        bank = build_prototypes(blocks([_record(0, guide, logits, "a"),
-                                        _record(1, guide, logits, "b")]), 2)
+        bank = build_prototypes(blocks([_video(0, guide, logits, "a"),
+                                        _video(1, guide, logits, "b")]), 2)
         # fallback: top ceil(0.3*4)=2 frames by class-0 confidence; softmax
         # confidence is identical across frames so the first two are kept
         np.testing.assert_allclose(bank.prototypes[0], guide[:2].mean(axis=0), atol=1e-12)
@@ -112,25 +105,25 @@ class TestBuildPrototypes:
     def test_missing_category_reported(self):
         logits = np.tile([1.0, 0.0, 0.0], (3, 1))
         with pytest.raises(ValueError, match=r"\[1, 2\]"):
-            build_prototypes(blocks([_record(0, np.zeros((3, 2)), logits)]), 3)
+            build_prototypes(blocks([_video(0, np.zeros((3, 2)), logits)]), 3)
 
     def test_order_independent(self):
         rng = np.random.default_rng(4)
-        records = []
+        videos = []
         for i in range(6):
             guide = rng.standard_normal((5, 3))
             logits = rng.standard_normal((5, 2))
-            records.append(_record(i % 2, guide, logits, f"v{i}"))
-        a = build_prototypes(blocks(records), 2).prototypes
-        b = build_prototypes(blocks(records[::-1], 4), 2).prototypes
+            videos.append(_video(i % 2, guide, logits, f"v{i}"))
+        a = build_prototypes(blocks(videos), 2).prototypes
+        b = build_prototypes(blocks(videos[::-1], 4), 2).prototypes
         np.testing.assert_array_equal(a, b)
 
 
 class TestGuidingScores:
     def test_equidistant_two_classes(self):
         bank = PrototypeBank(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-        record = _record(0, np.array([[0.0, 5.0]]), np.zeros((1, 2)))
-        np.testing.assert_allclose(scores(record, bank), [0.5], atol=1e-12)
+        video = _video(0, np.array([[0.0, 5.0]]), np.zeros((1, 2)))
+        np.testing.assert_allclose(scores(video, bank), [0.5], atol=1e-12)
 
     def test_reference_values_from_distances(self):
         g = scores_at_distances([0.0, 10.0, 10.0], 0)
@@ -142,18 +135,18 @@ class TestGuidingScores:
 
     def test_label_out_of_range(self):
         bank = PrototypeBank(np.zeros((2, 3)))
-        record = _record(2, np.zeros((1, 3)), np.zeros((1, 2)))
+        video = _video(2, np.zeros((1, 3)), np.zeros((1, 2)))
         with pytest.raises(ValueError, match="label 2"):
-            scores(record, bank)
+            scores(video, bank)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(8)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         protos = rng.standard_normal((4, 6))
         guide = rng.standard_normal((9, 6))
-        record = _record(2, guide, np.zeros((9, 4)))
-        rotated = _record(2, guide @ q, np.zeros((9, 4)))
-        g = scores(record, PrototypeBank(protos))
+        video = _video(2, guide, np.zeros((9, 4)))
+        rotated = _video(2, guide @ q, np.zeros((9, 4)))
+        g = scores(video, PrototypeBank(protos))
         g_rot = scores(rotated, PrototypeBank(protos @ q))
         np.testing.assert_allclose(g, g_rot, atol=1e-9)
 
@@ -172,12 +165,13 @@ class TestGuidingScores:
         train, _ = generate_synthetic_dataset(
             str(tmp_path), num_classes=4, videos_per_class=3, num_frames=12,
             light_dim=8, guiding_dim=8, salient_fraction=0.25, noise_sigma=0.0,
-            seed=21)
-        records = load_manifest(train).load_all()
-        bank = build_prototypes(blocks(records), 4)
-        for record in records:
-            g = scores(record, bank)
-            salient = record.saliency_mask == 1.0
+            seed=21, val_videos_per_class=0)
+        split = load_manifest(train).read(("guiding", "logits", "mask"))
+        bank = build_prototypes([split], 4)
+        for guiding, label, mask in zip(split.per_video("guiding"), split.labels,
+                                        split.per_video("mask")):
+            g = guiding_saliency_scores(guiding, label, bank)
+            salient = mask == 1.0
             assert g[salient].min() > g[~salient].max()
             assert g.max() - g[salient].min() <= 1e-6
 

@@ -7,13 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from test_supervision import stacked
+from conftest import feature_block
 
 from nsnet import autodiff as ad, training
 from nsnet.cli import main
-from nsnet.data import BLOCK, KINDS, DatasetManifest, FeatureBlock, PresampleConfig, VideoRecord, \
-    generate_synthetic_dataset, load_manifest, presample, presample_indices
-from nsnet.evaluation import ScoredVideos
+from nsnet.data import BLOCK, KINDS, SCORED_KINDS, DatasetManifest, FeatureBlock, \
+    PresampleConfig, generate_synthetic_dataset, load_manifest, presample_indices
+from nsnet.evaluation import DEFAULT_COST_TABLE, ScoredVideos, run_comparison
 from nsnet.fusion import FusionConfig
 from nsnet.model import ModelConfig, SamplerModel, load_checkpoint
 from nsnet.supervision import PrototypeBank, build_prototypes, guiding_saliency_scores, \
@@ -21,7 +21,6 @@ from nsnet.supervision import PrototypeBank, build_prototypes, guiding_saliency_
 from nsnet.training import (
     TrainConfig,
     batch_loss,
-    evaluate_epoch,
     gradient_check,
     lr_at_epoch,
     substream,
@@ -96,15 +95,15 @@ class TestLrSchedule:
     (lambda out: ad.soft_cross_entropy_rows(
         ad.Tensor(np.zeros((2, 3))), np.array([[np.nan, 0.0, np.nan], [0.5, 0.0, 0.5]])),
      "soft_cross_entropy_rows targets: negative entry nan"),
-    (lambda out: ad.SgdState(np.nan), "learning_rate must be >= 0, got nan"),
-    (lambda out: ad.SgdState(np.inf), "learning_rate must be >= 0, got inf"),
+    (lambda out: ad.SgdState(np.nan, 0.9), "learning_rate must be >= 0, got nan"),
+    (lambda out: ad.SgdState(np.inf, 0.9), "learning_rate must be >= 0, got inf"),
     (lambda out: TrainConfig(base_lr=np.nan), "learning_rate must be >= 0, got nan"),
     (lambda out: TrainConfig(base_lr=np.inf), "learning_rate must be >= 0, got inf"),
     (lambda out: TrainConfig(decay_factor=np.nan), "decay_factor must be >= 0, got nan"),
     (lambda out: TrainConfig(decay_factor=np.inf), "decay_factor must be >= 0, got inf"),
-    (lambda out: generate_synthetic_dataset(out, 2, 1, 4, 2, 2, 0.5, np.nan, 0),
+    (lambda out: generate_synthetic_dataset(out, 2, 1, 4, 2, 2, 0.5, np.nan, 0, 0),
      "noise_sigma must be >= 0, got nan"),
-    (lambda out: generate_synthetic_dataset(out, 2, 1, 4, 2, 2, 0.5, np.inf, 0),
+    (lambda out: generate_synthetic_dataset(out, 2, 1, 4, 2, 2, 0.5, np.inf, 0, 0),
      "noise_sigma must be >= 0, got inf"),
 ], ids=["pseudo-labels", "soft-targets", "sgd-state", "sgd-state-inf", "base-lr",
         "base-lr-inf", "decay-factor", "decay-factor-inf", "noise-sigma", "noise-sigma-inf"])
@@ -123,12 +122,20 @@ def tiny_dataset(tmp_path, seed=1, classes=3, train_videos=4, val_videos=2,
         num_frames=frames, light_dim=dim, guiding_dim=dim,
         salient_fraction=0.5, noise_sigma=0.2, seed=seed,
         val_videos_per_class=val_videos)
-    return load_manifest(train_m).read(KINDS), gathered(load_manifest(val_m).load_all())
+    return load_manifest(train_m).read(KINDS), gathered(load_manifest(val_m))
 
 
-def gathered(records, frames=4):
-    """The records gathered as validation sees them, at ``frames`` frames."""
-    return ScoredVideos.gather(FeatureBlock.of(records), frames)
+def gathered(manifest, frames=4):
+    """The manifest's videos gathered as validation sees them, at ``frames`` frames."""
+    return ScoredVideos.gather(manifest.read(ScoredVideos.kinds), frames)
+
+
+def sampler_scores(model, videos, k):
+    """The sampler's top-1 and planted-frame recall on gathered videos at
+    ``k`` frames: ``run_comparison``'s nsnet row."""
+    row = next(row for row in run_comparison(videos, model, FusionConfig(), [k],
+                                             DEFAULT_COST_TABLE, 0) if row.method == "nsnet")
+    return row.top1, row.recall
 
 
 def tiny_model_cfg(classes=3, dim=8, frames=4, **overrides):
@@ -200,17 +207,17 @@ class TestTrainLoop:
 
     def test_gathered_validation_videos_are_used_as_given(self, tmp_path):
         """Validation scores the videos gathered at the observation length as
-        ``evaluate_epoch`` scores their records; gathered at another length
-        they are refused."""
+        ``run_comparison`` scores the sampler on a fresh gather of them;
+        gathered at another length they are refused."""
         block, val_videos = tiny_dataset(tmp_path)
-        val_records = load_manifest(str(tmp_path / "val.nsm")).load_all()
+        val_manifest = load_manifest(str(tmp_path / "val.nsm"))
         cfg = tiny_train_cfg(ns_labels=False, k=2)
         result = train([block], None, tiny_model_cfg(), cfg, val_videos=val_videos, out_dir=str(tmp_path / "run"))
         last = result.metrics[-1]
         assert (last.val_top1, last.val_recall) == \
-            evaluate_epoch(result.model, val_records, 2, FusionConfig(), frames=cfg.frames)
+            sampler_scores(result.model, gathered(val_manifest, cfg.frames), 2)
         with pytest.raises(ValueError, match="observed at 6 frames, not frames=4"):
-            train([block], None, tiny_model_cfg(), cfg, val_videos=gathered(val_records, 6),
+            train([block], None, tiny_model_cfg(), cfg, val_videos=gathered(val_manifest, 6),
                   out_dir=str(tmp_path / "run"))
 
     def test_hard_label_baseline_needs_no_bank(self, tmp_path):
@@ -319,16 +326,14 @@ class TestPseudoLabelCache:
         block, _ = tiny_dataset(tmp_path, frames=9)
         bank = build_prototypes([block], 3)
         cfg = PresampleConfig(frames=4, shift_augment=True)
-        train_records = load_manifest(str(tmp_path / "train.nsm")).load_all()
-        for seed, record in enumerate(train_records[:6]):
-            g_full = guiding_saliency_scores(record.guiding_features, record.label, bank)
-            indices = presample_indices(record.num_frames, cfg, np.random.default_rng(seed))
-            observed = presample(record, cfg, np.random.default_rng(seed))
-            cached = ns_pseudo_label_matrix(g_full, record.label, 3)[indices]
-            per_step = ns_pseudo_label_matrix(g_full[indices], record.label, 3)
+        for seed, (guiding, label) in enumerate(zip(block.per_video("guiding")[:6],
+                                                    block.labels)):
+            g_full = guiding_saliency_scores(guiding, label, bank)
+            indices = presample_indices(len(guiding), cfg, np.random.default_rng(seed))
+            cached = ns_pseudo_label_matrix(g_full, label, 3)[indices]
+            per_step = ns_pseudo_label_matrix(g_full[indices], label, 3)
             fresh = ns_pseudo_label_matrix(
-                guiding_saliency_scores(observed.guiding_features, record.label, bank),
-                record.label, 3)
+                guiding_saliency_scores(guiding[indices], label, bank), label, 3)
             assert cached.tobytes() == per_step.tobytes()
             np.testing.assert_allclose(cached, fresh, atol=1e-12)
 
@@ -502,20 +507,20 @@ class TestStreaming:
         batch path, and the videos' arrival order and blocking change no
         byte."""
         rng = np.random.default_rng(21)
-        records = []
+        videos = []
         for i in range(12):
             n = (3, 4, 9)[i % 3]
-            records.append(VideoRecord(f"v{i:02d}", i % 3, rng.standard_normal((n, 8)),
-                                       rng.standard_normal((n, 8)),
-                                       rng.standard_normal((n, 3))))
-        val_videos = gathered(records[::4])
-        bank = build_prototypes([stacked(records)], 3)
-        shuffled = [records[i] for i in np.random.default_rng(2).permutation(len(records))]
-        assert [r.video_id for r in shuffled] != [r.video_id for r in records]
+            videos.append(dict(video_id=f"v{i:02d}", label=i % 3, light=rng.standard_normal((n, 8)),
+                               guiding=rng.standard_normal((n, 8)),
+                               logits=rng.standard_normal((n, 3)), mask=np.zeros(n)))
+        val_videos = ScoredVideos.gather(feature_block(videos[::4], SCORED_KINDS), 4)
+        bank = build_prototypes([feature_block(videos, ("guiding", "logits"))], 3)
+        shuffled = [videos[i] for i in np.random.default_rng(2).permutation(len(videos))]
+        assert [v["video_id"] for v in shuffled] != [v["video_id"] for v in videos]
         artifacts = []
-        for name, arrival in (("manifest", records), ("shuffled", shuffled)):
+        for name, arrival in (("manifest", videos), ("shuffled", shuffled)):
             out = tmp_path / name
-            blocks = [stacked(arrival[i:i + 5], ("light", "guiding"))
+            blocks = [feature_block(arrival[i:i + 5], ("light", "guiding"))
                       for i in range(0, len(arrival), 5)]
             train(blocks, bank, tiny_model_cfg(), tiny_train_cfg(k=2),
                   val_videos=val_videos, out_dir=str(out))
@@ -543,31 +548,31 @@ class TestGradientCheckOnModel:
 
 
 class TestEvaluateEpoch:
-    def _random_records(self, count, classes, frames, seed):
+    """The sampler's scores on a validation split, as one epoch's validation
+    gives them."""
+
+    def _random_videos(self, count, classes, frames, seed):
         rng = np.random.default_rng(seed)
-        records = []
-        for i in range(count):
-            records.append(VideoRecord(
-                f"v{i}", int(rng.integers(classes)),
-                rng.standard_normal((frames, 8)),
-                rng.standard_normal((frames, 8)),
-                rng.standard_normal((frames, classes)),
-                (rng.random(frames) < 0.5).astype(np.float64)))
-        return records
+        videos = [dict(video_id=f"v{i}", label=int(rng.integers(classes)),
+                       light=rng.standard_normal((frames, 8)),
+                       logits=rng.standard_normal((frames, classes)),
+                       mask=(rng.random(frames) < 0.5).astype(np.float64))
+                  for i in range(count)]
+        return ScoredVideos.gather(feature_block(videos), frames)
 
     def test_untrained_model_is_chance_level(self):
         classes = 4
-        records = self._random_records(240, classes, 4, seed=12)
+        videos = self._random_videos(240, classes, 4, seed=12)
         model = SamplerModel(tiny_model_cfg(classes=classes, dim=8, frames=4),
                              np.random.default_rng(0))
-        top1, _ = evaluate_epoch(model, records, 2, FusionConfig(), frames=4)
+        top1, _ = sampler_scores(model, videos, 2)
         assert abs(top1 - 1 / classes) <= 0.05
 
     def test_k_equals_t_gives_full_recall(self):
-        records = self._random_records(10, 3, 4, seed=13)
+        videos = self._random_videos(10, 3, 4, seed=13)
         model = SamplerModel(tiny_model_cfg(classes=3, dim=8, frames=4),
                              np.random.default_rng(1))
-        _, recall = evaluate_epoch(model, records, 4, FusionConfig(), frames=4)
+        _, recall = sampler_scores(model, videos, 4)
         assert recall == 1.0
 
     def test_batch_loss_rejects_empty(self):
