@@ -2,13 +2,13 @@
 
 ``train`` reads an optional ``key=value`` run configuration (the syntax of
 ``data.read_key_values``); every key has a same-named command-line flag and
-flags win. The run-level keys (the four paths) are declared here; every
-other key, validation's ``fusion``, ``ratio`` and ``k`` among them, is a
-field of ``ModelConfig`` or ``TrainConfig``, parsed by its annotation and
-defaulting to the dataclass's default. Unknown or repeated keys and
-unparsable values are rejected. A checkpoint's positional capacity is the
-``frames`` it was trained at, and ``eval`` and ``sample`` observe every
-video at that length. Every command checks all of its settings and its
+flags win. The run-level keys (the four paths, and ``ns_labels``: whether
+the prototypes are read) are declared here; every other key, validation's
+``fusion``, ``ratio`` and ``k`` among them, is a field of ``ModelConfig``
+or ``TrainConfig``, parsed by its annotation and defaulting to the
+dataclass's default. Unknown or repeated keys and unparsable values are
+rejected. A checkpoint's positional capacity is the ``frames`` it was
+trained at, and ``eval`` and ``sample`` observe every video at that length. Every command checks all of its settings and its
 referenced paths before it reads any video; the files of the kinds it
 reads are checked as they are opened, with how they fit the checkpoint
 or the other inputs, still before any output is written. Every
@@ -51,9 +51,9 @@ def at_least(name: str, value: int, minimum: int) -> int:
     return value
 
 
-# The paths of `train`, as key: (parser, default).
-RUN_KEYS = dict.fromkeys(("train_manifest", "val_manifest", "prototypes", "out_dir"),
-                         (str, None))
+# The paths of `train` and whether it reads the prototypes, as key: (parser, default).
+RUN_KEYS = {**dict.fromkeys(("train_manifest", "val_manifest", "prototypes", "out_dir"),
+                            (str, None)), "ns_labels": (boolean, True)}
 # Fields filled from the data or from `frames`.
 _NOT_KEYS = {"input_dim", "num_classes", "max_frames"}
 TRAIN_KEYS = {**RUN_KEYS, **{f.name: (PARSE_ANNOTATION[f.type], f.default)
@@ -116,11 +116,11 @@ def cmd_train(args) -> int:
     # all but how the heads split the light width, which the first light file gives
     ModelConfig(input_dim=model_settings.get("heads", ModelConfig.heads), **model_settings)
     bank = None
-    if train_cfg.ns_labels:
+    if run["ns_labels"]:
         if run["prototypes"] is None:
             raise ValueError("ns_labels=true requires a prototypes path")
         bank = load_prototypes(run["prototypes"])
-    blocks = manifest.blocks(("light", "guiding") if train_cfg.ns_labels else ("light",))
+    blocks = manifest.blocks(("light", "guiding") if bank is not None else ("light",))
     # the first block gives the split's widths; only the pass holds it
     blocks = itertools.chain([next(blocks)], blocks)
     model_cfg = ModelConfig(input_dim=manifest.dims["D_l"], **model_settings)

@@ -53,7 +53,10 @@ class FeatureFormatError(ValueError):
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
     """Write ``payload`` to ``path`` with the permissions the umask gives a
-    new file; an OSError names ``path`` and leaves no temporary file behind."""
+    new file; an OSError names ``path`` and leaves no temporary file behind.
+    An empty ``path`` is refused before any file is touched."""
+    if not path:
+        raise ValueError("an output path must name a file, got ''")
     tmp = None
     try:
         directory = os.path.dirname(os.path.abspath(path))
@@ -432,7 +435,6 @@ class PresampleConfig:
     ``frames`` frames before the sampler sees it."""
 
     frames: int
-    shift_augment: bool = False
 
     def __post_init__(self):
         if self.frames < 1:
@@ -444,11 +446,11 @@ def presample_indices(num_frames: int | np.ndarray, cfg: PresampleConfig,
     """Frame indices for uniform pre-sampling: (T,) for one frame count N,
     (V, T) rows for an array of V counts.
 
-    For N >= T, segment centers floor((i + 0.5) * N / T); with
-    ``shift_augment`` a random integer offset in [0, N // T], shared by the
-    video's frames, is added (clamped at N - 1). The offsets are drawn one
-    ``rng.integers`` call per such video, in order. For N < T the sequence
-    is tiled cyclically and draws nothing.
+    For N >= T, segment centers floor((i + 0.5) * N / T); given an ``rng``,
+    each such video's frames are shifted by one random integer offset in
+    [0, N // T] (clamped at N - 1), all drawn in one ``rng.integers`` call
+    in video order. For N < T the sequence is tiled cyclically and draws
+    nothing.
     """
     t = cfg.frames
     counts = np.asarray(num_frames, dtype=np.int64)
@@ -456,18 +458,17 @@ def presample_indices(num_frames: int | np.ndarray, cfg: PresampleConfig,
     long = n >= t
     idx = np.where(long, np.floor((np.arange(t) + 0.5) * n / t).astype(np.int64),
                    np.arange(t) % n)
-    if cfg.shift_augment and long.any():
-        if rng is None:
-            raise ValueError("shift_augment requires an rng")
-        offsets = [rng.integers(0, c // t + 1) if c >= t else 0 for c in n[:, 0].tolist()]
-        idx = np.minimum(idx + np.array(offsets)[:, None], n - 1)
+    if rng is not None:
+        offsets = np.zeros_like(n)
+        offsets[long] = rng.integers(0, n[long] // t + 1)
+        idx = np.minimum(idx + offsets, n - 1)
     return idx.reshape(counts.shape + (t,))
 
 
 def presample(record: VideoRecord, cfg: PresampleConfig) -> VideoRecord:
     """The record at the observation length, without shift; one that already
     has exactly ``cfg.frames`` frames is returned as it is."""
-    if record.num_frames == cfg.frames and not cfg.shift_augment:
+    if record.num_frames == cfg.frames:
         return record
     i = presample_indices(record.num_frames, cfg)
     return VideoRecord(record.video_id, record.label, record.light_features[i],

@@ -45,22 +45,19 @@ CHECKPOINT_MAGIC = b"NSC1"
 
 @dataclass
 class ModelConfig:
-    input_dim: int                  # width of the lightweight features
+    input_dim: int                  # light feature width, also the feed-forward width
     num_classes: int
     max_frames: int                 # positional-embedding capacity
     encoder_layers: int = 2
     heads: int = 8
-    ffn_dim: int | None = None      # defaults to input_dim
     dropout_pos_enc: float = 0.2
     dropout_cls: float = 0.9
     dropout_attn: float = 0.2
     gamma: float = 0.2              # weight of the non-salient video loss
 
     def __post_init__(self):
-        if self.ffn_dim is None:
-            self.ffn_dim = self.input_dim
         if min(self.input_dim, self.num_classes, self.max_frames,
-               self.encoder_layers, self.heads, self.ffn_dim) < 1:
+               self.encoder_layers, self.heads) < 1:
             raise ValueError("all size fields must be positive")
         if self.input_dim % self.heads != 0:
             raise ValueError(
@@ -101,7 +98,7 @@ class ForwardOutput:
 
 def parameter_table(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter's shape by name, in NSC1 checkpoint order."""
-    d, f, c1 = config.input_dim, config.ffn_dim, config.num_classes + 1
+    d, c1 = config.input_dim, config.num_classes + 1
     table = {"pos_embedding": (config.max_frames, d)}
     for i in range(config.encoder_layers):
         table.update((f"enc{i}.{name}", shape) for name, shape in (
@@ -109,7 +106,7 @@ def parameter_table(config: ModelConfig) -> dict[str, tuple[int, ...]]:
             ("wq", (d, d)), ("bq", (d,)), ("wk", (d, d)), ("bk", (d,)),
             ("wv", (d, d)), ("bv", (d,)), ("wo", (d, d)), ("bo", (d,)),
             ("ln2_gain", (d,)), ("ln2_bias", (d,)),
-            ("w1", (d, f)), ("b1", (f,)), ("w2", (f, d)), ("b2", (d,))))
+            ("w1", (d, d)), ("b1", (d,)), ("w2", (d, d)), ("b2", (d,))))
     return table | {"fsm.w": (d, c1), "fsm.b": (c1,), "vgm.attn_w": (d, 1),
                     "vgm.attn_b": (1,), "vgm.cls_w": (d, c1), "vgm.cls_b": (c1,)}
 

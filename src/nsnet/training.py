@@ -4,7 +4,7 @@ All randomness flows from one seed through named substreams (init,
 shuffle, augment, dropout), so (seed, config, data) fixes the entire
 trajectory bit-exactly. Guiding scores depend only on the frozen
 prototypes and the recognizer features of the original frames, so each
-video's guiding saliency g (ones with ns_labels=False) is computed once, as
+video's guiding saliency g (ones without a bank) is computed once, as
 its block is drawn. The split keeps only two flat per-frame arrays, the float32
 light rows and g, never a block, guiding features, logits, masks or targets; a
 batch is one pre-sampling call over its videos' frame counts, one gather of
@@ -46,7 +46,6 @@ class TrainConfig:
     seed: int = 0
     frames: int = 16           # observation length of every video
     shift_augment: bool = True
-    ns_labels: bool = True     # False: plain video labels on the frame head
     fusion: str = FusionConfig.mode    # validation selects through
     ratio: float = FusionConfig.ratio  # FusionConfig(fusion, ratio, k);
     k: int | None = None               # None: frames // 4, at least 1
@@ -66,7 +65,7 @@ class TrainConfig:
         # the rules of the seed, optimizer, observation and validation train() builds
         substream(self.seed, "init")
         ad.SgdState(self.base_lr, self.momentum)
-        PresampleConfig(self.frames, self.shift_augment)
+        PresampleConfig(self.frames)
         k = self.validation_k
         FusionConfig(self.fusion, self.ratio, k)
         if k > self.frames:
@@ -119,15 +118,14 @@ class EpochMetrics:
     val_recall: float | None = None
 
 
-def _frame_rows(blocks: Iterable[FeatureBlock], bank: PrototypeBank | None,
-                ns_labels: bool) -> FeatureBlock:
+def _frame_rows(blocks: Iterable[FeatureBlock], bank: PrototypeBank | None) -> FeatureBlock:
     """A training split as a block of two per-frame kinds, float32 "light"
-    rows and float64 guiding saliency "g" (ones without ns_labels), built in
+    rows and float64 guiding saliency "g" (ones without a bank), built in
     one pass: each video's g is computed as its block is drawn."""
     ids, labels, light, scores = [], [], [], []
     for block in blocks:
         scores += [guiding_saliency_scores(guiding, label, bank) for guiding, label
-                   in zip(block.per_video("guiding"), block.labels)] if ns_labels \
+                   in zip(block.per_video("guiding"), block.labels)] if bank is not None \
             else map(np.ones, block.lengths)
         light.append(block.arrays["light"].copy())   # a copy: no block array is kept
         ids += block.video_ids
@@ -186,29 +184,26 @@ def train(train_blocks: Iterable[FeatureBlock],
     ``metrics.csv`` each epoch and ``best.nsc1`` at each new best validation
     top-1 (without validation, mean loss).
 
-    ``bank`` may be None only with ns_labels=False (the hard-label baseline
-    needs no prototypes). The model's positional capacity must be the
-    observation length, so a checkpoint carries it to ``eval`` and
-    ``sample``. ``train_blocks`` hold "light" (and "guiding" with
-    ns_labels); the settings are checked before the first block is drawn.
+    The frame head learns pseudo labels from ``bank``, or the video labels
+    without one (the hard-label baseline). The model's positional capacity
+    must be the observation length, so a checkpoint carries it to ``eval``
+    and ``sample``. ``train_blocks`` hold "light" (and "guiding" with a
+    bank); the settings are checked before the first block is drawn.
     Validation videos are gathered at the observation length.
     """
-    if train_cfg.ns_labels and bank is None:
-        raise ValueError("pseudo labels need a prototype bank; pass ns_labels=False "
-                         "to train the hard-label baseline")
     if model_cfg.max_frames != train_cfg.frames:
         raise ValueError(f"positional capacity max_frames={model_cfg.max_frames} is not "
                          f"the observation length frames={train_cfg.frames}")
-    observe = PresampleConfig(train_cfg.frames, train_cfg.shift_augment)
+    observe = PresampleConfig(train_cfg.frames)
     validation = FusionConfig(train_cfg.fusion, train_cfg.ratio, train_cfg.validation_k)
-    split = _frame_rows(train_blocks, bank, train_cfg.ns_labels)
+    split = _frame_rows(train_blocks, bank)
     starts, lengths, labels = split.starts, np.array(split.lengths), np.array(split.labels)
     light, g = split.arrays["light"], split.arrays["g"]
     # batches draw from the videos in video_id order, whatever order they came in
     by_id = np.array(sorted(range(len(split.video_ids)), key=split.video_ids.__getitem__))
     init_rng = substream(train_cfg.seed, "init")
     shuffle_rng = substream(train_cfg.seed, "shuffle")
-    augment_rng = substream(train_cfg.seed, "augment")
+    augment_rng = substream(train_cfg.seed, "augment") if train_cfg.shift_augment else None
     dropout_rng = substream(train_cfg.seed, "dropout")
     model = SamplerModel(model_cfg, init_rng)
     optimizer = ad.SgdState(learning_rate=train_cfg.base_lr,

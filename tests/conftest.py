@@ -54,12 +54,11 @@ def bench_model_config(gamma=0.2):
                        max_frames=BENCH["frames"], gamma=gamma)
 
 
-def bench_train_config(ns_labels=True):
+def bench_train_config():
     return TrainConfig(
         epochs=BENCH["epochs"], batch_size=BENCH["batch_size"], base_lr=0.01,
         lr_decay_epochs=(), momentum=0.9, seed=BENCH["train_seed"],
-        frames=BENCH["frames"], shift_augment=True,
-        ns_labels=ns_labels, k=BENCH["eval_k"])
+        frames=BENCH["frames"], shift_augment=True, k=BENCH["eval_k"])
 
 
 @pytest.fixture(scope="session")
@@ -102,7 +101,7 @@ def bench_baseline_run(bench_data, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("bench_baseline_run")
     started = time.perf_counter()
     result = train(bench_data["train_blocks"], None,
-                   bench_model_config(gamma=0.0), bench_train_config(ns_labels=False),
+                   bench_model_config(gamma=0.0), bench_train_config(),
                    val_videos=bench_data["val_videos"], out_dir=str(out_dir))
     return {"result": result, "out_dir": str(out_dir),
             "seconds": time.perf_counter() - started}

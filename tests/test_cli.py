@@ -257,6 +257,7 @@ class TestCheckpointBoundary:
         ("heads", "heads='2'", "must be an int"),
         (None, "foo=1", "unknown model configuration key 'foo'"),
         (None, "gamma=0.2", "duplicate key 'gamma'"),
+        (None, "ffn_dim=3", "unknown model configuration key 'ffn_dim'"),
         ("heads", "heads=0x2", "integer, got '0x2'"),
         ("heads", "heads=True", "integer, got 'True'"),
     ])
@@ -321,16 +322,6 @@ class TestCheckpointBoundary:
         code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
         line = assert_one_error_line(code, err)
         assert f"{path}: {message.format(size=path.stat().st_size)}" in line, line
-
-    def test_sidecar_ffn_dim_none_loads(self, checkpoint, tmp_path, capsys):
-        path, manifest = checkpoint
-        sidecar = tmp_path / "model.nsc1.cfg"
-        lines = ["ffn_dim=None" if line.startswith("ffn_dim=") else line
-                 for line in sidecar.read_text().splitlines()]
-        sidecar.write_text("\n".join(lines) + "\n")
-        assert ModelConfig.from_file(str(sidecar)).ffn_dim == 3   # input_dim
-        code, _, err = run(self.eval_args(path, manifest, tmp_path), capsys)
-        assert code == 0, err
 
     def test_non_finite_parameter(self, checkpoint, tmp_path, capsys):
         path, manifest = checkpoint
@@ -761,6 +752,7 @@ class TestSettingsBeforeReads:
         ("train", ["--decay-factor", "-1"], "decay_factor must be >= 0, got -1.0"),
         ("train", ["--seed", "-1"], "seed must be >= 0, got -1"),
         ("train", ["--out-dir", ""], "train needs at least train_manifest and out_dir"),
+        ("train", ["--ns-labels", "true"], "ns_labels=true requires a prototypes path"),
         ("train-ns", ["--frames", "4", "--k", "5"],
          "k=5 out of range for 4 observation frames"),
         ("prototypes", ["--out", ""], "--out must name a file, got ''"),
@@ -771,6 +763,7 @@ class TestSettingsBeforeReads:
             "train-dropout-cls",
             "train-gamma", "train-k-above-frames", "train-momentum", "train-base-lr",
             "train-decay-factor", "train-seed", "train-empty-out-dir",
+            "train-ns-labels-no-prototypes",
             "train-ns-labels-k-above-frames", "prototypes-empty-out", "eval-empty-out",
             "sample-empty-out"])
     def test_one_error_line_and_no_read(self, data, reads, tmp_path, capsys, command, extra,
@@ -809,7 +802,7 @@ class TestSettingsBeforeReads:
                                              "frames=16"):
             train(manifest.blocks(("light",)), None,
                   ModelConfig(input_dim=8, num_classes=2, max_frames=8, heads=1),
-                  TrainConfig(epochs=1, lr_decay_epochs=(), frames=16, ns_labels=False),
+                  TrainConfig(epochs=1, lr_decay_epochs=(), frames=16),
                   out_dir=str(tmp_path / "out"))
         assert reads == []
         assert not (tmp_path / "out").exists()
@@ -997,7 +990,7 @@ class TestHeapPolicy:
         calls.clear()
         train(blocks, None, ModelConfig(input_dim=8, num_classes=2, max_frames=6,
                                          encoder_layers=1, heads=1),
-              TrainConfig(epochs=1, lr_decay_epochs=(), frames=6, ns_labels=False),
+              TrainConfig(epochs=1, lr_decay_epochs=(), frames=6),
               out_dir=str(tmp_path / "library_run"))
         assert calls == []
 
@@ -1092,28 +1085,30 @@ def test_run_config_parsing(tiny_tree, tmp_path, capsys, monkeypatch):
 
 
 class TestTrainKeys:
-    """The `train` keys are the four paths plus the configuration fields
-    not filled from the data or from `frames`, and `--help` shows each
-    owner's default."""
+    """The `train` keys are the four paths and ns_labels plus the
+    configuration fields not filled from the data or from `frames`, and
+    `--help` shows each owner's default."""
 
     def test_keys(self):
-        assert set(RUN_KEYS) == {"train_manifest", "val_manifest", "prototypes", "out_dir"}
+        assert set(RUN_KEYS) == {"train_manifest", "val_manifest", "prototypes", "out_dir",
+                                 "ns_labels"}
         model = {f.name for f in fields(ModelConfig)} - {"input_dim", "num_classes",
                                                          "max_frames"}
         training = {f.name for f in fields(TrainConfig)}
         assert set(TRAIN_KEYS) == set(RUN_KEYS) | model | training
-        assert len(TRAIN_KEYS) == 24
+        assert len(TRAIN_KEYS) == 23
 
     def test_help_defaults(self, capsys):
         with pytest.raises(SystemExit):
             main(["train", "--help"])
         text = " ".join(capsys.readouterr().out.split())
         defaults = {f.name: f.default for f in fields(ModelConfig) + fields(TrainConfig)}
-        defaults.update(dict.fromkeys(RUN_KEYS))
+        defaults.update((key, default) for key, (_, default) in RUN_KEYS.items())
         fusion = FusionConfig()
         assert (defaults["fusion"], defaults["ratio"], defaults["k"]) == \
             (fusion.mode, fusion.ratio, None)
-        assert (defaults["frames"], defaults["shift_augment"]) == (16, True)
+        assert (defaults["frames"], defaults["shift_augment"], defaults["ns_labels"]) == \
+            (16, True, True)
         for key in TRAIN_KEYS:
             assert f"--{key.replace('_', '-')} " in text, key
             assert f"override {key} (default {defaults[key]})" in text, key

@@ -34,6 +34,7 @@ from nsnet.data import (
 from nsnet.cli import load_run_config
 from nsnet.evaluation import ScoredVideos, load_cost_table
 from nsnet.model import ModelConfig
+from nsnet.supervision import PrototypeBank, save_prototypes
 
 
 @pytest.fixture(params=[0o022, 0o027], ids=["umask022", "umask027"])
@@ -61,6 +62,22 @@ class TestAtomicWrite:
                                    val_videos_per_class=1)
         modes = {os.stat(p).st_mode & 0o777 for p in tmp_path.rglob("*") if p.is_file()}
         assert modes == {0o666 & ~umask}
+
+    @pytest.mark.parametrize("write", [
+        lambda path: data.write_csv(path, ["a"], [[1]]),
+        lambda path: write_feature_file(path, np.ones((1, 1))),
+        lambda path: save_prototypes(PrototypeBank(np.ones((2, 1))), path),
+    ], ids=["write_csv", "write_feature_file", "save_prototypes"])
+    def test_empty_path_opens_no_file(self, tmp_path, monkeypatch, write):
+        # "" resolves to the working directory, whose parent held the temporary file
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        opened, real_open = [], os.open
+        monkeypatch.setattr(os, "open", lambda name, *rest: opened.append(name)
+                            or real_open(name, *rest))
+        with pytest.raises(ValueError, match="must name a file"):
+            write("")
+        assert opened == [] and os.listdir(tmp_path) == ["cwd"]
 
 
 class TestFeatureFileLayout:
@@ -141,33 +158,45 @@ class TestPresample:
 
     def test_shift_stays_in_range(self):
         rng = np.random.default_rng(3)
-        cfg = PresampleConfig(frames=5, shift_augment=True)
+        cfg = PresampleConfig(frames=5)
         for _ in range(200):
             idx = presample_indices(23, cfg, rng)
             assert idx.shape == (5,)
             assert idx.min() >= 0 and idx.max() < 23
 
-    def test_shift_requires_rng(self):
-        with pytest.raises(ValueError, match="rng"):
-            presample_indices(10, PresampleConfig(frames=5, shift_augment=True))
-        with pytest.raises(ValueError, match="rng"):
-            presample_indices(np.array([3, 10]), PresampleConfig(frames=5, shift_augment=True))
+    def test_shift_stream_is_one_draw_per_long_video(self):
+        # N < T, N = T, N > T and N >> T, mixed, at T = 4
+        counts = np.array([3, 4, 9, 1, 23, 4, 2, 8, 5, 4000, 157, 1, 64])
+        drawn, reference = np.random.default_rng(11), np.random.default_rng(11)
+        rows = presample_indices(counts, PresampleConfig(4), drawn)
+        expected = []
+        for c in counts.tolist():
+            centers = [int((i + 0.5) * c / 4) for i in range(4)] if c >= 4 else \
+                [i % c for i in range(4)]
+            offset = reference.integers(0, c // 4 + 1) if c >= 4 else 0
+            expected.append([min(i + offset, c - 1) for i in centers])
+        np.testing.assert_array_equal(rows, expected)
+        assert drawn.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize("shift", [False, True])
     def test_frame_count_array_stacks_the_scalar_calls(self, shift):
         # N < T, N = T and N > T, mixed, at T = 4
         counts = np.array([3, 4, 9, 1, 23, 4, 2, 8, 5])
-        cfg = PresampleConfig(frames=4, shift_augment=shift)
-        batched, one_by_one = np.random.default_rng(5), np.random.default_rng(5)
+        cfg = PresampleConfig(frames=4)
+        batched, one_by_one = (np.random.default_rng(5) if shift else None for _ in range(2))
         rows = presample_indices(counts, cfg, batched)
         stacked = np.stack([presample_indices(int(n), cfg, one_by_one) for n in counts])
         assert rows.dtype == stacked.dtype and rows.shape == (len(counts), 4)
         assert rows.tobytes() == stacked.tobytes()
-        assert batched.bit_generator.state == one_by_one.bit_generator.state
+        if shift:
+            assert batched.bit_generator.state == one_by_one.bit_generator.state
 
     def test_short_videos_draw_no_offset(self):
-        rows = presample_indices(np.array([1, 3]), PresampleConfig(frames=4, shift_augment=True))
+        rng = np.random.default_rng(2)
+        before = rng.bit_generator.state
+        rows = presample_indices(np.array([1, 3]), PresampleConfig(frames=4), rng)
         np.testing.assert_array_equal(rows, [[0, 0, 0, 0], [0, 1, 2, 0]])
+        assert rng.bit_generator.state == before
 
     def test_alignment_across_parallel_arrays(self):
         record = _record_with_tagged_frames(11)

@@ -327,7 +327,7 @@ class TestParameterTable:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             "9c14e14b199898957bf84c03a791f266b74f2a38ccdc1c73bebcc92590cbf9f7"
         assert hashlib.sha256((tmp_path / "init.nsc1.cfg").read_bytes()).hexdigest() == \
-            "8e5c791035082d41822e1fc2bd95e882923dc57308eb3c73951db2a9da9edf8c"
+            "0ede4092b5ab0ac6d71d9840dc92be65bfd0365b4c13e283bfafec8f7bd41a2d"
 
     @staticmethod
     def graph_nodes(roots):

@@ -192,7 +192,7 @@ class TestTrainLoop:
         and the metrics of every epoch in ``out_dir``; best is the lowest loss."""
         block, _ = tiny_dataset(tmp_path / "data")
         out = tmp_path / "run"
-        result = train([block], None, tiny_model_cfg(), tiny_train_cfg(ns_labels=False),
+        result = train([block], None, tiny_model_cfg(), tiny_train_cfg(),
                        out_dir=str(out))
         assert sorted(p.name for p in out.iterdir()) == \
             ["best.nsc1", "best.nsc1.cfg", "last.nsc1", "last.nsc1.cfg", "metrics.csv"]
@@ -211,7 +211,7 @@ class TestTrainLoop:
         gathered at another length they are refused."""
         block, val_videos = tiny_dataset(tmp_path)
         val_manifest = load_manifest(str(tmp_path / "val.nsm"))
-        cfg = tiny_train_cfg(ns_labels=False, k=2)
+        cfg = tiny_train_cfg(k=2)
         result = train([block], None, tiny_model_cfg(), cfg, val_videos=val_videos, out_dir=str(tmp_path / "run"))
         last = result.metrics[-1]
         assert (last.val_top1, last.val_recall) == \
@@ -222,13 +222,13 @@ class TestTrainLoop:
 
     def test_hard_label_baseline_needs_no_bank(self, tmp_path):
         block, _ = tiny_dataset(tmp_path)
-        cfg = tiny_train_cfg(ns_labels=False, epochs=1, lr_decay_epochs=())
+        cfg = tiny_train_cfg(epochs=1, lr_decay_epochs=())
         result = train([block], None, tiny_model_cfg(gamma=0.0), cfg, out_dir=str(tmp_path / "run"))
         assert len(result.metrics) == cfg.epochs
 
     def test_k_above_frames_rejected_before_any_epoch(self):
         with pytest.raises(ValueError, match="k=5 out of range for 4 observation frames"):
-            tiny_train_cfg(ns_labels=False, k=5)
+            tiny_train_cfg(k=5)
 
     @pytest.mark.parametrize("fusion_cfg, expected", [
         (None, FusionConfig(k=1)),   # the default k: 4 frames // 4
@@ -246,14 +246,9 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "_score_selection", score)
         fields = {} if fusion_cfg is None else \
             dict(fusion=fusion_cfg.mode, ratio=fusion_cfg.ratio, k=fusion_cfg.k)
-        train([block], None, tiny_model_cfg(), tiny_train_cfg(ns_labels=False, **fields),
+        train([block], None, tiny_model_cfg(), tiny_train_cfg(**fields),
               val_videos=val_videos, out_dir=str(tmp_path / "run"))
         assert seen == [expected] * 2
-
-    def test_ns_labels_require_bank(self, tmp_path):
-        block, _ = tiny_dataset(tmp_path)
-        with pytest.raises(ValueError, match="prototype bank"):
-            train([block], None, tiny_model_cfg(), tiny_train_cfg(), out_dir=str(tmp_path / "run"))
 
     # the injected inf makes numpy warn on its way to the loss
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -325,7 +320,7 @@ class TestPseudoLabelCache:
     def test_gathered_cache_equals_fresh_computation(self, tmp_path):
         block, _ = tiny_dataset(tmp_path, frames=9)
         bank = build_prototypes([block], 3)
-        cfg = PresampleConfig(frames=4, shift_augment=True)
+        cfg = PresampleConfig(frames=4)
         for seed, (guiding, label) in enumerate(zip(block.per_video("guiding")[:6],
                                                     block.labels)):
             g_full = guiding_saliency_scores(guiding, label, bank)
@@ -351,7 +346,7 @@ class TestPseudoLabelCache:
 
         monkeypatch.setattr(training, "guiding_saliency_scores", counted)
         bank = build_prototypes([block], 3) if ns_labels else None
-        cfg = tiny_train_cfg(ns_labels=ns_labels, epochs=3)
+        cfg = tiny_train_cfg(epochs=3)
         train([block], bank, tiny_model_cfg(), cfg, out_dir=str(tmp_path / "run"))
         assert computed == (block.lengths if ns_labels else [])
 
@@ -379,7 +374,7 @@ class TestPseudoLabelCache:
             return honest(model, features, frame_targets, batch_labels, **kwargs)
 
         monkeypatch.setattr(training, "batch_loss", recorded)
-        cfg = tiny_train_cfg(ns_labels=ns_labels, epochs=3, base_lr=0.0, frames=6,
+        cfg = tiny_train_cfg(epochs=3, base_lr=0.0, frames=6,
                              batch_size=len(lengths), lr_decay_epochs=())
         train([block], bank, tiny_model_cfg(frames=6), cfg, out_dir=str(tmp_path / "run"))
         picks = []
@@ -401,9 +396,10 @@ class TestPseudoLabelCache:
             "light": rng.standard_normal((16, 4)).astype(np.float32),
             "guiding": rng.standard_normal((16, 2)).astype(np.float32)})
         for ns_labels in (True, False):
-            sizes = [sum(a.nbytes for a in training._frame_rows(
-                [block], PrototypeBank(rng.standard_normal((c, 2))), ns_labels).arrays.values())
-                for c in (2, 40)]
+            banks = [PrototypeBank(rng.standard_normal((c, 2))) if ns_labels else None
+                     for c in (2, 40)]
+            sizes = [sum(a.nbytes for a in training._frame_rows([block], bank).arrays.values())
+                     for bank in banks]
             assert sizes[0] == sizes[1] == 16 * (4 * 4 + 8)
 
 
@@ -466,7 +462,7 @@ class TestStreaming:
             return honest(model, features, *args, **kwargs)
 
         monkeypatch.setattr(training, "batch_loss", counted)
-        cfg = tiny_train_cfg(ns_labels=ns_labels, epochs=1, lr_decay_epochs=())
+        cfg = tiny_train_cfg(epochs=1, lr_decay_epochs=())
         streamed = train(tracker.stream(blocks), bank, tiny_model_cfg(), cfg, out_dir=str(tmp_path / "run"))
         assert len(tracker.alive_at_draw) == len(blocks) == 3
         kinds = len(blocks[0].arrays)   # at each draw only the last block drawn is alive
@@ -529,7 +525,7 @@ class TestStreaming:
 
     def test_no_training_videos_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no training videos"):
-            train(iter([]), None, tiny_model_cfg(), tiny_train_cfg(ns_labels=False), out_dir=str(tmp_path / "run"))
+            train(iter([]), None, tiny_model_cfg(), tiny_train_cfg(), out_dir=str(tmp_path / "run"))
 
 
 class TestGradientCheckOnModel:
