@@ -17,8 +17,9 @@ file opened once and checked as it is read (magic, length, and a width held
 to the first file of its kind), then each kind's frame counts, finiteness
 and 0/1 mask entries are checked once over the block. ``prototypes``,
 ``train`` and ``sample`` read blocks of ``BLOCK`` videos in manifest order.
-The one-video ``VideoRecord`` (light, logits and mask: ``load_record`` reads
-no guiding file) is kept for the benchmark's requests. Feature rows stay
+The benchmark's requests read a ``VideoRecord``, a one-video block of
+``SCORED_KINDS`` (light, logits and mask, no guiding file) under per-video
+names; a video that lists no mask has zero mask rows. Feature rows stay
 float32, as stored, until the arithmetic that needs float64 casts them.
 
 Plus the one ``key=value`` reader (run configurations, checkpoint
@@ -241,29 +242,6 @@ def stack_frames(video_ids: Sequence[str], files: dict[str, list[np.ndarray]]
 
 
 @dataclass
-class VideoRecord:
-    """One video: identity, label and the per-frame arrays (aligned on axis 0)."""
-
-    video_id: str
-    label: int
-    light_features: np.ndarray      # (N, D_l) sampler input features
-    recognizer_logits: np.ndarray   # (N, C)
-    saliency_mask: np.ndarray | None = None  # (N,) of {0,1}, synthetic only
-
-    def __post_init__(self):
-        if self.saliency_mask is not None:
-            self.saliency_mask = np.asarray(self.saliency_mask, dtype=np.float64).reshape(-1)
-        stack_frames([self.video_id], {kind: [a] for kind in SCORED_KINDS
-                                       if (a := getattr(self, KINDS[kind][0])) is not None})
-        if self.label < 0:
-            raise ValueError(f"{self.video_id}: negative label {self.label}")
-
-    @property
-    def num_frames(self) -> int:
-        return self.light_features.shape[0]
-
-
-@dataclass
 class FeatureBlock:
     """V videos with per-frame arrays of some kinds (their files, or a
     training split's light rows and guiding saliency g), each kind one array
@@ -275,16 +253,16 @@ class FeatureBlock:
     arrays: dict[str, np.ndarray]   # kind -> (rows, width), or (rows,) for a mask
 
     @classmethod
-    def of(cls, records: Iterable[VideoRecord]) -> FeatureBlock:
-        """The records' SCORED_KINDS stacked into one block, as ``read``
-        stacks their files; a record without a mask gets zeros."""
-        records = list(records)
-        if not records:
+    def of(cls, blocks: Iterable[FeatureBlock]) -> FeatureBlock:
+        """The blocks, checked as they were made, as one block: their videos
+        in order and each of the first block's kinds concatenated."""
+        blocks = list(blocks)
+        if not blocks:
             raise ValueError("no videos to score")
-        ids = [r.video_id for r in records]
-        return cls(ids, [r.label for r in records], *stack_frames(ids, {
-            kind: [np.zeros(r.num_frames) if (a := getattr(r, KINDS[kind][0])) is None else a
-                   for r in records] for kind in SCORED_KINDS}))
+        return cls(*(sum((getattr(b, name) for b in blocks), [])
+                     for name in ("video_ids", "labels", "lengths")),
+                   {kind: np.concatenate([b.arrays[kind] for b in blocks])
+                    for kind in blocks[0].arrays})
 
     @property
     def starts(self) -> np.ndarray:
@@ -293,6 +271,18 @@ class FeatureBlock:
     def per_video(self, kind: str) -> list[np.ndarray]:
         """Each video's rows of ``kind``, a view of the block's array."""
         return np.split(self.arrays[kind], self.starts[1:])
+
+
+class VideoRecord(FeatureBlock):
+    """One video's SCORED_KINDS as a one-video block, read by the
+    per-video names; a video that lists no mask has zero mask rows."""
+
+    video_id = property(lambda self: self.video_ids[0])
+    label = property(lambda self: self.labels[0])
+    num_frames = property(lambda self: self.lengths[0])
+    light_features = property(lambda self: self.arrays["light"])         # (N, D_l)
+    recognizer_logits = property(lambda self: self.arrays["logits"])     # (N, C)
+    saliency_mask = property(lambda self: self.arrays["mask"])           # (N,) of {0, 1}
 
 
 # Videos per block: per read of a split by ``DatasetManifest.blocks`` and per
@@ -342,6 +332,10 @@ class DatasetManifest:
         no other; a video that lists no mask gets zeros."""
         entries = self.entries if entries is None else entries
         kinds = [kind for kind in KINDS if kind in kinds]
+        unmasked = [e for e in entries if e.mask_path is None]
+        if kinds == ["mask"] and unmasked:   # its zeros would have no frame count
+            raise ValueError(f"{self.path}:{unmasked[0].line}: {unmasked[0].video_id} lists "
+                             "no mask, so its mask can't be read alone")
         files: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
         for e in entries:
             for kind in kinds:
@@ -358,10 +352,8 @@ class DatasetManifest:
             yield self.read(kinds, self.entries[first:first + BLOCK])
 
     def load_record(self, entry: ManifestEntry) -> VideoRecord:
-        """The video's listed SCORED_KINDS files; VideoRecord checks them together."""
-        return VideoRecord(entry.video_id, entry.label,
-                           *[self._read(entry, kind) for kind in SCORED_KINDS
-                             if kind != "mask" or entry.mask_path is not None])
+        """The video's SCORED_KINDS, ``read`` as a one-video block."""
+        return VideoRecord(**vars(self.read(SCORED_KINDS, [entry])))
 
     def load_all(self) -> list[VideoRecord]:
         return [self.load_record(e) for e in self.entries]
@@ -471,9 +463,8 @@ def presample(record: VideoRecord, cfg: PresampleConfig) -> VideoRecord:
     if record.num_frames == cfg.frames:
         return record
     i = presample_indices(record.num_frames, cfg)
-    return VideoRecord(record.video_id, record.label, record.light_features[i],
-                       record.recognizer_logits[i],
-                       None if record.saliency_mask is None else record.saliency_mask[i])
+    return VideoRecord(record.video_ids, record.labels, [cfg.frames],
+                       {kind: arr[i] for kind, arr in record.arrays.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ def baseline_selection(videos: ScoredVideos, method: str, k: int, seed: int) -> 
 
 def baseline_sample(record: VideoRecord, method: str, k: int) -> list[int]:
     """``baseline_selection`` for one video, random's at seed 0."""
-    return baseline_selection(ScoredVideos.gather(FeatureBlock.of([record]), record.num_frames),
+    return baseline_selection(ScoredVideos.gather(record, record.num_frames),
                               method, k, 0)[0].tolist()
 
 

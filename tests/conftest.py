@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from nsnet.data import KINDS, FeatureBlock, generate_synthetic_dataset, load_manifest, \
-    stack_frames
+from nsnet.data import KINDS, FeatureBlock, VideoRecord, generate_synthetic_dataset, \
+    load_manifest, stack_frames
 from nsnet.evaluation import ScoredVideos
 from nsnet.model import ModelConfig
 from nsnet.supervision import build_prototypes
@@ -47,6 +47,12 @@ def feature_block(videos, kinds=None):
     ids = [video["video_id"] for video in videos]
     return FeatureBlock(ids, [video["label"] for video in videos], *stack_frames(
         ids, {kind: [np.asarray(video[kind]) for video in videos] for kind in kinds}))
+
+
+def video_record(video):
+    """One video's ``feature_block`` (light, logits and mask) as the
+    one-video API's record."""
+    return VideoRecord(**vars(feature_block([video])))
 
 
 def bench_model_config(gamma=0.2):

@@ -5,12 +5,13 @@ import os
 import re
 import struct
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import feature_block
+from conftest import feature_block, video_record
 
 from nsnet import data
 from nsnet.autodiff import softmax_values
@@ -127,7 +128,7 @@ def _record_with_tagged_frames(n, c=3, seed=0):
     light = np.hstack([tag, rng.standard_normal((n, 2))])
     logits = np.hstack([tag, rng.standard_normal((n, c - 1))])
     mask = (np.arange(n) % 2).astype(np.float64)
-    return VideoRecord("tagged", 0, light, logits, mask)
+    return video_record(dict(video_id="tagged", label=0, light=light, logits=logits, mask=mask))
 
 
 class TestPresample:
@@ -389,6 +390,53 @@ class TestManifest:
         np.testing.assert_array_equal(record.recognizer_logits, block.arrays["logits"])
         np.testing.assert_array_equal(record.saliency_mask, block.arrays["mask"])
 
+    def test_a_request_checks_its_frames_once(self, tmp_path, monkeypatch):
+        """The benchmark's request path: ``load_record`` runs ``stack_frames``
+        once, and ``presample`` gathers the checked rows without it."""
+        train, _ = generate_synthetic_dataset(
+            str(tmp_path), num_classes=2, videos_per_class=1, num_frames=6,
+            light_dim=3, guiding_dim=3, salient_fraction=0.5, noise_sigma=0.2, seed=2,
+            val_videos_per_class=0)
+        manifest, checked, stack = load_manifest(train), [], data.stack_frames
+
+        def spy(video_ids, files):
+            checked.append(list(video_ids))
+            return stack(video_ids, files)
+
+        monkeypatch.setattr(data, "stack_frames", spy)
+        entry = manifest.entries[0]
+        record = manifest.load_record(entry)
+        assert checked == [[entry.video_id]]
+        for frames in (4, 6, 9):
+            assert presample(record, PresampleConfig(frames)).num_frames == frames
+        assert checked == [[entry.video_id]]
+
+    def test_mask_alone_needs_every_video_to_list_one(self, tmp_path, monkeypatch):
+        """A mask read alone has no frame count for a video that lists no
+        mask, first or not: one ValueError naming it, before any file is
+        opened. Read with the light rows, its zeros have the light count."""
+        files = {}
+        for video, n in (("v0", 3), ("v1", 5)):
+            for kind, width in (("light", 2), ("mask", 1)):
+                files[video, kind] = str(tmp_path / f"{video}.{kind}.nsf")
+                write_feature_file(files[video, kind], np.ones((n, width)))
+        light = files["v1", "light"]
+        entries = [ManifestEntry("v0", 0, *[files["v0", "light"]] * 3, files["v0", "mask"]),
+                   ManifestEntry("v1", 1, light, light, light)]
+        opened = []
+        monkeypatch.setattr(data, "read_feature_file",
+                            lambda path: opened.append(path) or read_feature_file(path))
+        path = str(tmp_path / "m.nsm")
+        for order, line in (([0, 1], 3), ([1, 0], 2)):
+            write_manifest(path, 2, [entries[i] for i in order])
+            manifest = load_manifest(path)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}:{line}: v1 lists no mask, so its mask can't be read alone")):
+                manifest.read(("mask",))
+            assert opened == []
+            assert manifest.read(("light", "mask")).lengths == [[3, 5][i] for i in order]
+            opened.clear()
+
 
 class TestBlockFaults:
     """A block's header faults are raised as each file is opened; its content
@@ -397,16 +445,18 @@ class TestBlockFaults:
 
     @pytest.fixture
     def split(self, tmp_path):
-        """Three 2-frame videos; ``split(faults)`` writes each video's light
-        and logits (file kind -> matrix overrides) and loads the manifest."""
+        """Three 2-frame videos; ``split(faults)`` writes each video's light,
+        logits and mask (file kind -> matrix overrides) and loads the manifest."""
         def make(faults):
             entries = []
             for v in range(3):
-                paths = {kind: str(tmp_path / f"v{v}.{kind}.nsf") for kind in ("light", "logits")}
+                paths = {kind: str(tmp_path / f"v{v}.{kind}.nsf")
+                         for kind in ("light", "logits", "mask")}
                 for kind, path in paths.items():
-                    write_feature_file(path, faults.get((v, kind), np.zeros((2, 3))))
+                    write_feature_file(path, faults.get(
+                        (v, kind), np.zeros((2, 1 if kind == "mask" else 3))))
                 entries.append(ManifestEntry(f"v{v}", 0, paths["light"], paths["light"],
-                                             paths["logits"]))
+                                             paths["logits"], paths["mask"]))
             path = str(tmp_path / "m.nsm")
             write_manifest(path, 3, entries)
             return load_manifest(path)
@@ -443,9 +493,28 @@ class TestBlockFaults:
         with pytest.raises(ValueError, match="^v0: light_features has non-finite values$"):
             manifest.read(("light",))
 
+    @pytest.mark.parametrize("name", ["light_features", "recognizer_logits"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, split, name, bad):
+        values = np.zeros((2, 3))
+        values[1, 0] = bad
+        kind = {"light_features": "light", "recognizer_logits": "logits"}[name]
+        with pytest.raises(ValueError, match=f"^v1: {name} has non-finite values$"):
+            split({(1, kind): values}).read(("light", "logits"))
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan, np.inf])
+    def test_mask_entries_must_be_0_or_1(self, split, bad):
+        """``stack_frames``' one 0/1 rule: -0.0 reads as 0, and any other
+        entry, a non-finite one too, names the video's mask."""
+        manifest = split({(1, "mask"): np.array([[-0.0], [1.0]])})
+        np.testing.assert_array_equal(manifest.read(("mask",)).arrays["mask"], [0, 0, 0, 1, 0, 0])
+        manifest = split({(1, "mask"): np.array([[1.0], [bad]])})
+        with pytest.raises(ValueError, match="^v1: saliency_mask entries must be 0 or 1$"):
+            manifest.read(("light", "mask"))
+
 
 class TestBlocks:
-    """``FeatureBlock.of`` stacks records as ``read`` stacks their files, and
+    """``FeatureBlock.of`` joins records into what ``read`` gives for their files, and
     ``blocks`` is ``read`` over BLOCK videos at a time, in manifest order."""
 
     @pytest.fixture
@@ -473,19 +542,35 @@ class TestBlocks:
         assert list(block.arrays) == list(read.arrays) == list(SCORED_KINDS) \
             == list(ScoredVideos.kinds)
         for kind, arr in read.arrays.items():
-            # a record holds its files as read, all but the mask it casts
-            assert arr.dtype == np.float32
-            assert block.arrays[kind].dtype == (np.float64 if kind == "mask" else np.float32)
+            # a record holds its files as read, the mask too
+            assert arr.dtype == block.arrays[kind].dtype == np.float32
             np.testing.assert_array_equal(block.arrays[kind], arr)
         # the sampler's input rows stay float32 until the forward casts them
         assert ScoredVideos.gather(block, 4).light.dtype == np.float32
 
-    def test_record_without_mask_gets_zero_rows(self):
-        records = [VideoRecord(f"v{i}", i, np.ones((n, 2)), np.ones((n, 3)), mask)
-                   for i, (n, mask) in enumerate([(2, [1, 1]), (3, None), (1, [1])])]
+    def test_a_record_is_a_one_video_block(self, manifest):
+        """``VideoRecord`` adds no field and no check to ``FeatureBlock``; its
+        per-video names read the block's one video."""
+        assert fields(VideoRecord) == fields(FeatureBlock)
+        assert not {"__init__", "__post_init__"} & set(vars(VideoRecord))
+        entry = manifest.entries[6]
+        record = manifest.load_record(entry)
+        assert (record.video_id, record.label, record.num_frames) == \
+            (entry.video_id, entry.label, 3)
+        # each kind under the name its messages use
+        assert all(getattr(record, KINDS[kind][0]) is record.arrays[kind] for kind in SCORED_KINDS)
+
+    def test_record_without_mask_gets_zero_rows(self, manifest):
+        entries = manifest.entries[:4]   # of 1 to 4 frames; v00 and v03 list no mask
+        assert [entry.mask_path is None for entry in entries] == [True, False, False, True]
+        records = [manifest.load_record(entry) for entry in entries]
         block = FeatureBlock.of(records)
-        assert block.lengths == [2, 3, 1]
-        np.testing.assert_array_equal(block.arrays["mask"], [1, 1, 0, 0, 0, 1])
+        assert block.lengths == [record.num_frames for record in records] == [1, 2, 3, 4]
+        for entry, record, mask in zip(entries, records, block.per_video("mask")):
+            want = np.zeros(record.num_frames) if entry.mask_path is None \
+                else read_feature_file(entry.mask_path).reshape(-1)
+            np.testing.assert_array_equal(record.saliency_mask, want)
+            np.testing.assert_array_equal(mask, want)
 
     def test_gather_keeps_the_kinds_aligned(self):
         """Pre-sampling takes the same frames of every kind: each row's light
@@ -526,24 +611,6 @@ class TestBlocks:
         # a video that lists no mask reads zero rows
         assert not any(mask.any() for entry, mask in zip(manifest.entries, read.per_video("mask"))
                        if entry.mask_path is None)
-
-
-class TestVideoRecord:
-    @pytest.mark.parametrize("name", ["light_features", "recognizer_logits"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_values_rejected(self, name, bad):
-        arrays = {"light_features": np.zeros((3, 2)), "recognizer_logits": np.zeros((3, 4))}
-        arrays[name][1, 0] = bad
-        with pytest.raises(ValueError, match=f"vid7: {name} has non-finite values"):
-            VideoRecord("vid7", 0, **arrays)
-
-    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan, np.inf])
-    def test_mask_entries_must_be_0_or_1(self, bad):
-        features = np.zeros((3, 2))
-        mask = VideoRecord("vid7", 0, features, features, [-0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(mask.saliency_mask, [0.0, 1.0, 0.0])
-        with pytest.raises(ValueError, match="vid7: saliency_mask entries must be 0 or 1"):
-            VideoRecord("vid7", 0, features, features, [1.0, bad, 0.0])
 
 
 # reader, file name, valid lines, a key whose value "abc" fails, float keys

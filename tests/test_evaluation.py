@@ -9,11 +9,11 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from conftest import feature_block
+from conftest import feature_block, video_record
 
 from nsnet import evaluation
 from nsnet.autodiff import softmax_values
-from nsnet.data import SCORED_KINDS, FeatureBlock, PresampleConfig, VideoRecord, presample, \
+from nsnet.data import SCORED_KINDS, FeatureBlock, PresampleConfig, presample, \
     presample_indices
 from nsnet.evaluation import (
     BASELINE_METHODS,
@@ -398,8 +398,7 @@ def observe(videos, t):
 
 def one_video_records(videos):
     """The videos as the one-video API's records."""
-    return [VideoRecord(v["video_id"], v["label"], v["light"], v["logits"], v["mask"])
-            for v in videos]
+    return [video_record(video) for video in videos]
 
 
 def model_for(t):

@@ -11,8 +11,10 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import video_record
+
 from nsnet.autodiff import softmax_values
-from nsnet.data import VideoRecord, generate_synthetic_dataset, load_manifest
+from nsnet.data import generate_synthetic_dataset, load_manifest
 from nsnet.evaluation import ScoredVideos
 from nsnet.fusion import FUSION_MODES, FusionConfig, fuse_scores, recognize, recognize_video, \
     select_frames
@@ -341,7 +343,8 @@ class TestMatrixSelection:
 class TestProfileAndRecognition:
     def _record(self, logits):
         n = logits.shape[0]
-        return VideoRecord("r", 0, np.zeros((n, 2)), logits)
+        return video_record(dict(video_id="r", label=0, light=np.zeros((n, 2)), logits=logits,
+                                 mask=np.zeros(n)))
 
     def test_single_frame_recognition(self):
         logits = np.array([[2.0, 1.0, 0.0], [0.0, 5.0, 0.0]])

@@ -20,14 +20,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import feature_block
+from conftest import feature_block, video_record
 from test_fusion import oracle_select
 
 import nsnet
 import nsnet.autodiff
 import nsnet.data
 from nsnet.cli import main
-from nsnet.data import BLOCK, PresampleConfig, VideoRecord, generate_synthetic_dataset, \
+from nsnet.data import BLOCK, PresampleConfig, generate_synthetic_dataset, \
     load_manifest, presample_indices, read_feature_file
 from nsnet.evaluation import DEFAULT_COST_TABLE, ScoredVideos, run_comparison
 from nsnet.fusion import FUSION_MODES, SCORE_MODES, FusionConfig
@@ -135,8 +135,7 @@ def test_run_comparison_forwards_once_per_block(count_trunk_passes):
 
 
 def test_evaluate_epoch_forwards_once_per_block(count_trunk_passes):
-    records = [VideoRecord(v["video_id"], v["label"], v["light"], v["logits"], v["mask"])
-               for v in make_videos(VIDEOS)]
+    records = [video_record(video) for video in make_videos(VIDEOS)]
     evaluate_epoch(make_model(), records, 2, FusionConfig(), T)
     assert 0 < len(count_trunk_passes) <= MAX_FORWARDS
 
